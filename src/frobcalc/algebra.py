@@ -240,7 +240,7 @@ class Element:
                 and other._coeffs == self._coeffs)
 
     def __hash__(self):
-        return hash((id(self.algebra), self._coeffs))
+        return hash((self.algebra, self._coeffs))
 
     def __str__(self):
         f = self.algebra.field
@@ -306,9 +306,6 @@ class LinearMap:
             raise MalformedInput("element from a different algebra")
         return Element(self.algebra, self.matrix.apply(el.raw), _raw=True)
 
-    def apply_raw(self, vec):
-        return self.matrix.apply(vec)
-
     def compose(self, other):
         """self ∘ other."""
         if other.algebra != self.algebra:
@@ -350,7 +347,7 @@ class LinearMap:
                 and other.matrix == self.matrix)
 
     def __hash__(self):
-        return hash((id(self.algebra), self.matrix))
+        return hash((self.algebra, self.matrix))
 
     def is_identity(self):
         return self.matrix == Matrix.identity(self.algebra.field, self.algebra.dim)
@@ -393,10 +390,6 @@ def inverse_of(a: Element):
     if (a * binv).raw != A.unit or (binv * a).raw != A.unit:
         return None
     return binv
-
-
-def is_unit(a: Element) -> bool:
-    return inverse_of(a) is not None
 
 
 def center_basis(A: Algebra):

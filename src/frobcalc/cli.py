@@ -24,12 +24,13 @@ from .algebra import (LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
                       center_basis, derivation_witness, endomorphism_witness,
                       inverse_of)
 from .calculus import (commutator_orbit_readings, divergence, exp_derivation,
-                       jacobian, liouville_polynomial, phi_sequence)
+                       jacobian, liouville_polynomial)
 from .crossed import build_crossed_product, crossed_form, predicted_nakayama
 from .errors import FrobcalcError, MalformedInput
 from .fields import Field
 from .frobenius import is_symmetric_algebra, make_frobenius
-from .gallery import cyclic, exterior, matrix_algebra, qci, s3_group_algebra, trivial_extension
+from .gallery import (cyclic, dual_numbers, exterior, ground_field_algebra,
+                      matrix_algebra, qci, s3_group_algebra, trivial_extension)
 from .linalg import Matrix
 from .rng import SplitMix64
 from .verify import Check
@@ -307,8 +308,8 @@ def _gallery_build(args):
     if name == "trivial":
         Q = Field.rationals()
         bases = {
-            "rationals": verify._rationals_algebra(Q),
-            "dual-numbers": verify._poly_dual_numbers(Q),
+            "rationals": ground_field_algebra(Q),
+            "dual-numbers": dual_numbers(Q),
             "matrix2": matrix_algebra(2, Q).algebra,
         }
         if args.base not in bases:
@@ -414,6 +415,13 @@ def cmd_verify_all(args, checks, data, rng):
 
 # ---------------------------------------------------------------------------
 
+def _degree(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="frobcalc", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
@@ -436,13 +444,13 @@ def _build_parser():
     add("divergence", cmd_divergence, **file_arg, **{"--map": {"required": True}})
     add("derivations", cmd_derivations, **file_arg)
     add("hochschild", cmd_hochschild, **file_arg,
-        **{"--max-degree": {"type": int, "default": 2},
+        **{"--max-degree": {"type": _degree, "default": 2},
            "--budget": {"type": int, "default": hh.DEFAULT_BUDGET}})
     add("verify-main-theorem", cmd_verify_main_theorem, **file_arg,
-        **{"--max-degree": {"type": int, "default": 2},
+        **{"--max-degree": {"type": _degree, "default": 2},
            "--budget": {"type": int, "default": hh.DEFAULT_BUDGET}})
     add("homology", cmd_homology, **file_arg,
-        **{"--max-degree": {"type": int, "default": 1},
+        **{"--max-degree": {"type": _degree, "default": 1},
            "--budget": {"type": int, "default": hh.DEFAULT_BUDGET}})
     add("crossed-product", cmd_crossed_product, **file_arg)
     add("liouville", cmd_liouville, **file_arg, **{"--map": {"required": True}})

@@ -372,17 +372,6 @@ class Field:
             d["min_poly"] = list(self.min_poly)
         return d
 
-    @staticmethod
-    def from_description(d):
-        kind = d.get("kind")
-        if kind == RATIONALS:
-            return Field.rationals()
-        if kind == PRIME:
-            return Field.prime(d.get("p"))
-        if kind == EXTENSION:
-            return Field.extension(d.get("p"), d.get("min_poly", ()))
-        raise MalformedInput(f"unknown field kind {kind!r}")
-
 
 class Scalar:
     """A field element: a raw value tagged with its field."""

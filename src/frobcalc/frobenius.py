@@ -30,17 +30,7 @@ class FrobeniusStructure:
 
     # pairing and beta ---------------------------------------------------------
     def pair_raw(self, a, b):
-        f = self.algebra.field
-        acc = f.zero()
-        g = self.gram.data
-        for i, ai in enumerate(a):
-            if f.is_zero(ai):
-                continue
-            gi = g[i]
-            for j, bj in enumerate(b):
-                if not f.is_zero(bj):
-                    acc = f.add(acc, f.mul(ai, f.mul(gi[j], bj)))
-        return acc
+        return _pair(self.algebra.field, self.gram.data, a, b)
 
     def pairing(self, a: Element, b: Element) -> Scalar:
         return Scalar(self.algebra.field, self.pair_raw(a.raw, b.raw))
@@ -61,6 +51,19 @@ class FrobeniusStructure:
         return f"FrobeniusStructure({self.algebra!r})"
 
 
+def _pair(f, g, a, b):
+    """⟨a, b⟩ for raw coordinate vectors under the Gram rows ``g``."""
+    acc = f.zero()
+    for i, ai in enumerate(a):
+        if f.is_zero(ai):
+            continue
+        gi = g[i]
+        for j, bj in enumerate(b):
+            if not f.is_zero(bj):
+                acc = f.add(acc, f.mul(ai, f.mul(gi[j], bj)))
+    return acc
+
+
 def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
     """Validate the form and compute the induced automorphism.
 
@@ -76,23 +79,14 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
     if ginv is None:
         raise MalformedInput("bilinear form is degenerate")
 
-    def pair(a, b):
-        acc = f.zero()
-        for i, ai in enumerate(a):
-            if f.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if not f.is_zero(bj):
-                    acc = f.add(acc, f.mul(ai, f.mul(gram.data[i][j], bj)))
-        return acc
-
     basis = [A._basis_vec(i) for i in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
             eij = A.mul_raw(basis[i], basis[j])
             for k in range(A.dim):
-                left = pair(eij, basis[k])
-                right = pair(basis[i], A.mul_raw(basis[j], basis[k]))
+                left = _pair(f, gram.data, eij, basis[k])
+                right = _pair(f, gram.data, basis[i],
+                              A.mul_raw(basis[j], basis[k]))
                 if left != right:
                     raise MalformedInput(
                         f"form is not associative: witness triple ({i},{j},{k})")

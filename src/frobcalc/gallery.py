@@ -95,9 +95,6 @@ class ExteriorGallery:
     def odd_indices(self):
         return [i for i in range(len(self.subsets)) if self.degree(i) % 2 == 1]
 
-    def even_indices(self):
-        return [i for i in range(len(self.subsets)) if self.degree(i) % 2 == 0]
-
     def generator(self, i):
         return self.algebra.basis_element(self.index[(i,)])
 
@@ -300,6 +297,21 @@ class QciGallery:
 def qci(q, field=None):
     field = field or Field.rationals()
     return QciGallery(q, field)
+
+
+# ---------------------------------------------------------------------------
+# small bases for trivial extensions
+
+
+def ground_field_algebra(field=None):
+    """The ground field k as a one-dimensional algebra."""
+    return Algebra(field or Field.rationals(), 1, ["1"], [(0, 0, 0, 1)], [1])
+
+
+def dual_numbers(field=None):
+    """k[t]/(t^2)."""
+    return Algebra(field or Field.rationals(), 2, ["1", "t"],
+                   [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
 
 
 # ---------------------------------------------------------------------------

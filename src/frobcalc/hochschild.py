@@ -3,8 +3,11 @@
 Cochains of degree p are n x n^p matrices (column = p-tuple of basis
 indices, first index most significant); chains with coefficients in M are
 flattened as (m, tuple).  The differentials are assembled column-sparse
-and all rank/kernel/solve work happens on dictionaries, so only the
-explicitly requested dense matrices are ever materialized.
+and all rank/kernel/solve work goes through :class:`SparseEchelon` from
+``linalg`` on dictionaries, so only the explicitly requested dense
+matrices are ever materialized.  Each rank question is asked of one
+echelon by insertion: homology representatives are the cycles that still
+join the echelon of the boundaries.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -19,7 +22,8 @@ from itertools import product
 from .algebra import Algebra, Element, LinearMap, ROLE_ENDOMORPHISM
 from .errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from .frobenius import FrobeniusStructure
-from .linalg import Matrix
+from .linalg import (Matrix, SparseEchelon, add_entry, axpy, dense_vector,
+                     sparse_vector)
 
 DEFAULT_BUDGET = 1 << 20
 DENSE_CAP = 1 << 24
@@ -138,30 +142,20 @@ def _coboundary_columns(A: Algebra, p):
     for k in range(n):
         for J in product(range(n), repeat=p):
             col = {}
-
-            def put(row, val):
-                if row in col:
-                    s = f.add(col[row], val)
-                    if f.is_zero(s):
-                        del col[row]
-                    else:
-                        col[row] = s
-                elif not f.is_zero(val):
-                    col[row] = val
-
             for i1 in range(n):
                 pref = _tuple_index((i1,) + J, n)
                 for (m, c) in A.mul_basis(i1, k):
-                    put(m * ncols_out + pref, c)
+                    add_entry(f, col, m * ncols_out + pref, c)
             for j in range(1, p + 1):
                 sgn = f.from_int((-1) ** j)
                 for (u, v, c) in A.pairs_into(J[j - 1]):
                     args = J[:j - 1] + (u, v) + J[j:]
-                    put(k * ncols_out + _tuple_index(args, n), f.mul(sgn, c))
+                    add_entry(f, col, k * ncols_out + _tuple_index(args, n),
+                              f.mul(sgn, c))
             for i in range(n):
                 suff = _tuple_index(J + (i,), n)
                 for (m, c) in A.mul_basis(k, i):
-                    put(m * ncols_out + suff, f.mul(sign_last, c))
+                    add_entry(f, col, m * ncols_out + suff, f.mul(sign_last, c))
             cols.append(col)
     A._cache[("cob", p)] = (nrows, cols)
     return nrows, cols
@@ -186,17 +180,6 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
         em = A._basis_vec(m)
         for J in product(range(n), repeat=p):
             col = {}
-
-            def put(row, val):
-                if row in col:
-                    s = f.add(col[row], val)
-                    if f.is_zero(s):
-                        del col[row]
-                    else:
-                        col[row] = s
-                elif not f.is_zero(val):
-                    col[row] = val
-
             # face 0: right action of a₁ on m (twisted when requested)
             tail = _tuple_index(J[1:], n)
             if twist_cols is None:
@@ -205,98 +188,25 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
                 w = A.mul_raw(em, twist_cols[J[0]])
                 terms = [(i, c) for i, c in enumerate(w) if not f.is_zero(c)]
             for (mm, c) in terms:
-                put(mm * ncols_out + tail, c)
+                add_entry(f, col, mm * ncols_out + tail, c)
             # middle faces: multiply adjacent tensor slots
             for j in range(1, p):
                 sgn = f.from_int((-1) ** j)
                 for (t, c) in A.mul_basis(J[j - 1], J[j]):
                     args = J[:j - 1] + (t,) + J[j + 1:]
-                    put(m * ncols_out + _tuple_index(args, n), f.mul(sgn, c))
+                    add_entry(f, col, m * ncols_out + _tuple_index(args, n),
+                              f.mul(sgn, c))
             # last face: left action of a_p on m (never twisted)
             head = _tuple_index(J[:p - 1], n)
             for (mm, c) in A.mul_basis(J[p - 1], m):
-                put(mm * ncols_out + head, f.mul(sign_last, c))
+                add_entry(f, col, mm * ncols_out + head, f.mul(sign_last, c))
             cols.append(col)
     A._cache[key] = (nrows, cols)
     return nrows, cols
 
 
 # ---------------------------------------------------------------------------
-# sparse echelon solver
-
-class SparseEchelon:
-    """Column echelon over a field with combination tracking.
-
-    Inserted columns are reduced against existing pivots (pivot = least
-    row index, normalized to 1).  Kernel vectors fall out of columns that
-    reduce to zero; ``solve`` reduces an arbitrary right-hand side.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}  # row -> (column dict, tail dict)
-
-    def _reduce(self, col, tail):
-        f = self.field
-        while col:
-            r = min(col)
-            hit = self.pivots.get(r)
-            if hit is None:
-                return col, tail, r
-            pcol, ptail = hit
-            fac = col[r]
-            for row, val in pcol.items():
-                cur = col.get(row, None)
-                nv = f.sub(cur, f.mul(fac, val)) if cur is not None \
-                    else f.neg(f.mul(fac, val))
-                if f.is_zero(nv):
-                    col.pop(row, None)
-                else:
-                    col[row] = nv
-            if tail is not None:
-                for idx, val in ptail.items():
-                    cur = tail.get(idx, None)
-                    nv = f.sub(cur, f.mul(fac, val)) if cur is not None \
-                        else f.neg(f.mul(fac, val))
-                    if f.is_zero(nv):
-                        tail.pop(idx, None)
-                    else:
-                        tail[idx] = nv
-        return col, tail, None
-
-    def insert(self, col, tail):
-        """Returns None if the column joined the echelon, else its tail
-        (a kernel combination when the tail tracked the identity)."""
-        f = self.field
-        col, tail, r = self._reduce(dict(col), dict(tail) if tail is not None else None)
-        if r is None:
-            return tail if tail is not None else {}
-        piv = col[r]
-        if not f.is_one(piv):
-            ip = f.inv(piv)
-            col = {row: f.mul(ip, v) for row, v in col.items()}
-            if tail is not None:
-                tail = {idx: f.mul(ip, v) for idx, v in tail.items()}
-        self.pivots[r] = (col, tail if tail is not None else {})
-        return None
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def residual(self, vec_dict):
-        """Reduce a vector against the echelon; returns the residual dict."""
-        col, _, _ = self._reduce(dict(vec_dict), None)
-        return col
-
-    def solve(self, rhs_dict):
-        """x with (echelon columns as M) · x = rhs, or None."""
-        f = self.field
-        col, tail, r = self._reduce(dict(rhs_dict), {})
-        if r is not None:
-            return None
-        return {idx: f.neg(v) for idx, v in tail.items()}
-
+# sparse elimination
 
 def _echelonize(field, cols, *, want_kernel):
     """Echelonize columns with tails tracking original column indices.
@@ -306,37 +216,43 @@ def _echelonize(field, cols, *, want_kernel):
     """
     ech = SparseEchelon(field)
     kernel = []
+    one = field.one()
     for j, col in enumerate(cols):
-        out = ech.insert(col, {j: field.one()})
+        out = ech.insert(col, {j: one})
         if out is not None and want_kernel:
-            out[j] = out.get(j, field.one())
             kernel.append(out)
     return ech, kernel
 
 
-def _dict_from_vec(field, vec):
-    return {i: v for i, v in enumerate(vec) if not field.is_zero(v)}
+def _representatives(bech, kernel):
+    """The cycles in ``kernel`` that are independent modulo the boundaries.
 
-
-def _vec_from_dict(field, d, length):
-    out = [field.zero()] * length
-    for i, v in d.items():
-        out[i] = v
-    return out
+    Each cycle is inserted into the boundary echelon ``bech``; it joins
+    exactly when it is outside the span of the boundaries and the earlier
+    cycles, so the count is dim(cycles) − dim(boundaries) whenever the
+    boundaries are cycles.
+    """
+    dim = len(kernel) - bech.rank
+    reps = [kv for kv in kernel if bech.insert(kv, None) is None]
+    if len(reps) != dim:
+        raise InternalInconsistency("representative count differs from dimension")
+    return reps
 
 
 def _apply_columns(field, cols, vec_dict):
     out = {}
     for j, c in vec_dict.items():
-        for row, val in cols[j].items():
-            cur = out.get(row, None)
-            nv = field.add(cur, field.mul(c, val)) if cur is not None \
-                else field.mul(c, val)
-            if field.is_zero(nv):
-                out.pop(row, None)
-            else:
-                out[row] = nv
+        axpy(field, out, cols[j], c)
     return out
+
+
+def _tensor_terms(field, cols, J):
+    """cols[J₀] ⊗ ... ⊗ cols[J_{p-1}] expanded as {index tuple: coefficient}."""
+    terms = {(): field.one()}
+    for t in J:
+        terms = {key + (i,): field.mul(c, v)
+                 for key, c in terms.items() for i, v in cols[t].items()}
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +307,10 @@ def _resolve_twist(A, coeffs, sigma):
 def apply_coboundary(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     _check_budget(A, f.degree, budget)
     _, cols = _coboundary_columns(A, f.degree)
-    vec = _dict_from_vec(A.field, f.flatten())
+    vec = sparse_vector(A.field, f.flatten())
     out = _apply_columns(A.field, cols, vec)
     return Cochain.from_flat(A, f.degree + 1,
-                             _vec_from_dict(A.field, out, A.dim ** (f.degree + 2)))
+                             dense_vector(A.field, out, A.dim ** (f.degree + 2)))
 
 
 def is_cocycle(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> bool:
@@ -408,7 +324,7 @@ def cocycle_basis(A: Algebra, p, budget=DEFAULT_BUDGET):
     _, cols = _coboundary_columns(A, p)
     _, kernel = _echelonize(f, cols, want_kernel=True)
     length = A.dim ** (p + 1)
-    return [Cochain.from_flat(A, p, _vec_from_dict(f, k, length)) for k in kernel]
+    return [Cochain.from_flat(A, p, dense_vector(f, k, length)) for k in kernel]
 
 
 def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
@@ -417,26 +333,17 @@ def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
     f = A.field
     _, cols = _coboundary_columns(A, p)
     _, kernel = _echelonize(f, cols, want_kernel=True)
-    dim_cycles = len(kernel)
-    if p == 0:
-        bech = SparseEchelon(f)
-        dim_bound = 0
-    else:
+    bech = SparseEchelon(f)
+    if p > 0:
         _check_budget(A, p - 1, budget)
         _, bcols = _coboundary_columns(A, p - 1)
         bech, _ = _echelonize(f, bcols, want_kernel=False)
-        dim_bound = bech.rank
-    reps = []
+    dim_bound = bech.rank
+    reps = _representatives(bech, kernel)
     length = A.dim ** (p + 1)
-    tracker = SparseEchelon(f)
-    for kv in kernel:
-        resid = bech.residual(kv)
-        if resid and tracker.insert(resid, None) is None:
-            reps.append(Cochain.from_flat(A, p, _vec_from_dict(f, kv, length)))
-    dim = dim_cycles - dim_bound
-    if len(reps) != dim:
-        raise InternalInconsistency("representative count differs from dimension")
-    return HomologyReport(p, dim_cycles, dim_bound, dim, reps)
+    return HomologyReport(p, len(kernel), dim_bound, len(reps),
+                          [Cochain.from_flat(A, p, dense_vector(f, kv, length))
+                           for kv in reps])
 
 
 def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
@@ -455,16 +362,10 @@ def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
         _, kernel = _echelonize(f, cols, want_kernel=True)
     _, bcols = _boundary_columns(A, p + 1, twist)
     bech, _ = _echelonize(f, bcols, want_kernel=False)
-    reps = []
-    tracker = SparseEchelon(f)
-    for kv in kernel:
-        resid = bech.residual(kv)
-        if resid and tracker.insert(resid, None) is None:
-            reps.append(_vec_from_dict(f, kv, length))
-    dim = len(kernel) - bech.rank
-    if len(reps) != dim:
-        raise InternalInconsistency("representative count differs from dimension")
-    return HomologyReport(p, len(kernel), bech.rank, dim, reps)
+    dim_bound = bech.rank
+    reps = _representatives(bech, kernel)
+    return HomologyReport(p, len(kernel), dim_bound, len(reps),
+                          [dense_vector(f, kv, length) for kv in reps])
 
 
 def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
@@ -483,20 +384,11 @@ def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     uinv = u.inverse()
     n = A.dim
     ncols = n ** p
-    inv_cols = [_dict_from_vec(fld, uinv.matrix.column(j)) for j in range(n)]
+    inv_cols = [sparse_vector(fld, uinv.matrix.column(j)) for j in range(n)]
     out = [[fld.zero()] * ncols for _ in range(n)]
     for J in product(range(n), repeat=p):
-        # expand ⊗_t uinv(e_{J_t}) sparsely
-        terms = {(): fld.one()}
-        for t in J:
-            nxt = {}
-            for key, c in terms.items():
-                for i, v in inv_cols[t].items():
-                    kk = key + (i,)
-                    nxt[kk] = fld.mul(c, v)
-            terms = nxt
         acc = [fld.zero()] * n
-        for key, c in terms.items():
+        for key, c in _tensor_terms(fld, inv_cols, J).items():
             col = _tuple_index(key, n)
             for k in range(n):
                 val = f.data[k][col]
@@ -523,7 +415,7 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     if not is_cocycle(A, f, budget):
         raise MalformedInput("cochain is not a cocycle")
     rhs = cochain_action(F.sigma, f, budget) - f
-    rhs_vec = _dict_from_vec(A.field, rhs.flatten())
+    rhs_vec = sparse_vector(A.field, rhs.flatten())
     if not rhs_vec:
         return Cochain.zero(A, p - 1)
     key = ("certificate-echelon", p - 1)
@@ -537,7 +429,7 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     if sol is None:
         return None
     length = A.dim ** p
-    g = Cochain.from_flat(A, p - 1, _vec_from_dict(A.field, sol, length))
+    g = Cochain.from_flat(A, p - 1, dense_vector(A.field, sol, length))
     if not (apply_coboundary(A, g, budget) - rhs).is_zero():
         raise InternalInconsistency("certificate failed re-verification")
     return g
@@ -548,21 +440,12 @@ def _chain_map_columns(F: FrobeniusStructure, p):
     A = F.algebra
     fld = A.field
     n = A.dim
-    scols = [_dict_from_vec(fld, F.sigma.matrix.column(j)) for j in range(n)]
+    scols = [sparse_vector(fld, F.sigma.matrix.column(j)) for j in range(n)]
     cols = []
     for m in range(n):
         for J in product(range(n), repeat=p):
-            terms = {(): fld.one()}
-            for t in (m,) + J:
-                nxt = {}
-                for key, c in terms.items():
-                    for i, v in scols[t].items():
-                        nxt[key + (i,)] = fld.mul(c, v)
-                terms = nxt
-            col = {}
-            for key, c in terms.items():
-                col[_tuple_index(key, n)] = c
-            cols.append(col)
+            terms = _tensor_terms(fld, scols, (m,) + J)
+            cols.append({_tuple_index(key, n): c for key, c in terms.items()})
     return cols
 
 
@@ -578,7 +461,7 @@ def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
     # echelon of [representatives | boundaries], tails tracked on reps only
     ech = SparseEchelon(fld)
     for idx, rep in enumerate(report.representatives):
-        out = ech.insert(_dict_from_vec(fld, rep), {idx: fld.one()})
+        out = ech.insert(sparse_vector(fld, rep), {idx: fld.one()})
         if out is not None:
             raise InternalInconsistency("homology representatives are dependent")
     for col in bcols_src:
@@ -586,7 +469,7 @@ def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
     h = report.dim
     data = [[fld.zero()] * h for _ in range(h)]
     for jdx, rep in enumerate(report.representatives):
-        image = _apply_columns(fld, tmap, _dict_from_vec(fld, rep))
+        image = _apply_columns(fld, tmap, sparse_vector(fld, rep))
         sol = ech.solve(image)
         if sol is None:
             raise InternalInconsistency(
@@ -654,7 +537,7 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
     from .calculus import jacobian, sum_product
     from .frobenius import make_frobenius
     from .gallery import trivial_extension
-    from .linalg import kernel_basis as dense_kernel, solve_linear
+    from .linalg import solve_linear
 
     fld = B.field
     n = B.dim
@@ -666,32 +549,22 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
             raise MalformedInput("tau does not vanish on commutators")
 
     # ker(HH₀ → HH₁): z with 1⊗z + z⊗1 a Hochschild boundary
-    _, b2cols = _boundary_columns(B, 2, None)
-    bech, _ = _echelonize(fld, b2cols, want_kernel=False)
-    residual_cols = []
+    # inserted after the boundaries (empty tails), 1⊗e_i + e_i⊗1 reduces to
+    # zero exactly when it is a boundary modulo the earlier ones; its tail
+    # is then the canonical kernel vector for free column i
+    ech = SparseEchelon(fld)
+    for col in _boundary_columns(B, 2, None)[1]:
+        ech.insert(col, {})
+    kvecs = []
     for i in range(n):
         vec = {}
         for m, um in enumerate(B.unit):
-            if fld.is_zero(um):
-                continue
-            for key in (m * n + i, i * n + m):
-                s = fld.add(vec.get(key, fld.zero()), um)
-                if fld.is_zero(s):
-                    vec.pop(key, None)
-                else:
-                    vec[key] = s
-        residual_cols.append(bech.residual(vec))
-    # kernel of the linear map z ↦ residual(1⊗z + z⊗1)
-    rows = {}
-    for i, col in enumerate(residual_cols):
-        for r, v in col.items():
-            rows.setdefault(r, [fld.zero()] * n)[i] = v
-    if rows:
-        kvecs = dense_kernel(Matrix(fld, [rows[r] for r in sorted(rows)],
-                                    _raw=True))
-    else:
-        kvecs = [[fld.one() if i == j else fld.zero() for j in range(n)]
-                 for i in range(n)]
+            if not fld.is_zero(um):
+                add_entry(fld, vec, m * n + i, um)
+                add_entry(fld, vec, i * n + m, um)
+        out = ech.insert(vec, {i: fld.one()})
+        if out is not None:
+            kvecs.append(dense_vector(fld, out, n))
     kernel_elements = [Element(B, v, _raw=True) for v in kvecs]
     in_image_kernel = all(
         fld.is_zero(sum_product(fld, tau, v)) for v in kvecs)

@@ -1,8 +1,13 @@
-"""Dense exact matrices and the Gaussian-elimination kernels.
+"""Exact matrices, sparse vectors and the one elimination kernel.
 
-Everything here is plain exact arithmetic delegated to a :class:`Field`;
-pivot choice is always the first nonzero entry in the current column, so
-echelon forms (and hence kernel bases, solutions, reports) are
+Everything here is plain exact arithmetic delegated to a :class:`Field`.
+All rank, kernel and solve work, dense or sparse, goes through
+:class:`SparseEchelon`: columns are inserted in order into a column
+echelon held in dictionaries, and a column joins it exactly when it is
+not in the span of the columns before it.  ``rref``, ``kernel_basis``,
+``solve_linear``, ``invert`` and ``column_space_basis`` read their
+answers off that echelon, so pivots, kernel bases and solutions are the
+canonical ones of the reduced row echelon form and reports are
 deterministic.  Matrices are immutable by convention: no public method
 mutates ``data``.
 """
@@ -10,7 +15,7 @@ mutates ``data``.
 from __future__ import annotations
 
 from .errors import MalformedInput
-from .fields import Field, Scalar
+from .fields import Scalar
 
 
 class Matrix:
@@ -169,73 +174,148 @@ class Matrix:
             raise MalformedInput("shape mismatch")
 
 
-def _rref_raw(field, data):
-    """In-place RREF on a list-of-lists copy; returns (data, pivots)."""
-    rows = len(data)
-    cols = len(data[0]) if rows else 0
-    is_zero, mul, sub, inv = field.is_zero, field.mul, field.sub, field.inv
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not is_zero(data[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            data[r], data[pr] = data[pr], data[r]
-        pval = data[r][c]
-        if not field.is_one(pval):
-            ipv = inv(pval)
-            data[r] = [mul(ipv, v) for v in data[r]]
-        rr = data[r]
-        for i in range(rows):
-            if i == r:
-                continue
-            fac = data[i][c]
-            if is_zero(fac):
-                continue
-            di = data[i]
-            data[i] = [sub(a, mul(fac, b)) for a, b in zip(di, rr)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return data, pivots
+class SparseEchelon:
+    """Column echelon over a field with combination tracking.
+
+    Inserted columns are reduced against existing pivots (pivot = least
+    row index, normalized to 1).  Each pivot keeps a tail, the combination
+    of inserted columns it equals, so a column that reduces to zero yields
+    a kernel vector and ``solve`` yields a solution.  A tail of None is not
+    tracked.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}  # row -> (column dict, tail dict)
+
+    def _reduce(self, col, tail):
+        """Reduce col, and tail alongside, in place; returns the leading row
+        of what is left, or None when col reduced to zero."""
+        f = self.field
+        while col:
+            r = min(col)
+            hit = self.pivots.get(r)
+            if hit is None:
+                return r
+            pcol, ptail = hit
+            c = f.neg(col[r])
+            axpy(f, col, pcol, c)
+            if tail is not None:
+                axpy(f, tail, ptail, c)
+        return None
+
+    def insert(self, col, tail):
+        """Returns None if the column joined the echelon, else its tail
+        (a kernel combination when the tail tracked the identity)."""
+        f = self.field
+        col = dict(col)
+        tail = dict(tail) if tail is not None else None
+        r = self._reduce(col, tail)
+        if r is None:
+            return tail if tail is not None else {}
+        piv = col[r]
+        if not f.is_one(piv):
+            ip = f.inv(piv)
+            col = {row: f.mul(ip, v) for row, v in col.items()}
+            if tail is not None:
+                tail = {idx: f.mul(ip, v) for idx, v in tail.items()}
+        self.pivots[r] = (col, tail if tail is not None else {})
+        return None
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def solve(self, rhs_dict):
+        """x with (echelon columns as M) · x = rhs, or None."""
+        col, tail = dict(rhs_dict), {}
+        if self._reduce(col, tail) is not None:
+            return None
+        neg = self.field.neg
+        return {idx: neg(v) for idx, v in tail.items()}
+
+
+def axpy(f, dst, src, c):
+    """dst += c·src on sparse dicts, dropping entries that become zero."""
+    for k, v in src.items():
+        cur = dst.get(k)
+        nv = f.mul(c, v) if cur is None else f.add(cur, f.mul(c, v))
+        if f.is_zero(nv):
+            dst.pop(k, None)
+        else:
+            dst[k] = nv
+
+
+def add_entry(f, d, key, val):
+    """d[key] += val on a sparse dict, dropping the entry if it becomes zero."""
+    cur = d.get(key)
+    s = val if cur is None else f.add(cur, val)
+    if f.is_zero(s):
+        d.pop(key, None)
+    else:
+        d[key] = s
+
+
+def sparse_vector(f, vec):
+    return {i: v for i, v in enumerate(vec) if not f.is_zero(v)}
+
+
+def dense_vector(f, d, length):
+    out = [f.zero()] * length
+    for i, v in d.items():
+        out[i] = v
+    return out
+
+
+def _echelon(m: Matrix):
+    """Insert the columns of ``m`` in order, each with its identity tail.
+
+    Returns the echelon, the pivot columns (those that joined: exactly the
+    RREF pivot columns) and ``{free column: kernel tail}``.  A free
+    column's tail is 1 there and 0 at every other free column, i.e. the
+    canonical kernel vector read off the RREF.
+    """
+    f = m.field
+    ech = SparseEchelon(f)
+    pivots, kernel = [], {}
+    one = f.one()
+    for j in range(m.cols):
+        out = ech.insert(sparse_vector(f, m.column(j)), {j: one})
+        if out is None:
+            pivots.append(j)
+        else:
+            kernel[j] = out
+    return ech, pivots, kernel
 
 
 def rref(m: Matrix):
     """Reduced row echelon form.
 
     Returns ``(R, pivot_columns, rank)``; pivot columns are strictly
-    increasing and ``rank == len(pivot_columns)``.
+    increasing and ``rank == len(pivot_columns)``.  Row r of R is 1 at
+    the r-th pivot column and minus the kernel tails elsewhere.
     """
-    data = [list(row) for row in m.data]
-    data, pivots = _rref_raw(m.field, data)
-    return Matrix(m.field, data, _raw=True), tuple(pivots), len(pivots)
+    f = m.field
+    _, pivots, kernel = _echelon(m)
+    data = [[f.zero()] * m.cols for _ in range(m.rows)]
+    row_of = {pc: r for r, pc in enumerate(pivots)}
+    for pc, r in row_of.items():
+        data[r][pc] = f.one()
+    for fc, kv in kernel.items():
+        for pc, v in kv.items():
+            if pc != fc:
+                data[row_of[pc]][fc] = f.neg(v)
+    return Matrix(f, data, _raw=True), tuple(pivots), len(pivots)
 
 
 def kernel_basis(m: Matrix):
     """Basis of the right kernel, as raw-value column vectors.
 
     The basis is the canonical one read off the RREF: one vector per free
-    column, with a 1 in the free coordinate.
+    column, with a 1 in the free coordinate and 0 at the other free ones.
     """
-    f = m.field
-    R, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    one, zero, neg = f.one(), f.zero(), f.neg
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = neg(R.data[r][fc])
-        basis.append(v)
-    return basis
+    _, _, kernel = _echelon(m)
+    return [dense_vector(m.field, kv, m.cols) for kv in kernel.values()]
 
 
 def solve_linear(m: Matrix, b):
@@ -243,16 +323,8 @@ def solve_linear(m: Matrix, b):
     if len(b) != m.rows:
         raise MalformedInput("right-hand side length differs from row count")
     f = m.field
-    b = [f.coerce(v) for v in b]
-    data = [list(row) + [b[i]] for i, row in enumerate(m.data)]
-    data, pivots = _rref_raw(f, data)
-    # inconsistent iff some pivot lands in the appended column
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [f.zero()] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = data[r][m.cols]
-    return x
+    x = _echelon(m)[0].solve(sparse_vector(f, [f.coerce(v) for v in b]))
+    return None if x is None else dense_vector(f, x, m.cols)
 
 
 def invert(m: Matrix):
@@ -261,15 +333,13 @@ def invert(m: Matrix):
         raise MalformedInput("inverse of a non-square matrix")
     f = m.field
     n = m.rows
-    ident = Matrix.identity(f, n)
-    data = [list(row) + list(ident.data[i]) for i, row in enumerate(m.data)]
-    data, pivots = _rref_raw(f, data)
-    if len(pivots) < n or any(p >= n for p in pivots):
+    ech = _echelon(m)[0]
+    if ech.rank < n:
         return None
-    return Matrix(f, [row[n:] for row in data], _raw=True)
+    cols = [dense_vector(f, ech.solve({i: f.one()}), n) for i in range(n)]
+    return Matrix(f, cols, _raw=True).transpose()
 
 
 def column_space_basis(m: Matrix):
     """Columns of ``m`` at the RREF pivot positions (a deterministic basis)."""
-    _, pivots, _ = rref(m)
-    return [m.column(c) for c in pivots]
+    return [m.column(c) for c in _echelon(m)[1]]

@@ -114,14 +114,6 @@ def matrix_from_doc(field, doc, rows, cols, path):
     return Matrix(field, data, _raw=True)
 
 
-def map_from_doc(algebra, doc, path=""):
-    _check_schema(doc, path)
-    role = _expect(doc, "role", path, str)
-    mat = matrix_from_doc(algebra.field, _expect(doc, "matrix", path, list),
-                          algebra.dim, algebra.dim, f"{path}/matrix")
-    return LinearMap(algebra, mat, role)
-
-
 def group_from_doc(doc, path=""):
     if not isinstance(doc, dict):
         _fail(path or "/", "expected an object")

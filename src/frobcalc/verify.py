@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hochschild as hh
-from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
-                      ROLE_ENDOMORPHISM, ad, block_map, center_basis,
-                      direct_product, extend_element, extend_gram, extend_map,
-                      extend_scalars, inner_automorphism, inverse_of,
-                      left_mult_matrix, product_embed, restrict_element,
-                      restrict_gram, restrict_map, restrict_scalars)
+from .algebra import (Element, LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
+                      ad, block_map, center_basis, direct_product,
+                      extend_element, extend_gram, extend_map, extend_scalars,
+                      inner_automorphism, inverse_of, left_mult_matrix,
+                      product_embed, restrict_element, restrict_gram,
+                      restrict_map, restrict_scalars)
 from .calculus import (bavula_jacobian, coboundary_status,
                        commutator_orbit_readings, conjugation_identity_holds,
                        delta_star, divergence, exp_derivation, jacobian,
@@ -31,8 +31,8 @@ from .crossed import (GroupAction, TwoCocycle, build_crossed_product,
 from .fields import Field
 from .frobenius import (is_inner, is_symmetric_algebra, make_frobenius,
                         relate_forms, sigma_fixes_center)
-from .gallery import (cyclic, exterior, matrix_algebra, qci, s3_group_algebra,
-                      trivial_extension)
+from .gallery import (cyclic, dual_numbers, exterior, ground_field_algebra,
+                      matrix_algebra, qci, s3_group_algebra, trivial_extension)
 from .groups import cyclic_group
 from .linalg import Matrix, invert, solve_linear
 from .rng import SplitMix64
@@ -128,7 +128,7 @@ class Suite:
 def gallery_items():
     """The standard verification gallery (name, carrier) pairs."""
     Q = Field.rationals()
-    B_t = _poly_dual_numbers(Q)
+    B_t = dual_numbers(Q)
     items = [
         ("exterior1", exterior(1, Q)),
         ("exterior2", exterior(2, Q)),
@@ -137,7 +137,7 @@ def gallery_items():
         ("qci2", qci(2, Q)),
         ("qci3", qci(3, Q)),
         ("qci1/2", qci(Fraction(1, 2), Q)),
-        ("trivQ", trivial_extension(_rationals_algebra(Q))),
+        ("trivQ", trivial_extension(ground_field_algebra(Q))),
         ("trivDual", trivial_extension(B_t)),
         ("trivM2", trivial_extension(matrix_algebra(2, Q).algebra)),
         ("cyclic3", cyclic(3)),
@@ -147,16 +147,6 @@ def gallery_items():
         ("groupS3", s3_group_algebra(Q)),
     ]
     return items
-
-
-def _rationals_algebra(Q):
-    return Algebra(Q, 1, ["1"], [(0, 0, 0, 1)], [1])
-
-
-def _poly_dual_numbers(Q):
-    """Q[t]/(t^2)."""
-    return Algebra(Q, 2, ["1", "t"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
-                   [1, 0])
 
 
 def frobenius_of(item):
@@ -357,7 +347,7 @@ def _random_3subset(rng, n):
 def _cocycle_law_items():
     return [("qci2", qci(2)), ("exterior2", exterior(2)),
             ("exterior3", exterior(3)), ("exterior4", exterior(4)),
-            ("trivDual", trivial_extension(_poly_dual_numbers(Field.rationals()))),
+            ("trivDual", trivial_extension(dual_numbers(Field.rationals()))),
             ("cyclic3", cyclic(3)), ("matrix2", matrix_algebra(2))]
 
 
@@ -536,7 +526,7 @@ def suite_trivial_extension(rng=None, count=20):
     s = Suite()
     rng = rng or SplitMix64(42)
     Q = Field.rationals()
-    cases = [("dual-numbers", _poly_dual_numbers(Q)),
+    cases = [("dual-numbers", dual_numbers(Q)),
              ("matrix2", matrix_algebra(2, Q).algebra)]
     for label, B in cases:
         item = trivial_extension(B)
@@ -555,7 +545,7 @@ def suite_trivial_extension(rng=None, count=20):
             s.record(f"triv-connes/{label}/{k}", "connes-image",
                      result.in_image, {"tau": [B.field.format(v) for v in tau]})
     # the counterexample: tau(1) = 1 on Q[t]/(t^2) is not in the image
-    B = _poly_dual_numbers(Q)
+    B = dual_numbers(Q)
     bad = hh.connes_image_test(B, [1, 0])
     s.record("triv-connes/reject-unit-functional", "connes-image",
              not bad.in_image)
@@ -628,7 +618,7 @@ def suite_div_nontrivial():
     s = Suite()
     Q = Field.rationals()
     for name, item in (("exterior3", exterior(3)),
-                       ("trivDual", trivial_extension(_poly_dual_numbers(Q)))):
+                       ("trivDual", trivial_extension(dual_numbers(Q)))):
         A = item.algebra
         F = frobenius_of(item)
         zs = center_basis(A)
@@ -893,7 +883,7 @@ def suite_symmetry_and_coboundaries(rng=None):
     s.record("coboundary/grassmann-graded", "class:jac",
              status.verdict == "no", {"verdict": status.verdict})
     # trivial extension: u_z cocycle obstructed by central units
-    te = trivial_extension(_poly_dual_numbers(Field.rationals()))
+    te = trivial_extension(dual_numbers(Field.rationals()))
     Ft = frobenius_of(te)
     z = te.B.unit_element().scale(2)
     u_z = te.u_z(z)

@@ -275,6 +275,13 @@ def test_zero_dimensional_algebra_rejected():
         Algebra(Q, 0, [], [], [])
 
 
+def test_hash_agrees_with_eq_across_builds():
+    a, b = qci(2).algebra, qci(2).algebra
+    assert a is not b
+    assert len({a.basis_element(1), b.basis_element(1)}) == 1
+    assert len({LinearMap.identity(a), LinearMap.identity(b)}) == 1
+
+
 def test_element_powers():
     g = qci(2)
     one = g.algebra.unit_element()

@@ -5,20 +5,16 @@ from fractions import Fraction
 import pytest
 
 from frobcalc import hochschild as hh
-from frobcalc.algebra import (Algebra, Element, LinearMap, ad, center_basis,
+from frobcalc.algebra import (Element, LinearMap, ad, center_basis,
                               commutator_subspace, is_derivation)
 from frobcalc.errors import BudgetExceeded, MalformedInput
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
-from frobcalc.gallery import cyclic, exterior, matrix_algebra, qci
+from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra,
+                              qci, trivial_extension)
 from frobcalc.linalg import Matrix, rref
 
 Q = Field.rationals()
-
-
-def dual_numbers():
-    return Algebra(Q, 2, ["1", "t"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)],
-                   [1, 0])
 
 
 def test_coboundary_degree_zero_kernel_is_center():
@@ -171,6 +167,19 @@ def test_sigma_action_on_homology():
     c3 = cyclic(3)
     F3 = make_frobenius(c3.algebra, c3.gram)
     assert hh.sigma_action_on_homology(F3, 1, hh.UNTWISTED).is_identity()
+
+
+def test_representatives_are_counted_once():
+    # HH^2 of exterior(3): 73 cocycles, 49 coboundaries
+    for field in (Q, Field.prime(5)):
+        rep = hh.hh_dimension(exterior(3, field).algebra, 2)
+        assert (rep.dim_cycles, rep.dim_boundaries, rep.dim) == (73, 49, 24)
+        assert len(rep.representatives) == 24
+    te = trivial_extension(matrix_algebra(2).algebra)
+    F = make_frobenius(te.algebra, te.gram)
+    h1 = hh.homology_dimension(te.algebra, 1, hh.TWISTED, F.sigma)
+    assert len(h1.representatives) == h1.dim
+    assert hh.sigma_action_on_homology(F, 1, hh.TWISTED).is_identity()
 
 
 def test_duality_dims():

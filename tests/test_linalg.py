@@ -98,12 +98,21 @@ def test_rref_properties(label):
         R2, pivots2, rank2 = rref(R)
         assert R2 == R and pivots2 == pivots and rank2 == rank
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
-        # kernel vectors are killed, count is the nullity
+        # pivot columns of R are unit vectors, rows past the rank vanish
+        for r, pc in enumerate(pivots):
+            assert R.column(pc) == [field.one() if i == r else field.zero()
+                                    for i in range(m.rows)]
+        assert all(field.is_zero(v) for row in R.data[rank:] for v in row)
+        # kernel vectors are killed, count is the nullity, and each one is
+        # 1 at its free column and 0 at every other free column
         ker = kernel_basis(m)
         assert len(ker) == m.cols - rank
         zero = [field.zero()] * m.rows
-        for v in ker:
+        free = [c for c in range(m.cols) if c not in pivots]
+        for fc, v in zip(free, ker):
             assert m.apply(v) == zero
+            assert [v[c] for c in free] == [field.one() if c == fc else field.zero()
+                                            for c in free]
         if m.rows == m.cols:
             inv = invert(m)
             if inv is not None:

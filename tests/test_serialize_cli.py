@@ -153,6 +153,9 @@ def test_cli_gallery_report_deterministic():
 def test_cli_exit_codes(tmp_path):
     assert run(["unknown-subcommand"], io.StringIO()) == 3
     assert run(["gallery"], io.StringIO()) == 3
+    for command in ("hochschild", "homology", "verify-main-theorem"):
+        argv = [command, "--file", "unused.json", "--max-degree", "-1"]
+        assert run(argv, io.StringIO()) == 3
     missing = str(tmp_path / "missing.json")
     code, rep = run_json(["check-algebra", "--file", missing])
     assert code == 1
