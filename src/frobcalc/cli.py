@@ -26,7 +26,7 @@ from .algebra import (LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
 from .calculus import (commutator_orbit_readings, divergence, exp_derivation,
                        jacobian, liouville_polynomial)
 from .crossed import build_crossed_product, crossed_form, predicted_nakayama
-from .errors import FrobcalcError, MalformedInput
+from .errors import BudgetExceeded, FrobcalcError, MalformedInput
 from .fields import Field
 from .frobenius import is_symmetric_algebra, make_frobenius
 from .gallery import (cyclic, dual_numbers, exterior, ground_field_algebra,
@@ -85,7 +85,7 @@ def build_report(checks, seed, digest, data=None):
 
 
 def _emit(report, t0, stream):
-    report["timing_ms"] = int((time.time() - t0) * 1000)
+    report["timing_ms"] = int((time.perf_counter() - t0) * 1000)
     json.dump(report, stream, sort_keys=True, indent=1)
     stream.write("\n")
     counts = report["counts"]
@@ -415,11 +415,20 @@ def cmd_verify_all(args, checks, data, rng):
 
 # ---------------------------------------------------------------------------
 
-def _degree(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"degree must be nonnegative, got {value}")
-    return value
+def _at_least(low, what):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be at least {low}, got {value}")
+        return value
+    parse.__name__ = what
+    return parse
+
+
+_degree = _at_least(0, "degree")
+_budget = _at_least(1, "budget")
 
 
 def _build_parser():
@@ -445,13 +454,13 @@ def _build_parser():
     add("derivations", cmd_derivations, **file_arg)
     add("hochschild", cmd_hochschild, **file_arg,
         **{"--max-degree": {"type": _degree, "default": 2},
-           "--budget": {"type": int, "default": hh.DEFAULT_BUDGET}})
+           "--budget": {"type": _budget, "default": hh.DEFAULT_BUDGET}})
     add("verify-main-theorem", cmd_verify_main_theorem, **file_arg,
         **{"--max-degree": {"type": _degree, "default": 2},
-           "--budget": {"type": int, "default": hh.DEFAULT_BUDGET}})
+           "--budget": {"type": _budget, "default": hh.DEFAULT_BUDGET}})
     add("homology", cmd_homology, **file_arg,
         **{"--max-degree": {"type": _degree, "default": 1},
-           "--budget": {"type": int, "default": hh.DEFAULT_BUDGET}})
+           "--budget": {"type": _budget, "default": hh.DEFAULT_BUDGET}})
     add("crossed-product", cmd_crossed_product, **file_arg)
     add("liouville", cmd_liouville, **file_arg, **{"--map": {"required": True}})
     g = add("gallery", cmd_gallery,
@@ -468,7 +477,7 @@ def _build_parser():
 
 def run(argv, stream=None):
     stream = stream or sys.stdout
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
@@ -476,8 +485,13 @@ def run(argv, stream=None):
         return 3
     rng = SplitMix64(args.seed)
     checks, data = [], {}
+    digest = ""
     try:
-        input_docs = args.handler(args, checks, data, rng)
+        digest = serialize.digest(args.handler(args, checks, data, rng))
+    except BudgetExceeded as exc:
+        # out of budget: the checks done so far stand, the rest is unknown
+        checks.append(Check("budget", "plumbing", "inconclusive",
+                            {"error": str(exc)}))
     except MalformedInput as exc:
         report = build_report(
             [Check("input/schema", "plumbing", "fail", {"error": str(exc)})],
@@ -490,7 +504,7 @@ def run(argv, stream=None):
             args.seed, "", {})
         _emit(report, t0, stream)
         return 1
-    report = build_report(checks, args.seed, serialize.digest(input_docs), data)
+    report = build_report(checks, args.seed, digest, data)
     code = _emit(report, t0, stream)
     if code == 2 and args.allow_inconclusive:
         return 0

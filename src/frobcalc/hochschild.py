@@ -1,13 +1,15 @@
 """Bar-complex Hochschild cochains and chains.
 
-Cochains of degree p are n x n^p matrices (column = p-tuple of basis
-indices, first index most significant); chains with coefficients in M are
-flattened as (m, tuple).  The differentials are assembled column-sparse
-and all rank/kernel/solve work goes through :class:`SparseEchelon` from
-``linalg`` on dictionaries, so only the explicitly requested dense
-matrices are ever materialized.  Each rank question is asked of one
-echelon by insertion: homology representatives are the cycles that still
-join the echelon of the boundaries.
+A degree-p cochain is a :class:`Cochain`, the dictionary of its nonzero
+values keyed by the flat coordinate k·n^p + J (J a p-tuple of basis
+indices read base n, first index most significant); chains with
+coefficients in M are flattened as (m, tuple).  The differentials are
+assembled column-sparse and all rank/kernel/solve work goes through
+:class:`SparseEchelon` from ``linalg`` on the same dictionaries, so
+nothing goes dense unless a dense matrix or vector is asked for.  Each
+rank question is asked of one echelon by insertion: homology
+representatives are the cycles that still join the echelon of the
+boundaries.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -49,71 +51,66 @@ def _check_budget(A, p, budget):
 
 
 class Cochain:
-    """A degree-p cochain A^{⊗p} → A as an n x n^p raw-value matrix."""
+    """A degree-p cochain A^{⊗p} → A: ``data`` maps the flat coordinate
+    k·n^p + J to its raw value and never holds a zero.  Dense input comes
+    in, coerced and checked, through :meth:`from_flat`/:meth:`from_linear_map`."""
 
     __slots__ = ("algebra", "degree", "data")
 
-    def __init__(self, algebra, degree, data, *, _raw=False):
+    def __init__(self, algebra, degree, data):
         self.algebra = algebra
         self.degree = degree
-        ncols = algebra.dim ** degree
-        if _raw:
-            self.data = data
-        else:
-            f = algebra.field
-            self.data = [[f.coerce(v) for v in row] for row in data]
-        if len(self.data) != algebra.dim or any(len(r) != ncols for r in self.data):
-            raise MalformedInput("cochain matrix shape is inconsistent with degree")
+        self.data = data
 
     @staticmethod
-    def zero(algebra, degree):
-        z = algebra.field.zero()
+    def from_flat(algebra, degree, vec):
+        """From the dense row-major vector: coordinate (k, J) at k·n^p + J."""
+        f = algebra.field
+        if degree < 0 or len(vec) != algebra.dim ** (degree + 1):
+            raise MalformedInput("cochain vector length is inconsistent with degree")
         return Cochain(algebra, degree,
-                       [[z] * (algebra.dim ** degree)
-                        for _ in range(algebra.dim)], _raw=True)
+                       sparse_vector(f, [f.coerce(v) for v in vec]))
 
     @staticmethod
     def from_linear_map(m: LinearMap):
-        return Cochain(m.algebra, 1, [list(r) for r in m.matrix.data], _raw=True)
+        return Cochain.from_flat(m.algebra, 1,
+                                 [v for row in m.matrix.data for v in row])
 
     def as_linear_map(self, role="general") -> LinearMap:
         if self.degree != 1:
             raise MalformedInput("only degree-1 cochains are linear maps")
-        return LinearMap(self.algebra, Matrix(self.algebra.field, self.data),
+        n = self.algebra.dim
+        flat = self.flatten()
+        rows = [flat[k * n:(k + 1) * n] for k in range(n)]
+        return LinearMap(self.algebra, Matrix(self.algebra.field, rows, _raw=True),
                          role)
 
     def value(self, J) -> Element:
         """The image of the basis tensor e_{J0} ⊗ ... ⊗ e_{Jp-1}."""
-        col = _tuple_index(J, self.algebra.dim)
-        return Element(self.algebra, [row[col] for row in self.data], _raw=True)
+        n = self.algebra.dim
+        col = _tuple_index(J, n)
+        z = self.algebra.field.zero()
+        return Element(self.algebra,
+                       [self.data.get(k * n ** self.degree + col, z)
+                        for k in range(n)], _raw=True)
 
     def flatten(self):
-        """Row-major: coordinate (k, J) at k·n^p + J."""
-        out = []
-        for row in self.data:
-            out.extend(row)
-        return out
-
-    @staticmethod
-    def from_flat(algebra, degree, vec):
-        n = algebra.dim
-        ncols = n ** degree
-        data = [list(vec[k * ncols:(k + 1) * ncols]) for k in range(n)]
-        return Cochain(algebra, degree, data, _raw=True)
+        """The dense row-major vector: coordinate (k, J) at k·n^p + J."""
+        return dense_vector(self.algebra.field, self.data,
+                            self.algebra.dim ** (self.degree + 1))
 
     def __sub__(self, other):
         f = self.algebra.field
-        return Cochain(self.algebra, self.degree,
-                       [[f.sub(a, b) for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.data, other.data)], _raw=True)
+        out = dict(self.data)
+        axpy(f, out, other.data, f.neg(f.one()))
+        return Cochain(self.algebra, self.degree, out)
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and other.algebra == self.algebra
                 and other.degree == self.degree and other.data == self.data)
 
     def is_zero(self):
-        f = self.algebra.field
-        return all(f.is_zero(v) for row in self.data for v in row)
+        return not self.data
 
 
 @dataclass
@@ -246,12 +243,13 @@ def _apply_columns(field, cols, vec_dict):
     return out
 
 
-def _tensor_terms(field, cols, J):
-    """cols[J₀] ⊗ ... ⊗ cols[J_{p-1}] expanded as {index tuple: coefficient}."""
+def _tensor_terms(field, factors):
+    """factors[0] ⊗ ... ⊗ factors[-1] (sparse vectors) expanded as
+    {index tuple: coefficient}."""
     terms = {(): field.one()}
-    for t in J:
+    for vec in factors:
         terms = {key + (i,): field.mul(c, v)
-                 for key, c in terms.items() for i, v in cols[t].items()}
+                 for key, c in terms.items() for i, v in vec.items()}
     return terms
 
 
@@ -307,10 +305,7 @@ def _resolve_twist(A, coeffs, sigma):
 def apply_coboundary(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     _check_budget(A, f.degree, budget)
     _, cols = _coboundary_columns(A, f.degree)
-    vec = sparse_vector(A.field, f.flatten())
-    out = _apply_columns(A.field, cols, vec)
-    return Cochain.from_flat(A, f.degree + 1,
-                             dense_vector(A.field, out, A.dim ** (f.degree + 2)))
+    return Cochain(A, f.degree + 1, _apply_columns(A.field, cols, f.data))
 
 
 def is_cocycle(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> bool:
@@ -323,8 +318,7 @@ def cocycle_basis(A: Algebra, p, budget=DEFAULT_BUDGET):
     f = A.field
     _, cols = _coboundary_columns(A, p)
     _, kernel = _echelonize(f, cols, want_kernel=True)
-    length = A.dim ** (p + 1)
-    return [Cochain.from_flat(A, p, dense_vector(f, k, length)) for k in kernel]
+    return [Cochain(A, p, k) for k in kernel]
 
 
 def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
@@ -340,10 +334,8 @@ def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
         bech, _ = _echelonize(f, bcols, want_kernel=False)
     dim_bound = bech.rank
     reps = _representatives(bech, kernel)
-    length = A.dim ** (p + 1)
     return HomologyReport(p, len(kernel), dim_bound, len(reps),
-                          [Cochain.from_flat(A, p, dense_vector(f, kv, length))
-                           for kv in reps])
+                          [Cochain(A, p, kv) for kv in reps])
 
 
 def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
@@ -369,10 +361,15 @@ def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
 
 
 def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
-    """The twisted cochain a₁⊗...⊗a_p ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p))."""
+    """The twisted cochain a₁⊗...⊗a_p ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p)).
+
+    ``u`` is an invertible endomorphism, or a Frobenius structure standing
+    for σ with its cached σ⁻¹.  A nonzero f(k, K) contributes
+    f(k, K)·(u e_k) ⊗ (row K₀ of u⁻¹) ⊗ ... ⊗ (row K_{p-1} of u⁻¹)."""
+    uinv = None
     if isinstance(u, FrobeniusStructure):
-        u = u.sigma
-    if u.role != ROLE_ENDOMORPHISM or not u.is_invertible():
+        u, uinv = u.sigma, u.sigma_inv()
+    if u.role != ROLE_ENDOMORPHISM:
         raise MalformedInput("cochain action needs an invertible endomorphism")
     A = f.algebra
     if u.algebra != A:
@@ -380,25 +377,22 @@ def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     fld = A.field
     p = f.degree
     if u.is_identity():
-        return Cochain(A, p, [list(r) for r in f.data], _raw=True)
-    uinv = u.inverse()
+        return Cochain(A, p, dict(f.data))
+    if uinv is None:
+        uinv = u.inverse()
     n = A.dim
-    ncols = n ** p
-    inv_cols = [sparse_vector(fld, uinv.matrix.column(j)) for j in range(n)]
-    out = [[fld.zero()] * ncols for _ in range(n)]
-    for J in product(range(n), repeat=p):
-        acc = [fld.zero()] * n
-        for key, c in _tensor_terms(fld, inv_cols, J).items():
-            col = _tuple_index(key, n)
-            for k in range(n):
-                val = f.data[k][col]
-                if not fld.is_zero(val):
-                    acc[k] = fld.add(acc[k], fld.mul(c, val))
-        img = u.matrix.apply(acc)
-        cidx = _tuple_index(J, n)
-        for k in range(n):
-            out[k][cidx] = img[k]
-    return Cochain(A, p, out, _raw=True)
+    ucols = [sparse_vector(fld, u.matrix.column(k)) for k in range(n)]
+    inv_rows = [sparse_vector(fld, row) for row in uinv.matrix.data]
+    out = {}
+    for idx, val in f.data.items():
+        factors = []
+        for _ in range(p):  # digits of idx = k·n^p + K, last first
+            idx, t = divmod(idx, n)
+            factors.append(inv_rows[t])
+        factors.append(ucols[idx])
+        for key, c in _tensor_terms(fld, factors[::-1]).items():
+            add_entry(fld, out, _tuple_index(key, n), fld.mul(c, val))
+    return Cochain(A, p, out)
 
 
 def triviality_certificate(F: FrobeniusStructure, f: Cochain,
@@ -414,10 +408,9 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
         raise MalformedInput("certificates start at degree 1")
     if not is_cocycle(A, f, budget):
         raise MalformedInput("cochain is not a cocycle")
-    rhs = cochain_action(F.sigma, f, budget) - f
-    rhs_vec = sparse_vector(A.field, rhs.flatten())
-    if not rhs_vec:
-        return Cochain.zero(A, p - 1)
+    rhs = cochain_action(F, f, budget) - f
+    if rhs.is_zero():
+        return Cochain(A, p - 1, {})
     key = ("certificate-echelon", p - 1)
     ech = F._cache.get(key)
     if ech is None:
@@ -425,12 +418,11 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
         _, cols = _coboundary_columns(A, p - 1)
         ech = _echelonize(A.field, cols, want_kernel=False)[0]
         F._cache[key] = ech
-    sol = ech.solve(rhs_vec)
+    sol = ech.solve(rhs.data)
     if sol is None:
         return None
-    length = A.dim ** p
-    g = Cochain.from_flat(A, p - 1, dense_vector(A.field, sol, length))
-    if not (apply_coboundary(A, g, budget) - rhs).is_zero():
+    g = Cochain(A, p - 1, sol)
+    if apply_coboundary(A, g, budget).data != rhs.data:
         raise InternalInconsistency("certificate failed re-verification")
     return g
 
@@ -444,7 +436,7 @@ def _chain_map_columns(F: FrobeniusStructure, p):
     cols = []
     for m in range(n):
         for J in product(range(n), repeat=p):
-            terms = _tensor_terms(fld, scols, (m,) + J)
+            terms = _tensor_terms(fld, [scols[t] for t in (m,) + J])
             cols.append({_tuple_index(key, n): c for key, c in terms.items()})
     return cols
 

@@ -14,7 +14,7 @@ import hashlib
 import json
 
 from .algebra import Algebra, LinearMap
-from .errors import MalformedInput
+from .errors import MalformedInput, RoleViolation
 from .fields import Field
 from .groups import GroupData
 from .linalg import Matrix
@@ -141,7 +141,10 @@ def crossed_from_doc(doc, path=""):
     for g, mdoc in enumerate(action_doc):
         mat = matrix_from_doc(algebra.field, mdoc, algebra.dim, algebra.dim,
                               f"{path}/action/{g}")
-        maps.append(LinearMap(algebra, mat, "endomorphism"))
+        try:
+            maps.append(LinearMap(algebra, mat, "endomorphism"))
+        except RoleViolation as exc:
+            _fail(f"{path}/action/{g}", str(exc))
     alpha_doc = _expect(doc, "alpha", path, list)
     table = [[_scalar(algebra.field, v, f"{path}/alpha/{g}/{h}")
               for h, v in enumerate(row)] for g, row in enumerate(alpha_doc)]

@@ -37,7 +37,7 @@ def test_degree_one_cocycles_are_derivations():
     basis = hh.cocycle_basis(A, 1)
     assert len(basis) == 4
     for c in basis:
-        assert is_derivation(A, Matrix(Q, c.data, _raw=True))
+        assert is_derivation(A, c.as_linear_map().matrix)
     # and the coboundaries there are the inner derivations
     rep = hh.hh_dimension(A, 1)
     assert rep.dim == 2 and rep.dim_boundaries == 2
@@ -85,13 +85,46 @@ def test_cochain_action():
     # degree 0: the action is just the map on center elements
     zs = center_basis(A)
     for z in zs:
-        c0 = hh.Cochain(A, 0, [[v] for v in z.raw], _raw=True)
+        c0 = hh.Cochain.from_flat(A, 0, z.raw)
         acted = hh.cochain_action(F.sigma, c0)
         assert acted.value(()) == F.sigma(z)
     # sigma-twist of the derivation sends x to q·xy
     fs = hh.cochain_action(F.sigma, f1)
     assert fs.value((1,)) == item.xy.scale(2)
     assert fs.value((2,)).is_zero()
+
+
+def test_cochain_action_matches_definition_in_degree_two():
+    F9 = Field.extension(3, [1, 0, 1])
+    for item in (qci(2), qci(F9.parse("0,1"), F9)):
+        A = item.algebra
+        fld = A.field
+        n = A.dim
+        F = make_frobenius(A, item.gram)
+        flat = [fld.from_int(i % 5 - 2) for i in range(n ** 3)]
+        f = hh.Cochain.from_flat(A, 2, flat)
+        assert f.flatten() == flat
+
+        def f_of(a, b):
+            out = A.zero_element()
+            for i in range(n):
+                for j in range(n):
+                    out = out + f.value((i, j)).scale(fld.mul(a.raw[i], b.raw[j]))
+            return out
+
+        fs = hh.cochain_action(F, f)
+        assert fs == hh.cochain_action(F.sigma, f)
+        # sigma is diagonal on qci; alpha mixes x and y into xy
+        alpha = item.alpha(2, 1, 1, 2)
+        for u, acted in ((F.sigma, fs), (alpha, hh.cochain_action(alpha, f))):
+            uinv = u.inverse()
+            for J in [(i, j) for i in range(n) for j in range(n)]:
+                args = [uinv(A.basis_element(t)) for t in J]
+                assert acted.value(J) == u(f_of(*args))
+        # no operation stores a zero
+        assert (f - f).data == {}
+        for c in (fs, fs - f, hh.apply_coboundary(A, f)):
+            assert c.data and not any(fld.is_zero(v) for v in c.data.values())
 
 
 def test_triviality_certificate_degree_one():

@@ -163,6 +163,20 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{not json")
     code, rep = run_json(["check-algebra", "--file", str(bad)])
     assert code == 1
+    apath = write(tmp_path, "a.json", qci_doc())
+    for budget in ("0", "-5"):
+        argv = ["hochschild", "--file", apath, "--budget", budget]
+        assert run(argv, io.StringIO()) == 3
+    # running out of budget at p=3 keeps the checks for p=1 and p=2
+    argv = ["verify-main-theorem", "--file", apath, "--max-degree", "3",
+            "--budget", "256"]
+    code, rep = run_json(argv)
+    assert code == 2
+    assert [(c["id"], c["lemma"], c["status"]) for c in rep["checks"]] == [
+        ("main-theorem/p=1", "main", "pass"), ("main-theorem/p=2", "hh2", "pass"),
+        ("budget", "plumbing", "inconclusive")]
+    assert "budget 256" in rep["checks"][-1]["witness"]["error"]
+    assert run(argv + ["--allow-inconclusive"], io.StringIO()) == 0
 
 
 def test_cli_crossed_product(tmp_path):
@@ -187,6 +201,16 @@ def test_cli_crossed_product(tmp_path):
     assert rep["data"]["dim"] == 4
     ids = {c["id"]: c["status"] for c in rep["checks"]}
     assert ids["crossed/nakayama-formula"] == "pass"
+    # an action matrix that is not an endomorphism is bad input
+    doc["action"][1] = serialize.matrix_to_doc(
+        __import__("frobcalc.linalg", fromlist=["Matrix"])
+        .Matrix.identity(Q, 2).scale(2))
+    code, rep = run_json(["crossed-product", "--file",
+                          write(tmp_path, "bad.json", doc)])
+    assert code == 1
+    [check] = rep["checks"]
+    assert check["id"] == "input/schema"
+    assert check["witness"]["error"].startswith("/action/1: ")
 
 
 def test_cli_verify_main_theorem(tmp_path):
