@@ -45,14 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_json(path):
+def _load_json(args, path):
+    """The JSON document at ``path``, also recorded in ``args.loaded`` so a
+    report cut short by the budget still carries its input digest."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+    args.loaded.append(doc)
+    return doc
 
 
 def parse_field_flag(text):
@@ -107,7 +111,7 @@ def _algebra_and_form(doc, need_gram):
 
 
 def cmd_check_algebra(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=False)
     checks.append(Check("algebra/valid", "plumbing", "pass"))
     data["dim"] = algebra.dim
@@ -119,7 +123,7 @@ def cmd_check_algebra(args, checks, data, rng):
 
 
 def cmd_frobenius(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=True)
     F = make_frobenius(algebra, gram)
     checks.append(Check("frobenius/valid", "change", "pass"))
@@ -131,7 +135,7 @@ def cmd_frobenius(args, checks, data, rng):
 
 
 def cmd_nakayama(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=True)
     F = make_frobenius(algebra, gram)
     data["sigma"] = serialize.matrix_to_doc(F.sigma.matrix)
@@ -147,7 +151,7 @@ def cmd_nakayama(args, checks, data, rng):
 
 
 def _load_map(args, algebra, checks, expected_role):
-    mdoc = _load_json(args.map)
+    mdoc = _load_json(args, args.map)
     mat = serialize.matrix_from_doc(algebra.field, mdoc.get("matrix"),
                                     algebra.dim, algebra.dim, "/matrix")
     witness = (endomorphism_witness(algebra, mat)
@@ -162,7 +166,7 @@ def _load_map(args, algebra, checks, expected_role):
 
 
 def cmd_jacobian(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=True)
     F = make_frobenius(algebra, gram)
     u, extra = _load_map(args, algebra, checks, ROLE_ENDOMORPHISM)
@@ -181,7 +185,7 @@ def cmd_jacobian(args, checks, data, rng):
 
 
 def cmd_divergence(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=True)
     F = make_frobenius(algebra, gram)
     d, extra = _load_map(args, algebra, checks, ROLE_DERIVATION)
@@ -194,7 +198,7 @@ def cmd_divergence(args, checks, data, rng):
 
 
 def cmd_derivations(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, _ = _algebra_and_form(doc, need_gram=False)
     basis = verify.derivation_basis(algebra)
     data["derivation_space_dim"] = len(basis)
@@ -204,7 +208,7 @@ def cmd_derivations(args, checks, data, rng):
 
 
 def cmd_hochschild(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, _ = _algebra_and_form(doc, need_gram=False)
     dims = []
     for p in range(args.max_degree + 1):
@@ -220,7 +224,7 @@ def cmd_hochschild(args, checks, data, rng):
 
 
 def cmd_verify_main_theorem(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=True)
     F = make_frobenius(algebra, gram)
     for p in range(1, args.max_degree + 1):
@@ -235,7 +239,7 @@ def cmd_verify_main_theorem(args, checks, data, rng):
 
 
 def cmd_homology(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=True)
     F = make_frobenius(algebra, gram)
     table = hh.duality_dims(F, args.max_degree, args.budget)
@@ -250,7 +254,7 @@ def cmd_homology(args, checks, data, rng):
 
 
 def cmd_crossed_product(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     F, group, action, alpha = serialize.crossed_from_doc(doc)
     crossed = build_crossed_product(F.algebra, group, action, alpha)
     gram = crossed_form(F, group, action, alpha)
@@ -266,7 +270,7 @@ def cmd_crossed_product(args, checks, data, rng):
 
 
 def cmd_liouville(args, checks, data, rng):
-    doc = _load_json(args.file)
+    doc = _load_json(args, args.file)
     algebra, gram = _algebra_and_form(doc, need_gram=True)
     F = make_frobenius(algebra, gram)
     d, extra = _load_map(args, algebra, checks, ROLE_DERIVATION)
@@ -485,11 +489,15 @@ def run(argv, stream=None):
         return 3
     rng = SplitMix64(args.seed)
     checks, data = [], {}
+    args.loaded = []
     digest = ""
     try:
         digest = serialize.digest(args.handler(args, checks, data, rng))
     except BudgetExceeded as exc:
-        # out of budget: the checks done so far stand, the rest is unknown
+        # out of budget: the checks done so far stand, the rest is unknown;
+        # the input read so far is still what they were made on
+        if args.loaded:
+            digest = serialize.digest(args.loaded)
         checks.append(Check("budget", "plumbing", "inconclusive",
                             {"error": str(exc)}))
     except MalformedInput as exc:

@@ -9,7 +9,11 @@ assembled column-sparse and all rank/kernel/solve work goes through
 nothing goes dense unless a dense matrix or vector is asked for.  Each
 rank question is asked of one echelon by insertion: homology
 representatives are the cycles that still join the echelon of the
-boundaries.
+boundaries.  Tails (the combination of inserted columns a pivot stands
+for) are tracked only where they are read, for kernel vectors and for
+solves; echelons used for their rank alone carry none.  The echelon of
+the boundaries and representatives of H_p is built once per (p, twist)
+and reused by the σ-action on H_p.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -170,21 +174,20 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
     nrows = n ** p
     sign_last = f.from_int((-1) ** p)
     cols = []
-    twist_cols = None
-    if twist is not None:
-        twist_cols = [twist.column(j) for j in range(n)]
+    # face 0 is the right action of a₁ on m, through sigma when twisted;
+    # only the n² products e_m·a (a a basis vector) occur, formed here once
+    if twist is None:
+        face0 = [[A.mul_basis(m, a) for a in range(n)] for m in range(n)]
+    else:
+        face0 = [[sparse_vector(f, A.mul_raw(A._basis_vec(m),
+                                             twist.column(a))).items()
+                  for a in range(n)] for m in range(n)]
     for m in range(n):
-        em = A._basis_vec(m)
         for J in product(range(n), repeat=p):
             col = {}
             # face 0: right action of a₁ on m (twisted when requested)
             tail = _tuple_index(J[1:], n)
-            if twist_cols is None:
-                terms = A.mul_basis(m, J[0])
-            else:
-                w = A.mul_raw(em, twist_cols[J[0]])
-                terms = [(i, c) for i, c in enumerate(w) if not f.is_zero(c)]
-            for (mm, c) in terms:
+            for (mm, c) in face0[m][J[0]]:
                 add_entry(f, col, mm * ncols_out + tail, c)
             # middle faces: multiply adjacent tensor slots
             for j in range(1, p):
@@ -205,32 +208,43 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
 # ---------------------------------------------------------------------------
 # sparse elimination
 
-def _echelonize(field, cols, *, want_kernel):
-    """Echelonize columns with tails tracking original column indices.
+def _echelonize(field, cols, *, want_kernel=False, want_solve=False):
+    """Echelonize columns in order.
 
-    Tails are always tracked (``solve`` needs them); ``want_kernel`` only
-    controls whether columns that reduce to zero are collected.
+    Tails, the combination of original columns each pivot stands for, are
+    tracked only when a caller reads them: for the kernel vectors of the
+    columns that reduce to zero (``want_kernel``, which collects them) or
+    for a later ``solve`` (``want_solve``).  Otherwise every column is
+    inserted with ``tail=None`` and the echelon answers rank questions and
+    takes further insertions only.
     """
     ech = SparseEchelon(field)
     kernel = []
     one = field.one()
+    track = want_kernel or want_solve
     for j, col in enumerate(cols):
-        out = ech.insert(col, {j: one})
+        out = ech.insert(col, {j: one} if track else None)
         if out is not None and want_kernel:
             kernel.append(out)
     return ech, kernel
 
 
-def _representatives(bech, kernel):
+def _representatives(ech, kernel):
     """The cycles in ``kernel`` that are independent modulo the boundaries.
 
-    Each cycle is inserted into the boundary echelon ``bech``; it joins
+    Each cycle is inserted into the boundary echelon ``ech``; it joins
     exactly when it is outside the span of the boundaries and the earlier
     cycles, so the count is dim(cycles) − dim(boundaries) whenever the
-    boundaries are cycles.
+    boundaries are cycles.  The i-th cycle to join carries the tail
+    {i: 1}, so afterwards ``ech.solve`` of a cycle gives its coordinates
+    in Z/B against the representatives.
     """
-    dim = len(kernel) - bech.rank
-    reps = [kv for kv in kernel if bech.insert(kv, None) is None]
+    dim = len(kernel) - ech.rank
+    one = ech.field.one()
+    reps = []
+    for kv in kernel:
+        if ech.insert(kv, {len(reps): one}) is None:
+            reps.append(kv)
     if len(reps) != dim:
         raise InternalInconsistency("representative count differs from dimension")
     return reps
@@ -331,11 +345,37 @@ def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
     if p > 0:
         _check_budget(A, p - 1, budget)
         _, bcols = _coboundary_columns(A, p - 1)
-        bech, _ = _echelonize(f, bcols, want_kernel=False)
+        bech, _ = _echelonize(f, bcols)
     dim_bound = bech.rank
     reps = _representatives(bech, kernel)
     return HomologyReport(p, len(kernel), dim_bound, len(reps),
                           [Cochain(A, p, kv) for kv in reps])
+
+
+def _homology(A: Algebra, p, twist):
+    """(dim cycles, dim boundaries, representatives, echelon) for H_p(A, M).
+
+    The echelon holds the boundaries b_{p+1} (rank only) and the
+    representatives (with their tails), and is built once per (p, twist)
+    and cached next to the columns it came from; callers must not mutate
+    what it returns.
+    """
+    key = ("hom", p, twist)
+    cached = A._cache.get(key)
+    if cached is not None:
+        return cached
+    f = A.field
+    if p == 0:
+        kernel = [{i: f.one()} for i in range(A.dim)]
+    else:
+        _, cols = _boundary_columns(A, p, twist)
+        _, kernel = _echelonize(f, cols, want_kernel=True)
+    _, bcols = _boundary_columns(A, p + 1, twist)
+    ech, _ = _echelonize(f, bcols)
+    dim_bound = ech.rank
+    reps = _representatives(ech, kernel)
+    A._cache[key] = (len(kernel), dim_bound, reps, ech)
+    return A._cache[key]
 
 
 def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
@@ -343,21 +383,11 @@ def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
                        budget=DEFAULT_BUDGET) -> HomologyReport:
     """dim H_p(A, M) with chain representatives as flat raw vectors."""
     _check_budget(A, max(p - 1, 0), budget)
-    f = A.field
     twist = _resolve_twist(A, coeffs, sigma)
-    n = A.dim
-    length = n ** (p + 1)
-    if p == 0:
-        kernel = [{i: f.one()} for i in range(n)]
-    else:
-        _, cols = _boundary_columns(A, p, twist)
-        _, kernel = _echelonize(f, cols, want_kernel=True)
-    _, bcols = _boundary_columns(A, p + 1, twist)
-    bech, _ = _echelonize(f, bcols, want_kernel=False)
-    dim_bound = bech.rank
-    reps = _representatives(bech, kernel)
-    return HomologyReport(p, len(kernel), dim_bound, len(reps),
-                          [dense_vector(f, kv, length) for kv in reps])
+    cycles, bound, reps, _ = _homology(A, p, twist)
+    length = A.dim ** (p + 1)
+    return HomologyReport(p, cycles, bound, len(reps),
+                          [dense_vector(A.field, kv, length) for kv in reps])
 
 
 def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
@@ -416,7 +446,7 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     if ech is None:
         _check_budget(A, p - 1, budget)
         _, cols = _coboundary_columns(A, p - 1)
-        ech = _echelonize(A.field, cols, want_kernel=False)[0]
+        ech = _echelonize(A.field, cols, want_solve=True)[0]
         F._cache[key] = ech
     sol = ech.solve(rhs.data)
     if sol is None:
@@ -443,26 +473,21 @@ def _chain_map_columns(F: FrobeniusStructure, p):
 
 def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
                              budget=DEFAULT_BUDGET) -> Matrix:
-    """Matrix of the induced map on H_p in the deterministic basis."""
+    """Matrix of the induced map on H_p in the deterministic basis.
+
+    The chain image of each representative is solved against the cached
+    echelon of boundaries and representatives, which gives its unique
+    coordinates in Z/B."""
     A = F.algebra
     fld = A.field
-    report = homology_dimension(A, p, coeffs, F.sigma, budget)
+    _check_budget(A, max(p - 1, 0), budget)
     twist = _resolve_twist(A, coeffs, F.sigma)
-    bcols_src = _boundary_columns(A, p + 1, twist)[1]
+    _, _, reps, ech = _homology(A, p, twist)
     tmap = _chain_map_columns(F, p)
-    # echelon of [representatives | boundaries], tails tracked on reps only
-    ech = SparseEchelon(fld)
-    for idx, rep in enumerate(report.representatives):
-        out = ech.insert(sparse_vector(fld, rep), {idx: fld.one()})
-        if out is not None:
-            raise InternalInconsistency("homology representatives are dependent")
-    for col in bcols_src:
-        ech.insert(col, {})
-    h = report.dim
+    h = len(reps)
     data = [[fld.zero()] * h for _ in range(h)]
-    for jdx, rep in enumerate(report.representatives):
-        image = _apply_columns(fld, tmap, sparse_vector(fld, rep))
-        sol = ech.solve(image)
+    for jdx, rep in enumerate(reps):
+        sol = ech.solve(_apply_columns(fld, tmap, rep))
         if sol is None:
             raise InternalInconsistency(
                 "chain image failed to re-express in the homology basis")

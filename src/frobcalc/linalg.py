@@ -181,7 +181,9 @@ class SparseEchelon:
     row index, normalized to 1).  Each pivot keeps a tail, the combination
     of inserted columns it equals, so a column that reduces to zero yields
     a kernel vector and ``solve`` yields a solution.  A tail of None is not
-    tracked.
+    tracked: the pivot keeps an empty tail, so it still serves rank
+    questions and reduces later columns, and a ``solve`` reads only the
+    tails that were tracked.
     """
 
     def __init__(self, field):

@@ -1,5 +1,6 @@
 """Bar complexes: differentials, dimensions, actions, certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra,
                               qci, trivial_extension)
-from frobcalc.linalg import Matrix, rref
+from frobcalc.linalg import Matrix, rref, solve_linear
 
 Q = Field.rationals()
 
@@ -213,6 +214,108 @@ def test_representatives_are_counted_once():
     h1 = hh.homology_dimension(te.algebra, 1, hh.TWISTED, F.sigma)
     assert len(h1.representatives) == h1.dim
     assert hh.sigma_action_on_homology(F, 1, hh.TWISTED).is_identity()
+
+
+F9 = Field.extension(3, [1, 0, 1])
+GALLERY = {
+    "qci(2)/Q": lambda: qci(2),
+    "qci(a)/F9": lambda: qci(F9.parse("0,1"), F9),
+    "trivM2/Q": lambda: trivial_extension(matrix_algebra(2).algebra),
+    "exterior(3)/F5": lambda: exterior(3, Field.prime(5)),
+}
+
+
+def _fresh(label):
+    """(algebra, Frobenius structure) built anew, so every cache is cold."""
+    item = GALLERY[label]()
+    return item.algebra, make_frobenius(item.algebra, item.gram)
+
+
+def _reference_sigma_action(A, F, p, coeffs):
+    """The σ-action on H_p solved densely: coordinates of σ^{⊗p+1}(rep)
+    against [representatives | all boundary columns]."""
+    f, n = A.field, A.dim
+    reps = hh.homology_dimension(A, p, coeffs, F.sigma).representatives
+    B = hh.boundary_matrix(A, p + 1, coeffs, F.sigma)
+    M = Matrix.from_columns(f, reps + [B.column(j) for j in range(B.cols)])
+    s = F.sigma.matrix.data
+    idx = list(itertools.product(range(n), repeat=p + 1))
+    cols = []
+    for v in reps:
+        image = [f.zero()] * len(idx)
+        for a, I in enumerate(idx):
+            for b, K in enumerate(idx):
+                if not f.is_zero(v[b]):
+                    c = v[b]
+                    for i, k in zip(I, K):
+                        c = f.mul(c, s[i][k])
+                    image[a] = f.add(image[a], c)
+        cols.append(solve_linear(M, image)[:len(reps)])
+    return Matrix.from_columns(f, cols) if cols else Matrix(f, [])
+
+
+@pytest.mark.parametrize("label", list(GALLERY))
+def test_sigma_action_reuses_the_homology_echelon(label):
+    for coeffs in (hh.UNTWISTED, hh.TWISTED):
+        for p in range(3):
+            _, F_cold = _fresh(label)
+            cold = hh.sigma_action_on_homology(F_cold, p, coeffs)
+            if coeffs == hh.TWISTED:
+                assert cold.is_identity()
+            if p < 2:
+                assert cold == _reference_sigma_action(*_fresh(label), p, coeffs)
+            A, F = _fresh(label)
+            rep = hh.homology_dimension(A, p, coeffs, F.sigma)
+            assert hh.sigma_action_on_homology(F, p, coeffs) == cold
+            assert cold.rows == rep.dim
+            # the report owns its lists: mutating them changes no later call
+            kept = [list(v) for v in rep.representatives]
+            for v in rep.representatives:
+                v[:] = [A.field.zero()] * len(v)
+            rep.representatives.clear()
+            again = hh.homology_dimension(A, p, coeffs, F.sigma)
+            assert again.representatives == kept
+            assert hh.sigma_action_on_homology(F, p, coeffs) == cold
+
+
+def _reference_boundary(A, p, sigma):
+    """b: M⊗A^{⊗p} → M⊗A^{⊗p-1} column by column from products of raw
+    vectors, with M = A right-twisted by ``sigma`` (a LinearMap or None)."""
+    f, n = A.field, A.dim
+    e = [A._basis_vec(i) for i in range(n)]
+    cols = []
+    for m in range(n):
+        for J in itertools.product(range(n), repeat=p):
+            col = [f.zero()] * n ** p
+            a1 = e[J[0]] if sigma is None else sigma(A.basis_element(J[0])).raw
+            # (m·a₁) ⊗ a₂…, (−1)^j m ⊗ …a_j a_{j+1}…, (−1)^p (a_p·m) ⊗ a₁…
+            faces = [(1, A.mul_raw(e[m], a1), J[1:])]
+            for j in range(1, p):
+                prod = A.mul_raw(e[J[j - 1]], e[J[j]])
+                for t, c in enumerate(prod):
+                    faces.append(((-1) ** j, [f.mul(c, v) for v in e[m]],
+                                  J[:j - 1] + (t,) + J[j + 1:]))
+            faces.append(((-1) ** p, A.mul_raw(e[J[-1]], e[m]), J[:-1]))
+            for sign, vec, rest in faces:
+                for mm, c in enumerate(vec):
+                    idx = mm * n ** (p - 1) + hh._tuple_index(rest, n)
+                    col[idx] = f.add(col[idx], f.mul(f.from_int(sign), c))
+            cols.append(col)
+    return Matrix.from_columns(f, cols)
+
+
+def test_boundary_matrix_matches_products():
+    for label in ("qci(2)/Q", "trivM2/Q"):
+        A, F = _fresh(label)
+        twists = [F.sigma]
+        if label == "qci(2)/Q":
+            # sigma is diagonal there; alpha mixes x and y into xy
+            twists.append(qci(2).alpha(2, 1, 1, 2))
+        for p in (1, 2):
+            for u in twists:
+                assert (hh.boundary_matrix(A, p, hh.TWISTED, u)
+                        == _reference_boundary(A, p, u))
+            assert hh.boundary_matrix(A, p) == _reference_boundary(A, p, None)
 
 
 def test_duality_dims():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.linalg import Matrix, invert, kernel_basis, rref, solve_linear
+from frobcalc.linalg import (Matrix, SparseEchelon, invert, kernel_basis, rref,
+                             solve_linear)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -137,5 +138,30 @@ def test_solve_satisfies_system(label):
         x = solve_linear(m, b)
         if x is not None:
             assert m.apply(x) == [field.coerce(v) for v in b]
+
+    props()
+
+
+@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
+def test_rank_only_insert_matches_tracked(label):
+    # inserting without tails (tail=None) must pick the same pivots as
+    # inserting with identity tails: tails never steer the reduction
+    field = FIELDS[label]
+    column = st.dictionaries(st.integers(min_value=0, max_value=5), ENTRY[label],
+                             max_size=4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(column, min_size=1, max_size=8))
+    def props(raw_cols):
+        cols = [{r: field.coerce(v) for r, v in c.items()
+                 if not field.is_zero(field.coerce(v))} for c in raw_cols]
+        plain, tracked = SparseEchelon(field), SparseEchelon(field)
+        for j, col in enumerate(cols):
+            joined = plain.insert(col, None) is None
+            assert joined == (tracked.insert(col, {j: field.one()}) is None)
+        assert plain.rank == tracked.rank
+        assert plain.pivots.keys() == tracked.pivots.keys()
+        for r, (col, tail) in plain.pivots.items():
+            assert col == tracked.pivots[r][0] and tail == {}
 
     props()

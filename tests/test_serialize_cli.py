@@ -167,6 +167,12 @@ def test_cli_exit_codes(tmp_path):
     for budget in ("0", "-5"):
         argv = ["hochschild", "--file", apath, "--budget", budget]
         assert run(argv, io.StringIO()) == 3
+    # a report cut short by the budget still digests the input it read
+    code, full = run_json(["hochschild", "--file", apath])
+    assert code == 0 and full["input_digest"]
+    code, rep = run_json(["hochschild", "--file", apath, "--budget", "16"])
+    assert code == 2 and rep["checks"][-1]["id"] == "budget"
+    assert rep["input_digest"] == full["input_digest"]
     # running out of budget at p=3 keeps the checks for p=1 and p=2
     argv = ["verify-main-theorem", "--file", apath, "--max-degree", "3",
             "--budget", "256"]
