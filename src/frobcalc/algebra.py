@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .errors import MalformedInput, RoleViolation
 from .fields import Scalar
-from .linalg import Matrix, column_space_basis, invert, kernel_basis, solve_linear
+from .linalg import (Matrix, add_entry, column_space_basis, invert, kernel_basis,
+                     mismatches, solve_linear)
 
 ROLE_GENERAL = "general"
 ROLE_ENDOMORPHISM = "endomorphism"
@@ -56,19 +57,23 @@ class Algebra:
 
     # --- construction-time checks -------------------------------------------
     def _check_unit(self):
-        for i in range(self.dim):
-            e = self._basis_vec(i)
-            if self.mul_raw(self.unit, e) != e or self.mul_raw(e, self.unit) != e:
-                raise MalformedInput(f"unit law fails on basis element {i}")
+        # L_1 = R_1 = I; the witness is the first basis element either misses
+        one = Element(self, self.unit, _raw=True)
+        ident = Matrix.identity(self.field, self.dim)
+        bad = mismatches(left_mult_matrix(one), ident) \
+            + mismatches(right_mult_matrix(one), ident)
+        if bad:
+            i = min(c for _, c in bad)
+            raise MalformedInput(f"unit law fails on basis element {i}")
 
     def _check_associativity(self):
+        one = self.field.one()
         for i in range(self.dim):
             for j in range(self.dim):
                 ij = self.mul_basis(i, j)
                 for k in range(self.dim):
-                    left = self._mul_terms_basis(ij, k, right=True)
-                    jk = self.mul_basis(j, k)
-                    right = self._mul_basis_terms(i, jk)
+                    left = self._mul_terms(ij, ((k, one),))
+                    right = self._mul_terms(((i, one),), self.mul_basis(j, k))
                     if left != right:
                         raise MalformedInput(
                             f"associativity fails on basis triple ({i},{j},{k})")
@@ -78,21 +83,16 @@ class Algebra:
         """e_i * e_j as a tuple of (k, c) terms."""
         return self.structure.get((i, j), ())
 
-    def _mul_terms_basis(self, terms, k, right=False):
+    def _mul_terms(self, left, right):
+        """Product of two sparse (index, coefficient) term tuples, as sorted terms."""
         f = self.field
         acc = {}
-        for (m, c) in terms:
-            for (t, d) in self.mul_basis(m, k):
-                acc[t] = f.add(acc.get(t, f.zero()), f.mul(c, d))
-        return tuple(sorted((t, v) for t, v in acc.items() if not f.is_zero(v)))
-
-    def _mul_basis_terms(self, i, terms):
-        f = self.field
-        acc = {}
-        for (m, c) in terms:
-            for (t, d) in self.mul_basis(i, m):
-                acc[t] = f.add(acc.get(t, f.zero()), f.mul(c, d))
-        return tuple(sorted((t, v) for t, v in acc.items() if not f.is_zero(v)))
+        for (m, c) in left:
+            for (t, d) in right:
+                cd = f.mul(c, d)
+                for (s, e) in self.mul_basis(m, t):
+                    add_entry(f, acc, s, f.mul(cd, e))
+        return tuple(sorted(acc.items()))
 
     def mul_raw(self, a, b):
         """Product of two raw coefficient vectors."""
@@ -365,18 +365,31 @@ def multiply(a: Element, b: Element) -> Element:
     return a * b
 
 
+def _mult_matrix(a: Element, left):
+    """L_a (left) or R_a, read off the structure tensor: column j of L_a is
+    Σ_i a_i·e_i e_j and column j of R_a is Σ_i a_i·e_j e_i."""
+    A = a.algebra
+    f = A.field
+    n = A.dim
+    coeffs = a.raw
+    data = [[f.zero()] * n for _ in range(n)]
+    for (i, j), terms in A.structure.items():
+        x, col = (coeffs[i], j) if left else (coeffs[j], i)
+        if f.is_zero(x):
+            continue
+        for (k, c) in terms:
+            data[k][col] = f.add(data[k][col], f.mul(x, c))
+    return Matrix(f, data, _raw=True)
+
+
 def left_mult_matrix(a: Element) -> Matrix:
     """Matrix of b ↦ a·b; column j is a·e_j."""
-    A = a.algebra
-    cols = [A.mul_raw(a.raw, A._basis_vec(j)) for j in range(A.dim)]
-    return Matrix.from_columns(A.field, cols)
+    return _mult_matrix(a, True)
 
 
 def right_mult_matrix(a: Element) -> Matrix:
-    """Matrix of b ↦ b·a."""
-    A = a.algebra
-    cols = [A.mul_raw(A._basis_vec(j), a.raw) for j in range(A.dim)]
-    return Matrix.from_columns(A.field, cols)
+    """Matrix of b ↦ b·a; column j is e_j·a."""
+    return _mult_matrix(a, False)
 
 
 def inverse_of(a: Element):
@@ -417,12 +430,12 @@ def commutator_subspace(A: Algebra, twist: LinearMap | None = None):
             raise RoleViolation("twist must be an endomorphism")
     f = A.field
     cols = []
-    for i in range(A.dim):
-        ei = A._basis_vec(i)
-        ti = twist(A.basis_element(i)).raw if twist is not None else ei
+    # column j of L_{e_i} − R_{τ(e_i)} is e_i·e_j − e_j·τ(e_i)
+    for i, ei in enumerate(A.basis_elements()):
+        ti = ei if twist is None else Element(A, twist.matrix.column(i), _raw=True)
+        diff = left_mult_matrix(ei) - right_mult_matrix(ti)
         for j in range(A.dim):
-            ej = A._basis_vec(j)
-            v = [f.sub(x, y) for x, y in zip(A.mul_raw(ei, ej), A.mul_raw(ej, ti))]
+            v = diff.column(j)
             if any(not f.is_zero(c) for c in v):
                 cols.append(v)
     if not cols:
@@ -432,18 +445,22 @@ def commutator_subspace(A: Algebra, twist: LinearMap | None = None):
 
 
 def endomorphism_witness(A: Algebra, m: Matrix):
-    """None if m is an algebra endomorphism, else a failing witness."""
+    """None if m is an algebra endomorphism, else a failing witness.
+
+    Checks U·1 = 1, then U·L_{e_i} = L_{U e_i}·U for each i: column j of
+    either side is U(e_i e_j) and U(e_i)·U(e_j).  The witness is the first
+    failing pair (i, j).
+    """
     if m.rows != A.dim or m.cols != A.dim:
         raise MalformedInput("map matrix must be dim x dim")
     if m.apply(list(A.unit)) != list(A.unit):
         return "unit"
-    for i in range(A.dim):
-        mi = m.column(i)
-        for j in range(A.dim):
-            lhs = m.apply(A.mul_raw(A._basis_vec(i), A._basis_vec(j)))
-            rhs = A.mul_raw(mi, m.column(j))
-            if lhs != rhs:
-                return (i, j)
+    for i, ei in enumerate(A.basis_elements()):
+        lhs = m * left_mult_matrix(ei)
+        rhs = left_mult_matrix(Element(A, m.column(i), _raw=True)) * m
+        bad = mismatches(lhs, rhs)
+        if bad:
+            return (i, min(j for _, j in bad))
     return None
 
 
@@ -452,18 +469,20 @@ def is_endomorphism(A: Algebra, m: Matrix) -> bool:
 
 
 def derivation_witness(A: Algebra, m: Matrix):
-    """None if m satisfies the Leibniz law on all basis pairs, else (i, j)."""
+    """None if m satisfies the Leibniz law on all basis pairs, else (i, j).
+
+    Checks D·L_{e_i} = L_{D e_i} + L_{e_i}·D for each i: column j of either
+    side is D(e_i e_j) and D(e_i)·e_j + e_i·D(e_j).
+    """
     if m.rows != A.dim or m.cols != A.dim:
         raise MalformedInput("map matrix must be dim x dim")
-    f = A.field
-    for i in range(A.dim):
-        ei, mi = A._basis_vec(i), m.column(i)
-        for j in range(A.dim):
-            lhs = m.apply(A.mul_raw(ei, A._basis_vec(j)))
-            t1 = A.mul_raw(mi, A._basis_vec(j))
-            t2 = A.mul_raw(ei, m.column(j))
-            if lhs != [f.add(x, y) for x, y in zip(t1, t2)]:
-                return (i, j)
+    for i, ei in enumerate(A.basis_elements()):
+        li = left_mult_matrix(ei)
+        lhs = m * li
+        rhs = left_mult_matrix(Element(A, m.column(i), _raw=True)) + li * m
+        bad = mismatches(lhs, rhs)
+        if bad:
+            return (i, min(j for _, j in bad))
     return None
 
 

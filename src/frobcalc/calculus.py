@@ -23,7 +23,7 @@ from .algebra import (Element, LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
                       inverse_of, left_mult_matrix, right_mult_matrix)
 from .errors import InternalInconsistency, MalformedInput, RoleViolation
 from .frobenius import FrobeniusStructure, UnitSearch, unit_in_subspace
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, kernel_basis, mismatches, sum_product
 from .rng import SplitMix64
 
 
@@ -40,7 +40,8 @@ def jacobian(F: FrobeniusStructure, u: LinearMap) -> Element:
     """
     _require_role(u, ROLE_ENDOMORPHISM)
     A = F.algebra
-    lam = [F.pair_raw(A.unit, u.matrix.column(k)) for k in range(A.dim)]
+    # β(1) is the functional ⟨1, ·⟩ = Gᵀ·1, and uᵀ of it is Uᵀ·Gᵀ·1
+    lam = u.matrix.transpose().apply(F.gram.transpose().apply(list(A.unit)))
     j = F.beta_inverse_functional(lam)
     lhs = u.matrix.transpose() * F.gram * u.matrix
     rhs = left_mult_matrix(j).transpose() * F.gram
@@ -95,17 +96,21 @@ def delta_star(F: FrobeniusStructure, d: LinearMap) -> LinearMap:
     A = F.algebra
     ds = F._gram_inv * d.matrix.transpose() * F.gram
     star = LinearMap(A, ds)
-    # twisted Leibniz laws: δ*(ab) = a·δ*(b) − d(a)·b = δ*(a)·b − a·d^σ(b)
-    dsig = F.sigma.compose(d).compose(F.sigma_inv())
-    for i in range(A.dim):
-        ei = A.basis_element(i)
-        for j in range(A.dim):
-            ej = A.basis_element(j)
-            prod = star(ei * ej)
-            if prod != ei * star(ej) - d(ei) * ej:
-                raise InternalInconsistency("left twisted Leibniz law failed")
-            if prod != star(ei) * ej - ei * dsig(ej):
-                raise InternalInconsistency("right twisted Leibniz law failed")
+    # twisted Leibniz laws δ*(ab) = a·δ*(b) − d(a)·b = δ*(a)·b − a·d^σ(b), as
+    # δ*·L_{e_i} = L_{e_i}·δ* − L_{d(e_i)} = L_{δ*(e_i)} − L_{e_i}·d^σ; the
+    # first failing pair (i, j) names the law, the left one first
+    dsig = F.sigma.compose(d).compose(F.sigma_inv()).matrix
+    for i, ei in enumerate(A.basis_elements()):
+        li = left_mult_matrix(ei)
+        prod = ds * li
+        left = mismatches(prod, li * ds - left_mult_matrix(
+            Element(A, d.matrix.column(i), _raw=True)))
+        right = mismatches(prod, left_mult_matrix(
+            Element(A, ds.column(i), _raw=True)) - li * dsig)
+        if left or right:
+            j = min(c for _, c in left + right)
+            law = "left" if any(c == j for _, c in left) else "right"
+            raise InternalInconsistency(f"{law} twisted Leibniz law failed")
     return star
 
 
@@ -113,8 +118,8 @@ def divergence(F: FrobeniusStructure, d: LinearMap) -> Element:
     """The unique v with ⟨d(a), 1⟩ = ⟨a, v⟩, re-verified in matrix form."""
     _require_role(d, ROLE_DERIVATION)
     A = F.algebra
-    lam = [F.pair_raw(d.matrix.column(k), A.unit) for k in range(A.dim)]
-    # ⟨e_k, v⟩ = lam_k, i.e. G·v = lam
+    # lam_k = ⟨d(e_k), 1⟩, i.e. lam = Dᵀ·G·1, and ⟨e_k, v⟩ = lam_k, i.e. G·v = lam
+    lam = d.matrix.transpose().apply(F.gram.apply(list(A.unit)))
     from .linalg import solve_linear
     sol = solve_linear(F.gram, lam)
     if sol is None:
@@ -308,11 +313,3 @@ def coboundary_status(A, gens, values, unit_functional=None, rng=None) -> UnitSe
             if xinv * u(xi) != j:
                 raise InternalInconsistency("found ξ fails the coboundary law")
     return result
-
-
-def sum_product(field, a, b):
-    acc = field.zero()
-    for x, y in zip(a, b):
-        if not field.is_zero(x) and not field.is_zero(y):
-            acc = field.add(acc, field.mul(x, y))
-    return acc

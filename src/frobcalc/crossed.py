@@ -7,7 +7,8 @@ anti-diagonal blocks.
 
 from __future__ import annotations
 
-from .algebra import Algebra, LinearMap, ROLE_ENDOMORPHISM
+from .algebra import (Algebra, LinearMap, ROLE_ENDOMORPHISM, left_mult_matrix,
+                      right_mult_matrix)
 from .calculus import jacobian
 from .errors import MalformedInput
 from .frobenius import FrobeniusStructure
@@ -109,15 +110,16 @@ def build_crossed_product(A: Algebra, G: GroupData, action: GroupAction,
     names = [f"{nm}|g{g}" for g in range(G.order) for nm in A.basis_names]
     triples = []
     for g in range(G.order):
-        gcols = [action(g).matrix.column(j) for j in range(n)]
+        # e_i·g(e_j) is entry (k, j) of L_{e_i}·U_g
+        ug = action(g).matrix
+        prods = [left_mult_matrix(e) * ug for e in A.basis_elements()]
         for h in range(G.order):
             c_gh = alpha(g, h)
             gh = G.mul(g, h)
             for i in range(n):
-                ei = A._basis_vec(i)
                 for j in range(n):
-                    prod = A.mul_raw(ei, gcols[j])
-                    for k, v in enumerate(prod):
+                    for k in range(n):
+                        v = prods[i].data[k][j]
                         if not f.is_zero(v):
                             triples.append((_crossed_index(g, i, n),
                                             _crossed_index(h, j, n),
@@ -142,11 +144,12 @@ def crossed_form(F: FrobeniusStructure, G: GroupData, action: GroupAction,
     for g in range(G.order):
         h = G.inverse[g]
         c_gh = alpha(g, h)
+        # ⟨e_i, g(e_j)⟩ is entry (i, j) of G·U_g
+        pairs = F.gram * action(g).matrix
         for i in range(n):
             for j in range(n):
-                val = F.pair_raw(A._basis_vec(i), action(g).matrix.column(j))
                 data[_crossed_index(g, i, n)][_crossed_index(h, j, n)] = \
-                    f.mul(c_gh, val)
+                    f.mul(c_gh, pairs.data[i][j])
     return Matrix(f, data, _raw=True)
 
 
@@ -166,8 +169,10 @@ def predicted_nakayama(F: FrobeniusStructure, G: GroupData, action: GroupAction,
         ratio = f.div(alpha(g, G.inverse[g]), alpha(G.inverse[g], g))
         jac_g = jacobian(F, action(g))
         tail = action(g)(F.sigma(jac_g))
+        # σ(e_i)·tail is column i of R_tail·S
+        imgs = right_mult_matrix(tail) * F.sigma.matrix
         for i in range(n):
-            img = A.mul_raw(F.sigma.matrix.column(i), tail.raw)
+            img = imgs.column(i)
             col = [f.zero()] * crossed.dim
             for k, v in enumerate(img):
                 col[_crossed_index(g, k, n)] = f.mul(ratio, v)

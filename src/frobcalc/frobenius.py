@@ -14,7 +14,8 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       inverse_of, left_mult_matrix, right_mult_matrix)
 from .errors import InternalInconsistency, MalformedInput
 from .fields import Scalar
-from .linalg import Matrix, invert, kernel_basis, solve_linear
+from .linalg import (Matrix, invert, kernel_basis, mismatches, solve_linear,
+                     sum_product)
 from .rng import SplitMix64
 
 
@@ -30,7 +31,8 @@ class FrobeniusStructure:
 
     # pairing and beta ---------------------------------------------------------
     def pair_raw(self, a, b):
-        return _pair(self.algebra.field, self.gram.data, a, b)
+        """⟨a, b⟩ = a·(G b) for raw coordinate vectors."""
+        return sum_product(self.algebra.field, a, self.gram.apply(b))
 
     def pairing(self, a: Element, b: Element) -> Scalar:
         return Scalar(self.algebra.field, self.pair_raw(a.raw, b.raw))
@@ -51,19 +53,6 @@ class FrobeniusStructure:
         return f"FrobeniusStructure({self.algebra!r})"
 
 
-def _pair(f, g, a, b):
-    """⟨a, b⟩ for raw coordinate vectors under the Gram rows ``g``."""
-    acc = f.zero()
-    for i, ai in enumerate(a):
-        if f.is_zero(ai):
-            continue
-        gi = g[i]
-        for j, bj in enumerate(b):
-            if not f.is_zero(bj):
-                acc = f.add(acc, f.mul(ai, f.mul(gi[j], bj)))
-    return acc
-
-
 def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
     """Validate the form and compute the induced automorphism.
 
@@ -74,22 +63,21 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
         gram = Matrix(A.field, gram)
     if gram.field != A.field or gram.rows != A.dim or gram.cols != A.dim:
         raise MalformedInput("gram must be dim x dim over the algebra's field")
-    f = A.field
     ginv = invert(gram)
     if ginv is None:
         raise MalformedInput("bilinear form is degenerate")
 
-    basis = [A._basis_vec(i) for i in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            eij = A.mul_raw(basis[i], basis[j])
-            for k in range(A.dim):
-                left = _pair(f, gram.data, eij, basis[k])
-                right = _pair(f, gram.data, basis[i],
-                              A.mul_raw(basis[j], basis[k]))
-                if left != right:
-                    raise MalformedInput(
-                        f"form is not associative: witness triple ({i},{j},{k})")
+    # ⟨e_i e_j, e_k⟩ = ⟨e_i, e_j e_k⟩ is entry (i, k) of R_{e_j}ᵀG = G·L_{e_j};
+    # the witness is the first failing triple (i, j, k)
+    basis = A.basis_elements()
+    lefts = [left_mult_matrix(e) for e in basis]
+    bad = [(i, j, k) for j, e in enumerate(basis)
+           for (i, k) in mismatches(right_mult_matrix(e).transpose() * gram,
+                                    gram * lefts[j])]
+    if bad:
+        i, j, k = min(bad)
+        raise MalformedInput(
+            f"form is not associative: witness triple ({i},{j},{k})")
 
     # sigma solves G·S = Gᵀ, i.e. ⟨e_i, e_j⟩ = ⟨e_j, σ(e_i)⟩ column by column
     gt = gram.transpose()
@@ -103,20 +91,17 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
         raise InternalInconsistency("induced automorphism is singular")
     sigma = LinearMap(A, sigma_mat, ROLE_ENDOMORPHISM, check=False)
     F = FrobeniusStructure(A, gram, sigma, ginv)
-    # defining property and the bimodule law ⟨a, b·σ(c)⟩ = ⟨ca, b⟩
-    for i in range(A.dim):
-        si = sigma_mat.column(i)
-        for j in range(A.dim):
-            if gram.data[i][j] != F.pair_raw(basis[j], si):
-                raise InternalInconsistency("defining property of sigma failed")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                lhs = F.pair_raw(basis[i], A.mul_raw(basis[j], sigma_mat.column(k)))
-                rhs = F.pair_raw(A.mul_raw(basis[k], basis[i]), basis[j])
-                if lhs != rhs:
-                    raise InternalInconsistency(
-                        f"bimodule law failed at ({i},{j},{k})")
+    # defining property G = (G·S)ᵀ, and the bimodule law ⟨a, b·σ(c)⟩ = ⟨ca, b⟩
+    # as G·R_{σ(e_k)} = L_{e_k}ᵀ·G, entry (i, j) for the triple (i, j, k)
+    if gram != (gram * sigma_mat).transpose():
+        raise InternalInconsistency("defining property of sigma failed")
+    bad = [(i, j, k) for k in range(A.dim)
+           for (i, j) in mismatches(
+               gram * right_mult_matrix(Element(A, sigma_mat.column(k), _raw=True)),
+               lefts[k].transpose() * gram)]
+    if bad:
+        i, j, k = min(bad)
+        raise InternalInconsistency(f"bimodule law failed at ({i},{j},{k})")
     return F
 
 
@@ -130,15 +115,11 @@ def relate_forms(F: FrobeniusStructure, gram2: Matrix):
     F2 = make_frobenius(A, gram2)
     f = A.field
     n = A.dim
-    # ⟨e_i, e_j·t⟩ = Σ_k t_k ⟨e_i, e_j e_k⟩ must equal gram2[i][j]
-    rows, rhs = [], []
-    basis = [A._basis_vec(i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            row = [F.pair_raw(basis[i], A.mul_raw(basis[j], basis[k]))
-                   for k in range(n)]
-            rows.append(row)
-            rhs.append(gram2.data[i][j])
+    # ⟨e_i, e_j·t⟩ = Σ_k t_k ⟨e_i, e_j e_k⟩ must equal gram2[i][j]; the
+    # row for (i, j) is row i of G·L_{e_j}
+    gl = [F.gram * left_mult_matrix(e) for e in A.basis_elements()]
+    rows = [gl[j].data[i] for i in range(n) for j in range(n)]
+    rhs = [gram2.data[i][j] for i in range(n) for j in range(n)]
     sol = solve_linear(Matrix(f, rows, _raw=True), rhs)
     if sol is None:
         raise InternalInconsistency("no relating element for two valid forms")

@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
-                      ROLE_ENDOMORPHISM, inner_automorphism, left_mult_matrix)
+                      ROLE_ENDOMORPHISM, inner_automorphism, left_mult_matrix,
+                      right_mult_matrix)
 from .errors import MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
@@ -342,26 +343,26 @@ class TrivialExtensionGallery:
         for (i, j), terms in B.structure.items():
             for (k, c) in terms:
                 triples.append((i, j, k, c))
-        tau_of = [tau(B.basis_element(i)).raw if tau is not None else B._basis_vec(i)
-                  for i in range(n)]
-        for i in range(n):
+        tmat = tau.matrix if tau is not None else Matrix.identity(f, n)
+        for i, ei in enumerate(B.basis_elements()):
+            # column m of R_{τ(e_i)} is e_m·τ(e_i), column m of L_{e_i} is e_i·e_m
+            rt = right_mult_matrix(Element(B, tmat.column(i), _raw=True))
+            li = left_mult_matrix(ei)
             for j in range(n):
                 # e_i · e_j* = Σ_m [coeff of e_j in e_m·τ(e_i)] e_m*
                 for m in range(n):
-                    w = B.mul_raw(B._basis_vec(m), tau_of[i])
-                    if not f.is_zero(w[j]):
-                        triples.append((i, n + j, n + m, w[j]))
+                    if not f.is_zero(rt.data[j][m]):
+                        triples.append((i, n + j, n + m, rt.data[j][m]))
                 # e_j* · e_i = Σ_m [coeff of e_j in e_i·e_m] e_m*
                 for m in range(n):
-                    w = B.mul_raw(B._basis_vec(i), B._basis_vec(m))
-                    if not f.is_zero(w[j]):
-                        triples.append((n + j, i, n + m, w[j]))
+                    if not f.is_zero(li.data[j][m]):
+                        triples.append((n + j, i, n + m, li.data[j][m]))
         unit = list(B.unit) + [f.zero()] * n
         self.algebra = Algebra(f, 2 * n, names, triples, unit)
         g = [[f.zero()] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
             for j in range(n):
-                g[i][n + j] = tau_of[i][j]
+                g[i][n + j] = tmat.data[j][i]
                 g[n + i][j] = f.one() if i == j else f.zero()
         self.gram = Matrix(f, g, _raw=True)
 
@@ -457,22 +458,25 @@ class TrivialExtensionGallery:
         f = self.field
         n = self.B.dim
         rows = []
+        basis = self.B.basis_elements()
+        # e_m·e_i is column m of R_{e_i}, e_j·e_m is column m of L_{e_j}
+        lefts = [left_mult_matrix(e) for e in basis]
+        rights = [right_mult_matrix(e) for e in basis]
         for i in range(n):
-            ei = self.B._basis_vec(i)
             for j in range(n):
                 prod = self.B.mul_basis(i, j)
                 for m in range(n):
                     row = [f.zero()] * (n * n)
                     for (s, c) in prod:
                         row[m * n + s] = f.add(row[m * n + s], c)
-                    w1 = self.B.mul_raw(self.B._basis_vec(m), ei)
                     for k in range(n):
-                        if not f.is_zero(w1[k]):
-                            row[k * n + j] = f.sub(row[k * n + j], w1[k])
-                    w2 = self.B.mul_raw(self.B._basis_vec(j), self.B._basis_vec(m))
+                        w1 = rights[i].data[k][m]
+                        if not f.is_zero(w1):
+                            row[k * n + j] = f.sub(row[k * n + j], w1)
                     for k in range(n):
-                        if not f.is_zero(w2[k]):
-                            row[k * n + i] = f.sub(row[k * n + i], w2[k])
+                        w2 = lefts[j].data[k][m]
+                        if not f.is_zero(w2):
+                            row[k * n + i] = f.sub(row[k * n + i], w2)
                     if any(not f.is_zero(v) for v in row):
                         rows.append(row)
         if not rows:
@@ -621,30 +625,3 @@ def s3_group_algebra(field=None):
     item = group_algebra(symmetric_group_3(), field)
     item.name = "groupS3"
     return item
-
-
-def build_gallery(name, **params):
-    """Family registry: build one example by name.
-
-    Families: exterior(n, field?), qci(q, field?), trivial(base, tau?),
-    cyclic(p, field?), matrix(m, field?), group(table, field?, names?),
-    group-s3(field?).  Returns the family carrier, which always exposes
-    ``algebra`` and ``gram``.
-    """
-    builders = {
-        "exterior": lambda: exterior(params["n"], params.get("field")),
-        "qci": lambda: qci(params["q"], params.get("field")),
-        "trivial": lambda: trivial_extension(params["base"],
-                                             params.get("tau")),
-        "cyclic": lambda: cyclic(params["p"], params.get("field")),
-        "matrix": lambda: matrix_algebra(params["m"], params.get("field")),
-        "group": lambda: group_algebra(params["table"], params.get("field"),
-                                       params.get("names")),
-        "group-s3": lambda: s3_group_algebra(params.get("field")),
-    }
-    if name not in builders:
-        raise MalformedInput(f"unknown gallery family {name!r}")
-    try:
-        return builders[name]()
-    except KeyError as exc:
-        raise MalformedInput(f"family {name!r} is missing parameter {exc}") from exc

@@ -25,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .algebra import Algebra, Element, LinearMap, ROLE_ENDOMORPHISM
+from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
+                      left_mult_matrix)
 from .errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from .frobenius import FrobeniusStructure
 from .linalg import (Matrix, SparseEchelon, add_entry, axpy, dense_vector,
-                     sparse_vector)
+                     sparse_vector, sum_product)
 
 DEFAULT_BUDGET = 1 << 20
 DENSE_CAP = 1 << 24
@@ -175,13 +176,16 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
     sign_last = f.from_int((-1) ** p)
     cols = []
     # face 0 is the right action of a₁ on m, through sigma when twisted;
-    # only the n² products e_m·a (a a basis vector) occur, formed here once
+    # only the n² products e_m·a (a a basis vector) occur, formed here once:
+    # twisted, e_m·σ(e_a) is column a of L_{e_m}·S
     if twist is None:
         face0 = [[A.mul_basis(m, a) for a in range(n)] for m in range(n)]
     else:
-        face0 = [[sparse_vector(f, A.mul_raw(A._basis_vec(m),
-                                             twist.column(a))).items()
-                  for a in range(n)] for m in range(n)]
+        face0 = []
+        for em in A.basis_elements():
+            prods = left_mult_matrix(em) * twist
+            face0.append([sparse_vector(f, prods.column(a)).items()
+                          for a in range(n)])
     for m in range(n):
         for J in product(range(n), repeat=p):
             col = {}
@@ -550,8 +554,8 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
     whose Jacobian is t + tau (t defaults to 1), built from a derivation
     δ: B → DB with δ(x)(1) = tau(x).
     """
-    from .algebra import commutator_subspace, left_mult_matrix
-    from .calculus import jacobian, sum_product
+    from .algebra import commutator_subspace
+    from .calculus import jacobian
     from .frobenius import make_frobenius
     from .gallery import trivial_extension
     from .linalg import solve_linear

@@ -174,6 +174,13 @@ class Matrix:
             raise MalformedInput("shape mismatch")
 
 
+def mismatches(x: Matrix, y: Matrix):
+    """The (row, column) positions where two same-shape matrices differ,
+    in row-major order; empty when they are equal."""
+    return [(r, c) for r, (xr, yr) in enumerate(zip(x.data, y.data)) if xr != yr
+            for c, (a, b) in enumerate(zip(xr, yr)) if a != b]
+
+
 class SparseEchelon:
     """Column echelon over a field with combination tracking.
 
@@ -246,6 +253,15 @@ def axpy(f, dst, src, c):
             dst.pop(k, None)
         else:
             dst[k] = nv
+
+
+def sum_product(f, a, b):
+    """Σ a_i·b_i over two raw vectors: the one scalar-product loop."""
+    acc = f.zero()
+    for x, y in zip(a, b):
+        if not f.is_zero(x) and not f.is_zero(y):
+            acc = f.add(acc, f.mul(x, y))
+    return acc
 
 
 def add_entry(f, d, key, val):

@@ -235,23 +235,6 @@ def test_extend_scalars_cyclic_gram_unchanged():
             assert gramK.data[i][j] == F9.from_int(c3.gram.data[i][j])
 
 
-def test_build_gallery_registry():
-    from frobcalc.gallery import build_gallery
-    item = build_gallery("qci", q=3)
-    assert item.algebra.dim == 4
-    item = build_gallery("exterior", n=3)
-    assert item.algebra.dim == 8
-    item = build_gallery("cyclic", p=5)
-    assert item.algebra.dim == 5
-    from frobcalc.groups import cyclic_group
-    item = build_gallery("group", table=cyclic_group(4))
-    assert item.algebra.dim == 4
-    with pytest.raises(MalformedInput):
-        build_gallery("nope")
-    with pytest.raises(MalformedInput):
-        build_gallery("qci")
-
-
 def test_inner_automorphism_central_unit_is_identity():
     g = qci(2)
     A = g.algebra

@@ -153,6 +153,9 @@ def test_cli_gallery_report_deterministic():
 def test_cli_exit_codes(tmp_path):
     assert run(["unknown-subcommand"], io.StringIO()) == 3
     assert run(["gallery"], io.StringIO()) == 3
+    for argv in (["exterior", "--n", "0"], ["matrix", "--m", "0"],
+                 ["cyclic", "--p", "1"], ["exterior", "--n", "-2"]):
+        assert run(["gallery"] + argv, io.StringIO()) == 3
     for command in ("hochschild", "homology", "verify-main-theorem"):
         argv = [command, "--file", "unused.json", "--max-degree", "-1"]
         assert run(argv, io.StringIO()) == 3
