@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import MalformedInput, RoleViolation
 from .fields import Scalar
 from .linalg import (Matrix, add_entry, column_space_basis, invert, kernel_basis,
-                     mismatches, solve_linear)
+                     linear_combination, mismatches, solve_linear)
 
 ROLE_GENERAL = "general"
 ROLE_ENDOMORPHISM = "endomorphism"
@@ -143,6 +143,16 @@ class Algebra:
 
     def basis_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]
+
+    def combination(self, terms):
+        """Σ cᵢ·xᵢ over the (cᵢ, xᵢ) in ``terms``, xᵢ elements of this algebra."""
+        def raws():
+            for c, x in terms:
+                if not isinstance(x, Element) or x.algebra != self:
+                    raise MalformedInput("elements from different algebras")
+                yield c, x.raw
+        return Element(self, linear_combination(self.field, raws(), self.dim),
+                       _raw=True)
 
     def __eq__(self, other):
         return (isinstance(other, Algebra) and self.field == other.field

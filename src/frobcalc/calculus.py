@@ -78,16 +78,15 @@ def bavula_jacobian(ext, u: LinearMap) -> Element:
     entries = [[partials[j](u(ext.generator(i))) for j in range(n)]
                for i in range(n)]
     A = ext.algebra
-    f = A.field
-    acc = A.zero_element()
+    terms = []
     for perm in permutations(range(n)):
         inv = sum(1 for a in range(n) for b in range(a + 1, n)
                   if perm[a] > perm[b])
-        term = A.unit_element().scale(f.from_int(-1 if inv % 2 else 1))
+        term = A.unit_element()
         for r in range(n):
             term = term * entries[r][perm[r]]
-        acc = acc + term
-    return acc
+        terms.append((-1 if inv % 2 else 1, term))
+    return A.combination(terms)
 
 
 def delta_star(F: FrobeniusStructure, d: LinearMap) -> LinearMap:
@@ -120,11 +119,7 @@ def divergence(F: FrobeniusStructure, d: LinearMap) -> Element:
     A = F.algebra
     # lam_k = ⟨d(e_k), 1⟩, i.e. lam = Dᵀ·G·1, and ⟨e_k, v⟩ = lam_k, i.e. G·v = lam
     lam = d.matrix.transpose().apply(F.gram.apply(list(A.unit)))
-    from .linalg import solve_linear
-    sol = solve_linear(F.gram, lam)
-    if sol is None:
-        raise InternalInconsistency("divergence solve failed on a valid form")
-    v = Element(A, sol, _raw=True)
+    v = Element(A, F._gram_inv.apply(lam), _raw=True)
     lhs = d.matrix.transpose() * F.gram + F.gram * d.matrix
     rhs = F.gram * right_mult_matrix(v)
     if lhs != rhs:
@@ -171,12 +166,8 @@ class AlgebraPolynomial:
     def evaluate(self, t) -> Element:
         f = self.algebra.field
         t = f.coerce(t)
-        acc = self.algebra.zero_element()
-        power = f.one()
-        for c in self.coeffs:
-            acc = acc + c.scale(power)
-            power = f.mul(power, t)
-        return acc
+        return self.algebra.combination(
+            (f.pow_int(t, k), c) for k, c in enumerate(self.coeffs))
 
     def derivative(self) -> "AlgebraPolynomial":
         f = self.algebra.field
@@ -233,11 +224,12 @@ def exp_derivation(d: LinearMap, t) -> LinearMap:
     _check_nilpotent(d)
     f = A.field
     t = f.coerce(t)
-    acc = Matrix.identity(f, A.dim)
-    power = Matrix.identity(f, A.dim)
-    for k in range(1, A.dim):
-        power = power * d.matrix
-        acc = acc + power.scale(f.mul(f.pow_int(t, k), Fraction(1, factorial(k))))
+    powers = [Matrix.identity(f, A.dim)]
+    for _ in range(1, A.dim):
+        powers.append(powers[-1] * d.matrix)
+    acc = Matrix.combination(
+        f, A.dim, A.dim, ((f.mul(f.pow_int(t, k), Fraction(1, factorial(k))), dk)
+                          for k, dk in enumerate(powers)))
     out = LinearMap(A, acc, ROLE_ENDOMORPHISM)
     if not out.is_invertible():
         raise InternalInconsistency("exponential of a nilpotent map must invert")

@@ -64,12 +64,13 @@ def parse_field_flag(text):
     if text in ("Q", "q"):
         return Field.rationals()
     if text.startswith("F"):
-        body = text[1:]
-        if "[" in body:
-            p_part, _, poly = body.partition("[a]/")
-            coeffs = [int(c) for c in poly.split(",")]
-            return Field.extension(int(p_part), coeffs)
-        return Field.prime(int(body))
+        p_part, bracket, poly = text[1:].partition("[a]/")
+        try:
+            p = int(p_part)
+            coeffs = [int(c) for c in poly.split(",")] if bracket else None
+        except ValueError as exc:
+            raise MalformedInput(f"cannot parse field {text!r}") from exc
+        return Field.extension(p, coeffs) if bracket else Field.prime(p)
     raise MalformedInput(f"cannot parse field {text!r}")
 
 

@@ -424,12 +424,10 @@ class Scalar:
         return self.field.is_zero(self.value)
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.coerce(other)
-        except MalformedInput:
+        # only a Scalar of the same field is equal, so equal values hash alike
+        if not isinstance(other, Scalar):
             return NotImplemented
+        return self.field == other.field and self.value == other.value
 
     def __hash__(self):
         return hash((self.field, self.value))

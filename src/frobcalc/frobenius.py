@@ -8,6 +8,7 @@ map with ⟨a, b⟩ = ⟨b, σ(a)⟩) and the pairing-to-dual isomorphism beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       center_basis, endomorphism_witness, inner_automorphism,
@@ -20,13 +21,14 @@ from .rng import SplitMix64
 
 
 class FrobeniusStructure:
-    __slots__ = ("algebra", "gram", "sigma", "_gram_inv", "_cache")
+    __slots__ = ("algebra", "gram", "sigma", "_gram_inv", "_sigma_inv", "_cache")
 
-    def __init__(self, algebra, gram, sigma, gram_inv):
+    def __init__(self, algebra, gram, sigma, gram_inv, sigma_inv):
         self.algebra = algebra
         self.gram = gram
         self.sigma = sigma
         self._gram_inv = gram_inv
+        self._sigma_inv = sigma_inv
         self._cache = {}
 
     # pairing and beta ---------------------------------------------------------
@@ -38,16 +40,13 @@ class FrobeniusStructure:
         return Scalar(self.algebra.field, self.pair_raw(a.raw, b.raw))
 
     def beta_inverse_functional(self, lam):
-        """The element j with ⟨j, e_k⟩ = lam_k for a raw functional vector."""
-        sol = solve_linear(self.gram.transpose(), lam)
-        if sol is None:
-            raise InternalInconsistency("non-degenerate form failed to invert")
-        return Element(self.algebra, sol, _raw=True)
+        """The element j with ⟨j, e_k⟩ = lam_k for a raw functional vector:
+        Gᵀ·j = lam, so j = (G⁻¹)ᵀ·lam."""
+        return Element(self.algebra, self._gram_inv.transpose().apply(lam),
+                       _raw=True)
 
     def sigma_inv(self) -> LinearMap:
-        if "sigma_inv" not in self._cache:
-            self._cache["sigma_inv"] = self.sigma.inverse()
-        return self._cache["sigma_inv"]
+        return self._sigma_inv
 
     def __repr__(self):
         return f"FrobeniusStructure({self.algebra!r})"
@@ -87,10 +86,12 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
         raise InternalInconsistency(
             f"induced map is not an algebra endomorphism (at {w}); "
             "the form passed associativity, so this indicates a bug")
-    if invert(sigma_mat) is None:
+    sinv = invert(sigma_mat)
+    if sinv is None:
         raise InternalInconsistency("induced automorphism is singular")
-    sigma = LinearMap(A, sigma_mat, ROLE_ENDOMORPHISM, check=False)
-    F = FrobeniusStructure(A, gram, sigma, ginv)
+    F = FrobeniusStructure(A, gram,
+                           LinearMap(A, sigma_mat, ROLE_ENDOMORPHISM, check=False),
+                           ginv, LinearMap(A, sinv, ROLE_ENDOMORPHISM, check=False))
     # defining property G = (G·S)ᵀ, and the bimodule law ⟨a, b·σ(c)⟩ = ⟨ca, b⟩
     # as G·R_{σ(e_k)} = L_{e_k}ᵀ·G, entry (i, j) for the triple (i, j, k)
     if gram != (gram * sigma_mat).transpose():
@@ -148,6 +149,16 @@ RATIONAL_SAMPLES = 64
 GRID_LIMIT = 4096
 
 
+def _first_unit(A, basis, coefficient_rows):
+    """The first nonzero unit Σ cᵢ·bᵢ over the coefficient rows, in order,
+    as a "yes" UnitSearch; None when no row gives one."""
+    for coeffs in coefficient_rows:
+        cand = A.combination(zip(coeffs, basis))
+        if not cand.is_zero() and inverse_of(cand) is not None:
+            return UnitSearch("yes", cand)
+    return None
+
+
 def _grid_decide(A, basis):
     """Exact unit decision over Q via polynomial identity testing.
 
@@ -159,20 +170,8 @@ def _grid_decide(A, basis):
     m = len(basis)
     if (A.dim + 1) ** m > GRID_LIMIT:
         return None
-    f = A.field
-    points = [[]]
-    for _ in range(m):
-        points = [pt + [v] for pt in points for v in range(A.dim + 1)]
-    for pt in points:
-        if all(v == 0 for v in pt):
-            continue
-        cand = A.zero_element()
-        for b, c in zip(basis, pt):
-            if c:
-                cand = cand + b.scale(f.from_int(c))
-        if inverse_of(cand) is not None:
-            return UnitSearch("yes", cand)
-    return UnitSearch("no", detail="unit polynomial vanishes on a deciding grid")
+    return (_first_unit(A, basis, product(range(A.dim + 1), repeat=m))
+            or UnitSearch("no", detail="unit polynomial vanishes on a deciding grid"))
 
 
 def unit_in_subspace(A: Algebra, basis, rng=None) -> UnitSearch:
@@ -188,42 +187,18 @@ def unit_in_subspace(A: Algebra, basis, rng=None) -> UnitSearch:
     if not basis:
         return UnitSearch("no", detail="empty subspace")
     if f.order() is None:
-        cand = A.zero_element()
-        for b in basis:
-            cand = cand + b
-        if inverse_of(cand) is not None:
-            return UnitSearch("yes", cand)
-        for _ in range(RATIONAL_SAMPLES):
-            cand = A.zero_element()
-            for b in basis:
-                cand = cand + b.scale(f.random(rng, 3))
-            if not cand.is_zero() and inverse_of(cand) is not None:
-                return UnitSearch("yes", cand)
-        decided = _grid_decide(A, basis)
-        if decided is not None:
-            return decided
-        return UnitSearch("inconclusive",
-                          detail="no unit found (inconclusive)")
-    size = f.order() ** len(basis)
-    if size <= EXHAUST_LIMIT:
-        elems = f.elements()
-        combos = [[]]
-        for _ in basis:
-            combos = [c + [e] for c in combos for e in elems]
-        for coeffs in combos:
-            cand = A.zero_element()
-            for b, c in zip(basis, coeffs):
-                cand = cand + b.scale(c)
-            if not cand.is_zero() and inverse_of(cand) is not None:
-                return UnitSearch("yes", cand)
-        return UnitSearch("no", detail="subspace exhausted")
-    for _ in range(SAMPLE_LIMIT):
-        cand = A.zero_element()
-        for b in basis:
-            cand = cand + b.scale(f.random(rng))
-        if not cand.is_zero() and inverse_of(cand) is not None:
-            return UnitSearch("yes", cand)
-    return UnitSearch("inconclusive", detail="no unit found (inconclusive)")
+        found = (_first_unit(A, basis, [[f.one()] * len(basis)])
+                 or _first_unit(A, basis, ([f.random(rng, 3) for _ in basis]
+                                           for _ in range(RATIONAL_SAMPLES)))
+                 or _grid_decide(A, basis))
+        return found or UnitSearch("inconclusive",
+                                   detail="no unit found (inconclusive)")
+    if f.order() ** len(basis) <= EXHAUST_LIMIT:
+        return (_first_unit(A, basis, product(f.elements(), repeat=len(basis)))
+                or UnitSearch("no", detail="subspace exhausted"))
+    return (_first_unit(A, basis, ([f.random(rng) for _ in basis]
+                                   for _ in range(SAMPLE_LIMIT)))
+            or UnitSearch("inconclusive", detail="no unit found (inconclusive)"))
 
 
 def is_inner(F: FrobeniusStructure, u: LinearMap, rng=None) -> UnitSearch:

@@ -17,7 +17,7 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
 from .errors import MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
-from .linalg import Matrix, invert
+from .linalg import Matrix, invert, linear_combination
 
 # ---------------------------------------------------------------------------
 # generic forms
@@ -145,13 +145,10 @@ class ExteriorGallery:
             raise MalformedInput("phi expects an n x n matrix")
         if invert(fmat) is None:
             raise MalformedInput("phi expects an invertible matrix")
-        images = []
-        for j in range(self.n):
-            el = self.algebra.zero_element()
-            for i in range(self.n):
-                el = el + self.generator(i).scale(fmat.data[i][j])
-            images.append(el)
-        return self.from_generator_images(images)
+        gens = [self.generator(i) for i in range(self.n)]
+        return self.from_generator_images(
+            [self.algebra.combination(zip(fmat.column(j), gens))
+             for j in range(self.n)])
 
     def gamma(self, i, lam, alpha) -> LinearMap:
         """x_i ↦ x_i + λ·x^α for a 3-subset α; other generators fixed."""
@@ -422,28 +419,19 @@ class TrivialExtensionGallery:
         return self.from_blocks(theta.matrix, None, None, inv.transpose())
 
     def t_part(self, u: LinearMap) -> Element:
-        """The B-component the Jacobian of u must equal, read off block d."""
-        f = self.field
+        """The B-component the Jacobian of u must equal, read off block d:
+        Σ_m 1_m·(row m of d)."""
         n = self.B.dim
-        coeffs = []
-        for i in range(n):
-            acc = f.zero()
-            for m in range(n):
-                acc = f.add(acc, f.mul(u.matrix.data[n + m][n + i], self.B.unit[m]))
-            coeffs.append(acc)
-        return Element(self.B, coeffs, _raw=True)
+        return Element(self.B, linear_combination(
+            self.field, zip(self.B.unit, (r[n:] for r in u.matrix.data[n:])), n),
+            _raw=True)
 
     def tau_part(self, u: LinearMap):
-        """τ(x) = c(x)(1) as a dual-basis coefficient vector, read off block c."""
-        f = self.field
+        """τ(x) = c(x)(1) as a dual-basis coefficient vector, read off block c:
+        Σ_m 1_m·(row m of c)."""
         n = self.B.dim
-        out = []
-        for j in range(n):
-            acc = f.zero()
-            for m in range(n):
-                acc = f.add(acc, f.mul(u.matrix.data[n + m][j], self.B.unit[m]))
-            out.append(acc)
-        return out
+        return linear_combination(
+            self.field, zip(self.B.unit, (r[:n] for r in u.matrix.data[n:])), n)
 
     def derivation_space_to_dual(self):
         """Basis of Der(B, DB) as n x n matrices (columns δ(e_i) on dual basis).

@@ -30,7 +30,7 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
 from .errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from .frobenius import FrobeniusStructure
 from .linalg import (Matrix, SparseEchelon, add_entry, axpy, dense_vector,
-                     sparse_vector, sum_product)
+                     linear_combination, sparse_vector, sum_product)
 
 DEFAULT_BUDGET = 1 << 20
 DENSE_CAP = 1 << 24
@@ -385,13 +385,12 @@ def _homology(A: Algebra, p, twist):
 def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
                        sigma: LinearMap | None = None,
                        budget=DEFAULT_BUDGET) -> HomologyReport:
-    """dim H_p(A, M) with chain representatives as flat raw vectors."""
+    """dim H_p(A, M) with chain representatives as sparse dicts
+    {flat index m·n^p + J: raw value}, fresh on every call."""
     _check_budget(A, max(p - 1, 0), budget)
     twist = _resolve_twist(A, coeffs, sigma)
     cycles, bound, reps, _ = _homology(A, p, twist)
-    length = A.dim ** (p + 1)
-    return HomologyReport(p, cycles, bound, len(reps),
-                          [dense_vector(A.field, kv, length) for kv in reps])
+    return HomologyReport(p, cycles, bound, len(reps), [dict(kv) for kv in reps])
 
 
 def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
@@ -593,18 +592,11 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
     # dual route: solve for a derivation δ: B → DB with δ(x)(1) = tau(x)
     ext = trivial_extension(B)
     der_basis = ext.derivation_space_to_dual()
-    rows2, rhs2 = [], []
-    for i in range(n):
-        row = []
-        for mat_b in der_basis:
-            acc = fld.zero()
-            for k in range(n):
-                acc = fld.add(acc, fld.mul(mat_b.data[k][i], B.unit[k]))
-            row.append(acc)
-        rows2.append(row)
-        rhs2.append(tau[i])
     if der_basis:
-        sol = solve_linear(Matrix(fld, rows2, _raw=True), rhs2)
+        # column b is δ_b(·)(1) = Σ_k 1_k·(row k of δ_b)
+        sol = solve_linear(Matrix.from_columns(
+            fld, [linear_combination(fld, zip(B.unit, mat_b.data), n)
+                  for mat_b in der_basis]), tau)
     else:
         sol = [] if all(fld.is_zero(v) for v in tau) else None
     if (sol is not None) != in_image_kernel:
@@ -613,9 +605,7 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
     if sol is None:
         return ConnesImageResult(False, kernel_elements)
 
-    delta = Matrix.zero(fld, n, n)
-    for c, mat_b in zip(sol, der_basis):
-        delta = delta + mat_b.scale(c)
+    delta = Matrix.combination(fld, n, n, zip(sol, der_basis))
     if t is None:
         t = B.unit_element()
     u = ext.from_blocks(Matrix.identity(fld, n), None, delta,

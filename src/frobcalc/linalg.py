@@ -1,6 +1,8 @@
 """Exact matrices, sparse vectors and the one elimination kernel.
 
 Everything here is plain exact arithmetic delegated to a :class:`Field`.
+Every linear combination Σ cᵢ·vᵢ is formed by :func:`linear_combination`
+over the nonzeros of each vᵢ.
 All rank, kernel and solve work, dense or sparse, goes through
 :class:`SparseEchelon`: columns are inserted in order into a column
 echelon held in dictionaries, and a column joins it exactly when it is
@@ -13,6 +15,8 @@ mutates ``data``.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import MalformedInput
 from .fields import Scalar
@@ -56,6 +60,20 @@ class Matrix:
         for i in range(n):
             data[i][i] = o
         return Matrix(field, data, _raw=True)
+
+    @staticmethod
+    def combination(field, rows, cols, terms):
+        """Σ cᵢ·Mᵢ over the (cᵢ, Mᵢ) in ``terms``, every Mᵢ rows × cols."""
+        def flat():
+            for c, m in terms:
+                if m.field != field:
+                    raise MalformedInput("mixed-field entries")
+                if (m.rows, m.cols) != (rows, cols):
+                    raise MalformedInput("shape mismatch")
+                yield c, chain.from_iterable(m.data)
+        v = linear_combination(field, flat(), rows * cols)
+        return Matrix(field, [v[i * cols:(i + 1) * cols] for i in range(rows)],
+                      _raw=True)
 
     @staticmethod
     def from_columns(field, columns):
@@ -253,6 +271,19 @@ def axpy(f, dst, src, c):
             dst.pop(k, None)
         else:
             dst[k] = nv
+
+
+def linear_combination(f, terms, length):
+    """Σ cᵢ·vᵢ over the (cᵢ, vᵢ) in ``terms``, each vᵢ a raw vector of
+    ``length`` entries: the one linear-combination loop.  Coefficients
+    are drawn from ``terms`` in order; a zero cᵢ and the zero entries of
+    each vᵢ cost nothing beyond the scan for nonzeros."""
+    acc = {}
+    for c, v in terms:
+        c = f.coerce(c)
+        if not f.is_zero(c):
+            axpy(f, acc, sparse_vector(f, v), c)
+    return dense_vector(f, acc, length)
 
 
 def sum_product(f, a, b):

@@ -169,9 +169,7 @@ def _random_central_unit(A, rng, tries=64):
     f = A.field
     zs = center_basis(A)
     for _ in range(tries):
-        el = A.zero_element()
-        for z in zs:
-            el = el + z.scale(f.random(rng, 2))
+        el = A.combination((f.random(rng, 2), z) for z in zs)
         if inverse_of(el) is not None:
             return el
     return A.unit_element()
@@ -188,10 +186,8 @@ def derivation_basis(A):
 
 def random_derivation(A, rng):
     f = A.field
-    basis = derivation_basis(A)
-    m = Matrix.zero(f, A.dim, A.dim)
-    for d in basis:
-        m = m + d.matrix.scale(f.random(rng, 2))
+    m = Matrix.combination(f, A.dim, A.dim, ((f.random(rng, 2), d.matrix)
+                                             for d in derivation_basis(A)))
     return LinearMap(A, m, ROLE_DERIVATION, check=False)
 
 
@@ -230,9 +226,9 @@ def automorphism_sampler(name, item):
             u = item.u_z(_random_central_unit(B, rng))
             ders = item.derivation_space_to_dual()
             if ders:
-                m = Matrix.zero(B.field, B.dim, B.dim)
-                for dmat in ders:
-                    m = m + dmat.scale(B.field.random(rng, 2))
+                m = Matrix.combination(B.field, B.dim, B.dim,
+                                       ((B.field.random(rng, 2), dmat)
+                                        for dmat in ders))
                 u = u.compose(item.u_delta(m))
             u = u.compose(item.lift(inner_automorphism(_random_unit(B, rng))))
             return u
@@ -579,9 +575,7 @@ def suite_divergence(rng=None, pairs=30, items=None):
                 dv = divergence(F, d)
                 s.record(f"div-adjoint/{name}", "div:ids",
                          star.matrix == right_mult_matrix(dv) - d.matrix)
-            z = A.zero_element()
-            for zb in zs:
-                z = z + zb.scale(f.random(rng, 2))
+            z = A.combination((f.random(rng, 2), zb) for zb in zs)
             zd = LinearMap(A, left_mult_matrix(z) * d.matrix,
                            ROLE_DERIVATION, check=False)
             s.eq(f"div-connection/{name}/{k}", "div:connection",
@@ -654,10 +648,10 @@ def suite_liouville(rng=None):
             powers.append(powers[-1] * d.matrix)
         ok = True
         for n in range(4):
-            acc = Matrix.zero(A.field, A.dim, A.dim)
-            for k in range(n + 1):
-                acc = acc + (powers[k].transpose() * F.gram
-                             * powers[n - k]).scale(comb(n, k))
+            acc = Matrix.combination(
+                A.field, A.dim, A.dim,
+                ((comb(n, k), powers[k].transpose() * F.gram * powers[n - k])
+                 for k in range(n + 1)))
             if acc != F.gram * right_mult_matrix(phis[n]):
                 ok = False
         s.record(f"liouville-binomial/c={c},d={d_}", "delta-powers", ok)
@@ -688,9 +682,8 @@ def _interpolated_derivative_at_zero(A, samples):
     Lagrange: p'(0) = Σ_i y_i · l_i'(0) with nodes t_i; exact in Q and
     independent of how the samples were produced.
     """
-    f = A.field
-    out = A.zero_element()
     ts = [t for t, _ in samples]
+    terms = []
     for i, (ti, yi) in enumerate(samples):
         denom = Fraction(1)
         for j, tj in enumerate(ts):
@@ -705,8 +698,8 @@ def _interpolated_derivative_at_zero(A, samples):
                 if k != i and k != j:
                     term *= (0 - tk)
             acc += term
-        out = out + yi.scale(acc / denom)
-    return out
+        terms.append((acc / denom, yi))
+    return A.combination(terms)
 
 
 def suite_crossed(rng=None):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from frobcalc.algebra import (Element, LinearMap, ad, inner_automorphism,
-                              inverse_of)
+from frobcalc import verify
+from frobcalc.algebra import (Element, LinearMap, ad, center_basis,
+                              derivation_witness, endomorphism_witness,
+                              inner_automorphism, inverse_of)
 from frobcalc.calculus import (bavula_jacobian, coboundary_status,
                                delta_star, divergence, exp_derivation,
                                jacobian, jacobian_cocycle,
@@ -13,7 +15,8 @@ from frobcalc.calculus import (bavula_jacobian, coboundary_status,
 from frobcalc.errors import MalformedInput, RoleViolation
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
-from frobcalc.gallery import cyclic, exterior, qci
+from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra, qci,
+                              trivial_extension)
 from frobcalc.linalg import Matrix, solve_linear
 from frobcalc.rng import SplitMix64
 
@@ -294,3 +297,56 @@ def test_phi_sequence_binomial_identity_non_nilpotent():
                     acc += comb(n, k) * F.pair_raw(powers[k](a).raw,
                                                    powers[n - k](b).raw)
                 assert acc == F.pair_raw(a.raw, (b * phis[n]).raw)
+
+
+def _dense_sum(field, rows, cols, terms):
+    acc = Matrix.zero(field, rows, cols)
+    for c, m in terms:
+        acc = acc + m.scale(c)
+    return acc
+
+
+def test_samplers_match_dense_sums():
+    # the samplers draw their coefficients in basis order from the one rng;
+    # rebuilt as dense sums from an identically seeded SplitMix64 they must
+    # give the same maps and leave the generator in the same state
+    F5 = Field.prime(5)
+    for A in (qci(2).algebra, exterior(3).algebra, exterior(3, F5).algebra,
+              trivial_extension(matrix_algebra(2).algebra).algebra):
+        f = A.field
+        rng, ref = SplitMix64(7), SplitMix64(7)
+        for _ in range(3):
+            d = verify.random_derivation(A, rng)
+            expected = _dense_sum(f, A.dim, A.dim,
+                                  [(f.random(ref, 2), D.matrix)
+                                   for D in verify.derivation_basis(A)])
+            assert d.matrix == expected
+            assert derivation_witness(A, d.matrix) is None
+        assert rng.next_u64() == ref.next_u64()
+    for B in (dual_numbers(Q), matrix_algebra(2, Q).algebra):
+        item = trivial_extension(B)
+        sample = verify.automorphism_sampler("triv", item)
+        rng, ref = SplitMix64(11), SplitMix64(11)
+        f = B.field
+        for _ in range(3):
+            u = sample(rng)
+            zs = center_basis(B)
+            for _ in range(64):
+                z = B.zero_element()
+                for zb in zs:
+                    z = z + zb.scale(f.random(ref, 2))
+                if inverse_of(z) is not None:
+                    break
+            else:
+                z = B.unit_element()
+            expected = item.u_z(z)
+            ders = item.derivation_space_to_dual()
+            if ders:
+                m = _dense_sum(f, B.dim, B.dim,
+                               [(f.random(ref, 2), dm) for dm in ders])
+                expected = expected.compose(item.u_delta(m))
+            expected = expected.compose(item.lift(inner_automorphism(
+                verify._random_unit(B, ref))))
+            assert u.matrix == expected.matrix
+            assert endomorphism_witness(item.algebra, u.matrix) is None
+        assert rng.next_u64() == ref.next_u64()

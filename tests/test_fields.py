@@ -117,3 +117,13 @@ def test_mixed_field_rejected():
         Scalar(Q, Fraction(1)) + Scalar(F5, 1)
     with pytest.raises(MalformedInput):
         F5.coerce(Scalar(Q, Fraction(1)))
+
+
+def test_scalar_equals_only_scalars_of_its_field():
+    # a raw value is never equal to a Scalar, so equal objects hash alike
+    assert Scalar(F5, 1) != 6 and Scalar(F5, 1) != 1
+    assert Scalar(Q, Fraction(1, 2)) != Fraction(1, 2)
+    assert Scalar(F5, 1) != Scalar(Q, 1)
+    assert Scalar(F5, 1) == Scalar(F5, 6)
+    assert hash(Scalar(F5, 1)) == hash(Scalar(F5, 6))
+    assert len({Scalar(F5, 1), Scalar(F5, 6)}) == 1

@@ -13,7 +13,7 @@ from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra,
                               qci, trivial_extension)
-from frobcalc.linalg import Matrix, rref, solve_linear
+from frobcalc.linalg import Matrix, dense_vector, rref, solve_linear
 
 Q = Field.rationals()
 
@@ -235,7 +235,8 @@ def _reference_sigma_action(A, F, p, coeffs):
     """The σ-action on H_p solved densely: coordinates of σ^{⊗p+1}(rep)
     against [representatives | all boundary columns]."""
     f, n = A.field, A.dim
-    reps = hh.homology_dimension(A, p, coeffs, F.sigma).representatives
+    reps = [dense_vector(f, v, n ** (p + 1))
+            for v in hh.homology_dimension(A, p, coeffs, F.sigma).representatives]
     B = hh.boundary_matrix(A, p + 1, coeffs, F.sigma)
     M = Matrix.from_columns(f, reps + [B.column(j) for j in range(B.cols)])
     s = F.sigma.matrix.data
@@ -269,9 +270,9 @@ def test_sigma_action_reuses_the_homology_echelon(label):
             assert hh.sigma_action_on_homology(F, p, coeffs) == cold
             assert cold.rows == rep.dim
             # the report owns its lists: mutating them changes no later call
-            kept = [list(v) for v in rep.representatives]
+            kept = [dict(v) for v in rep.representatives]
             for v in rep.representatives:
-                v[:] = [A.field.zero()] * len(v)
+                v.clear()
             rep.representatives.clear()
             again = hh.homology_dimension(A, p, coeffs, F.sigma)
             assert again.representatives == kept
@@ -365,7 +366,8 @@ def test_twisted_h0_representatives():
     A = item.algebra
     F = make_frobenius(A, item.gram)
     rep = hh.homology_dimension(A, 0, hh.TWISTED, F.sigma)
-    got = [Element(A, v, _raw=True) for v in rep.representatives]
+    got = [Element(A, dense_vector(A.field, v, A.dim), _raw=True)
+           for v in rep.representatives]
     assert got == [A.unit_element(), A.basis_element(3)]
 
 

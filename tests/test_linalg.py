@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.linalg import (Matrix, SparseEchelon, invert, kernel_basis, rref,
-                             solve_linear)
+from frobcalc.linalg import (Matrix, SparseEchelon, invert, kernel_basis,
+                             linear_combination, rref, solve_linear)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -163,5 +163,31 @@ def test_rank_only_insert_matches_tracked(label):
         assert plain.pivots.keys() == tracked.pivots.keys()
         for r, (col, tail) in plain.pivots.items():
             assert col == tracked.pivots[r][0] and tail == {}
+
+    props()
+
+
+@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
+def test_linear_combination_matches_fold(label):
+    # Σ cᵢ·Mᵢ over nonzeros equals the dense fold acc + Mᵢ.scale(cᵢ), with
+    # zero coefficients, zero matrices, cancelling terms and no terms at all
+    field = FIELDS[label]
+    matrix = st.lists(st.lists(ENTRY[label], min_size=3, max_size=3),
+                      min_size=2, max_size=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(ENTRY[label], matrix), max_size=5), st.booleans())
+    def props(raw_terms, cancel):
+        terms = [(field.coerce(c), Matrix(field, rows)) for c, rows in raw_terms]
+        if cancel and terms:
+            c, m = terms[0]
+            terms.append((field.neg(c), m))
+        fold = Matrix.zero(field, 2, 3)
+        for c, m in terms:
+            fold = fold + m.scale(c)
+        assert Matrix.combination(field, 2, 3, terms) == fold
+        flat = linear_combination(
+            field, [(c, [v for row in m.data for v in row]) for c, m in terms], 6)
+        assert flat == [v for row in fold.data for v in row]
 
     props()

@@ -93,8 +93,9 @@ def test_field_flag_parsing():
     assert parse_field_flag("F7").p == 7
     ext = parse_field_flag("F2[a]/1,1,1")
     assert ext.kind == "ExtensionField" and ext.degree == 2
-    with pytest.raises(MalformedInput):
-        parse_field_flag("R")
+    for bad in ("R", "F", "Fx", "F3[a]/x", "F3[a]/"):
+        with pytest.raises(MalformedInput):
+            parse_field_flag(bad)
 
 
 def test_cli_nakayama_symmetric(tmp_path):
@@ -266,6 +267,12 @@ def test_cli_field_flag():
     assert rep["data"]["dim"] == 3
     code, rep = run_json(["gallery", "exterior", "--n", "2", "--field", "F5"])
     assert code == 0
+    # a malformed field is one input/schema check in a JSON report, exit 1
+    code, rep = run_json(["gallery", "exterior", "--field", "F3[a]/x"])
+    assert code == 1
+    assert rep["checks"] == [{"id": "input/schema", "lemma": "plumbing",
+                              "status": "fail",
+                              "witness": {"error": "cannot parse field 'F3[a]/x'"}}]
 
 
 def test_cli_inconclusive_exit_code(tmp_path):
