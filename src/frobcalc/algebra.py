@@ -301,12 +301,6 @@ class LinearMap:
                 raise MalformedInput(f"unknown role {role!r}")
 
     @staticmethod
-    def from_images(algebra, images, role=ROLE_GENERAL, *, check=True):
-        cols = [img.raw if isinstance(img, Element) else img for img in images]
-        return LinearMap(algebra, Matrix.from_columns(algebra.field, cols),
-                         role, check=check)
-
-    @staticmethod
     def identity(algebra):
         return LinearMap(algebra, Matrix.identity(algebra.field, algebra.dim),
                          ROLE_ENDOMORPHISM, check=False)

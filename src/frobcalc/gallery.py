@@ -441,8 +441,14 @@ class TrivialExtensionGallery:
         dual coordinate m,
             Σ_s c^{ij}_s D[m][s]
               = Σ_k coeff_k(e_m e_i) D[k][j] + Σ_k coeff_k(e_j e_m) D[k][i].
+
+        The system depends on B alone; it is solved once per B and the
+        tuple is kept in B's cache.
         """
         from .linalg import kernel_basis
+        cached = self.B._cache.get("derivations-to-dual")
+        if cached is not None:
+            return cached
         f = self.field
         n = self.B.dim
         rows = []
@@ -472,8 +478,10 @@ class TrivialExtensionGallery:
                     for s in range(n * n)]
         else:
             vecs = kernel_basis(Matrix(f, rows, _raw=True))
-        return [Matrix(f, [[v[k * n + i] for i in range(n)] for k in range(n)],
-                       _raw=True) for v in vecs]
+        out = tuple(Matrix(f, [[v[k * n + i] for i in range(n)] for k in range(n)],
+                           _raw=True) for v in vecs)
+        self.B._cache["derivations-to-dual"] = out
+        return out
 
 
 def trivial_extension(B: Algebra, tau: LinearMap | None = None, label=None):

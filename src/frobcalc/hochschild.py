@@ -212,23 +212,21 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
 # ---------------------------------------------------------------------------
 # sparse elimination
 
-def _echelonize(field, cols, *, want_kernel=False, want_solve=False):
+def _echelonize(field, cols, *, tails=False):
     """Echelonize columns in order.
 
-    Tails, the combination of original columns each pivot stands for, are
-    tracked only when a caller reads them: for the kernel vectors of the
-    columns that reduce to zero (``want_kernel``, which collects them) or
-    for a later ``solve`` (``want_solve``).  Otherwise every column is
-    inserted with ``tail=None`` and the echelon answers rank questions and
-    takes further insertions only.
+    With ``tails`` each pivot carries the combination of original columns
+    it stands for, so the echelon can ``solve``, and the tails of the
+    columns that reduce to zero are collected as the kernel.  Without,
+    every column is inserted with ``tail=None``, the kernel is empty and
+    the echelon answers rank questions and takes further insertions only.
     """
     ech = SparseEchelon(field)
     kernel = []
     one = field.one()
-    track = want_kernel or want_solve
     for j, col in enumerate(cols):
-        out = ech.insert(col, {j: one} if track else None)
-        if out is not None and want_kernel:
+        out = ech.insert(col, {j: one} if tails else None)
+        if out is not None and tails:
             kernel.append(out)
     return ech, kernel
 
@@ -335,7 +333,7 @@ def cocycle_basis(A: Algebra, p, budget=DEFAULT_BUDGET):
     _check_budget(A, p, budget)
     f = A.field
     _, cols = _coboundary_columns(A, p)
-    _, kernel = _echelonize(f, cols, want_kernel=True)
+    _, kernel = _echelonize(f, cols, tails=True)
     return [Cochain(A, p, k) for k in kernel]
 
 
@@ -344,7 +342,7 @@ def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
     _check_budget(A, p, budget)
     f = A.field
     _, cols = _coboundary_columns(A, p)
-    _, kernel = _echelonize(f, cols, want_kernel=True)
+    _, kernel = _echelonize(f, cols, tails=True)
     bech = SparseEchelon(f)
     if p > 0:
         _check_budget(A, p - 1, budget)
@@ -373,7 +371,7 @@ def _homology(A: Algebra, p, twist):
         kernel = [{i: f.one()} for i in range(A.dim)]
     else:
         _, cols = _boundary_columns(A, p, twist)
-        _, kernel = _echelonize(f, cols, want_kernel=True)
+        _, kernel = _echelonize(f, cols, tails=True)
     _, bcols = _boundary_columns(A, p + 1, twist)
     ech, _ = _echelonize(f, bcols)
     dim_bound = ech.rank
@@ -386,8 +384,9 @@ def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
                        sigma: LinearMap | None = None,
                        budget=DEFAULT_BUDGET) -> HomologyReport:
     """dim H_p(A, M) with chain representatives as sparse dicts
-    {flat index m·n^p + J: raw value}, fresh on every call."""
-    _check_budget(A, max(p - 1, 0), budget)
+    {flat index m·n^p + J: raw value}, fresh on every call.  The budget is
+    charged for b_{p+1}'s n^{p+2} columns, as ``hh_dimension`` charges d^p."""
+    _check_budget(A, p, budget)
     twist = _resolve_twist(A, coeffs, sigma)
     cycles, bound, reps, _ = _homology(A, p, twist)
     return HomologyReport(p, cycles, bound, len(reps), [dict(kv) for kv in reps])
@@ -449,7 +448,7 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     if ech is None:
         _check_budget(A, p - 1, budget)
         _, cols = _coboundary_columns(A, p - 1)
-        ech = _echelonize(A.field, cols, want_solve=True)[0]
+        ech = _echelonize(A.field, cols, tails=True)[0]
         F._cache[key] = ech
     sol = ech.solve(rhs.data)
     if sol is None:
@@ -483,7 +482,7 @@ def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
     coordinates in Z/B."""
     A = F.algebra
     fld = A.field
-    _check_budget(A, max(p - 1, 0), budget)
+    _check_budget(A, p, budget)
     twist = _resolve_twist(A, coeffs, F.sigma)
     _, _, reps, ech = _homology(A, p, twist)
     tmap = _chain_map_columns(F, p)
@@ -551,7 +550,8 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
 
     On success also returns an automorphism of the trivial extension of B
     whose Jacobian is t + tau (t defaults to 1), built from a derivation
-    δ: B → DB with δ(x)(1) = tau(x).
+    δ: B → DB with δ(x)(1) = tau(x).  The trivial extension and its
+    Frobenius structure are built once per B and kept in B's cache.
     """
     from .algebra import commutator_subspace
     from .calculus import jacobian
@@ -590,7 +590,10 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
         fld.is_zero(sum_product(fld, tau, v)) for v in kvecs)
 
     # dual route: solve for a derivation δ: B → DB with δ(x)(1) = tau(x)
-    ext = trivial_extension(B)
+    if "trivial-extension" not in B._cache:
+        ext = trivial_extension(B)
+        B._cache["trivial-extension"] = (ext, make_frobenius(ext.algebra, ext.gram))
+    ext, Fext = B._cache["trivial-extension"]
     der_basis = ext.derivation_space_to_dual()
     if der_basis:
         # column b is δ_b(·)(1) = Σ_k 1_k·(row k of δ_b)
@@ -610,7 +613,6 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
         t = B.unit_element()
     u = ext.from_blocks(Matrix.identity(fld, n), None, delta,
                         left_mult_matrix(t).transpose())
-    Fext = make_frobenius(ext.algebra, ext.gram)
     jac = jacobian(Fext, u)
     expected = ext.embed(t) + ext.embed_dual(tau)
     if jac != expected:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import hochschild as hh
 from .algebra import (Element, LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
@@ -125,11 +126,12 @@ class Suite:
 # ---------------------------------------------------------------------------
 # gallery registry
 
+@cache
 def gallery_items():
-    """The standard verification gallery (name, carrier) pairs."""
+    """The standard verification gallery (name, carrier) pairs, built once
+    per process: every suite shares these carriers and what they cache."""
     Q = Field.rationals()
-    B_t = dual_numbers(Q)
-    items = [
+    return (
         ("exterior1", exterior(1, Q)),
         ("exterior2", exterior(2, Q)),
         ("exterior3", exterior(3, Q)),
@@ -138,19 +140,29 @@ def gallery_items():
         ("qci3", qci(3, Q)),
         ("qci1/2", qci(Fraction(1, 2), Q)),
         ("trivQ", trivial_extension(ground_field_algebra(Q))),
-        ("trivDual", trivial_extension(B_t)),
+        ("trivDual", trivial_extension(dual_numbers(Q))),
         ("trivM2", trivial_extension(matrix_algebra(2, Q).algebra)),
         ("cyclic3", cyclic(3)),
         ("cyclic5", cyclic(5)),
         ("matrix2", matrix_algebra(2, Q)),
         ("matrix3", matrix_algebra(3, Q)),
         ("groupS3", s3_group_algebra(Q)),
-    ]
-    return items
+    )
+
+
+def carrier(name):
+    """The gallery carrier called ``name``."""
+    return dict(gallery_items())[name]
 
 
 def frobenius_of(item):
-    return make_frobenius(item.algebra, item.gram)
+    """The validated Frobenius structure of a carrier's form, built once and
+    kept in its algebra's cache."""
+    key = ("frobenius", item.gram)
+    F = item.algebra._cache.get(key)
+    if F is None:
+        F = item.algebra._cache[key] = make_frobenius(item.algebra, item.gram)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +279,8 @@ def suite_osima(items=None):
 def suite_qci_closed_forms(count=20, rng=None):
     s = Suite()
     rng = rng or SplitMix64(42)
-    for qlabel, q in (("2", 2), ("3", 3), ("1/2", Fraction(1, 2))):
-        item = qci(q)
+    for qlabel in ("2", "3", "1/2"):
+        item = carrier(f"qci{qlabel}")
         F = frobenius_of(item)
         f = item.field
         for k in range(count):
@@ -287,7 +299,7 @@ def suite_grassmann(rng=None, per_n=10):
     s = Suite()
     rng = rng or SplitMix64(42)
     for n in (2, 3, 4):
-        item = exterior(n)
+        item = carrier(f"exterior{n}")
         F = frobenius_of(item)
         A = item.algebra
         for k in range(per_n):
@@ -314,7 +326,7 @@ def suite_grassmann(rng=None, per_n=10):
             s.eq(f"grassmann-iota/n={n}/{k}", "jac:inner",
                  jacobian_cocycle(F, item.iota(a)), expected)
     # the gamma table, exhaustively for n = 4
-    item = exterior(4)
+    item = carrier("exterior4")
     F = frobenius_of(item)
     for lam in (1, -2):
         for i in range(4):
@@ -340,17 +352,12 @@ def _random_3subset(rng, n):
     return tuple(sorted(out))
 
 
-def _cocycle_law_items():
-    return [("qci2", qci(2)), ("exterior2", exterior(2)),
-            ("exterior3", exterior(3)), ("exterior4", exterior(4)),
-            ("trivDual", trivial_extension(dual_numbers(Field.rationals()))),
-            ("cyclic3", cyclic(3)), ("matrix2", matrix_algebra(2))]
-
-
 def suite_cocycle_laws(pairs=50, rng=None):
     s = Suite()
     rng = rng or SplitMix64(42)
-    items = _cocycle_law_items()
+    items = [(name, carrier(name)) for name in
+             ("qci2", "exterior2", "exterior3", "exterior4", "trivDual",
+              "cyclic3", "matrix2")]
     for k in range(pairs):
         name, item = items[k % len(items)]
         F = frobenius_of(item)
@@ -375,7 +382,8 @@ def suite_jacobian_identities(rng=None):
     """Power/shift identities, commutation, orbit readings, form change."""
     s = Suite()
     rng = rng or SplitMix64(42)
-    for name, item in (("qci2", qci(2)), ("exterior2", exterior(2))):
+    for name in ("qci2", "exterior2"):
+        item = carrier(name)
         F = frobenius_of(item)
         A = item.algebra
         one = A.unit_element()
@@ -408,7 +416,7 @@ def suite_jacobian_identities(rng=None):
                         "pass" if readings["fixed_point"] else "fail",
                         readings)
     # form change on the quantum intersection: gram'(a,b) = <a, b·t>
-    item = qci(2)
+    item = carrier("qci2")
     F = frobenius_of(item)
     A = item.algebra
     t = A.unit_element() + item.x
@@ -461,8 +469,7 @@ def suite_main_theorem(items=None, budget=1 << 22):
 
 def suite_homology(budget=1 << 22):
     s = Suite()
-    item = qci(2)
-    F = frobenius_of(item)
+    F = frobenius_of(carrier("qci2"))
     act_plain = hh.sigma_action_on_homology(F, 0, hh.UNTWISTED, budget)
     s.record("homology/untwisted-nontrivial", "ex:four",
              not act_plain.is_identity())
@@ -470,15 +477,14 @@ def suite_homology(budget=1 << 22):
     s.record("homology/twisted-trivial-p0", "twisted", act_tw.is_identity())
     act_tw1 = hh.sigma_action_on_homology(F, 1, hh.TWISTED, budget)
     s.record("homology/twisted-trivial-p1", "twisted", act_tw1.is_identity())
-    for name, item in (("qci2", item), ("exterior2", exterior(2))):
-        F = frobenius_of(item)
+    for name in ("qci2", "exterior2"):
+        F = frobenius_of(carrier(name))
         table = hh.duality_dims(F, 2, budget)
         s.record(f"duality/{name}", "partial",
                  all(row["match"] for row in table),
                  {"table": table})
     # symmetric sanity case: plain vs twisted coincide when sigma is trivial
-    c3 = cyclic(3)
-    F3 = frobenius_of(c3)
+    F3 = frobenius_of(carrier("cyclic3"))
     table = hh.duality_dims(F3, 2, budget)
     s.record("duality/cyclic3", "partial", all(row["match"] for row in table),
              {"table": table})
@@ -488,11 +494,11 @@ def suite_homology(budget=1 << 22):
 def suite_cyclic(rng=None, count5=30):
     s = Suite()
     rng = rng or SplitMix64(42)
-    item3 = cyclic(3)
+    item3 = carrier("cyclic3")
     F3 = frobenius_of(item3)
     for idx, coeffs in enumerate(item3.all_valid_f()):
         _cyclic_check(s, item3, F3, coeffs, f"cyclic-juf/p=3/{idx}")
-    item5 = cyclic(5)
+    item5 = carrier("cyclic5")
     F5 = frobenius_of(item5)
     f = item5.field
     for k in range(count5):
@@ -519,11 +525,9 @@ def _cyclic_check(s, item, F, coeffs, cid):
 def suite_trivial_extension(rng=None, count=20):
     s = Suite()
     rng = rng or SplitMix64(42)
-    Q = Field.rationals()
-    cases = [("dual-numbers", dual_numbers(Q)),
-             ("matrix2", matrix_algebra(2, Q).algebra)]
-    for label, B in cases:
-        item = trivial_extension(B)
+    for label, name in (("dual-numbers", "trivDual"), ("matrix2", "trivM2")):
+        item = carrier(name)
+        B = item.B
         F = frobenius_of(item)
         sample = automorphism_sampler("triv", item)
         for k in range(count):
@@ -539,7 +543,8 @@ def suite_trivial_extension(rng=None, count=20):
             s.record(f"triv-connes/{label}/{k}", "connes-image",
                      result.in_image, {"tau": [B.field.format(v) for v in tau]})
     # the counterexample: tau(1) = 1 on Q[t]/(t^2) is not in the image
-    B = dual_numbers(Q)
+    item = carrier("trivDual")
+    B = item.B
     bad = hh.connes_image_test(B, [1, 0])
     s.record("triv-connes/reject-unit-functional", "connes-image",
              not bad.in_image)
@@ -548,8 +553,7 @@ def suite_trivial_extension(rng=None, count=20):
              good.in_image and good.automorphism is not None)
     zero = hh.connes_image_test(B, [0, 0])
     s.record("triv-connes/zero-functional", "connes-image",
-             zero.in_image and zero.jacobian == trivial_extension(B).embed(
-                 B.unit_element()))
+             zero.in_image and zero.jacobian == item.embed(B.unit_element()))
     return s.checks
 
 
@@ -566,29 +570,28 @@ def suite_divergence(rng=None, pairs=30, items=None):
             d = random_derivation(A, rng)
             e = random_derivation(A, rng)
             x = Element(A, [f.random(rng, 2) for _ in range(A.dim)])
-            s.eq(f"div-inner/{name}/{k}", "div:inner",
-                 divergence(F, ad(x)), F.sigma(x) - x)
+            # each divergence is evaluated (and re-verified) once per sample
+            dv_d, dv_e, dv_x = (divergence(F, d), divergence(F, e),
+                                divergence(F, ad(x)))
+            s.eq(f"div-inner/{name}/{k}", "div:inner", dv_x, F.sigma(x) - x)
             if k == 0:
                 # adjoint identity δ*(a) = a·div − δ(a); the adjoint's own
                 # twisted Leibniz laws are re-verified inside delta_star
                 star = delta_star(F, d)
-                dv = divergence(F, d)
                 s.record(f"div-adjoint/{name}", "div:ids",
-                         star.matrix == right_mult_matrix(dv) - d.matrix)
+                         star.matrix == right_mult_matrix(dv_d) - d.matrix)
             z = A.combination((f.random(rng, 2), zb) for zb in zs)
             zd = LinearMap(A, left_mult_matrix(z) * d.matrix,
                            ROLE_DERIVATION, check=False)
             s.eq(f"div-connection/{name}/{k}", "div:connection",
-                 divergence(F, zd), z * divergence(F, d) - d(z))
+                 divergence(F, zd), z * dv_d - d(z))
             bracket = LinearMap(A, d.matrix * e.matrix - e.matrix * d.matrix,
                                 ROLE_DERIVATION, check=False)
-            dv_d, dv_e = divergence(F, d), divergence(F, e)
+            dv_bracket = divergence(F, bracket)
             expected = d(dv_e) - e(dv_d) + (dv_d * dv_e - dv_e * dv_d)
-            s.eq(f"div-bracket/{name}/{k}", "div:cocycle",
-                 divergence(F, bracket), expected)
+            s.eq(f"div-bracket/{name}/{k}", "div:cocycle", dv_bracket, expected)
             s.eq(f"div-mc/{name}/{k}", "div:MC",
-                 d(dv_e) - e(dv_d) - divergence(F, bracket),
-                 dv_e * dv_d - dv_d * dv_e)
+                 d(dv_e) - e(dv_d) - dv_bracket, dv_e * dv_d - dv_d * dv_e)
             twisted = sigma_twist(F, d)
             s.record(f"div-twist/{name}/{k}", "div:comm",
                      (twisted.matrix - d.matrix) == ad(dv_d).matrix,
@@ -596,17 +599,15 @@ def suite_divergence(rng=None, pairs=30, items=None):
             if symmetric:
                 s.record(f"div-central/{name}/{k}", "DIV",
                          left_mult_matrix(dv_d) == right_mult_matrix(dv_d))
-                s.record(f"div-inner-vanish/{name}/{k}", "DIV",
-                         divergence(F, ad(x)).is_zero())
+                s.record(f"div-inner-vanish/{name}/{k}", "DIV", dv_x.is_zero())
     return s.checks
 
 
 def suite_div_nontrivial():
     """Certified infeasibility: no central z has div(δ) = δ(z) for all δ."""
     s = Suite()
-    Q = Field.rationals()
-    for name, item in (("exterior3", exterior(3)),
-                       ("trivDual", trivial_extension(dual_numbers(Q)))):
+    for name in ("exterior3", "trivDual"):
+        item = carrier(name)
         A = item.algebra
         F = frobenius_of(item)
         zs = center_basis(A)
@@ -626,7 +627,7 @@ def suite_div_nontrivial():
 def suite_liouville(rng=None):
     s = Suite()
     rng = rng or SplitMix64(42)
-    item = qci(2)
+    item = carrier("qci2")
     F = frobenius_of(item)
     A = item.algebra
     sinv = F.sigma_inv()
@@ -707,16 +708,13 @@ def suite_crossed(rng=None):
     rng = rng or SplitMix64(42)
     Q = Field.rationals()
     G = cyclic_group(2)
-    cases = []
-    e1 = exterior(1)
-    cases.append(("exterior1", e1, e1.phi(Matrix(Q, [[-1]]))))
-    e2 = exterior(2)
-    cases.append(("exterior2", e2, e2.phi(Matrix(Q, [[-1, 0], [0, -1]]))))
-    g2 = qci(2)
-    cases.append(("qci2", g2, g2.alpha(-1, -1, 0, 0)))
-    cases.append(("qci2-c", g2, g2.alpha(1, -1, 2, 0)))
-    c3 = cyclic(3)
-    cases.append(("cyclic3", c3, c3.u_f([0, -1, 1])))
+    e1, e2 = carrier("exterior1"), carrier("exterior2")
+    g2, c3 = carrier("qci2"), carrier("cyclic3")
+    cases = [("exterior1", e1, e1.phi(Matrix(Q, [[-1]]))),
+             ("exterior2", e2, e2.phi(Matrix(Q, [[-1, 0], [0, -1]]))),
+             ("qci2", g2, g2.alpha(-1, -1, 0, 0)),
+             ("qci2-c", g2, g2.alpha(1, -1, 2, 0)),
+             ("cyclic3", c3, c3.u_f([0, -1, 1]))]
     for name, item, invol in cases:
         A = item.algebra
         f = A.field
@@ -746,8 +744,7 @@ def suite_reductions(rng=None):
     rng = rng or SplitMix64(42)
     Q = Field.rationals()
     # direct products: Jacobians add blockwise
-    g2 = qci(2)
-    m2 = matrix_algebra(2, Q)
+    g2, m2 = carrier("qci2"), carrier("matrix2")
     P = direct_product(g2.algebra, m2.algebra)
     n1 = g2.algebra.dim
     gram = Matrix.zero(Q, P.dim, P.dim)
@@ -817,9 +814,8 @@ def suite_reductions(rng=None):
 def suite_strongly_separable(rng=None, count=20):
     s = Suite()
     rng = rng or SplitMix64(42)
-    for name, item in (("matrix2", matrix_algebra(2)),
-                       ("matrix3", matrix_algebra(3)),
-                       ("groupS3", s3_group_algebra())):
+    for name in ("matrix2", "matrix3", "groupS3"):
+        item = carrier(name)
         F = frobenius_of(item)
         one = item.algebra.unit_element()
         for k in range(count):
@@ -835,16 +831,15 @@ def suite_symmetry_and_coboundaries(rng=None):
     rng = rng or SplitMix64(42)
     expectations = [("trivDual", True), ("exterior2", False),
                     ("exterior3", True), ("qci2", False)]
-    items = dict(gallery_items())
     for name, expect in expectations:
-        F = frobenius_of(items[name])
+        F = frobenius_of(carrier(name))
         verdict = is_symmetric_algebra(F, rng)
         s.record(f"symmetric/{name}", "class:jac",
                  (verdict.verdict == "yes") == expect
                  and verdict.verdict in ("yes", "no"),
                  {"verdict": verdict.verdict, "expected": expect})
     # two Nakayama maps from two valid forms differ by an inner map
-    item = qci(2)
+    item = carrier("qci2")
     F = frobenius_of(item)
     A = item.algebra
     t = A.unit_element() + item.x
@@ -853,7 +848,7 @@ def suite_symmetry_and_coboundaries(rng=None):
     verdict = is_inner(F, diff, rng)
     s.record("form-change/outer-class", "change", verdict.verdict == "yes")
     # Grassmann: the grading-preserving cocycle is not a coboundary
-    ext = exterior(2)
+    ext = carrier("exterior2")
     Fx = frobenius_of(ext)
     gens, vals = [], []
     for mat in ([[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]):
@@ -865,7 +860,7 @@ def suite_symmetry_and_coboundaries(rng=None):
     s.record("coboundary/grassmann-graded", "class:jac",
              status.verdict == "no", {"verdict": status.verdict})
     # trivial extension: u_z cocycle obstructed by central units
-    te = trivial_extension(dual_numbers(Field.rationals()))
+    te = carrier("trivDual")
     Ft = frobenius_of(te)
     z = te.B.unit_element().scale(2)
     u_z = te.u_z(z)
@@ -877,12 +872,10 @@ def suite_symmetry_and_coboundaries(rng=None):
     s.eq("coboundary/trivial-uz-value", "ta:class:1",
          val, te.embed(inverse_of(z)))
     # on a non-symmetric algebra the inner cocycle is not a coboundary
-    item = qci(2)
-    Fq = frobenius_of(item)
     iota = inner_automorphism(item.algebra.unit_element() + item.x)
     unit_obstruction = [item.field.one()] + [item.field.zero()] * 3
     status = coboundary_status(item.algebra, [iota],
-                               [jacobian_cocycle(Fq, iota)],
+                               [jacobian_cocycle(F, iota)],
                                unit_obstruction, rng)
     s.record("coboundary/inner-nonsymmetric", "class:jac",
              status.verdict == "no", {"verdict": status.verdict})

@@ -72,6 +72,22 @@ def test_budget_guard():
         hh.coboundary_matrix(A, 2, budget=16)
     with pytest.raises(BudgetExceeded):
         hh.hh_dimension(A, 3, budget=256)
+    # homology at degree p builds b_{p+1} on n^{p+2} columns and is charged
+    # like hh_dimension at p, so both sides of a duality row stop together
+    e2 = exterior(2)
+    F = make_frobenius(e2.algebra, e2.gram)
+    for call in (lambda: hh.hh_dimension(e2.algebra, 1, budget=16),
+                 lambda: hh.homology_dimension(e2.algebra, 1, hh.TWISTED,
+                                               F.sigma, budget=16),
+                 lambda: hh.sigma_action_on_homology(F, 1, hh.TWISTED,
+                                                     budget=16)):
+        with pytest.raises(BudgetExceeded):
+            call()
+    # degree 0 needs n² = 16 coordinates and fits
+    assert hh.homology_dimension(e2.algebra, 0, hh.TWISTED, F.sigma,
+                                 budget=16).dim == hh.hh_dimension(
+                                     e2.algebra, 0, budget=16).dim
+    assert hh.sigma_action_on_homology(F, 0, hh.TWISTED, budget=16).is_identity()
 
 
 def test_cochain_action():

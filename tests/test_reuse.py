@@ -1,0 +1,77 @@
+"""Structures shared across the verification suites: built once, reused
+without changing a single report."""
+
+from types import SimpleNamespace
+
+from frobcalc import gallery, hochschild as hh, verify
+from frobcalc.algebra import right_mult_matrix
+from frobcalc.gallery import dual_numbers, exterior, qci, trivial_extension
+from frobcalc.rng import SplitMix64
+
+
+def test_gallery_items_are_built_once():
+    first, second = verify.gallery_items(), verify.gallery_items()
+    assert isinstance(first, tuple) and len(first) == 15
+    assert [name for name, _ in first] == [name for name, _ in second]
+    assert all(a is b for (_, a), (_, b) in zip(first, second))
+    for name, item in first:
+        assert verify.carrier(name) is item
+
+
+def test_frobenius_of_is_built_once_per_form():
+    for _, item in verify.gallery_items():
+        assert verify.frobenius_of(item) is verify.frobenius_of(item)
+    # another form on the same algebra gets a structure of its own
+    item = verify.carrier("qci2")
+    F = verify.frobenius_of(item)
+    t = item.algebra.unit_element() + item.x
+    other = SimpleNamespace(algebra=item.algebra,
+                            gram=F.gram * right_mult_matrix(t))
+    F2 = verify.frobenius_of(other)
+    assert F2 is not F and F2.gram == other.gram
+    assert F2.sigma != F.sigma
+    assert verify.frobenius_of(other) is F2
+    assert verify.frobenius_of(item) is F
+
+
+def test_connes_image_test_builds_the_trivial_extension_once(monkeypatch):
+    built = []
+
+    def counting(B, *args, **kwargs):
+        built.append(B)
+        return trivial_extension(B, *args, **kwargs)
+
+    monkeypatch.setattr(gallery, "trivial_extension", counting)
+    B = dual_numbers()
+    for tau in ([0, 1], [1, 0], [0, 3]):
+        first = hh.connes_image_test(B, tau)
+        second = hh.connes_image_test(B, tau)
+        assert first == second
+    assert first.in_image and first.automorphism is not None
+    assert len(built) == 1
+
+
+def test_derivation_space_is_solved_once_per_base():
+    B = dual_numbers()
+    first = trivial_extension(B).derivation_space_to_dual()
+    assert trivial_extension(B).derivation_space_to_dual() is first
+    fresh = trivial_extension(dual_numbers()).derivation_space_to_dual()
+    assert fresh is not first and fresh == first
+
+
+def test_warm_structures_give_the_cold_reports():
+    verify.gallery_items.cache_clear()
+    cold = [c.as_doc() for c in
+            verify.suite_trivial_extension(rng=SplitMix64(5), count=3)]
+    warm = [c.as_doc() for c in
+            verify.suite_trivial_extension(rng=SplitMix64(5), count=3)]
+    assert cold == warm
+    # freshly built carriers against the shared, already warm ones
+    fresh = [("qci2", qci(2)), ("exterior3", exterior(3)),
+             ("trivDual", trivial_extension(dual_numbers()))]
+    shared = [(name, verify.carrier(name)) for name, _ in fresh]
+    runs = [[c.as_doc() for c in
+             verify.suite_divergence(rng=SplitMix64(6), pairs=2, items=items)]
+            for items in (fresh, shared, shared)]
+    assert runs[0] == runs[1] == runs[2]
+    assert all(c["status"] == "pass" for c in runs[0])
