@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import MalformedInput, RoleViolation
 from .fields import Scalar
 from .linalg import (Matrix, add_entry, column_space_basis, invert, kernel_basis,
-                     linear_combination, mismatches, solve_linear)
+                     linear_combination, mismatches, solve_linear, sum_product)
 
 ROLE_GENERAL = "general"
 ROLE_ENDOMORPHISM = "endomorphism"
@@ -188,9 +188,6 @@ class Element:
     @property
     def raw(self):
         return self._coeffs
-
-    def coeff(self, i):
-        return Scalar(self.algebra.field, self._coeffs[i])
 
     def _check_mate(self, other):
         if not isinstance(other, Element) or other.algebra != self.algebra:
@@ -411,12 +408,9 @@ def inverse_of(a: Element):
 
 def center_basis(A: Algebra):
     """Canonical basis of {z : z e_i = e_i z for all i} (commutator kernel)."""
-    rows = []
-    for i in range(A.dim):
-        e = A.basis_element(i)
-        diff = left_mult_matrix(e) - right_mult_matrix(e)
-        rows.extend(diff.data)
-    ker = kernel_basis(Matrix(A.field, rows, _raw=True))
+    ker = kernel_basis(Matrix.block(
+        A.field, [[left_mult_matrix(e) - right_mult_matrix(e)]
+                  for e in A.basis_elements()]))
     return [Element(A, v, _raw=True) for v in ker]
 
 
@@ -540,19 +534,10 @@ def product_embed(P: Algebra, A: Algebra, el: Element, offset: int) -> Element:
 
 def block_map(P: Algebra, u1: LinearMap, u2: LinearMap, role=ROLE_GENERAL) -> LinearMap:
     """Blockwise map u1 × u2 on a direct product algebra."""
-    n1, n2 = u1.algebra.dim, u2.algebra.dim
-    if P.dim != n1 + n2:
+    if P.dim != u1.algebra.dim + u2.algebra.dim:
         raise MalformedInput("block sizes do not add up to the product dimension")
-    f = P.field
-    data = [[f.zero()] * P.dim for _ in range(P.dim)]
-    for i in range(n1):
-        for j in range(n1):
-            data[i][j] = u1.matrix.data[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            data[n1 + i][n1 + j] = u2.matrix.data[i][j]
-    return LinearMap(P, Matrix(f, data, _raw=True), role,
-                     check=(role != ROLE_GENERAL))
+    return LinearMap(P, Matrix.block(P.field, [[u1.matrix, None], [None, u2.matrix]]),
+                     role, check=(role != ROLE_GENERAL))
 
 
 def extend_scalars(A: Algebra, ext) -> Algebra:
@@ -573,8 +558,7 @@ def extend_element(AK: Algebra, el: Element) -> Element:
 
 
 def extend_map(AK: Algebra, u: LinearMap) -> LinearMap:
-    data = [[AK.field.from_int(v) for v in row] for row in u.matrix.data]
-    return LinearMap(AK, Matrix(AK.field, data, _raw=True), u.role, check=False)
+    return LinearMap(AK, extend_gram(AK, u.matrix), u.role, check=False)
 
 
 def extend_gram(AK: Algebra, gram: Matrix) -> Matrix:
@@ -582,15 +566,31 @@ def extend_gram(AK: Algebra, gram: Matrix) -> Matrix:
     return Matrix(AK.field, data, _raw=True)
 
 
-def _restrict_index(i, s, k):
-    return i * k + s
+def _powers(K, count):
+    """a⁰, a¹, …, a^{count−1} for the generator a of an extension field."""
+    gen = K.coerce([0, 1])
+    out = [K.one()]
+    for _ in range(count - 1):
+        out.append(K.mul(out[-1], gen))
+    return out
+
+
+def _mult_block(Fp, K, c) -> Matrix:
+    """M_c over F_p: the matrix of x ↦ c·x on 1, a, …, a^{k−1}; column t is c·a^t."""
+    return Matrix.from_columns(Fp, [K.mul(c, x) for x in _powers(K, K.degree)])
+
+
+def _restrict_matrix(Fp, K, m: Matrix) -> Matrix:
+    """The F_p-matrix of an F_{p^k}-matrix: each entry c becomes the block M_c."""
+    return Matrix.block(Fp, [[_mult_block(Fp, K, c) for c in row] for row in m.data])
 
 
 def restrict_scalars(A: Algebra, base_field) -> Algebra:
     """View an F_{p^k}-algebra as an algebra over F_p.
 
     Basis element (i, s) stands for e_i·a^s with a the extension generator;
-    the index order is algebra-major.
+    the index order is algebra-major, so e_i·a^s is basis element i·k + s
+    and its products are the columns of the restricted L_{a^s·e_i}.
     """
     from .fields import EXTENSION, PRIME
     K = A.field
@@ -600,58 +600,22 @@ def restrict_scalars(A: Algebra, base_field) -> Algebra:
         raise MalformedInput("base field must be F_p for the same p")
     k = K.degree
     names = [f"{nm}.a{s}" if s else nm for nm in A.basis_names for s in range(k)]
-    gen = tuple([0, 1] + [0] * (k - 2))
-    powers = [K.one()]
-    for _ in range(2 * k - 2):
-        powers.append(K.mul(powers[-1], gen))
-    triples = []
-    for (i, j), terms in A.structure.items():
-        for s in range(k):
-            for t in range(k):
-                # (e_i a^s)(e_j a^t) = sum_m (c_m a^{s+t}) e_m
-                for (m, c) in terms:
-                    val = K.mul(c, powers[s + t])
-                    for r, comp in enumerate(val):
-                        if comp:
-                            triples.append((_restrict_index(i, s, k),
-                                            _restrict_index(j, t, k),
-                                            _restrict_index(m, r, k), comp))
-    unit = [0] * (A.dim * k)
-    for i, c in enumerate(A.unit):
-        for r, comp in enumerate(c):
-            unit[_restrict_index(i, r, k)] = comp
+    lefts = [_restrict_matrix(base_field, K, left_mult_matrix(e.scale(x)))
+             for e in A.basis_elements() for x in _powers(K, k)]
+    # entry (r, c) of L_b is the coefficient of e_r in e_b·e_c
+    triples = [(b, c, r, v) for b, lb in enumerate(lefts)
+               for r, row in enumerate(lb.data) for c, v in enumerate(row) if v]
+    unit = [comp for c in A.unit for comp in c]
     return Algebra(base_field, A.dim * k, names, triples, unit)
 
 
 def restrict_element(Ap: Algebra, A: Algebra, el: Element) -> Element:
-    k = A.field.degree
-    v = [0] * Ap.dim
-    for i, c in enumerate(el.raw):
-        for r, comp in enumerate(c):
-            v[_restrict_index(i, r, k)] = comp
-    return Element(Ap, v, _raw=True)
+    return Element(Ap, [comp for c in el.raw for comp in c], _raw=True)
 
 
 def restrict_map(Ap: Algebra, A: Algebra, u: LinearMap) -> LinearMap:
     """An F_{p^k}-linear map, reread as an F_p-linear map on the big basis."""
-    K = A.field
-    k = K.degree
-    cols = []
-    gen = tuple([0, 1] + [0] * (k - 2))
-    for j in range(A.dim):
-        col = u.matrix.column(j)
-        power = K.one()
-        for t in range(k):
-            # image of e_j a^t
-            v = [0] * Ap.dim
-            for i, c in enumerate(col):
-                val = K.mul(c, power)
-                for r, comp in enumerate(val):
-                    v[_restrict_index(i, r, k)] = comp
-            cols.append((_restrict_index(j, t, k), v))
-            power = K.mul(power, gen)
-    cols.sort()
-    return LinearMap(Ap, Matrix.from_columns(Ap.field, [v for _, v in cols]),
+    return LinearMap(Ap, _restrict_matrix(Ap.field, A.field, u.matrix),
                      u.role, check=False)
 
 
@@ -659,26 +623,17 @@ def restrict_gram(Ap: Algebra, A: Algebra, gram: Matrix, eps) -> Matrix:
     """Push an F_{p^k}-valued form down along a nonzero functional eps.
 
     ``eps`` is the coefficient vector of the functional on the power basis
-    1, a, ..., a^{k-1}; the induced form is eps(a^{s+t}·⟨e_i, e_j⟩).
+    1, a, ..., a^{k-1}; the induced form is eps(a^{s+t}·⟨e_i, e_j⟩), so
+    block (i, j) is W·M_{g_ij} with W[s][r] = eps(a^{s+r}).
     """
     K = A.field
+    Fp = Ap.field
     k = K.degree
     eps = [c % K.p for c in eps]
     if len(eps) != k or all(c == 0 for c in eps):
         raise MalformedInput("eps must be a nonzero functional on F_{p^k}")
-    gen = tuple([0, 1] + [0] * (k - 2))
-    n = Ap.dim
-    data = [[0] * n for _ in range(n)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            g = gram.data[i][j]
-            power = K.one()
-            for tot in range(2 * k - 1):
-                val = K.mul(g, power)
-                e = sum(ec * vc for ec, vc in zip(eps, val)) % K.p
-                for s in range(k):
-                    t = tot - s
-                    if 0 <= t < k:
-                        data[_restrict_index(i, s, k)][_restrict_index(j, t, k)] = e
-                power = K.mul(power, gen)
-    return Matrix(Ap.field, data, _raw=True)
+    powers = _powers(K, 2 * k - 1)
+    W = Matrix(Fp, [[sum_product(Fp, eps, powers[s + r]) for r in range(k)]
+                    for s in range(k)], _raw=True)
+    return Matrix.block(Fp, [[W * _mult_block(Fp, K, g) for g in row]
+                             for row in gram.data])

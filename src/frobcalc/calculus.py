@@ -284,11 +284,8 @@ def coboundary_status(A, gens, values, unit_functional=None, rng=None) -> UnitSe
     """
     rng = rng or SplitMix64(42)
     f = A.field
-    rows = []
-    for u, j in zip(gens, values):
-        diff = u.matrix - right_mult_matrix(j)
-        rows.extend(diff.data)
-    ker = kernel_basis(Matrix(f, rows, _raw=True))
+    ker = kernel_basis(Matrix.block(
+        f, [[u.matrix - right_mult_matrix(j)] for u, j in zip(gens, values)]))
     basis = [Element(A, v, _raw=True) for v in ker]
     if not basis:
         return UnitSearch("no", detail="solution space is zero")

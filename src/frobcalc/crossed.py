@@ -136,21 +136,12 @@ def build_crossed_product(A: Algebra, G: GroupData, action: GroupAction,
 def crossed_form(F: FrobeniusStructure, G: GroupData, action: GroupAction,
                  alpha: TwoCocycle) -> Matrix:
     """⟨⟨a⋊g, b⋊h⟩⟩ = α(g,h)·⟨a, g(b)⟩·[gh = e]."""
-    A = F.algebra
-    f = A.field
-    n = A.dim
-    N = n * G.order
-    data = [[f.zero()] * N for _ in range(N)]
+    # ⟨e_i, g(e_j)⟩ is entry (i, j) of G·U_g; block (g, g⁻¹) is α(g, g⁻¹)·G·U_g
+    blocks = [[None] * G.order for _ in range(G.order)]
     for g in range(G.order):
         h = G.inverse[g]
-        c_gh = alpha(g, h)
-        # ⟨e_i, g(e_j)⟩ is entry (i, j) of G·U_g
-        pairs = F.gram * action(g).matrix
-        for i in range(n):
-            for j in range(n):
-                data[_crossed_index(g, i, n)][_crossed_index(h, j, n)] = \
-                    f.mul(c_gh, pairs.data[i][j])
-    return Matrix(f, data, _raw=True)
+        blocks[g][h] = (F.gram * action(g).matrix).scale(alpha(g, h))
+    return Matrix.block(F.algebra.field, blocks)
 
 
 def predicted_nakayama(F: FrobeniusStructure, G: GroupData, action: GroupAction,
@@ -161,20 +152,11 @@ def predicted_nakayama(F: FrobeniusStructure, G: GroupData, action: GroupAction,
     element is applied to the sigma-image of that Jacobian (the reading
     confirmed by the mandatory equality with the directly computed map).
     """
-    A = F.algebra
-    f = A.field
-    n = A.dim
-    cols = [None] * crossed.dim
+    f = F.algebra.field
+    # σ(e_i)·tail is column i of R_tail·S; block (g, g) is ratio·R_tail·S
+    blocks = [[None] * G.order for _ in range(G.order)]
     for g in range(G.order):
         ratio = f.div(alpha(g, G.inverse[g]), alpha(G.inverse[g], g))
-        jac_g = jacobian(F, action(g))
-        tail = action(g)(F.sigma(jac_g))
-        # σ(e_i)·tail is column i of R_tail·S
-        imgs = right_mult_matrix(tail) * F.sigma.matrix
-        for i in range(n):
-            img = imgs.column(i)
-            col = [f.zero()] * crossed.dim
-            for k, v in enumerate(img):
-                col[_crossed_index(g, k, n)] = f.mul(ratio, v)
-            cols[_crossed_index(g, i, n)] = col
-    return LinearMap(crossed, Matrix.from_columns(f, cols), ROLE_ENDOMORPHISM)
+        tail = action(g)(F.sigma(jacobian(F, action(g))))
+        blocks[g][g] = (right_mult_matrix(tail) * F.sigma.matrix).scale(ratio)
+    return LinearMap(crossed, Matrix.block(f, blocks), ROLE_ENDOMORPHISM)

@@ -106,22 +106,30 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
     return F
 
 
+def shared_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
+    """``make_frobenius(A, gram)``, validated once per (algebra, form) and
+    kept in A's cache, so every caller holding the same form shares it."""
+    key = ("frobenius", gram)
+    F = A._cache.get(key)
+    if F is None:
+        F = A._cache[key] = make_frobenius(A, gram)
+    return F
+
+
 def relate_forms(F: FrobeniusStructure, gram2: Matrix):
     """Unit t with ⟨a,b⟩' = ⟨a,bt⟩, plus the conjugation check on sigma.
 
     Returns ``(t, ok)`` where ok records σ' == ι_t ∘ σ.  gram2 is validated
-    from scratch, so a degenerate or non-associative input raises.
+    through :func:`shared_frobenius`, so a degenerate or non-associative
+    input raises.
     """
     A = F.algebra
-    F2 = make_frobenius(A, gram2)
-    f = A.field
-    n = A.dim
-    # ⟨e_i, e_j·t⟩ = Σ_k t_k ⟨e_i, e_j e_k⟩ must equal gram2[i][j]; the
-    # row for (i, j) is row i of G·L_{e_j}
-    gl = [F.gram * left_mult_matrix(e) for e in A.basis_elements()]
-    rows = [gl[j].data[i] for i in range(n) for j in range(n)]
-    rhs = [gram2.data[i][j] for i in range(n) for j in range(n)]
-    sol = solve_linear(Matrix(f, rows, _raw=True), rhs)
+    F2 = shared_frobenius(A, gram2)
+    # ⟨e_i, e_j·t⟩ = Σ_k t_k ⟨e_i, e_j e_k⟩ must equal gram2[i][j]: block j
+    # of the stacked system is G·L_{e_j}, its right-hand side column j of gram2
+    sol = solve_linear(Matrix.block(A.field, [[F.gram * left_mult_matrix(e)]
+                                              for e in A.basis_elements()]),
+                       [v for j in range(A.dim) for v in gram2.column(j)])
     if sol is None:
         raise InternalInconsistency("no relating element for two valid forms")
     t = Element(A, sol, _raw=True)
@@ -208,12 +216,9 @@ def is_inner(F: FrobeniusStructure, u: LinearMap, rng=None) -> UnitSearch:
         raise MalformedInput("innerness test expects an endomorphism")
     if not u.is_invertible():
         raise MalformedInput("innerness test expects an invertible endomorphism")
-    rows = []
-    for i in range(A.dim):
-        diff = left_mult_matrix(u(A.basis_element(i))) \
-            - right_mult_matrix(A.basis_element(i))
-        rows.extend(diff.data)
-    ker = kernel_basis(Matrix(A.field, rows, _raw=True))
+    ker = kernel_basis(Matrix.block(
+        A.field, [[left_mult_matrix(u(e)) - right_mult_matrix(e)]
+                  for e in A.basis_elements()]))
     basis = [Element(A, v, _raw=True) for v in ker]
     result = unit_in_subspace(A, basis, rng)
     if result.verdict == "yes":

@@ -356,12 +356,8 @@ class TrivialExtensionGallery:
                         triples.append((n + j, i, n + m, li.data[j][m]))
         unit = list(B.unit) + [f.zero()] * n
         self.algebra = Algebra(f, 2 * n, names, triples, unit)
-        g = [[f.zero()] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(n):
-                g[i][n + j] = tmat.data[j][i]
-                g[n + i][j] = f.one() if i == j else f.zero()
-        self.gram = Matrix(f, g, _raw=True)
+        self.gram = Matrix.block(f, [[None, tmat.transpose()],
+                                     [Matrix.identity(f, n), None]])
 
     # embeddings ---------------------------------------------------------------
     def embed(self, x: Element) -> Element:
@@ -380,25 +376,10 @@ class TrivialExtensionGallery:
 
     def from_blocks(self, a, b, c, d, role=ROLE_ENDOMORPHISM) -> LinearMap:
         """Assemble a block map [[a, b], [c, d]] and validate its role."""
-        f = self.field
-        n = self.B.dim
-        blocks = []
-        for blk in (a, b, c, d):
-            if blk is None:
-                blocks.append(None)
-            elif isinstance(blk, Matrix):
-                blocks.append(blk)
-            else:
-                blocks.append(Matrix(f, blk))
-        data = [[f.zero()] * (2 * n) for _ in range(2 * n)]
-        for (bi, bj), blk in zip(((0, 0), (0, 1), (1, 0), (1, 1)),
-                                 blocks):
-            if blk is None:
-                continue
-            for i in range(n):
-                for j in range(n):
-                    data[bi * n + i][bj * n + j] = blk.data[i][j]
-        return LinearMap(self.algebra, Matrix(f, data, _raw=True), role)
+        a, b, c, d = (blk if blk is None or isinstance(blk, Matrix)
+                      else Matrix(self.field, blk) for blk in (a, b, c, d))
+        return LinearMap(self.algebra, Matrix.block(self.field, [[a, b], [c, d]]),
+                         role)
 
     def u_z(self, z: Element) -> LinearMap:
         """diag(id, m_zᵀ) for a central unit z of B."""
@@ -486,6 +467,15 @@ class TrivialExtensionGallery:
 
 def trivial_extension(B: Algebra, tau: LinearMap | None = None, label=None):
     return TrivialExtensionGallery(B, tau, label)
+
+
+def shared_trivial_extension(B: Algebra):
+    """The untwisted trivial extension of B, built once per B and kept in
+    B's cache: the verification gallery and the Connes image test share it."""
+    ext = B._cache.get("trivial-extension")
+    if ext is None:
+        ext = B._cache["trivial-extension"] = trivial_extension(B)
+    return ext
 
 
 # ---------------------------------------------------------------------------

@@ -551,12 +551,14 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
     On success also returns an automorphism of the trivial extension of B
     whose Jacobian is t + tau (t defaults to 1), built from a derivation
     δ: B → DB with δ(x)(1) = tau(x).  The trivial extension and its
-    Frobenius structure are built once per B and kept in B's cache.
+    Frobenius structure are the shared ones of B (see
+    :func:`gallery.shared_trivial_extension`), which the verification
+    gallery uses too.
     """
     from .algebra import commutator_subspace
     from .calculus import jacobian
-    from .frobenius import make_frobenius
-    from .gallery import trivial_extension
+    from .frobenius import shared_frobenius
+    from .gallery import shared_trivial_extension
     from .linalg import solve_linear
 
     fld = B.field
@@ -572,9 +574,7 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
     # inserted after the boundaries (empty tails), 1⊗e_i + e_i⊗1 reduces to
     # zero exactly when it is a boundary modulo the earlier ones; its tail
     # is then the canonical kernel vector for free column i
-    ech = SparseEchelon(fld)
-    for col in _boundary_columns(B, 2, None)[1]:
-        ech.insert(col, {})
+    ech, _ = _echelonize(fld, _boundary_columns(B, 2, None)[1])
     kvecs = []
     for i in range(n):
         vec = {}
@@ -590,10 +590,8 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
         fld.is_zero(sum_product(fld, tau, v)) for v in kvecs)
 
     # dual route: solve for a derivation δ: B → DB with δ(x)(1) = tau(x)
-    if "trivial-extension" not in B._cache:
-        ext = trivial_extension(B)
-        B._cache["trivial-extension"] = (ext, make_frobenius(ext.algebra, ext.gram))
-    ext, Fext = B._cache["trivial-extension"]
+    ext = shared_trivial_extension(B)
+    Fext = shared_frobenius(ext.algebra, ext.gram)
     der_basis = ext.derivation_space_to_dual()
     if der_basis:
         # column b is δ_b(·)(1) = Σ_k 1_k·(row k of δ_b)

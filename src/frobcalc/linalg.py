@@ -76,6 +76,36 @@ class Matrix:
                       _raw=True)
 
     @staticmethod
+    def block(field, blocks):
+        """The matrix assembled from a grid of blocks, ``None`` a zero block:
+        the one block-matrix assembly.  Block row r is as tall, and block
+        column c as wide, as the blocks in it, so every block row and
+        column needs at least one block; the empty grid is the 0×0 matrix.
+        """
+        grid = [list(r) for r in blocks]
+        if any(len(r) != len(grid[0]) for r in grid):
+            raise MalformedInput("ragged block grid")
+
+        def size(line, attr):
+            sizes = {getattr(b, attr) for b in line if b is not None}
+            if len(sizes) != 1:
+                raise MalformedInput("block sizes do not fit the grid")
+            return sizes.pop()
+
+        for b in chain.from_iterable(grid):
+            if b is not None and b.field != field:
+                raise MalformedInput("mixed-field entries")
+        widths = [size(c, "cols") for c in zip(*grid)]
+        z = field.zero()
+        data = []
+        for r in grid:
+            for i in range(size(r, "rows")):
+                data.append(list(chain.from_iterable(
+                    [z] * w if b is None else b.data[i]
+                    for b, w in zip(r, widths))))
+        return Matrix(field, data, _raw=True)
+
+    @staticmethod
     def from_columns(field, columns):
         rows = len(columns[0]) if columns else 0
         data = [[field.coerce(columns[j][i]) for j in range(len(columns))]

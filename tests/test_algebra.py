@@ -9,8 +9,8 @@ from frobcalc.algebra import (Algebra, Element, LinearMap, ad, center_basis,
                               endomorphism_witness, extend_element, extend_map,
                               extend_scalars, inner_automorphism, inverse_of,
                               is_derivation, is_endomorphism, left_mult_matrix,
-                              product_embed, restrict_element, restrict_map,
-                              restrict_scalars)
+                              product_embed, restrict_element, restrict_gram,
+                              restrict_map, restrict_scalars)
 from frobcalc.errors import MalformedInput, RoleViolation
 from frobcalc.fields import Field
 from frobcalc.gallery import exterior, matrix_algebra, qci
@@ -221,6 +221,49 @@ def test_restrict_scalars():
     # multiplication matches: (x·a)·(x·a) = x^2 a^2 = 0
     xa = restrict_element(Ap2, c2, Element(c2, [(0, 0), (0, 1)], _raw=True))
     assert (xa * xa).is_zero()
+
+
+@pytest.mark.parametrize("K", [Field.extension(2, [1, 1, 1]),
+                               Field.extension(3, [1, 0, 1]),
+                               Field.extension(2, [1, 1, 0, 1])],
+                         ids=["F4", "F9", "F8"])
+def test_restriction_rule(K):
+    # every F_{p^k}-scalar c becomes its multiplication block M_c, checked
+    # against K.mul directly: forms entrywise, maps on elements, products
+    Fp, k = Field.prime(K.p), K.degree
+    A = matrix_algebra(2, K).algebra
+    Ap = restrict_scalars(A, Fp)
+    rng = SplitMix64(11)
+
+    def rand_matrix():
+        return Matrix(K, [[K.random(rng) for _ in range(A.dim)]
+                          for _ in range(A.dim)])
+
+    def rand_element():
+        return Element(A, [K.random(rng) for _ in range(A.dim)])
+
+    powers = [K.one()]
+    for _ in range(2 * k - 2):
+        powers.append(K.mul(powers[-1], K.coerce([0, 1])))
+    gram, eps = rand_matrix(), [(s + 1) % K.p for s in range(k)]
+    gp = restrict_gram(Ap, A, gram, eps)
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for s in range(k):
+                for t in range(k):
+                    val = K.mul(powers[s + t], gram.data[i][j])
+                    assert gp.data[i * k + s][j * k + t] == \
+                        sum(e * c for e, c in zip(eps, val)) % K.p
+    u = LinearMap(A, rand_matrix())
+    v = LinearMap(A, rand_matrix())
+    assert restrict_map(Ap, A, u.compose(v)).matrix == \
+        restrict_map(Ap, A, u).matrix * restrict_map(Ap, A, v).matrix
+    assert restrict_element(Ap, A, A.unit_element()) == Ap.unit_element()
+    for _ in range(4):
+        x, y = rand_element(), rand_element()
+        rx = restrict_element(Ap, A, x)
+        assert restrict_map(Ap, A, u)(rx) == restrict_element(Ap, A, u(x))
+        assert rx * restrict_element(Ap, A, y) == restrict_element(Ap, A, x * y)
 
 
 def test_extend_scalars_cyclic_gram_unchanged():

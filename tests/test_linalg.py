@@ -191,3 +191,55 @@ def test_linear_combination_matches_fold(label):
         assert flat == [v for row in fold.data for v in row]
 
     props()
+
+
+@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
+def test_block_matches_entrywise_assembly(label):
+    # grids of mixed heights and widths with None blocks equal placing every
+    # entry by hand; a block of another field or of the wrong size raises
+    field = FIELDS[label]
+    other = Q if field != Q else F5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def props(data):
+        heights = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        nr, nc = len(heights), len(widths)
+        ref = [[field.zero()] * sum(widths) for _ in range(sum(heights))]
+        grid = []
+        for r, h in enumerate(heights):
+            row = []
+            for c, w in enumerate(widths):
+                # a block on each of two diagonals sizes every row and column
+                if r != c % nr and c != r % nc and data.draw(st.booleans()):
+                    row.append(None)
+                    continue
+                blk = Matrix(field, data.draw(st.lists(
+                    st.lists(ENTRY[label], min_size=w, max_size=w),
+                    min_size=h, max_size=h)))
+                for i in range(h):
+                    for j in range(w):
+                        ref[sum(heights[:r]) + i][sum(widths[:c]) + j] = blk.data[i][j]
+                row.append(blk)
+            grid.append(row)
+        assert Matrix.block(field, grid) == Matrix(field, ref, _raw=True)
+        foreign = [list(r) for r in grid]
+        foreign[0][0] = Matrix.zero(other, heights[0], widths[0])
+        with pytest.raises(MalformedInput):
+            Matrix.block(field, foreign)
+        too_wide = [Matrix.zero(field, 1, widths[0] + 1)] + [None] * (nc - 1)
+        with pytest.raises(MalformedInput):
+            Matrix.block(field, grid + [too_wide])
+
+    props()
+
+
+def test_block_edge_grids():
+    empty = Matrix.block(Q, [])
+    assert (empty.rows, empty.cols) == (0, 0) and empty == Matrix(Q, [])
+    I2 = Matrix.identity(Q, 2)
+    with pytest.raises(MalformedInput):     # a block row with nothing to size it
+        Matrix.block(Q, [[I2, None], [None, None]])
+    with pytest.raises(MalformedInput):     # ragged grid
+        Matrix.block(Q, [[I2, None], [I2]])
