@@ -15,7 +15,6 @@ left/right or transpose convention bug cannot produce silent garbage.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
@@ -202,7 +201,8 @@ def liouville_polynomial(F: FrobeniusStructure, d: LinearMap) -> AlgebraPolynomi
         raise MalformedInput("Liouville polynomial needs characteristic zero")
     _check_nilpotent(d)
     phis = phi_sequence(F, d, A.dim)
-    coeffs = [phi.scale(Fraction(1, factorial(k))) for k, phi in enumerate(phis)]
+    f = A.field
+    coeffs = [phi.scale(f.inv(f.from_int(factorial(k)))) for k, phi in enumerate(phis)]
     poly = AlgebraPolynomial(A, coeffs)
     div = divergence(F, d)
     deriv = poly.derivative()
@@ -228,7 +228,7 @@ def exp_derivation(d: LinearMap, t) -> LinearMap:
     for _ in range(1, A.dim):
         powers.append(powers[-1] * d.matrix)
     acc = Matrix.combination(
-        f, A.dim, A.dim, ((f.mul(f.pow_int(t, k), Fraction(1, factorial(k))), dk)
+        f, A.dim, A.dim, ((f.div(f.pow_int(t, k), f.from_int(factorial(k))), dk)
                           for k, dk in enumerate(powers)))
     out = LinearMap(A, acc, ROLE_ENDOMORPHISM)
     if not out.is_invertible():

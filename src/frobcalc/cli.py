@@ -329,6 +329,8 @@ def gallery_expectations(name, item):
     if name == "qci":
         f = item.field
         for (a, b, c, d) in ((1, 1, 1, 0), (2, 3, 1, 5), (1, 2, 0, 1)):
+            if f.is_zero(f.from_int(a * b)):
+                continue  # alpha needs a, b nonzero: (2, 3) vanishes in F2, F3
             jac = jacobian(F, item.alpha(a, b, c, d))
             records.append({
                 "constructor": f"alpha({a},{b},{c},{d})",

@@ -2,11 +2,19 @@
 
 A :class:`Field` instance owns the arithmetic on *raw* values:
 
-* rationals        -> ``fractions.Fraction`` (always in lowest terms,
-                      positive denominator -- Fraction guarantees this),
+* rationals        -> ``int`` when the value is integral, otherwise a
+                      ``fractions.Fraction`` in lowest terms (positive
+                      denominator -- Fraction guarantees this),
 * prime fields     -> ``int`` in ``[0, p)``,
 * extension fields -> ``tuple`` of ints of length ``deg(min_poly)``,
                       coefficients of the residue polynomial.
+
+Every rational method returns that form: a raw rational is never a
+``Fraction`` with denominator 1, a ``bool`` or a ``float`` (an inverse is
+``Fraction(1, a)``, never ``1 / a``).  Since ``3 == Fraction(3)`` and both
+hash and print alike, equality, hashing and reports do not see the form;
+it keeps integral values -- most of an elimination on +-1 structure
+constants -- on plain ``int`` arithmetic.
 
 :class:`Scalar` is a thin wrapper pairing a raw value with its field; it
 exists so that callers can do ordinary ``+ - * /`` arithmetic without
@@ -125,6 +133,13 @@ def _is_irreducible(m, p):
     return True
 
 
+def _canonical(q):
+    """The raw rational form of q: its numerator when it is integral."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
 class Field:
     """Immutable field description plus arithmetic on raw values."""
 
@@ -204,22 +219,18 @@ class Field:
 
     # raw arithmetic ---------------------------------------------------------
     def zero(self):
-        if self.kind == RATIONALS:
-            return Fraction(0)
-        if self.kind == PRIME:
-            return 0
-        return (0,) * self._deg
+        if self.kind == EXTENSION:
+            return (0,) * self._deg
+        return 0
 
     def one(self):
-        if self.kind == RATIONALS:
-            return Fraction(1)
-        if self.kind == PRIME:
-            return 1
-        return (1,) + (0,) * (self._deg - 1)
+        if self.kind == EXTENSION:
+            return (1,) + (0,) * (self._deg - 1)
+        return 1
 
     def from_int(self, n):
         if self.kind == RATIONALS:
-            return Fraction(n)
+            return int(n)
         if self.kind == PRIME:
             return n % self.p
         return (n % self.p,) + (0,) * (self._deg - 1)
@@ -236,7 +247,7 @@ class Field:
             return self.from_int(v)
         if self.kind == RATIONALS:
             if isinstance(v, Fraction):
-                return v
+                return _canonical(v)
             raise MalformedInput(f"cannot coerce {v!r} into Q")
         if self.kind == EXTENSION and isinstance(v, (tuple, list)):
             if len(v) > self._deg:
@@ -247,28 +258,28 @@ class Field:
 
     def add(self, a, b):
         if self.kind == RATIONALS:
-            return a + b
+            return _canonical(a + b)
         if self.kind == PRIME:
             return (a + b) % self.p
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def sub(self, a, b):
         if self.kind == RATIONALS:
-            return a - b
+            return _canonical(a - b)
         if self.kind == PRIME:
             return (a - b) % self.p
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def neg(self, a):
         if self.kind == RATIONALS:
-            return -a
+            return _canonical(-a)
         if self.kind == PRIME:
             return (-a) % self.p
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
         if self.kind == RATIONALS:
-            return a * b
+            return _canonical(a * b)
         if self.kind == PRIME:
             return (a * b) % self.p
         c = _poly_mul_mod(list(a), list(b), list(self.min_poly), self.p)
@@ -278,7 +289,8 @@ class Field:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == RATIONALS:
-            return 1 / a
+            # Fraction(1, a), never 1 / a: on an int that is a float
+            return _canonical(Fraction(1, a))
         if self.kind == PRIME:
             return pow(a, -1, self.p)
         c = _poly_inverse_mod(list(a), list(self.min_poly), self.p)
@@ -321,7 +333,7 @@ class Field:
     def random(self, rng, bound=4):
         """Small random element; for Q a small integer (possibly zero)."""
         if self.kind == RATIONALS:
-            return Fraction(rng.small_int(bound))
+            return rng.small_int(bound)
         if self.kind == PRIME:
             return rng.randrange(self.p)
         return tuple(rng.randrange(self.p) for _ in range(self._deg))
@@ -349,7 +361,7 @@ class Field:
         s = s.strip()
         if self.kind == RATIONALS:
             try:
-                return Fraction(s)
+                return self.coerce(Fraction(s))
             except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedInput(f"bad rational {s!r}") from exc
         if self.kind == PRIME:

@@ -656,7 +656,7 @@ def suite_liouville(rng=None):
         for t in (0, 1, 2, Fraction(1, 2)):
             E = exp_derivation(d, t)
             jac = jacobian(F, E)
-            samples.append((Fraction(t), jac))
+            samples.append((t, jac))
             s.eq(f"liouville-jac/c={c},d={d_}/t={t}", "li:1",
                  jac, sinv(poly.evaluate(t)))
         deriv0 = _interpolated_derivative_at_zero(A, samples)
@@ -676,23 +676,24 @@ def _interpolated_derivative_at_zero(A, samples):
     Lagrange: p'(0) = Σ_i y_i · l_i'(0) with nodes t_i; exact in Q and
     independent of how the samples were produced.
     """
-    ts = [t for t, _ in samples]
+    f = A.field
+    ts = [f.coerce(t) for t, _ in samples]
     terms = []
-    for i, (ti, yi) in enumerate(samples):
-        denom = Fraction(1)
+    for i, ti in enumerate(ts):
+        denom = f.one()
         for j, tj in enumerate(ts):
             if j != i:
-                denom *= (ti - tj)
-        acc = Fraction(0)
+                denom = f.mul(denom, f.sub(ti, tj))
+        acc = f.zero()
         for j, tj in enumerate(ts):
             if j == i:
                 continue
-            term = Fraction(1)
+            term = f.one()
             for k, tk in enumerate(ts):
                 if k != i and k != j:
-                    term *= (0 - tk)
-            acc += term
-        terms.append((acc / denom, yi))
+                    term = f.mul(term, f.neg(tk))
+            acc = f.add(acc, term)
+        terms.append((f.div(acc, denom), samples[i][1]))
     return A.combination(terms)
 
 

@@ -127,3 +127,74 @@ def test_scalar_equals_only_scalars_of_its_field():
     assert Scalar(F5, 1) == Scalar(F5, 6)
     assert hash(Scalar(F5, 1)) == hash(Scalar(F5, 6))
     assert len({Scalar(F5, 1), Scalar(F5, 6)}) == 1
+
+
+# --- the raw rational form: an int exactly when the value is integral ------
+
+def canonical_rationals():
+    """Raw rationals in every spelling a caller may hand in: ints,
+    ``Fraction(n, 1)`` and Fractions built with negative denominators."""
+    nums = st.integers(min_value=-60, max_value=60)
+    dens = st.integers(min_value=-12, max_value=12).filter(bool)
+    return st.one_of(nums, st.builds(Fraction, nums), st.builds(Fraction, nums, dens))
+
+
+def assert_canonical(values):
+    """Each raw rational is an int exactly when it is integral, else a
+    Fraction: never a float, a bool or a Fraction with denominator 1."""
+    for v in values:
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), repr(v)
+
+
+def test_rational_constants_are_ints():
+    from frobcalc.rng import SplitMix64
+    for v in (Q.zero(), Q.one(), Q.from_int(-7), Q.coerce(Fraction(6, 3)),
+              Q.parse("4/2"), Q.parse("-0"), Q.parse(5), Q.inv(1), Q.inv(Fraction(-1, 1)),
+              Q.div(Fraction(3, 2), Fraction(3, 4))):
+        assert type(v) is int
+    rng, ref = SplitMix64(7), SplitMix64(7)
+    for _ in range(50):
+        v = Q.random(rng, 3)
+        assert type(v) is int and v == ref.small_int(3)
+    with pytest.raises(MalformedInput):
+        Q.coerce(True)
+    with pytest.raises(MalformedInput):
+        Q.coerce(0.5)
+
+
+@given(canonical_rationals(), canonical_rationals(), st.integers(min_value=-4, max_value=4))
+def test_rational_ops_keep_the_canonical_form(a, b, n):
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (Q.coerce(a), fa),
+        (Q.parse(str(fa)), fa),
+        (Q.parse(Q.format(Q.coerce(a))), fa),
+        (Q.from_int(fa.numerator), fa.numerator),
+        (Q.add(a, b), fa + fb),
+        (Q.sub(a, b), fa - fb),
+        (Q.mul(a, b), fa * fb),
+        (Q.neg(a), -fa),
+    ]
+    if fb:
+        results += [(Q.inv(b), 1 / fb), (Q.div(a, b), fa / fb)]
+    if fa or n >= 0:
+        results.append((Q.pow_int(a, n), fa ** n))
+    assert_canonical(got for got, _ in results)
+    for got, want in results:
+        assert got == want and hash(got) == hash(want)
+
+
+@given(canonical_rationals())
+def test_rational_scalars_ignore_the_spelling(a):
+    x, y = Scalar(Q, a), Scalar(Q, Fraction(a))
+    assert x == y and hash(x) == hash(y) and str(x) == str(y) == str(Fraction(a))
+    assert_canonical([x.value])
+    if not x.is_zero():
+        assert_canonical([(x / y).value])
+
+
+def test_integral_scalar_matches_fraction_spelling():
+    x, y = Scalar(Q, 3), Scalar(Q, Fraction(6, 2))
+    assert x == y and hash(x) == hash(y)
+    assert Q.format(x.value) == Q.format(y.value) == "3"
+    assert len({x, y}) == 1

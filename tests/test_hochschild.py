@@ -14,6 +14,7 @@ from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra,
                               qci, trivial_extension)
 from frobcalc.linalg import Matrix, dense_vector, rref, solve_linear
+from test_fields import assert_canonical
 
 Q = Field.rationals()
 
@@ -444,3 +445,17 @@ def test_twisted_trivial_extension_full_machinery():
             assert hh.triviality_certificate(F, f) is not None
     assert hh.sigma_action_on_homology(F, 0, hh.TWISTED).is_identity()
     assert not hh.sigma_action_on_homology(F, 0, hh.UNTWISTED).is_identity()
+
+
+def test_rational_cocycles_and_homology_keep_the_canonical_form():
+    half = qci(Fraction(1, 2))
+    for A, p in ((half.algebra, 1), (half.algebra, 2), (exterior(3).algebra, 2)):
+        assert_canonical(v for f in hh.cocycle_basis(A, p) for v in f.data.values())
+    F = make_frobenius(half.algebra, half.gram)
+    for p in (0, 1, 2):
+        rep = hh.homology_dimension(half.algebra, p, hh.TWISTED, F.sigma)
+        assert rep.dim > 0
+        assert_canonical(v for kv in rep.representatives for v in kv.values())
+    action = hh.sigma_action_on_homology(F, 0, hh.UNTWISTED)
+    assert_canonical(v for row in action.data for v in row)
+    assert Fraction(1, 2) in (v for row in action.data for v in row)

@@ -9,6 +9,7 @@ from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
 from frobcalc.linalg import (Matrix, SparseEchelon, invert, kernel_basis,
                              linear_combination, rref, solve_linear)
+from test_fields import assert_canonical
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -243,3 +244,94 @@ def test_block_edge_grids():
         Matrix.block(Q, [[I2, None], [None, None]])
     with pytest.raises(MalformedInput):     # ragged grid
         Matrix.block(Q, [[I2, None], [I2]])
+
+
+# --- ℚ elimination against a textbook Fraction Gauss–Jordan -----------------
+
+def _gauss_jordan(rows, ncols):
+    """Reduced row echelon form on plain Fractions, with row swaps and
+    pivots divided out: ``(rows, pivot columns)``."""
+    a = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if hit is None:
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _reference(rows, ncols, b):
+    """(RREF, pivots, kernel basis, solution or None, inverse or None)."""
+    R, pivots = _gauss_jordan(rows, ncols)
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        kernel.append(v)
+    aug, apiv = _gauss_jordan([r + [x] for r, x in zip(rows, b)], ncols + 1)
+    x = None
+    if ncols not in apiv:
+        x = [Fraction(0)] * ncols
+        for r, pc in enumerate(apiv):
+            x[pc] = aug[r][ncols]
+    inv = None
+    n = len(rows)
+    if n == ncols:
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        full, fpiv = _gauss_jordan([r + e for r, e in zip(rows, eye)], n)
+        if fpiv[:n] == list(range(n)):
+            inv = [r[n:] for r in full]
+    return R, tuple(pivots), kernel, x, inv
+
+
+def _check_against_reference(m, rows, b):
+    R, pivots, kernel, x, inv = _reference(rows, m.cols, b)
+    got_R, got_piv, rank = rref(m)
+    assert got_R.data == R and got_piv == pivots and rank == len(pivots)
+    got_ker = kernel_basis(m)
+    assert got_ker == kernel
+    got_x = solve_linear(m, b)
+    assert got_x == x
+    got_inv = invert(m) if m.rows == m.cols else None
+    assert (got_inv.data if got_inv is not None else None) == inv
+    assert_canonical(v for row in got_R.data for v in row)
+    assert_canonical(v for vec in got_ker for v in vec)
+    assert_canonical(got_x or [])
+    assert_canonical(v for row in (got_inv.data if got_inv else []) for v in row)
+
+
+NON_UNIT = st.one_of(st.integers(min_value=-9, max_value=9),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=4))
+
+
+def test_elimination_worked_example_with_non_unit_pivots():
+    rows = [[2, 4, 1], [3, 1, 5], [1, 1, 1]]
+    m = Matrix(Q, rows)
+    _check_against_reference(m, rows, [1, 2, 3])
+    assert invert(m).data[0][:2] == [-2, Fraction(-3, 2)]
+    singular = [[2, 4, 6], [3, 6, 9]]
+    _check_against_reference(Matrix(Q, singular), singular, [2, 3])
+    _check_against_reference(Matrix(Q, singular), singular, [2, 4])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(Q, NON_UNIT), st.lists(NON_UNIT, min_size=4, max_size=4),
+       st.booleans())
+def test_rational_elimination_matches_fraction_gauss_jordan(rows, b, square):
+    if square:
+        n = min(len(rows), len(rows[0]))
+        rows = [r[:n] for r in rows[:n]]
+    b = b[:len(rows)]
+    _check_against_reference(Matrix(Q, rows), rows, b)
+    # the same matrix spelled with Fraction(k, 1) entries, handed in raw
+    spelled = Matrix(Q, [[Fraction(v) for v in r] for r in rows], _raw=True)
+    _check_against_reference(spelled, rows, [Fraction(v) for v in b])

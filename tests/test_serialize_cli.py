@@ -275,6 +275,19 @@ def test_cli_field_flag():
                               "witness": {"error": "cannot parse field 'F3[a]/x'"}}]
 
 
+def test_cli_qci_closed_forms_skip_vanishing_ab():
+    # alpha(2,3,1,5) needs a·b = 6 nonzero, which fails in characteristic 3
+    for argv in (["--field", "F3"], ["--q", "0,1", "--field", "F3[a]/1,0,1"]):
+        code, rep = run_json(["gallery", "qci"] + argv)
+        assert code == 0
+        records = rep["data"]["expectations"]
+        assert [r["constructor"] for r in records] == [
+            "alpha(1,1,1,0)", "delta(1,1,1,0)", "alpha(1,2,0,1)", "delta(1,2,0,1)"]
+        assert all(r["matches"] for r in records)
+    code, rep = run_json(["gallery", "qci", "--field", "F5"])
+    assert code == 0 and len(rep["data"]["expectations"]) == 6
+
+
 def test_cli_inconclusive_exit_code(tmp_path):
     # the symmetry question on the 16-dimensional exterior algebra has a
     # solution space too large for the exact grid, so sampling falls back
