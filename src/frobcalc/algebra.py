@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import MalformedInput, RoleViolation
 from .fields import Scalar
-from .linalg import (Matrix, add_entry, column_space_basis, invert, kernel_basis,
+from .linalg import (Matrix, column_space_basis, invert, kernel_basis,
                      linear_combination, mismatches, solve_linear, sum_product)
 
 ROLE_GENERAL = "general"
@@ -91,7 +91,7 @@ class Algebra:
             for (t, d) in right:
                 cd = f.mul(c, d)
                 for (s, e) in self.mul_basis(m, t):
-                    add_entry(f, acc, s, f.mul(cd, e))
+                    f.add_entry(acc, s, f.mul(cd, e))
         return tuple(sorted(acc.items()))
 
     def mul_raw(self, a, b):

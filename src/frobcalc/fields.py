@@ -16,6 +16,10 @@ hash and print alike, equality, hashing and reports do not see the form;
 it keeps integral values -- most of an elimination on +-1 structure
 constants -- on plain ``int`` arithmetic.
 
+Each field also carries the fused sparse loops of its kind (``axpy``,
+``add_entry``, ``matmul``, ``clear_denominators``; see below), which the
+elimination kernel runs instead of one method call per scalar.
+
 :class:`Scalar` is a thin wrapper pairing a raw value with its field; it
 exists so that callers can do ordinary ``+ - * /`` arithmetic without
 carrying the field around by hand.  All heavy code paths work on raw
@@ -25,6 +29,7 @@ values directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import MalformedInput
 
@@ -140,10 +145,155 @@ def _canonical(q):
     return q.numerator
 
 
-class Field:
-    """Immutable field description plus arithmetic on raw values."""
+# ---------------------------------------------------------------------------
+# fused sparse loops: the inner loops of elimination, one set per field kind
+#
+# ``axpy(dst, src, c)``      dst += c·src on sparse dicts,
+# ``add_entry(d, key, val)`` d[key] += val on a sparse dict,
+# ``matmul(left, right, w)`` the rows of left·right, right of width w,
+# ``clear_denominators(v)``  (L·v, L) with L·v integral, or (v, None) when
+#                            v is integral or the field is not Q.
+#
+# Sparse dicts never hold a zero: an entry that becomes zero is dropped.
+# On Q and F_p a raw zero is falsy, so these run on plain ``+ *`` with the
+# canonical form restored inline; on F_p[a]/(m) they are the per-scalar
+# loops through the Field methods.
 
-    __slots__ = ("kind", "p", "min_poly", "_deg")
+def _rational_axpy(dst, src, c):
+    get = dst.get
+    for k, v in src.items():
+        cur = get(k)
+        nv = c * v if cur is None else cur + c * v
+        if nv:
+            if type(nv) is not int and nv.denominator == 1:
+                nv = nv.numerator
+            dst[k] = nv
+        else:
+            dst.pop(k, None)
+
+
+def _rational_add_entry(d, key, val):
+    cur = d.get(key)
+    s = val if cur is None else cur + val
+    if s:
+        if type(s) is not int and s.denominator == 1:
+            s = s.numerator
+        d[key] = s
+    else:
+        d.pop(key, None)
+
+
+def _raw_matmul(finish):
+    """left·right on raw ``+ *`` (Q and F_p); ``finish`` turns each
+    accumulated row into canonical raw values."""
+    def matmul(left, right, width):
+        nonzeros = [None] * len(right)  # of right's rows, listed on first use
+        out = []
+        for row in left:
+            acc = [0] * width
+            for k, a in enumerate(row):
+                if a:
+                    nz = nonzeros[k]
+                    if nz is None:
+                        nz = nonzeros[k] = [(j, b) for j, b in enumerate(right[k]) if b]
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(finish(acc))
+        return out
+    return matmul
+
+
+_rational_matmul = _raw_matmul(
+    lambda acc: [x if type(x) is int or x.denominator != 1 else x.numerator
+                 for x in acc])
+
+
+def _rational_clear_denominators(vec):
+    lcm = 1
+    for v in vec.values():
+        if type(v) is not int:
+            d = v.denominator
+            if lcm % d:
+                lcm = lcm // gcd(lcm, d) * d
+    if lcm == 1:
+        return vec, None
+    return {k: v.numerator * (lcm // v.denominator) for k, v in vec.items()}, lcm
+
+
+def _unscaled(vec):
+    return vec, None
+
+
+def _prime_loops(p):
+    def axpy(dst, src, c):
+        get = dst.get
+        for k, v in src.items():
+            cur = get(k)
+            nv = c * v % p if cur is None else (cur + c * v) % p
+            if nv:
+                dst[k] = nv
+            else:
+                dst.pop(k, None)
+
+    def add_entry(d, key, val):
+        cur = d.get(key)
+        s = val if cur is None else (cur + val) % p
+        if s:
+            d[key] = s
+        else:
+            d.pop(key, None)
+
+    # ints do not overflow: each sum is reduced once, at the end
+    return axpy, add_entry, _raw_matmul(lambda acc: [x % p for x in acc]), _unscaled
+
+
+def _generic_loops(f):
+    def axpy(dst, src, c):
+        for k, v in src.items():
+            cur = dst.get(k)
+            nv = f.mul(c, v) if cur is None else f.add(cur, f.mul(c, v))
+            if f.is_zero(nv):
+                dst.pop(k, None)
+            else:
+                dst[k] = nv
+
+    def add_entry(d, key, val):
+        cur = d.get(key)
+        s = val if cur is None else f.add(cur, val)
+        if f.is_zero(s):
+            d.pop(key, None)
+        else:
+            d[key] = s
+
+    def matmul(left, right, width):
+        zero, add, mul, is_zero = f.zero(), f.add, f.mul, f.is_zero
+        nonzeros = [None] * len(right)
+        out = []
+        for row in left:
+            acc = [zero] * width
+            for k, a in enumerate(row):
+                if not is_zero(a):
+                    nz = nonzeros[k]
+                    if nz is None:
+                        nz = nonzeros[k] = [(j, b) for j, b in enumerate(right[k])
+                                            if not is_zero(b)]
+                    for j, b in nz:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
+        return out
+
+    return axpy, add_entry, matmul, _unscaled
+
+
+class Field:
+    """Immutable field description plus arithmetic on raw values.
+
+    ``axpy``, ``add_entry``, ``matmul`` and ``clear_denominators`` are the
+    fused sparse loops of the field's kind, picked once here (see above).
+    """
+
+    __slots__ = ("kind", "p", "min_poly", "_deg",
+                 "axpy", "add_entry", "matmul", "clear_denominators")
 
     def __init__(self, kind, p=None, min_poly=None):
         self.kind = kind
@@ -174,6 +324,14 @@ class Field:
             self._deg = len(m) - 1
         else:
             raise MalformedInput(f"unknown field kind {kind!r}")
+        if kind == RATIONALS:
+            loops = (_rational_axpy, _rational_add_entry, _rational_matmul,
+                     _rational_clear_denominators)
+        elif kind == PRIME:
+            loops = _prime_loops(p)
+        else:
+            loops = _generic_loops(self)
+        self.axpy, self.add_entry, self.matmul, self.clear_denominators = loops
 
     # constructors ---------------------------------------------------------
     @staticmethod

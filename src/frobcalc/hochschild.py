@@ -11,9 +11,13 @@ rank question is asked of one echelon by insertion: homology
 representatives are the cycles that still join the echelon of the
 boundaries.  Tails (the combination of inserted columns a pivot stands
 for) are tracked only where they are read, for kernel vectors and for
-solves; echelons used for their rank alone carry none.  The echelon of
-the boundaries and representatives of H_p is built once per (p, twist)
-and reused by the σ-action on H_p.
+solves; echelons used for their rank alone carry none and are fed
+streamed columns that are never cached (b_{p+1} for H_p, b₂ for the
+Connes image test).  The echelon of the boundaries and representatives
+of H_p is built once per (p, twist) and reused by the σ-action on H_p.
+Over Q a cycle with fractional entries enters that echelon as L·kv, L
+the lcm of its denominators, with tail {i: L}: the pivot it leaves is the
+same once normalized, but it is reduced on integers.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -29,7 +33,7 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       left_mult_matrix)
 from .errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from .frobenius import FrobeniusStructure
-from .linalg import (Matrix, SparseEchelon, add_entry, axpy, dense_vector,
+from .linalg import (Matrix, SparseEchelon, dense_vector,
                      linear_combination, sparse_vector, sum_product)
 
 DEFAULT_BUDGET = 1 << 20
@@ -107,7 +111,7 @@ class Cochain:
     def __sub__(self, other):
         f = self.algebra.field
         out = dict(self.data)
-        axpy(f, out, other.data, f.neg(f.one()))
+        f.axpy(out, other.data, f.neg(f.one()))
         return Cochain(self.algebra, self.degree, out)
 
     def __eq__(self, other):
@@ -130,51 +134,83 @@ class HomologyReport:
 # ---------------------------------------------------------------------------
 # sparse columns of the differentials
 
+def _signed_products(A: Algebra):
+    """e_i·e_j and −e_i·e_j as {(i, j): ((k, c), ...)}: the face terms of
+    the bar differentials, with their sign taken once per call."""
+    neg = A.field.neg
+    return A.structure, {ij: tuple((k, neg(c)) for k, c in terms)
+                         for ij, terms in A.structure.items()}
+
+
 def _coboundary_columns(A: Algebra, p):
-    """Columns of d: C^p → C^{p+1} keyed by flat cochain coordinates (cached)."""
+    """Columns of d: C^p → C^{p+1} keyed by flat cochain coordinates (cached).
+
+    Column k·n^p + I (I the index of J) collects, in this order, the terms
+    e_i·f(J), then ∓f(…, e_u e_v, …) for each slot of J, then ±f(J)·e_i."""
     cached = A._cache.get(("cob", p))
     if cached is not None:
         return cached
     f = A.field
     n = A.dim
-    ncols_out = n ** (p + 1)
-    nrows = n ** (p + 2)
-    sign_last = f.from_int((-1) ** (p + 1))
+    add = f.add_entry
+    npow, ncols_out, nrows = n ** p, n ** (p + 1), n ** (p + 2)
+    prods, negprods = _signed_products(A)
+    last = negprods if p % 2 == 0 else prods
+    into = [A.pairs_into(t) for t in range(n)]
+    into_neg = [tuple((u, v, f.neg(c)) for u, v, c in terms) for terms in into]
+    # face j splits slot j−1 of J into (u, v): the p+1 digits of the output
+    # are J[:j−1], u, v, J[j:], i.e. weights hi·n, hi, lo and 1
+    mids = [(n ** (p - j + 1), n ** (p - j), into_neg if j % 2 else into)
+            for j in range(1, p + 1)]
     cols = []
     for k in range(n):
-        for J in product(range(n), repeat=p):
+        kbase = k * ncols_out
+        for I, J in enumerate(product(range(n), repeat=p)):
             col = {}
             for i1 in range(n):
-                pref = _tuple_index((i1,) + J, n)
-                for (m, c) in A.mul_basis(i1, k):
-                    add_entry(f, col, m * ncols_out + pref, c)
-            for j in range(1, p + 1):
-                sgn = f.from_int((-1) ** j)
-                for (u, v, c) in A.pairs_into(J[j - 1]):
-                    args = J[:j - 1] + (u, v) + J[j:]
-                    add_entry(f, col, k * ncols_out + _tuple_index(args, n),
-                              f.mul(sgn, c))
+                pref = i1 * npow + I
+                for (m, c) in prods.get((i1, k), ()):
+                    add(col, m * ncols_out + pref, c)
+            for j, (hi, lo, pairs) in enumerate(mids, 1):
+                base = kbase + I // hi * hi * n + I % lo
+                for (u, v, c) in pairs[J[j - 1]]:
+                    add(col, base + u * hi + v * lo, c)
             for i in range(n):
-                suff = _tuple_index(J + (i,), n)
-                for (m, c) in A.mul_basis(k, i):
-                    add_entry(f, col, m * ncols_out + suff, f.mul(sign_last, c))
+                suff = I * n + i
+                for (m, c) in last.get((k, i), ()):
+                    add(col, m * ncols_out + suff, c)
             cols.append(col)
     A._cache[("cob", p)] = (nrows, cols)
     return nrows, cols
 
 
 def _boundary_columns(A: Algebra, p, twist: Matrix | None):
-    """Columns of b: M⊗A^{⊗p} → M⊗A^{⊗p-1}; twist is sigma's matrix or None."""
+    """Columns of b: M⊗A^{⊗p} → M⊗A^{⊗p-1}; twist is sigma's matrix or None
+    (cached)."""
     key = ("bnd", p, twist)
     cached = A._cache.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = A._cache[key] = (A.dim ** p, list(_stream_boundary(A, p, twist)))
+    return cached
+
+
+def _stream_boundary(A: Algebra, p, twist: Matrix | None):
+    """The columns of b_p one at a time, uncached: rank-only echelons take
+    them as they come, :func:`_boundary_columns` keeps them.
+
+    Column m·n^p + I (I the index of J) collects, in this order, face 0
+    (m·a₁, through sigma when twisted), the middle faces ±(…, a_j a_{j+1},
+    …) and the last face ±a_p·m."""
     f = A.field
     n = A.dim
+    add = f.add_entry
     ncols_out = n ** (p - 1)
-    nrows = n ** p
-    sign_last = f.from_int((-1) ** p)
-    cols = []
+    prods, negprods = _signed_products(A)
+    last = negprods if p % 2 else prods
+    # middle face j merges slots j−1 and j of J into t: the p−1 digits of
+    # the output are J[:j−1], t, J[j+1:], i.e. weights hi/n, lo and 1
+    mids = [(n ** (p - j + 1), n ** (p - j - 1), negprods if j % 2 else prods)
+            for j in range(1, p)]
     # face 0 is the right action of a₁ on m, through sigma when twisted;
     # only the n² products e_m·a (a a basis vector) occur, formed here once:
     # twisted, e_m·σ(e_a) is column a of L_{e_m}·S
@@ -183,37 +219,33 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
     else:
         face0 = []
         for em in A.basis_elements():
-            prods = left_mult_matrix(em) * twist
-            face0.append([sparse_vector(f, prods.column(a)).items()
+            prods_m = left_mult_matrix(em) * twist
+            face0.append([sparse_vector(f, prods_m.column(a)).items()
                           for a in range(n)])
     for m in range(n):
-        for J in product(range(n), repeat=p):
+        mbase = m * ncols_out
+        for I, J in enumerate(product(range(n), repeat=p)):
             col = {}
-            # face 0: right action of a₁ on m (twisted when requested)
-            tail = _tuple_index(J[1:], n)
+            tail = I % ncols_out
             for (mm, c) in face0[m][J[0]]:
-                add_entry(f, col, mm * ncols_out + tail, c)
-            # middle faces: multiply adjacent tensor slots
-            for j in range(1, p):
-                sgn = f.from_int((-1) ** j)
-                for (t, c) in A.mul_basis(J[j - 1], J[j]):
-                    args = J[:j - 1] + (t,) + J[j + 1:]
-                    add_entry(f, col, m * ncols_out + _tuple_index(args, n),
-                              f.mul(sgn, c))
-            # last face: left action of a_p on m (never twisted)
-            head = _tuple_index(J[:p - 1], n)
-            for (mm, c) in A.mul_basis(J[p - 1], m):
-                add_entry(f, col, mm * ncols_out + head, f.mul(sign_last, c))
-            cols.append(col)
-    A._cache[key] = (nrows, cols)
-    return nrows, cols
+                add(col, mm * ncols_out + tail, c)
+            for j, (hi, lo, faces) in enumerate(mids, 1):
+                base = mbase + I // hi * (hi // n) + I % lo
+                for (t, c) in faces.get((J[j - 1], J[j]), ()):
+                    add(col, base + t * lo, c)
+            head = I // n
+            for (mm, c) in last.get((J[p - 1], m), ()):
+                add(col, mm * ncols_out + head, c)
+            yield col
 
 
 # ---------------------------------------------------------------------------
 # sparse elimination
 
 def _echelonize(field, cols, *, tails=False):
-    """Echelonize columns in order.
+    """Echelonize ``cols``, any iterable of sparse columns, in order; a
+    generator such as :func:`_stream_boundary` is consumed column by column,
+    so a rank-only echelon never holds its columns.
 
     With ``tails`` each pivot carries the combination of original columns
     it stands for, so the echelon can ``solve``, and the tails of the
@@ -242,10 +274,14 @@ def _representatives(ech, kernel):
     in Z/B against the representatives.
     """
     dim = len(kernel) - ech.rank
-    one = ech.field.one()
+    f = ech.field
+    one = f.one()
     reps = []
     for kv in kernel:
-        if ech.insert(kv, {len(reps): one}) is None:
+        # over Q a fractional cycle goes in as L·kv with tail {i: L}: the
+        # same pivot once normalized, reduced on integers
+        col, scale = f.clear_denominators(kv)
+        if ech.insert(col, {len(reps): one if scale is None else scale}) is None:
             reps.append(kv)
     if len(reps) != dim:
         raise InternalInconsistency("representative count differs from dimension")
@@ -255,7 +291,7 @@ def _representatives(ech, kernel):
 def _apply_columns(field, cols, vec_dict):
     out = {}
     for j, c in vec_dict.items():
-        axpy(field, out, cols[j], c)
+        field.axpy(out, cols[j], c)
     return out
 
 
@@ -372,8 +408,7 @@ def _homology(A: Algebra, p, twist):
     else:
         _, cols = _boundary_columns(A, p, twist)
         _, kernel = _echelonize(f, cols, tails=True)
-    _, bcols = _boundary_columns(A, p + 1, twist)
-    ech, _ = _echelonize(f, bcols)
+    ech, _ = _echelonize(f, _stream_boundary(A, p + 1, twist))
     dim_bound = ech.rank
     reps = _representatives(ech, kernel)
     A._cache[key] = (len(kernel), dim_bound, reps, ech)
@@ -423,7 +458,7 @@ def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
             factors.append(inv_rows[t])
         factors.append(ucols[idx])
         for key, c in _tensor_terms(fld, factors[::-1]).items():
-            add_entry(fld, out, _tuple_index(key, n), fld.mul(c, val))
+            fld.add_entry(out, _tuple_index(key, n), fld.mul(c, val))
     return Cochain(A, p, out)
 
 
@@ -574,14 +609,14 @@ def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
     # inserted after the boundaries (empty tails), 1⊗e_i + e_i⊗1 reduces to
     # zero exactly when it is a boundary modulo the earlier ones; its tail
     # is then the canonical kernel vector for free column i
-    ech, _ = _echelonize(fld, _boundary_columns(B, 2, None)[1])
+    ech, _ = _echelonize(fld, _stream_boundary(B, 2, None))
     kvecs = []
     for i in range(n):
         vec = {}
         for m, um in enumerate(B.unit):
             if not fld.is_zero(um):
-                add_entry(fld, vec, m * n + i, um)
-                add_entry(fld, vec, i * n + m, um)
+                fld.add_entry(vec, m * n + i, um)
+                fld.add_entry(vec, i * n + m, um)
         out = ech.insert(vec, {i: fld.one()})
         if out is not None:
             kvecs.append(dense_vector(fld, out, n))

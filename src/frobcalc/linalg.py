@@ -1,6 +1,10 @@
 """Exact matrices, sparse vectors and the one elimination kernel.
 
 Everything here is plain exact arithmetic delegated to a :class:`Field`.
+The inner loops -- dst += c·src and d[key] += v on sparse dicts and the
+row-times-matrix accumulate of ``Matrix.__mul__`` -- are the field's fused
+loops (``Field.axpy``/``add_entry``/``matmul``, picked once per field
+kind), so elimination makes no per-scalar method call over Q or F_p.
 Every linear combination Σ cᵢ·vᵢ is formed by :func:`linear_combination`
 over the nonzeros of each vᵢ.
 All rank, kernel and solve work, dense or sparse, goes through
@@ -10,7 +14,9 @@ not in the span of the columns before it.  ``rref``, ``kernel_basis``,
 ``solve_linear``, ``invert`` and ``column_space_basis`` read their
 answers off that echelon, so pivots, kernel bases and solutions are the
 canonical ones of the reduced row echelon form and reports are
-deterministic.  Matrices are immutable by convention: no public method
+deterministic.  Over Q, ``solve`` reduces L·rhs, L the lcm of the
+denominators of rhs, and divides the solution by L: integer arithmetic
+on the same pivots.  Matrices are immutable by convention: no public method
 mutates ``data``.
 """
 
@@ -165,23 +171,8 @@ class Matrix:
             raise MalformedInput("mixed-field product")
         if self.cols != other.rows:
             raise MalformedInput("inner dimensions differ")
-        f = self.field
-        zero, add, mul, is_zero = f.zero(), f.add, f.mul, f.is_zero
-        out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            orow = [zero] * other.cols
-            for k in range(self.cols):
-                a = ri[k]
-                if is_zero(a):
-                    continue
-                rk = other.data[k]
-                for j in range(other.cols):
-                    b = rk[j]
-                    if not is_zero(b):
-                        orow[j] = add(orow[j], mul(a, b))
-            out.append(orow)
-        return Matrix(f, out, _raw=True)
+        return Matrix(self.field, self.field.matmul(self.data, other.data, other.cols),
+                      _raw=True)
 
     def apply(self, vec):
         """Matrix-vector product on a raw-value vector."""
@@ -248,17 +239,17 @@ class SparseEchelon:
     def _reduce(self, col, tail):
         """Reduce col, and tail alongside, in place; returns the leading row
         of what is left, or None when col reduced to zero."""
-        f = self.field
+        neg, axpy, pivots = self.field.neg, self.field.axpy, self.pivots
         while col:
             r = min(col)
-            hit = self.pivots.get(r)
+            hit = pivots.get(r)
             if hit is None:
                 return r
             pcol, ptail = hit
-            c = f.neg(col[r])
-            axpy(f, col, pcol, c)
+            c = neg(col[r])
+            axpy(col, pcol, c)
             if tail is not None:
-                axpy(f, tail, ptail, c)
+                axpy(tail, ptail, c)
         return None
 
     def insert(self, col, tail):
@@ -284,23 +275,19 @@ class SparseEchelon:
         return len(self.pivots)
 
     def solve(self, rhs_dict):
-        """x with (echelon columns as M) · x = rhs, or None."""
-        col, tail = dict(rhs_dict), {}
+        """x with (echelon columns as M) · x = rhs, or None.
+
+        Over Q a fractional rhs is reduced as L·rhs, L the lcm of its
+        denominators, and the solution divided by L afterwards."""
+        f = self.field
+        col, scale = f.clear_denominators(rhs_dict)
+        col, tail = dict(col), {}
         if self._reduce(col, tail) is not None:
             return None
-        neg = self.field.neg
-        return {idx: neg(v) for idx, v in tail.items()}
-
-
-def axpy(f, dst, src, c):
-    """dst += c·src on sparse dicts, dropping entries that become zero."""
-    for k, v in src.items():
-        cur = dst.get(k)
-        nv = f.mul(c, v) if cur is None else f.add(cur, f.mul(c, v))
-        if f.is_zero(nv):
-            dst.pop(k, None)
-        else:
-            dst[k] = nv
+        if scale is None:
+            return {idx: f.neg(v) for idx, v in tail.items()}
+        s = f.neg(f.inv(scale))
+        return {idx: f.mul(s, v) for idx, v in tail.items()}
 
 
 def linear_combination(f, terms, length):
@@ -312,7 +299,7 @@ def linear_combination(f, terms, length):
     for c, v in terms:
         c = f.coerce(c)
         if not f.is_zero(c):
-            axpy(f, acc, sparse_vector(f, v), c)
+            f.axpy(acc, sparse_vector(f, v), c)
     return dense_vector(f, acc, length)
 
 
@@ -323,16 +310,6 @@ def sum_product(f, a, b):
         if not f.is_zero(x) and not f.is_zero(y):
             acc = f.add(acc, f.mul(x, y))
     return acc
-
-
-def add_entry(f, d, key, val):
-    """d[key] += val on a sparse dict, dropping the entry if it becomes zero."""
-    cur = d.get(key)
-    s = val if cur is None else f.add(cur, val)
-    if f.is_zero(s):
-        d.pop(key, None)
-    else:
-        d[key] = s
 
 
 def sparse_vector(f, vec):

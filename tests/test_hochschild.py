@@ -1,6 +1,7 @@
 """Bar complexes: differentials, dimensions, actions, certificates."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -459,3 +460,76 @@ def test_rational_cocycles_and_homology_keep_the_canonical_form():
     action = hh.sigma_action_on_homology(F, 0, hh.UNTWISTED)
     assert_canonical(v for row in action.data for v in row)
     assert Fraction(1, 2) in (v for row in action.data for v in row)
+
+
+def _homology_state(field, monkeypatch=None):
+    """exterior(3) over ``field`` at p = 2, twisted: the kernel of b₂, the
+    report, the cached echelon and the Frobenius structure; with
+    ``monkeypatch`` the field's denominator clearing is switched off."""
+    item = exterior(3, field)
+    A, F = item.algebra, make_frobenius(item.algebra, item.gram)
+    if monkeypatch is not None:
+        monkeypatch.setattr(field, "clear_denominators", lambda vec: (vec, None))
+    twist = F.sigma.matrix
+    _, kernel = hh._echelonize(field, hh._boundary_columns(A, 2, twist)[1], tails=True)
+    rep = hh.homology_dimension(A, 2, hh.TWISTED, F.sigma)
+    return kernel, rep, hh._homology(A, 2, twist)[3], F
+
+
+def _items(d):
+    return list(d.items())
+
+
+def test_rational_representatives_enter_the_echelon_integral(monkeypatch):
+    # exterior(3)/Q at p = 2: 54 cycle entries and one representative are
+    # not integral; such a cycle goes in as L·kv with tail {i: L}
+    kernel, rep, ech, F = _homology_state(Field.rationals())
+    assert sum(type(v) is Fraction for kv in kernel for v in kv.values()) == 54
+    assert sum(any(type(v) is Fraction for v in kv.values())
+               for kv in rep.representatives) == 1
+    # the representatives are the kernel vectors themselves, unscaled
+    assert all(kv in kernel for kv in rep.representatives)
+    for i, kv in enumerate(rep.representatives):
+        assert ech.solve(kv) == {i: 1}
+    assert hh.sigma_action_on_homology(F, 2, hh.TWISTED).is_identity()
+    # the same reports and the same echelon, key order included, with the
+    # clearing switched off
+    ref_kernel, ref_rep, ref_ech, ref_F = _homology_state(Field.rationals(), monkeypatch)
+    assert rep == ref_rep and list(map(_items, rep.representatives)) == \
+        list(map(_items, ref_rep.representatives))
+    assert list(ech.pivots) == list(ref_ech.pivots)
+    for r, (col, tail) in ech.pivots.items():
+        assert (_items(col), _items(tail)) == tuple(map(_items, ref_ech.pivots[r]))
+    assert_canonical(v for col, tail in ech.pivots.values()
+                     for v in (*col.values(), *tail.values()))
+    hh_rep = hh.hh_dimension(F.algebra, 2)
+    ref_hh = hh.hh_dimension(ref_F.algebra, 2)
+    assert (hh_rep.dim_cycles, hh_rep.dim_boundaries, hh_rep.dim) == \
+        (ref_hh.dim_cycles, ref_hh.dim_boundaries, ref_hh.dim) == (73, 49, 24)
+    assert [c.data for c in hh_rep.representatives] == \
+        [c.data for c in ref_hh.representatives]
+
+
+def test_rank_only_boundaries_are_streamed_not_kept():
+    # b_{p+1} serves H_p for its rank alone: it is never cached, so the
+    # 65 536 columns of b₃ on exterior(4) do not outlive the call
+    small = exterior(3, Field.prime(5))
+    F = make_frobenius(small.algebra, small.gram)
+    for p in range(3):
+        hh.homology_dimension(small.algebra, p, hh.TWISTED, F.sigma)
+        assert ("bnd", p + 1, F.sigma.matrix) not in small.algebra._cache
+    item = exterior(4, Field.prime(5))
+    A, F = item.algebra, make_frobenius(item.algebra, item.gram)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = hh.homology_dimension(A, 2, hh.TWISTED, F.sigma)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert (rep.dim_boundaries, rep.dim) == (3800, 80)
+    assert ("bnd", 3, F.sigma.matrix) not in A._cache
+    assert held < 10 * 2**20

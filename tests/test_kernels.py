@@ -1,0 +1,260 @@
+"""The fused sparse loops of each field kind against per-scalar references.
+
+``Field.axpy``/``add_entry``/``matmul`` run on plain ``+ *`` over Q and
+F_p; ``SparseEchelon`` reduces through them and clears Q denominators in
+``solve``.  The references below are the same loops written with one
+``Field`` method call per scalar: results, key order and the canonical Q
+form must come out the same.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from frobcalc.fields import Field
+from frobcalc.linalg import Matrix, SparseEchelon
+from test_fields import assert_canonical
+
+BIG = 2**31 - 1
+FIELDS = {
+    "Q": Field.rationals(),
+    "F5": Field.prime(5),
+    "F2^31-1": Field.prime(BIG),
+    "F9": Field.extension(3, [1, 0, 1]),
+}
+ENTRY = {
+    "Q": st.one_of(st.integers(min_value=-4, max_value=4),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+    "F5": st.integers(min_value=0, max_value=4),
+    "F2^31-1": st.one_of(st.integers(min_value=0, max_value=3),
+                         st.integers(min_value=BIG - 3, max_value=BIG - 1),
+                         st.integers(min_value=0, max_value=BIG - 1)),
+    "F9": st.tuples(st.integers(min_value=0, max_value=2),
+                    st.integers(min_value=0, max_value=2)),
+}
+LABELS = list(FIELDS)
+
+
+def sparse(f, raw):
+    """A sparse dict of canonical raw values, zeros dropped."""
+    out = {}
+    for k, v in raw.items():
+        v = f.coerce(v)
+        if not f.is_zero(v):
+            out[k] = v
+    return out
+
+
+def columns(label, max_size=8):
+    return st.lists(st.dictionaries(st.integers(min_value=0, max_value=6),
+                                    ENTRY[label], max_size=4),
+                    min_size=1, max_size=max_size)
+
+
+def check_form(f, values):
+    values = list(values)
+    assert not any(f.is_zero(v) for v in values)
+    if f == FIELDS["Q"]:
+        assert_canonical(values)
+
+
+# --- per-scalar references -------------------------------------------------
+
+def ref_axpy(f, dst, src, c):
+    for k, v in src.items():
+        cur = dst.get(k)
+        nv = f.mul(c, v) if cur is None else f.add(cur, f.mul(c, v))
+        if f.is_zero(nv):
+            dst.pop(k, None)
+        else:
+            dst[k] = nv
+
+
+def ref_add_entry(f, d, key, val):
+    cur = d.get(key)
+    s = val if cur is None else f.add(cur, val)
+    if f.is_zero(s):
+        d.pop(key, None)
+    else:
+        d[key] = s
+
+
+def ref_matmul(f, a, b, width):
+    out = []
+    for ri in a:
+        orow = [f.zero()] * width
+        for x, rk in zip(ri, b):
+            if f.is_zero(x):
+                continue
+            for j, y in enumerate(rk):
+                if not f.is_zero(y):
+                    orow[j] = f.add(orow[j], f.mul(x, y))
+        out.append(orow)
+    return out
+
+
+class RefEchelon:
+    """The column echelon with per-scalar reduction and no denominator
+    clearing."""
+
+    def __init__(self, f):
+        self.f = f
+        self.pivots = {}
+
+    def _reduce(self, col, tail):
+        f = self.f
+        while col:
+            r = min(col)
+            hit = self.pivots.get(r)
+            if hit is None:
+                return r
+            c = f.neg(col[r])
+            ref_axpy(f, col, hit[0], c)
+            if tail is not None:
+                ref_axpy(f, tail, hit[1], c)
+        return None
+
+    def insert(self, col, tail):
+        f = self.f
+        col, tail = dict(col), dict(tail) if tail is not None else None
+        r = self._reduce(col, tail)
+        if r is None:
+            return tail if tail is not None else {}
+        if not f.is_one(col[r]):
+            ip = f.inv(col[r])
+            col = {k: f.mul(ip, v) for k, v in col.items()}
+            if tail is not None:
+                tail = {k: f.mul(ip, v) for k, v in tail.items()}
+        self.pivots[r] = (col, tail if tail is not None else {})
+        return None
+
+    def solve(self, rhs):
+        col, tail = dict(rhs), {}
+        if self._reduce(col, tail) is not None:
+            return None
+        return {k: self.f.neg(v) for k, v in tail.items()}
+
+
+# --- the fused loops ---------------------------------------------------------
+
+@pytest.mark.parametrize("label", LABELS)
+def test_axpy_and_add_entry_match_per_scalar_ops(label):
+    f = FIELDS[label]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(min_value=0, max_value=9), ENTRY[label]),
+           st.dictionaries(st.integers(min_value=0, max_value=9), ENTRY[label]),
+           ENTRY[label], st.sets(st.integers(min_value=0, max_value=9)))
+    def props(raw_dst, raw_src, raw_c, cancel):
+        dst, src, c = sparse(f, raw_dst), sparse(f, raw_src), f.coerce(raw_c)
+        # entries of dst equal to −c·src cancel and must be dropped
+        for k in cancel & src.keys():
+            dst[k] = f.neg(f.mul(c, src[k]))
+        fused, ref = dict(dst), dict(dst)
+        f.axpy(fused, src, c)
+        ref_axpy(f, ref, src, c)
+        assert list(fused.items()) == list(ref.items())
+        check_form(f, fused.values())
+        if not f.is_zero(c):
+            assert not cancel & src.keys() & fused.keys()
+        for k, v in src.items():
+            for val in (v, f.neg(v)):  # the second add cancels the first
+                f.add_entry(fused, k, val)
+                ref_add_entry(f, ref, k, val)
+                assert list(fused.items()) == list(ref.items())
+        check_form(f, fused.values())
+
+    props()
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_matrix_product_matches_per_scalar_ops(label):
+    f = FIELDS[label]
+    dims = st.integers(min_value=1, max_value=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, dims, st.data())
+    def props(r, k, c, data):
+        def rows(n, m):
+            return data.draw(st.lists(st.lists(ENTRY[label], min_size=m, max_size=m),
+                                      min_size=n, max_size=n))
+        a, b = Matrix(f, rows(r, k)), Matrix(f, rows(k, c))
+        prod = a * b
+        assert (prod.rows, prod.cols) == (r, c)
+        assert prod.data == ref_matmul(f, a.data, b.data, c)
+        if f == FIELDS["Q"]:
+            assert_canonical(v for row in prod.data for v in row)
+
+    props()
+
+
+def test_rational_product_of_fractions_is_an_int():
+    Q = FIELDS["Q"]
+    half = Fraction(1, 2)
+    prod = Matrix(Q, [[half, half], [half, -half]]) * Matrix(Q, [[1, 3], [1, 1]])
+    assert prod.data == [[1, 2], [0, 1]]
+    assert_canonical(v for row in prod.data for v in row)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_echelon_insert_and_solve_match_per_scalar_ops(label):
+    f = FIELDS[label]
+    one = f.one()
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns(label), st.lists(ENTRY[label], max_size=8),
+           st.dictionaries(st.integers(min_value=0, max_value=6), ENTRY[label],
+                           max_size=4))
+    def props(raw_cols, coeffs, raw_rhs):
+        cols = [sparse(f, c) for c in raw_cols]
+        ech, ref = SparseEchelon(f), RefEchelon(f)
+        free = []
+        for j, col in enumerate(cols):
+            out, ref_out = ech.insert(col, {j: one}), ref.insert(col, {j: one})
+            assert (out is None) == (ref_out is None)
+            if out is not None:
+                assert list(out.items()) == list(ref_out.items())
+                free.append(j)
+                # the canonical kernel tail: 1 at its free column, 0 at
+                # every earlier free one
+                assert f.is_one(out[j])
+                assert not set(free[:-1]) & out.keys()
+                check_form(f, out.values())
+        assert list(ech.pivots) == list(ref.pivots)
+        for r, (col, tail) in ech.pivots.items():
+            assert list(col.items()) == list(ref.pivots[r][0].items())
+            assert list(tail.items()) == list(ref.pivots[r][1].items())
+            check_form(f, col.values())
+            check_form(f, tail.values())
+        # a column combination (in the span) and a free right-hand side
+        combo = {}
+        for c, col in zip(coeffs, cols):
+            ref_axpy(f, combo, col, f.coerce(c))
+        for rhs in (combo, sparse(f, raw_rhs)):
+            x = ech.solve(rhs)
+            y = ref.solve(rhs)
+            assert (x is None) == (y is None)
+            if x is None:
+                assert rhs is not combo
+                continue
+            assert list(x.items()) == list(y.items())
+            check_form(f, x.values())
+            back = {}
+            for j, v in x.items():
+                ref_axpy(f, back, cols[j], v)
+            assert back == rhs
+
+    props()
+
+
+def test_rational_solve_clears_denominators_exactly():
+    Q = FIELDS["Q"]
+    third = Fraction(1, 3)
+    ech = SparseEchelon(Q)
+    for j, col in enumerate(({0: 2, 1: 1}, {1: 3}, {0: 1, 2: third})):
+        assert ech.insert(col, {j: 1}) is None
+    x = ech.solve({0: Fraction(1, 2), 1: Fraction(5, 6), 2: 1})
+    assert x == {0: Fraction(-5, 4), 1: Fraction(25, 36), 2: 3}
+    assert_canonical(x.values())
+    assert type(x[2]) is int

@@ -1,5 +1,6 @@
 """JSON schemas, round-trips, and the command-line surface."""
 
+import hashlib
 import io
 import json
 
@@ -9,7 +10,7 @@ from frobcalc import serialize
 from frobcalc.cli import parse_field_flag, run
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.gallery import qci
+from frobcalc.gallery import exterior, qci
 from frobcalc.groups import cyclic_group
 
 Q = Field.rationals()
@@ -351,3 +352,30 @@ def test_serializer_fuzz_no_crashes():
         except MalformedInput:
             rejected += 1
     assert rejected > 50
+
+
+# sha256 of the report with ``timing_ms`` removed, as ``_emit`` writes it
+# (sorted keys, indent 1), recorded with the per-scalar elimination loops
+GOLDEN = {
+    "homology exterior(3)/Q p<=2": (
+        exterior, 3, ["homology", "--max-degree", "2"],
+        "6745698a7379c01ba4b35d1a58bce07951e91f2d79e9b29479c66c0478dbc210"),
+    "hochschild exterior(3)/Q p<=2": (
+        exterior, 3, ["hochschild", "--max-degree", "2"],
+        "b7d0d3252f4b498e0febaafbe2e525be41910b4aea6a68fcc9435f94f22cade7"),
+    "homology qci(2)/Q p<=1": (
+        qci, 2, ["homology", "--max-degree", "1"],
+        "02a9383e9fb7d7b6f46040eb8ff72dd34ba33c6c7f55f8d71ee89da722059047"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_report_digests(tmp_path, case):
+    family, arg, (command, *flags), digest = GOLDEN[case]
+    item = family(arg)
+    path = write(tmp_path, "a.json", serialize.algebra_to_doc(item.algebra, item.gram))
+    code, rep = run_json([command, "--file", path, *flags])
+    assert code == 0
+    rep.pop("timing_ms")
+    text = json.dumps(rep, sort_keys=True, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
