@@ -2,16 +2,21 @@
 
 An :class:`Algebra` stores a sparse multiplication tensor: ``structure``
 maps a basis pair ``(i, j)`` to the nonzero components of ``e_i * e_j``.
-Associativity and the unit law are checked exhaustively on construction,
-so everything downstream may assume them.
+Associativity and the unit law are checked on construction for every
+basis triple, so everything downstream may assume them.  The checks, the
+role checks on maps and the center and commutator systems read only the
+nonzero products: the tensor is also indexed by row (e_i·e_j by j) and
+by column (e_i·e_j by i), and a product of sparse vectors is a run of the
+field's fused ``axpy`` over those indexes.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedInput, RoleViolation
 from .fields import Scalar
-from .linalg import (Matrix, column_space_basis, invert, kernel_basis,
-                     linear_combination, mismatches, solve_linear, sum_product)
+from .linalg import (Matrix, dense_vector, independent_columns, invert,
+                     linear_combination, solve_linear, sparse_combination,
+                     sparse_kernel_basis, sparse_vector, sum_product)
 
 ROLE_GENERAL = "general"
 ROLE_ENDOMORPHISM = "endomorphism"
@@ -22,7 +27,7 @@ class Algebra:
     """Finite-dimensional unital associative algebra in a fixed basis."""
 
     __slots__ = ("field", "dim", "basis_names", "structure", "unit",
-                 "_pairs_into", "_cache")
+                 "_rows", "_cols", "_pairs_into", "_cache")
 
     def __init__(self, field, dim, basis_names, structure, unit, *, check=True):
         """``structure`` is an iterable of ``(i, j, k, c)`` with e_i e_j ∋ c·e_k."""
@@ -45,6 +50,12 @@ class Algebra:
             for ij, cell in table.items()
         }
         self.structure = {ij: terms for ij, terms in self.structure.items() if terms}
+        # _rows[i][j] and _cols[j][i] are both e_i·e_j as a sparse dict
+        self._rows, self._cols = {}, {}
+        for (i, j), terms in self.structure.items():
+            prod = dict(terms)
+            self._rows.setdefault(i, {})[j] = prod
+            self._cols.setdefault(j, {})[i] = prod
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != dim:
             raise MalformedInput("unit vector has wrong length")
@@ -57,42 +68,69 @@ class Algebra:
 
     # --- construction-time checks -------------------------------------------
     def _check_unit(self):
-        # L_1 = R_1 = I; the witness is the first basis element either misses
-        one = Element(self, self.unit, _raw=True)
-        ident = Matrix.identity(self.field, self.dim)
-        bad = mismatches(left_mult_matrix(one), ident) \
-            + mismatches(right_mult_matrix(one), ident)
-        if bad:
-            i = min(c for _, c in bad)
-            raise MalformedInput(f"unit law fails on basis element {i}")
+        # 1·e_j = e_j·1 = e_j; the witness is the first basis element either misses
+        u = sparse_vector(self.field, self.unit)
+        lefts, rights = self.mult_columns(u, True), self.mult_columns(u, False)
+        one = self.field.one()
+        for j in range(self.dim):
+            if lefts.get(j, {}) != {j: one} or rights.get(j, {}) != {j: one}:
+                raise MalformedInput(f"unit law fails on basis element {j}")
 
     def _check_associativity(self):
-        one = self.field.one()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.mul_basis(i, j)
-                for k in range(self.dim):
-                    left = self._mul_terms(ij, ((k, one),))
-                    right = self._mul_terms(((i, one),), self.mul_basis(j, k))
-                    if left != right:
-                        raise MalformedInput(
-                            f"associativity fails on basis triple ({i},{j},{k})")
+        """(e_i e_j) e_k = e_i (e_j e_k) on every basis triple; the witness is
+        the first failing triple in (i, j, k) order.
+
+        Only triples with a nonzero product can fail.  When e_i e_j = 0 the
+        triple fails exactly when e_i·(e_j e_k) ≠ 0, which needs e_j e_k ≠ 0:
+        those are read off R_{e_j e_k} for each nonzero product.  The triples
+        with e_i e_j ≠ 0 are then walked in order, k over the columns where
+        L_{e_i e_j} or e_j·(−) is nonzero, up to the first failure.
+        """
+        first = min(((i, j, k) for (j, k) in self.structure
+                     for i in self.mult_columns(self._rows[j][k], False)
+                     if j not in self._rows.get(i, ())), default=None)
+        for i, j in sorted(self.structure):
+            if first is not None and (i, j) > first[:2]:
+                break
+            k = self._first_failing_k(i, j)
+            if k is not None:
+                first = (i, j, k)
+                break
+        if first is not None:
+            raise MalformedInput(
+                "associativity fails on basis triple ({},{},{})".format(*first))
+
+    def _first_failing_k(self, i, j):
+        """The least k with (e_i e_j)·e_k ≠ e_i·(e_j e_k), for e_i e_j ≠ 0."""
+        row_i, row_j = self._rows[i], self._rows.get(j, {})
+        lhs = self.mult_columns(row_i[j], True)
+        return next((k for k in sorted(lhs.keys() | row_j.keys())
+                     if lhs.get(k, {}) != sparse_combination(
+                         self.field, row_i, row_j.get(k, {}))), None)
 
     # --- raw product helpers ---------------------------------------------------
     def mul_basis(self, i, j):
         """e_i * e_j as a tuple of (k, c) terms."""
         return self.structure.get((i, j), ())
 
-    def _mul_terms(self, left, right):
-        """Product of two sparse (index, coefficient) term tuples, as sorted terms."""
+    def left_products(self, i):
+        """The nonzero products e_i·e_j as ``{j: sparse dict}``."""
+        return self._rows.get(i, {})
+
+    def right_products(self, j):
+        """The nonzero products e_i·e_j as ``{i: sparse dict}``."""
+        return self._cols.get(j, {})
+
+    def mult_columns(self, x, left):
+        """The nonzero columns of L_x (left) or R_x as ``{b: sparse dict}``
+        for a sparse vector x: column b is x·e_b or e_b·x."""
         f = self.field
-        acc = {}
-        for (m, c) in left:
-            for (t, d) in right:
-                cd = f.mul(c, d)
-                for (s, e) in self.mul_basis(m, t):
-                    f.add_entry(acc, s, f.mul(cd, e))
-        return tuple(sorted(acc.items()))
+        index = self._rows if left else self._cols
+        cols = {}
+        for a, xa in x.items():
+            for b, t in index.get(a, {}).items():
+                f.axpy(cols.setdefault(b, {}), t, xa)
+        return {b: c for b, c in cols.items() if c}
 
     def mul_raw(self, a, b):
         """Product of two raw coefficient vectors."""
@@ -367,19 +405,14 @@ def multiply(a: Element, b: Element) -> Element:
 
 
 def _mult_matrix(a: Element, left):
-    """L_a (left) or R_a, read off the structure tensor: column j of L_a is
-    Σ_i a_i·e_i e_j and column j of R_a is Σ_i a_i·e_j e_i."""
+    """L_a (left) or R_a, its columns read off the structure tensor: column
+    j of L_a is Σ_i a_i·e_i e_j and column j of R_a is Σ_i a_i·e_j e_i."""
     A = a.algebra
     f = A.field
-    n = A.dim
-    coeffs = a.raw
-    data = [[f.zero()] * n for _ in range(n)]
-    for (i, j), terms in A.structure.items():
-        x, col = (coeffs[i], j) if left else (coeffs[j], i)
-        if f.is_zero(x):
-            continue
-        for (k, c) in terms:
-            data[k][col] = f.add(data[k][col], f.mul(x, c))
+    data = [[f.zero()] * A.dim for _ in range(A.dim)]
+    for j, col in A.mult_columns(sparse_vector(f, a.raw), left).items():
+        for k, v in col.items():
+            data[k][j] = v
     return Matrix(f, data, _raw=True)
 
 
@@ -406,12 +439,36 @@ def inverse_of(a: Element):
     return binv
 
 
+def intertwiner_basis(A: Algebra, u: LinearMap | None = None):
+    """Canonical basis of {t : u(e_i)·t = t·e_i for all i}; u defaults to
+    the identity, whose intertwiners are the center.
+
+    This is the kernel of the stacked blocks L_{u(e_i)} − R_{e_i}: block i
+    of column c is u(e_i)·e_c − e_c·e_i = Σ_a U[a][i]·e_a e_c − e_c e_i at
+    rows i·dim + r.  The columns are summed from the nonzero products and
+    go to the echelon in column order, so the kernel is the one the
+    stacked matrix gives.
+    """
+    f = A.field
+    n = A.dim
+    urows = (u.matrix if u is not None else Matrix.identity(f, n)).sparse_rows()
+    minus_one = f.neg(f.one())
+    columns = []
+    for c in range(n):
+        blocks = {}
+        for a, prod in A.right_products(c).items():
+            for i, x in urows[a].items():
+                f.axpy(blocks.setdefault(i, {}), prod, x)
+        for i, prod in A.left_products(c).items():
+            f.axpy(blocks.setdefault(i, {}), prod, minus_one)
+        columns.append({i * n + r: v for i, block in blocks.items()
+                        for r, v in block.items()})
+    return [Element(A, v, _raw=True) for v in sparse_kernel_basis(f, columns)]
+
+
 def center_basis(A: Algebra):
     """Canonical basis of {z : z e_i = e_i z for all i} (commutator kernel)."""
-    ker = kernel_basis(Matrix.block(
-        A.field, [[left_mult_matrix(e) - right_mult_matrix(e)]
-                  for e in A.basis_elements()]))
-    return [Element(A, v, _raw=True) for v in ker]
+    return intertwiner_basis(A)
 
 
 def commutator_subspace(A: Algebra, twist: LinearMap | None = None):
@@ -427,38 +484,42 @@ def commutator_subspace(A: Algebra, twist: LinearMap | None = None):
         if twist.role != ROLE_ENDOMORPHISM:
             raise RoleViolation("twist must be an endomorphism")
     f = A.field
-    cols = []
-    # column j of L_{e_i} − R_{τ(e_i)} is e_i·e_j − e_j·τ(e_i)
-    for i, ei in enumerate(A.basis_elements()):
-        ti = ei if twist is None else Element(A, twist.matrix.column(i), _raw=True)
-        diff = left_mult_matrix(ei) - right_mult_matrix(ti)
-        for j in range(A.dim):
-            v = diff.column(j)
-            if any(not f.is_zero(c) for c in v):
-                cols.append(v)
-    if not cols:
-        return []
-    basis = column_space_basis(Matrix.from_columns(f, cols))
-    return [Element(A, v, _raw=True) for v in basis]
+    images = (twist.matrix if twist is not None
+              else Matrix.identity(f, A.dim)).sparse_columns()
+    minus_one = f.neg(f.one())
+
+    def columns():
+        # column j of L_{e_i} − R_{τ(e_i)} is e_i·e_j − e_j·τ(e_i)
+        for i in range(A.dim):
+            row, right = A.left_products(i), A.mult_columns(images[i], False)
+            for j in sorted(row.keys() | right.keys()):
+                v = dict(row.get(j, {}))
+                f.axpy(v, right.get(j, {}), minus_one)
+                if v:
+                    yield v
+
+    return [Element(A, dense_vector(f, v, A.dim), _raw=True)
+            for v in independent_columns(f, columns())]
 
 
 def endomorphism_witness(A: Algebra, m: Matrix):
     """None if m is an algebra endomorphism, else a failing witness.
 
-    Checks U·1 = 1, then U·L_{e_i} = L_{U e_i}·U for each i: column j of
-    either side is U(e_i e_j) and U(e_i)·U(e_j).  The witness is the first
-    failing pair (i, j).
+    Checks U·1 = 1, then U(e_i e_j) = U(e_i)·U(e_j) on every basis pair,
+    on the sparse images U(e_i): the right side is column j of L_{U e_i}·U.
+    The witness is the first failing pair (i, j).
     """
     if m.rows != A.dim or m.cols != A.dim:
         raise MalformedInput("map matrix must be dim x dim")
     if m.apply(list(A.unit)) != list(A.unit):
         return "unit"
-    for i, ei in enumerate(A.basis_elements()):
-        lhs = m * left_mult_matrix(ei)
-        rhs = left_mult_matrix(Element(A, m.column(i), _raw=True)) * m
-        bad = mismatches(lhs, rhs)
-        if bad:
-            return (i, min(j for _, j in bad))
+    images = dict(enumerate(m.sparse_columns()))
+    for i in range(A.dim):
+        row, left = A.left_products(i), A.mult_columns(images[i], True)
+        for j in range(A.dim):
+            if (sparse_combination(A.field, images, row.get(j, {}))
+                    != sparse_combination(A.field, left, images[j])):
+                return (i, j)
     return None
 
 
@@ -469,18 +530,21 @@ def is_endomorphism(A: Algebra, m: Matrix) -> bool:
 def derivation_witness(A: Algebra, m: Matrix):
     """None if m satisfies the Leibniz law on all basis pairs, else (i, j).
 
-    Checks D·L_{e_i} = L_{D e_i} + L_{e_i}·D for each i: column j of either
-    side is D(e_i e_j) and D(e_i)·e_j + e_i·D(e_j).
+    Checks D(e_i e_j) = D(e_i)·e_j + e_i·D(e_j) on every basis pair, on the
+    sparse images D(e_i); the witness is the first failing pair.
     """
     if m.rows != A.dim or m.cols != A.dim:
         raise MalformedInput("map matrix must be dim x dim")
-    for i, ei in enumerate(A.basis_elements()):
-        li = left_mult_matrix(ei)
-        lhs = m * li
-        rhs = left_mult_matrix(Element(A, m.column(i), _raw=True)) + li * m
-        bad = mismatches(lhs, rhs)
-        if bad:
-            return (i, min(j for _, j in bad))
+    f = A.field
+    one = f.one()
+    images = dict(enumerate(m.sparse_columns()))
+    for i in range(A.dim):
+        row, left = A.left_products(i), A.mult_columns(images[i], True)
+        for j in range(A.dim):
+            rhs = sparse_combination(f, row, images[j])
+            f.axpy(rhs, left.get(j, {}), one)
+            if sparse_combination(f, images, row.get(j, {})) != rhs:
+                return (i, j)
     return None
 
 

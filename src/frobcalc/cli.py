@@ -14,6 +14,7 @@ deterministic for a fixed (input, seed) apart from ``timing_ms``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -299,14 +300,14 @@ def _gallery_build(args):
     name = args.name
     field = parse_field_flag(args.field) if args.field else None
     if name == "exterior":
-        return exterior(args.n, field)
+        return exterior(args.n, field, budget=args.budget)
     if name == "qci":
         f = field or Field.rationals()
         return qci(f.parse(args.q), f)
     if name == "cyclic":
-        return cyclic(args.p, field)
+        return cyclic(args.p, field, budget=args.budget)
     if name == "matrix":
-        return matrix_algebra(args.m, field)
+        return matrix_algebra(args.m, field, budget=args.budget)
     if name == "group-s3":
         return s3_group_algebra(field)
     if name == "trivial":
@@ -437,7 +438,10 @@ _size = _at_least(1, "size")
 _characteristic = _at_least(2, "characteristic")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, every ``parse_args`` fills a fresh namespace."""
     parser = _Parser(prog="frobcalc", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
@@ -475,7 +479,8 @@ def _build_parser():
                "--m": {"type": _size, "default": 2},
                "--base": {"default": "dual-numbers"},
                "--field": {"default": None},
-               "--verify-all": {"action": "store_true"}})
+               "--verify-all": {"action": "store_true"},
+               "--budget": {"type": _budget, "default": hh.DEFAULT_BUDGET}})
     g.add_argument("name")
     add("verify-all", cmd_verify_all)
     return parser

@@ -12,10 +12,10 @@ from itertools import product
 
 from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       center_basis, endomorphism_witness, inner_automorphism,
-                      inverse_of, left_mult_matrix, right_mult_matrix)
+                      intertwiner_basis, inverse_of, left_mult_matrix)
 from .errors import InternalInconsistency, MalformedInput
 from .fields import Scalar
-from .linalg import (Matrix, invert, kernel_basis, mismatches, solve_linear,
+from .linalg import (Matrix, invert, solve_linear, sparse_combination,
                      sum_product)
 from .rng import SplitMix64
 
@@ -68,11 +68,12 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
 
     # ⟨e_i e_j, e_k⟩ = ⟨e_i, e_j e_k⟩ is entry (i, k) of R_{e_j}ᵀG = G·L_{e_j};
     # the witness is the first failing triple (i, j, k)
-    basis = A.basis_elements()
-    lefts = [left_mult_matrix(e) for e in basis]
-    bad = [(i, j, k) for j, e in enumerate(basis)
-           for (i, k) in mismatches(right_mult_matrix(e).transpose() * gram,
-                                    gram * lefts[j])]
+    f = A.field
+    grows = dict(enumerate(gram.sparse_rows()))
+    gcols = dict(enumerate(gram.sparse_columns()))
+    bad = [(i, j, k) for j in range(A.dim)
+           for (i, k) in _form_mismatches(f, grows, gcols, A.right_products(j),
+                                          A.left_products(j))]
     if bad:
         i, j, k = min(bad)
         raise MalformedInput(
@@ -92,18 +93,37 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
     F = FrobeniusStructure(A, gram,
                            LinearMap(A, sigma_mat, ROLE_ENDOMORPHISM, check=False),
                            ginv, LinearMap(A, sinv, ROLE_ENDOMORPHISM, check=False))
-    # defining property G = (G·S)ᵀ, and the bimodule law ⟨a, b·σ(c)⟩ = ⟨ca, b⟩
-    # as G·R_{σ(e_k)} = L_{e_k}ᵀ·G, entry (i, j) for the triple (i, j, k)
-    if gram != (gram * sigma_mat).transpose():
+    # defining property: row i of G, ⟨e_i, −⟩ = ⟨−, σ(e_i)⟩, is G·σ(e_i)
+    images = sigma_mat.sparse_columns()
+    if any(sparse_combination(f, gcols, images[i]) != grows[i]
+           for i in range(A.dim)):
         raise InternalInconsistency("defining property of sigma failed")
+    # the bimodule law ⟨e_i, e_j·σ(e_k)⟩ = ⟨e_k e_i, e_j⟩ as G·R_{σ(e_k)} =
+    # L_{e_k}ᵀ·G, entry (i, j) for the triple (i, j, k)
     bad = [(i, j, k) for k in range(A.dim)
-           for (i, j) in mismatches(
-               gram * right_mult_matrix(Element(A, sigma_mat.column(k), _raw=True)),
-               lefts[k].transpose() * gram)]
+           for (i, j) in _form_mismatches(f, grows, gcols, A.left_products(k),
+                                          A.mult_columns(images[k], False))]
     if bad:
         i, j, k = min(bad)
         raise InternalInconsistency(f"bimodule law failed at ({i},{j},{k})")
     return F
+
+
+def _form_mismatches(f, grows, gcols, xs, ys):
+    """The positions (i, k) where ⟨x_i, e_k⟩ ≠ ⟨e_i, y_k⟩, for sparse vectors
+    ``xs = {i: x_i}`` and ``ys = {k: y_k}`` (a missing one is zero): entry
+    (i, k) of Xᵀ·G against G·Y, from the sparse rows and columns of G."""
+    lhs = {i: sparse_combination(f, grows, x) for i, x in xs.items()}
+    rhs = {}
+    for k, y in ys.items():
+        for i, v in sparse_combination(f, gcols, y).items():
+            rhs.setdefault(i, {})[k] = v
+    out = []
+    for i in lhs.keys() | rhs.keys():
+        a, b = lhs.get(i, {}), rhs.get(i, {})
+        if a != b:
+            out.extend((i, k) for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return out
 
 
 def shared_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
@@ -216,10 +236,7 @@ def is_inner(F: FrobeniusStructure, u: LinearMap, rng=None) -> UnitSearch:
         raise MalformedInput("innerness test expects an endomorphism")
     if not u.is_invertible():
         raise MalformedInput("innerness test expects an invertible endomorphism")
-    ker = kernel_basis(Matrix.block(
-        A.field, [[left_mult_matrix(u(e)) - right_mult_matrix(e)]
-                  for e in A.basis_elements()]))
-    basis = [Element(A, v, _raw=True) for v in ker]
+    basis = intertwiner_basis(A, u)
     result = unit_in_subspace(A, basis, rng)
     if result.verdict == "yes":
         check = inner_automorphism(result.unit)

@@ -14,10 +14,23 @@ from itertools import combinations
 from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
                       ROLE_ENDOMORPHISM, inner_automorphism, left_mult_matrix,
                       right_mult_matrix)
-from .errors import MalformedInput
+from .errors import BudgetExceeded, MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
 from .linalg import Matrix, invert, linear_combination
+
+# ---------------------------------------------------------------------------
+# bounded construction
+
+
+def _charge_construction(name, dim, constants, budget):
+    """Raise BudgetExceeded, before anything is built, when an algebra's
+    structure constants plus the dim² entries of a dense map or form on it
+    exceed ``budget``; None is no budget."""
+    if budget is not None and constants + dim * dim > budget:
+        raise BudgetExceeded(f"{name} needs {constants} structure constants and "
+                             f"dim² = {dim * dim} entries, budget {budget}")
+
 
 # ---------------------------------------------------------------------------
 # generic forms
@@ -207,10 +220,15 @@ class ExteriorGallery:
         return Element(self.algebra, v, _raw=True)
 
 
-def exterior(n, field=None, *, require_odd_char=True):
+def exterior(n, field=None, *, require_odd_char=True, budget=None):
     field = field or Field.rationals()
     if require_odd_char and field.characteristic == 2:
         raise MalformedInput("exterior gallery needs characteristic != 2")
+    # dim² = 4^n alone exceeds a budget below 2^n: no need to form 3^n
+    if budget is not None and n > budget.bit_length():
+        raise BudgetExceeded(f"exterior({n}) needs dim² = 4^{n} entries, "
+                             f"budget {budget}")
+    _charge_construction(f"exterior({n})", 1 << n, 3 ** n, budget)
     return ExteriorGallery(n, field)
 
 
@@ -486,8 +504,6 @@ class CyclicGallery:
     """k[X]/(X^p) over a field of characteristic p, alternating-sign form."""
 
     def __init__(self, p, field):
-        if field.characteristic != p:
-            raise MalformedInput("field characteristic must equal p")
         self.name = f"cyclic({p})"
         self.p = p
         self.field = field
@@ -558,8 +574,11 @@ class CyclicGallery:
         return Element(self.algebra, out, _raw=True)
 
 
-def cyclic(p, field=None):
+def cyclic(p, field=None, *, budget=None):
     field = field or Field.prime(p)
+    if field.characteristic != p:
+        raise MalformedInput("field characteristic must equal p")
+    _charge_construction(f"cyclic({p})", p, p * (p + 1) // 2, budget)
     return CyclicGallery(p, field)
 
 
@@ -575,10 +594,11 @@ class SimpleGallery:
         self.field = algebra.field
 
 
-def matrix_algebra(m, field=None):
+def matrix_algebra(m, field=None, *, budget=None):
     field = field or Field.rationals()
     f = field
     n = m * m
+    _charge_construction(f"matrix({m})", n, m ** 3, budget)
     names = [f"E{i+1}{j+1}" for i in range(m) for j in range(m)]
     triples = []
     for i in range(m):

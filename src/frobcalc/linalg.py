@@ -12,12 +12,13 @@ All rank, kernel and solve work, dense or sparse, goes through
 echelon held in dictionaries, and a column joins it exactly when it is
 not in the span of the columns before it.  ``rref``, ``kernel_basis``,
 ``solve_linear``, ``invert`` and ``column_space_basis`` read their
-answers off that echelon, so pivots, kernel bases and solutions are the
-canonical ones of the reduced row echelon form and reports are
-deterministic.  Over Q, ``solve`` reduces L·rhs, L the lcm of the
-denominators of rhs, and divides the solution by L: integer arithmetic
-on the same pivots.  Matrices are immutable by convention: no public method
-mutates ``data``.
+answers off that echelon, and ``sparse_kernel_basis`` and
+``independent_columns`` do the same for columns given as sparse dicts, so
+pivots, kernel bases and solutions are the canonical ones of the reduced
+row echelon form and reports are deterministic.  Over Q, ``solve``
+reduces L·rhs, L the lcm of the denominators of rhs, and divides the
+solution by L: integer arithmetic on the same pivots.  Matrices are
+immutable by convention: no public method mutates ``data``.
 """
 
 from __future__ import annotations
@@ -128,6 +129,20 @@ class Matrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
+    def sparse_rows(self):
+        """The rows as sparse dicts {column: value}."""
+        return [sparse_vector(self.field, r) for r in self.data]
+
+    def sparse_columns(self):
+        """The columns as sparse dicts {row: value}, read in one pass."""
+        is_zero = self.field.is_zero
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, v in enumerate(r):
+                if not is_zero(v):
+                    cols[j][i] = v
+        return cols
+
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.data == other.data)
@@ -179,14 +194,13 @@ class Matrix:
         if len(vec) != self.cols:
             raise MalformedInput("vector length differs from column count")
         f = self.field
-        vec = [f.coerce(v) for v in vec]
+        nonzeros = sparse_vector(f, [f.coerce(v) for v in vec]).items()
+        add, mul = f.add, f.mul
         out = []
-        for i in range(self.rows):
+        for ri in self.data:
             acc = f.zero()
-            ri = self.data[i]
-            for j, v in enumerate(vec):
-                if not f.is_zero(v):
-                    acc = f.add(acc, f.mul(ri[j], v))
+            for j, v in nonzeros:
+                acc = add(acc, mul(ri[j], v))
             out.append(acc)
         return out
 
@@ -316,6 +330,17 @@ def sparse_vector(f, vec):
     return {i: v for i, v in enumerate(vec) if not f.is_zero(v)}
 
 
+def sparse_combination(f, columns, x):
+    """Σ_k x_k·columns[k] for a sparse vector x and ``{k: sparse dict}``
+    columns, a missing column being zero, as a sparse dict."""
+    acc = {}
+    for k, c in x.items():
+        col = columns.get(k)
+        if col:
+            f.axpy(acc, col, c)
+    return acc
+
+
 def dense_vector(f, d, length):
     out = [f.zero()] * length
     for i, v in d.items():
@@ -323,25 +348,29 @@ def dense_vector(f, d, length):
     return out
 
 
-def _echelon(m: Matrix):
-    """Insert the columns of ``m`` in order, each with its identity tail.
+def _echelon_columns(f, columns):
+    """Insert sparse columns in order, each with its identity tail.
 
     Returns the echelon, the pivot columns (those that joined: exactly the
     RREF pivot columns) and ``{free column: kernel tail}``.  A free
     column's tail is 1 there and 0 at every other free column, i.e. the
     canonical kernel vector read off the RREF.
     """
-    f = m.field
     ech = SparseEchelon(f)
     pivots, kernel = [], {}
     one = f.one()
-    for j in range(m.cols):
-        out = ech.insert(sparse_vector(f, m.column(j)), {j: one})
+    for j, col in enumerate(columns):
+        out = ech.insert(col, {j: one})
         if out is None:
             pivots.append(j)
         else:
             kernel[j] = out
     return ech, pivots, kernel
+
+
+def _echelon(m: Matrix):
+    """:func:`_echelon_columns` of the columns of ``m``."""
+    return _echelon_columns(m.field, m.sparse_columns())
 
 
 def rref(m: Matrix):
@@ -370,8 +399,14 @@ def kernel_basis(m: Matrix):
     The basis is the canonical one read off the RREF: one vector per free
     column, with a 1 in the free coordinate and 0 at the other free ones.
     """
-    _, _, kernel = _echelon(m)
-    return [dense_vector(m.field, kv, m.cols) for kv in kernel.values()]
+    return sparse_kernel_basis(m.field, m.sparse_columns())
+
+
+def sparse_kernel_basis(f, columns):
+    """:func:`kernel_basis` of the matrix whose columns are the sparse dicts
+    ``columns``, without forming it."""
+    _, _, kernel = _echelon_columns(f, columns)
+    return [dense_vector(f, kv, len(columns)) for kv in kernel.values()]
 
 
 def solve_linear(m: Matrix, b):
@@ -398,4 +433,12 @@ def invert(m: Matrix):
 
 def column_space_basis(m: Matrix):
     """Columns of ``m`` at the RREF pivot positions (a deterministic basis)."""
-    return [m.column(c) for c in _echelon(m)[1]]
+    return [dense_vector(m.field, v, m.rows)
+            for v in independent_columns(m.field, m.sparse_columns())]
+
+
+def independent_columns(f, columns):
+    """The sparse columns that are not in the span of the ones before
+    them, i.e. at the RREF pivot positions."""
+    ech = SparseEchelon(f)
+    return [col for col in columns if ech.insert(col, None) is None]

@@ -289,6 +289,77 @@ def test_cli_qci_closed_forms_skip_vanishing_ab():
     assert code == 0 and len(rep["data"]["expectations"]) == 6
 
 
+def _report(argv):
+    """Exit code and report of one request, without ``timing_ms``."""
+    buf = io.StringIO()
+    code = run(argv, buf)
+    text = buf.getvalue()
+    report = json.loads(text) if text else None
+    if report is not None:
+        report.pop("timing_ms")
+    return code, report
+
+
+def test_cli_parser_reuse_leaks_no_state(tmp_path):
+    # one parser serves every request of a process; each request in a run of
+    # mixed ones must report exactly what it reports made alone (on a parser
+    # built afresh), flags and defaults included
+    from frobcalc import cli
+    apath = write(tmp_path, "a.json", qci_doc())
+    requests = [
+        ["gallery", "exterior", "--n", "3", "--budget", "10", "--allow-inconclusive"],
+        ["nakayama", "--file", apath, "--seed", "7"],
+        ["gallery", "exterior", "--n", "0"],
+        ["gallery", "exterior", "--n", "3"],
+        ["gallery", "exterior", "--n", "3", "--budget", "10"],
+        ["hochschild", "--file", apath, "--budget", "16", "--seed", "3"],
+        ["nakayama", "--file", apath],
+        ["no-such-command", "--seed", "5"],
+        ["check-algebra", "--file", apath],
+        ["gallery", "qci", "--verify-all", "--seed", "9"],
+        ["gallery", "qci"],
+    ]
+    cli._build_parser.cache_clear()
+    in_sequence = [_report(argv) for argv in requests]
+    assert cli._build_parser.cache_info().misses == 1
+    alone = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        alone.append(_report(argv))
+    assert in_sequence == alone
+    assert [code for code, _ in in_sequence] == [0, 0, 3, 0, 2, 2, 0, 3, 0, 0, 0]
+    assert [rep["seed"] for _, rep in in_sequence if rep] == [
+        42, 7, 42, 42, 3, 42, 42, 9, 42]
+
+
+@pytest.mark.parametrize("argv", [["exterior", "--n", "14"], ["matrix", "--m", "40"],
+                                  ["cyclic", "--p", "1009"],
+                                  ["exterior", "--n", "1000000"]])
+def test_cli_gallery_over_budget_is_inconclusive(argv):
+    # charged before anything is built: these sizes never finished before
+    code, rep = run_json(["gallery"] + argv)
+    assert code == 2
+    assert rep["counts"] == {"pass": 0, "fail": 0, "inconclusive": 1}
+    [check] = rep["checks"]
+    assert (check["id"], check["status"]) == ("budget", "inconclusive")
+    assert "budget 1048576" in check["witness"]["error"]
+
+
+def test_gallery_charge_is_the_built_size():
+    # the charge is structure constants + dim², counted before building
+    from frobcalc.errors import BudgetExceeded
+    from frobcalc.gallery import cyclic, matrix_algebra
+    for build, size in ((exterior, 3), (exterior, 4), (matrix_algebra, 3),
+                        (cyclic, 3), (cyclic, 5)):
+        A = build(size).algebra
+        need = sum(len(terms) for terms in A.structure.values()) + A.dim ** 2
+        assert build(size, budget=need).algebra == A
+        with pytest.raises(BudgetExceeded):
+            build(size, budget=need - 1)
+    code, rep = run_json(["gallery", "exterior", "--n", "3", "--budget", str(27 + 64)])
+    assert code == 0
+
+
 def test_cli_inconclusive_exit_code(tmp_path):
     # the symmetry question on the 16-dimensional exterior algebra has a
     # solution space too large for the exact grid, so sampling falls back

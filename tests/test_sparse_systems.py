@@ -1,0 +1,83 @@
+"""The center, commutator and intertwiner systems against dense stacked blocks.
+
+``center_basis``, ``commutator_subspace`` and ``intertwiner_basis`` (the
+kernel ``is_inner`` searches for a unit) build their columns sparse from
+the nonzero products.  The references below stack the dense blocks
+L_{u(e_i)} − R_{e_i} and L_{e_i} − R_{τ(e_i)} with ``Matrix.block`` and
+read the canonical kernel and column basis off them; the two must agree
+vector for vector, in order.
+"""
+
+import pytest
+
+from frobcalc.algebra import (Element, LinearMap, center_basis,
+                              commutator_subspace, inner_automorphism,
+                              intertwiner_basis, inverse_of, left_mult_matrix,
+                              right_mult_matrix)
+from frobcalc.fields import Field
+from frobcalc.frobenius import make_frobenius
+from frobcalc.gallery import exterior, matrix_algebra, qci, trivial_extension
+from frobcalc.linalg import Matrix, column_space_basis, kernel_basis
+from frobcalc.rng import SplitMix64
+
+FIELDS = {"Q": Field.rationals(), "F5": Field.prime(5),
+          "F9": Field.extension(3, [1, 0, 1])}
+FAMILIES = {
+    "qci": lambda f: qci(2, f),
+    "exterior3": lambda f: exterior(3, f),
+    "exterior4": lambda f: exterior(4, f),
+    "matrix2": lambda f: matrix_algebra(2, f),
+    "trivM2": lambda f: trivial_extension(matrix_algebra(2, f).algebra),
+}
+CASES = [(label, family) for label in sorted(FIELDS) for family in sorted(FAMILIES)]
+
+
+def _dense_intertwiners(A, u):
+    blocks = [[left_mult_matrix(Element(A, u.column(i), _raw=True))
+               - right_mult_matrix(A.basis_element(i))] for i in range(A.dim)]
+    return [Element(A, v, _raw=True)
+            for v in kernel_basis(Matrix.block(A.field, blocks))]
+
+
+def _dense_commutators(A, tau):
+    f = A.field
+    cols = []
+    for i, ei in enumerate(A.basis_elements()):
+        ti = Element(A, tau.column(i), _raw=True)
+        diff = left_mult_matrix(ei) - right_mult_matrix(ti)
+        cols.extend(v for v in (diff.column(j) for j in range(A.dim))
+                    if any(not f.is_zero(c) for c in v))
+    if not cols:
+        return []
+    return [Element(A, v, _raw=True)
+            for v in column_space_basis(Matrix.from_columns(f, cols))]
+
+
+def _maps(A, F):
+    """Identity, σ, σ⁻¹, an inner automorphism and a map that is no
+    endomorphism: the systems are linear algebra and take any map."""
+    f = A.field
+    rng = SplitMix64(11)
+    t = A.unit_element() + A.combination((f.random(rng, 2), e)
+                                         for e in A.basis_elements())
+    while inverse_of(t) is None:
+        t = t + A.basis_element(0)
+    general = Matrix(f, [[f.random(rng, 2) for _ in range(A.dim)] for _ in range(A.dim)],
+                     _raw=True)
+    return {"identity": LinearMap.identity(A), "sigma": F.sigma,
+            "sigma_inv": F.sigma_inv(), "inner": inner_automorphism(t),
+            "general": LinearMap(A, general)}
+
+
+@pytest.mark.parametrize("label,family", CASES)
+def test_sparse_systems_match_dense_stacked_blocks(label, family):
+    item = FAMILIES[family](FIELDS[label])
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    ident = Matrix.identity(A.field, A.dim)
+    assert center_basis(A) == _dense_intertwiners(A, ident)
+    assert commutator_subspace(A) == _dense_commutators(A, ident)
+    assert commutator_subspace(A, F.sigma) == _dense_commutators(A, F.sigma.matrix)
+    for name, u in _maps(A, F).items():
+        assert intertwiner_basis(A, u) == _dense_intertwiners(A, u.matrix), name
+

@@ -1,12 +1,14 @@
 """Witnesses of the role, table and form checks against brute-force loops.
 
-Each check runs as matrix equations on multiplication matrices; its
-witness must still be the first failing basis pair or triple in (i, j[, k])
-order.  The references below walk those pairs and triples one by one with
+Each check reads only the nonzero structure constants; its witness must
+still be the first failing basis pair or triple in (i, j[, k]) order.
+The references below walk those pairs and triples one by one with
 ``mul_raw`` on basis vectors.  Every example starts from valid data (an
 endomorphism, a derivation, a structure table, a Frobenius form) and
 changes one entry.
 """
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,8 @@ from frobcalc.algebra import (Algebra, Element, ad, derivation_witness,
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
-from frobcalc.gallery import exterior, matrix_algebra, qci, trivial_extension
+from frobcalc.gallery import (exterior, matrix_algebra, qci, s3_group_algebra,
+                              trivial_extension)
 from frobcalc.linalg import Matrix, invert
 
 FIELDS = {"Q": Field.rationals(), "F5": Field.prime(5),
@@ -27,8 +30,22 @@ FAMILIES = {
     "exterior3": lambda f: exterior(3, f),
     "matrix2": lambda f: matrix_algebra(2, f),
     "trivM2": lambda f: trivial_extension(matrix_algebra(2, f).algebra),
+    # mostly zero products: pairs with e_i e_j = 0 still have triples to check
+    "exterior4": lambda f: exterior(4, f),
+    # a full table: every product is nonzero
+    "groupS3": lambda f: _group_s3(f),
 }
 _ITEMS = {}
+
+
+def _group_s3(f):
+    """S₃ with the form ⟨g, h⟩ = [gh = 1]; its trace form is 6 times that,
+    which is degenerate in characteristic 3."""
+    A = s3_group_algebra(f).algebra
+    one = A.unit.index(f.one())
+    gram = Matrix(f, [[f.one() if A.mul_basis(i, j)[0][0] == one else f.zero()
+                       for j in range(A.dim)] for i in range(A.dim)], _raw=True)
+    return SimpleNamespace(algebra=A, gram=gram)
 
 
 def _item(label, family):
@@ -123,13 +140,15 @@ def _ref_form(A, gram):
 # --- properties ------------------------------------------------------------------
 
 families = st.sampled_from(sorted(FAMILIES))
-entry = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 4))
+entry = st.tuples(st.integers(0, 15), st.integers(0, 15), st.integers(1, 4))
 coeffs = st.lists(st.integers(-2, 2), min_size=8, max_size=8)
 
 
 def _element(A, cs):
+    """An element from the drawn coefficients, repeated to fill A.dim."""
     f = A.field
-    return Element(A, [_scalar(f, c % 9) for c in cs[:A.dim]], _raw=True)
+    return Element(A, [_scalar(f, cs[i % len(cs)] % 9) for i in range(A.dim)],
+                   _raw=True)
 
 
 @pytest.mark.parametrize("label", sorted(FIELDS))
