@@ -133,19 +133,17 @@ class Algebra:
         return {b: c for b, c in cols.items() if c}
 
     def mul_raw(self, a, b):
-        """Product of two raw coefficient vectors."""
+        """Product of two raw coefficient vectors, read off the nonzero
+        products e_i·e_j with aᵢ ≠ 0."""
         f = self.field
-        out = [f.zero()] * self.dim
+        acc = {}
         for i, ai in enumerate(a):
             if f.is_zero(ai):
                 continue
-            for j, bj in enumerate(b):
-                if f.is_zero(bj):
-                    continue
-                cij = f.mul(ai, bj)
-                for (k, c) in self.mul_basis(i, j):
-                    out[k] = f.add(out[k], f.mul(cij, c))
-        return out
+            for j, t in self.left_products(i).items():
+                if not f.is_zero(b[j]):
+                    f.axpy(acc, t, f.mul(ai, b[j]))
+        return dense_vector(f, acc, self.dim)
 
     def _basis_vec(self, i):
         v = [self.field.zero()] * self.dim

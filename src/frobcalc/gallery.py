@@ -17,7 +17,7 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
 from .errors import BudgetExceeded, MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
-from .linalg import Matrix, invert, linear_combination
+from .linalg import Matrix, determinant, invert, linear_combination
 
 # ---------------------------------------------------------------------------
 # bounded construction
@@ -181,17 +181,7 @@ class ExteriorGallery:
     def det_on_generators(self, fmat) -> "Element":
         if not isinstance(fmat, Matrix):
             fmat = Matrix(self.field, fmat)
-        from itertools import permutations
-        f = self.field
-        acc = f.zero()
-        for perm in permutations(range(self.n)):
-            inv = sum(1 for a in range(self.n) for b in range(a + 1, self.n)
-                      if perm[a] > perm[b])
-            term = f.from_int(-1 if inv % 2 else 1)
-            for r in range(self.n):
-                term = f.mul(term, fmat.data[r][perm[r]])
-            acc = f.add(acc, term)
-        return self.algebra.scalar_element(acc)
+        return self.algebra.scalar_element(determinant(fmat))
 
     def jac_gamma_expected(self, i, lam, alpha) -> Element:
         """Closed form for the twisted Jacobian of gamma_{i,λ,α}.

@@ -295,14 +295,33 @@ def _apply_columns(field, cols, vec_dict):
     return out
 
 
-def _tensor_terms(field, factors):
-    """factors[0] ⊗ ... ⊗ factors[-1] (sparse vectors) expanded as
-    {index tuple: coefficient}."""
-    terms = {(): field.one()}
-    for vec in factors:
-        terms = {key + (i,): field.mul(c, v)
-                 for key, c in terms.items() for i, v in vec.items()}
-    return terms
+def _slot_map(images):
+    """The map t ↦ images[t] (sparse dicts) as :func:`_mode_product` takes
+    it: (True, [(s − t, c)]) when each image is one term c·e_s (a monomial
+    map, as every diagonal σ), else (False, images)."""
+    if any(len(im) != 1 for im in images):
+        return False, images
+    return True, [(s - t, c) for t, im in enumerate(images) for s, c in im.items()]
+
+
+def _mode_product(fld, data, n, w, slot):
+    """``data`` with the slot map applied to the digit of weight w of each
+    flat key, read once: the n-mode product (Kolda & Bader 2009, §2.5).
+    On a monomial map no two keys meet and no product is zero."""
+    monomial, images = slot
+    mul = fld.mul
+    out = {}
+    if monomial:
+        for idx, val in data.items():
+            d, c = images[idx // w % n]
+            out[idx + d * w] = mul(c, val)
+        return out
+    add = fld.add_entry
+    for idx, val in data.items():
+        t = idx // w % n
+        for s, c in images[t].items():
+            add(out, idx + (s - t) * w, mul(c, val))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +450,9 @@ def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     """The twisted cochain a₁⊗...⊗a_p ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p)).
 
     ``u`` is an invertible endomorphism, or a Frobenius structure standing
-    for σ with its cached σ⁻¹.  A nonzero f(k, K) contributes
-    f(k, K)·(u e_k) ⊗ (row K₀ of u⁻¹) ⊗ ... ⊗ (row K_{p-1} of u⁻¹)."""
+    for σ with its cached σ⁻¹.  The action is p + 1 mode products on the
+    nonzeros of f: rows of u⁻¹ on the input digits (weights n⁰ … n^{p−1}),
+    then columns of u on the output digit (weight n^p)."""
     uinv = None
     if isinstance(u, FrobeniusStructure):
         u, uinv = u.sigma, u.sigma_inv()
@@ -441,25 +461,15 @@ def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     A = f.algebra
     if u.algebra != A:
         raise MalformedInput("map acts on a different algebra")
-    fld = A.field
-    p = f.degree
+    fld, n, p = A.field, A.dim, f.degree
     if u.is_identity():
         return Cochain(A, p, dict(f.data))
-    if uinv is None:
-        uinv = u.inverse()
-    n = A.dim
-    ucols = [sparse_vector(fld, u.matrix.column(k)) for k in range(n)]
-    inv_rows = [sparse_vector(fld, row) for row in uinv.matrix.data]
-    out = {}
-    for idx, val in f.data.items():
-        factors = []
-        for _ in range(p):  # digits of idx = k·n^p + K, last first
-            idx, t = divmod(idx, n)
-            factors.append(inv_rows[t])
-        factors.append(ucols[idx])
-        for key, c in _tensor_terms(fld, factors[::-1]).items():
-            fld.add_entry(out, _tuple_index(key, n), fld.mul(c, val))
-    return Cochain(A, p, out)
+    in_slot = _slot_map((uinv or u.inverse()).matrix.sparse_rows())
+    data = f.data
+    for i in range(p):
+        data = _mode_product(fld, data, n, n ** i, in_slot)
+    out_slot = _slot_map(u.matrix.sparse_columns())
+    return Cochain(A, p, _mode_product(fld, data, n, n ** p, out_slot))
 
 
 def triviality_certificate(F: FrobeniusStructure, f: Cochain,
@@ -494,37 +504,26 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     return g
 
 
-def _chain_map_columns(F: FrobeniusStructure, p):
-    """Columns of σ_M ⊗ σ^{⊗p} on M⊗A^{⊗p} (both factors use sigma)."""
-    A = F.algebra
-    fld = A.field
-    n = A.dim
-    scols = [sparse_vector(fld, F.sigma.matrix.column(j)) for j in range(n)]
-    cols = []
-    for m in range(n):
-        for J in product(range(n), repeat=p):
-            terms = _tensor_terms(fld, [scols[t] for t in (m,) + J])
-            cols.append({_tuple_index(key, n): c for key, c in terms.items()})
-    return cols
-
-
 def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
                              budget=DEFAULT_BUDGET) -> Matrix:
     """Matrix of the induced map on H_p in the deterministic basis.
 
-    The chain image of each representative is solved against the cached
-    echelon of boundaries and representatives, which gives its unique
-    coordinates in Z/B."""
+    σ_M ⊗ σ^{⊗p} is applied to each representative as p + 1 mode products
+    (σ's columns on every digit), and the image is solved against the
+    cached echelon of boundaries and representatives, which gives its
+    unique coordinates in Z/B."""
     A = F.algebra
-    fld = A.field
+    fld, n = A.field, A.dim
     _check_budget(A, p, budget)
     twist = _resolve_twist(A, coeffs, F.sigma)
     _, _, reps, ech = _homology(A, p, twist)
-    tmap = _chain_map_columns(F, p)
+    slot = _slot_map(F.sigma.matrix.sparse_columns())
     h = len(reps)
     data = [[fld.zero()] * h for _ in range(h)]
     for jdx, rep in enumerate(reps):
-        sol = ech.solve(_apply_columns(fld, tmap, rep))
+        for i in range(p + 1):
+            rep = _mode_product(fld, rep, n, n ** i, slot)
+        sol = ech.solve(rep)
         if sol is None:
             raise InternalInconsistency(
                 "chain image failed to re-express in the homology basis")

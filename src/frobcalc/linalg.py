@@ -431,6 +431,29 @@ def invert(m: Matrix):
     return Matrix(f, cols, _raw=True).transpose()
 
 
+def determinant(m: Matrix):
+    """det m as a raw value, by Gaussian elimination on sparse rows."""
+    if m.rows != m.cols:
+        raise MalformedInput("determinant of a non-square matrix")
+    f = m.field
+    rows = m.sparse_rows()
+    det = f.one()
+    for c in range(m.rows):
+        r = next((r for r in range(c, m.rows) if c in rows[r]), None)
+        if r is None:
+            return f.zero()
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = f.neg(det)
+        piv = rows[c][c]
+        det = f.mul(det, piv)
+        ip = f.neg(f.inv(piv))
+        for row in rows[c + 1:]:
+            if c in row:
+                f.axpy(row, rows[c], f.mul(ip, row[c]))
+    return det
+
+
 def column_space_basis(m: Matrix):
     """Columns of ``m`` at the RREF pivot positions (a deterministic basis)."""
     return [dense_vector(m.field, v, m.rows)

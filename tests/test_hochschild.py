@@ -8,7 +8,8 @@ import pytest
 
 from frobcalc import hochschild as hh
 from frobcalc.algebra import (Element, LinearMap, ad, center_basis,
-                              commutator_subspace, is_derivation)
+                              commutator_subspace, is_derivation,
+                              right_mult_matrix)
 from frobcalc.errors import BudgetExceeded, MalformedInput
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
@@ -113,9 +114,29 @@ def test_cochain_action():
     assert fs.value((2,)).is_zero()
 
 
+def _assert_action_by_definition(item, F, f):
+    """cochain_action(u, f) is a ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p)) for σ and for
+    the non-monomial alpha(2, 1, 1, 2), which mixes x and y into xy; f is
+    evaluated on each tensor of basis vectors that u⁻¹ puts in the slots."""
+    A = f.algebra
+    fld, n, p = A.field, A.dim, f.degree
+    for u in (F.sigma, item.alpha(2, 1, 1, 2)):
+        cols = [u.inverse()(A.basis_element(t)).raw for t in range(n)]
+        g = hh.cochain_action(u, f)
+        for J in itertools.product(range(n), repeat=p):
+            value = A.zero_element()
+            for K in itertools.product(range(n), repeat=p):
+                c = fld.one()
+                for j, k in zip(J, K):
+                    c = fld.mul(c, cols[j][k])
+                if not fld.is_zero(c):
+                    value = value + f.value(K).scale(c)
+            assert g.value(J) == u(value), (u, J)
+
+
 def test_cochain_action_matches_definition_in_degree_two():
-    F9 = Field.extension(3, [1, 0, 1])
-    for item in (qci(2), qci(F9.parse("0,1"), F9)):
+    for label in ("qci(2)/Q", "qci(a)/F9"):
+        item = GALLERY[label]()
         A = item.algebra
         fld = A.field
         n = A.dim
@@ -123,27 +144,26 @@ def test_cochain_action_matches_definition_in_degree_two():
         flat = [fld.from_int(i % 5 - 2) for i in range(n ** 3)]
         f = hh.Cochain.from_flat(A, 2, flat)
         assert f.flatten() == flat
-
-        def f_of(a, b):
-            out = A.zero_element()
-            for i in range(n):
-                for j in range(n):
-                    out = out + f.value((i, j)).scale(fld.mul(a.raw[i], b.raw[j]))
-            return out
-
         fs = hh.cochain_action(F, f)
         assert fs == hh.cochain_action(F.sigma, f)
-        # sigma is diagonal on qci; alpha mixes x and y into xy
-        alpha = item.alpha(2, 1, 1, 2)
-        for u, acted in ((F.sigma, fs), (alpha, hh.cochain_action(alpha, f))):
-            uinv = u.inverse()
-            for J in [(i, j) for i in range(n) for j in range(n)]:
-                args = [uinv(A.basis_element(t)) for t in J]
-                assert acted.value(J) == u(f_of(*args))
+        _assert_action_by_definition(item, F, f)
         # no operation stores a zero
         assert (f - f).data == {}
         for c in (fs, fs - f, hh.apply_coboundary(A, f)):
             assert c.data and not any(fld.is_zero(v) for v in c.data.values())
+
+
+def test_cochain_action_matches_definition_in_degree_three():
+    # degree 3 is the degree the main-theorem certificates act in
+    for label in ("qci(2)/Q", "qci(a)/F9"):
+        item = GALLERY[label]()
+        A = item.algebra
+        fld = A.field
+        F = make_frobenius(A, item.gram)
+        f = hh.Cochain.from_flat(A, 3, [fld.from_int((7 * i) % 11 - 5) if i % 3 else
+                                        fld.zero() for i in range(A.dim ** 4)])
+        assert hh.cochain_action(F, f) == hh.cochain_action(F.sigma, f)
+        _assert_action_by_definition(item, F, f)
 
 
 def test_triviality_certificate_degree_one():
@@ -295,6 +315,23 @@ def test_sigma_action_reuses_the_homology_echelon(label):
             again = hh.homology_dimension(A, p, coeffs, F.sigma)
             assert again.representatives == kept
             assert hh.sigma_action_on_homology(F, p, coeffs) == cold
+
+
+def test_sigma_action_with_a_non_monomial_sigma():
+    # the form G·R_{1+x} on qci(2) has a σ with images of two terms, so the
+    # mode products take their general path on every digit
+    item = qci(2)
+    A = item.algebra
+    t = A.unit_element() + item.x
+    F = make_frobenius(A, item.gram * right_mult_matrix(t))
+    columns = F.sigma.matrix.sparse_columns()
+    assert any(len(col) > 1 for col in columns)
+    for coeffs in (hh.UNTWISTED, hh.TWISTED):
+        for p in range(2):
+            got = hh.sigma_action_on_homology(F, p, coeffs)
+            assert got == _reference_sigma_action(A, F, p, coeffs)
+            if coeffs == hh.TWISTED:
+                assert got.is_identity()
 
 
 def _reference_boundary(A, p, sigma):

@@ -1,5 +1,6 @@
 """Dense kernels: worked examples plus randomized structure properties."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.linalg import (Matrix, SparseEchelon, invert, kernel_basis,
-                             linear_combination, rref, solve_linear)
+from frobcalc.linalg import (Matrix, SparseEchelon, determinant, invert,
+                             kernel_basis, linear_combination, rref,
+                             solve_linear)
 from test_fields import assert_canonical
 
 Q = Field.rationals()
@@ -192,6 +194,38 @@ def test_linear_combination_matches_fold(label):
         assert flat == [v for row in fold.data for v in row]
 
     props()
+
+
+@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
+def test_determinant_matches_the_permutation_expansion(label):
+    # Leibniz's sum over all n! permutations, on square matrices of size
+    # 0–4 including singular ones and ones whose first pivot is zero
+    field = FIELDS[label]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=4), st.data())
+    def props(n, data):
+        rows = data.draw(st.lists(st.lists(ENTRY[label], min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        m = Matrix(field, rows)
+        expected = field.zero()
+        for perm in itertools.permutations(range(n)):
+            sign = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+            term = field.from_int(-1 if sign % 2 else 1)
+            for r in range(n):
+                term = field.mul(term, m.data[r][perm[r]])
+            expected = field.add(expected, term)
+        assert determinant(m) == expected
+        if field == Q:
+            assert_canonical([determinant(m)])
+        if n:  # a cyclic shift of the rows has sign (−1)^(n−1)
+            shifted = Matrix(field, m.data[1:] + m.data[:1])
+            assert determinant(shifted) == (expected if n % 2 else field.neg(expected))
+
+    props()
+    assert determinant(Matrix(field, [[0, 1], [1, 0]])) == field.neg(field.one())
+    with pytest.raises(MalformedInput):
+        determinant(Matrix.zero(field, 2, 3))
 
 
 @pytest.mark.parametrize("label", ["Q", "F5", "F9"])

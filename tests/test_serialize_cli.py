@@ -437,6 +437,14 @@ GOLDEN = {
     "homology qci(2)/Q p<=1": (
         qci, 2, ["homology", "--max-degree", "1"],
         "02a9383e9fb7d7b6f46040eb8ff72dd34ba33c6c7f55f8d71ee89da722059047"),
+    "verify-main-theorem qci(2)/Q p<=3": (
+        qci, 2, ["verify-main-theorem", "--max-degree", "3"],
+        "4ec337bb2e505317727a97e90b6fbf04585103be58d3b66fd8779f757eefc6cb"),
+    # σ is diagonal and not the identity: the certificates act through it
+    "verify-main-theorem exterior(4)/F5 p<=2": (
+        lambda n: exterior(n, Field.prime(5)), 4,
+        ["verify-main-theorem", "--max-degree", "2"],
+        "f6e1505e46429f8222a4217649050c05cd6cd4141d6b797f5ed822b8fc97f52f"),
 }
 
 
