@@ -25,7 +25,7 @@ from .algebra import (LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
                       center_basis, derivation_witness, endomorphism_witness,
                       inverse_of)
 from .calculus import (commutator_orbit_readings, divergence, exp_derivation,
-                       jacobian, liouville_polynomial)
+                       jacobian, jacobian_cocycle, liouville_polynomial)
 from .crossed import build_crossed_product, crossed_form, predicted_nakayama
 from .errors import BudgetExceeded, FrobcalcError, MalformedInput
 from .fields import Field
@@ -44,20 +44,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _load_json(args, path):
-    """The JSON document at ``path``, also recorded in ``args.loaded`` so a
-    report cut short by the budget still carries its input digest."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
-    args.loaded.append(doc)
-    return doc
 
 
 def parse_field_flag(text):
@@ -105,40 +91,67 @@ def _emit(report, t0, stream):
 # ---------------------------------------------------------------------------
 # file-based subcommands
 
-def _algebra_and_form(doc, need_gram):
-    algebra, gram = serialize.algebra_from_doc(doc)
+def _load(args, path):
+    """The JSON document at ``path``, recorded in ``args.loaded``: a report
+    digests every document its request read, in order, so one cut short
+    by the budget still carries the digest of its input."""
+    doc = serialize.read_json(path)
+    args.loaded.append(doc)
+    return doc
+
+
+def _load_algebra(args, need_gram=False):
+    """The algebra of ``--file`` and its form (None when it has none)."""
+    algebra, gram = serialize.algebra_from_doc(_load(args, args.file))
     if need_gram and gram is None:
         raise MalformedInput("/gram: this subcommand needs the bilinear form")
     return algebra, gram
 
 
+def _load_frobenius(args):
+    """The Frobenius structure of ``--file``, its form validated."""
+    return make_frobenius(*_load_algebra(args, need_gram=True))
+
+
+def _load_map(args, algebra, checks, expected_role):
+    """The map of ``--map`` with its role checked, or None when it fails
+    the role (recorded as a failing check with the failing pair)."""
+    mdoc = _load(args, args.map)
+    if not isinstance(mdoc, dict):
+        raise MalformedInput("/: expected a JSON object")
+    mat = serialize.matrix_from_doc(algebra.field, mdoc.get("matrix"),
+                                    algebra.dim, algebra.dim, "/matrix")
+    witness = (endomorphism_witness(algebra, mat)
+               if expected_role == ROLE_ENDOMORPHISM
+               else derivation_witness(algebra, mat))
+    if witness is not None:
+        checks.append(Check(f"map/{expected_role}", "det", "fail",
+                            {"failing_pair": witness}))
+        return None
+    checks.append(Check(f"map/{expected_role}", "det", "pass"))
+    return LinearMap(algebra, mat, expected_role, check=False)
+
+
 def cmd_check_algebra(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=False)
+    algebra, gram = _load_algebra(args)
     checks.append(Check("algebra/valid", "plumbing", "pass"))
     data["dim"] = algebra.dim
     data["center_dim"] = len(center_basis(algebra))
     if gram is not None:
         make_frobenius(algebra, gram)
         checks.append(Check("algebra/form-valid", "change", "pass"))
-    return [doc]
 
 
 def cmd_frobenius(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=True)
-    F = make_frobenius(algebra, gram)
+    F = _load_frobenius(args)
     checks.append(Check("frobenius/valid", "change", "pass"))
     checks.append(Check("frobenius/center-fixed", "sigma:central",
                         "pass" if sigma_fixes_center(F) else "fail"))
     data["sigma"] = serialize.matrix_to_doc(F.sigma.matrix)
-    return [doc]
 
 
 def cmd_nakayama(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=True)
-    F = make_frobenius(algebra, gram)
+    F = _load_frobenius(args)
     data["sigma"] = serialize.matrix_to_doc(F.sigma.matrix)
     data["sigma_is_identity"] = F.sigma.is_identity()
     verdict = is_symmetric_algebra(F, rng)
@@ -148,69 +161,46 @@ def cmd_nakayama(args, checks, data, rng):
                         {"verdict": verdict.verdict,
                          "unit": str(verdict.unit) if verdict.unit else None}))
     data["symmetric"] = verdict.verdict
-    return [doc]
-
-
-def _load_map(args, algebra, checks, expected_role):
-    mdoc = _load_json(args, args.map)
-    mat = serialize.matrix_from_doc(algebra.field, mdoc.get("matrix"),
-                                    algebra.dim, algebra.dim, "/matrix")
-    witness = (endomorphism_witness(algebra, mat)
-               if expected_role == ROLE_ENDOMORPHISM
-               else derivation_witness(algebra, mat))
-    if witness is not None:
-        checks.append(Check(f"map/{expected_role}", "det", "fail",
-                            {"failing_pair": witness}))
-        return None, [mdoc]
-    checks.append(Check(f"map/{expected_role}", "det", "pass"))
-    return LinearMap(algebra, mat, expected_role, check=False), [mdoc]
 
 
 def cmd_jacobian(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=True)
-    F = make_frobenius(algebra, gram)
-    u, extra = _load_map(args, algebra, checks, ROLE_ENDOMORPHISM)
-    if u is not None:
-        jac = jacobian(F, u)
-        data["jacobian"] = str(jac)
-        data["jacobian_coeffs"] = [algebra.field.format(c) for c in jac.raw]
-        unit = inverse_of(jac) is not None
-        checks.append(Check("jacobian/unit-iff-invertible", "det:JC",
-                            "pass" if unit == u.is_invertible() else "fail",
-                            {"jacobian_unit": unit,
-                             "map_invertible": u.is_invertible()}))
-        data["orbit_readings"] = (commutator_orbit_readings(F, u)
-                                  if u.is_invertible() else None)
-    return [doc] + extra
+    F = _load_frobenius(args)
+    u = _load_map(args, F.algebra, checks, ROLE_ENDOMORPHISM)
+    if u is None:
+        return
+    jac = jacobian(F, u)
+    data["jacobian"] = str(jac)
+    data["jacobian_coeffs"] = [F.algebra.field.format(c) for c in jac.raw]
+    unit = inverse_of(jac) is not None
+    checks.append(Check("jacobian/unit-iff-invertible", "det:JC",
+                        "pass" if unit == u.is_invertible() else "fail",
+                        {"jacobian_unit": unit,
+                         "map_invertible": u.is_invertible()}))
+    data["orbit_readings"] = (commutator_orbit_readings(F, u)
+                              if u.is_invertible() else None)
 
 
 def cmd_divergence(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=True)
-    F = make_frobenius(algebra, gram)
-    d, extra = _load_map(args, algebra, checks, ROLE_DERIVATION)
-    if d is not None:
-        div = divergence(F, d)
-        checks.append(Check("divergence/identities", "div:ids", "pass"))
-        data["divergence"] = str(div)
-        data["divergence_coeffs"] = [algebra.field.format(c) for c in div.raw]
-    return [doc] + extra
+    F = _load_frobenius(args)
+    d = _load_map(args, F.algebra, checks, ROLE_DERIVATION)
+    if d is None:
+        return
+    div = divergence(F, d)
+    checks.append(Check("divergence/identities", "div:ids", "pass"))
+    data["divergence"] = str(div)
+    data["divergence_coeffs"] = [F.algebra.field.format(c) for c in div.raw]
 
 
 def cmd_derivations(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, _ = _algebra_and_form(doc, need_gram=False)
+    algebra, _ = _load_algebra(args)
     basis = verify.derivation_basis(algebra)
     data["derivation_space_dim"] = len(basis)
     data["derivations"] = [serialize.matrix_to_doc(d.matrix) for d in basis]
     checks.append(Check("derivations/computed", "plumbing", "pass"))
-    return [doc]
 
 
 def cmd_hochschild(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, _ = _algebra_and_form(doc, need_gram=False)
+    algebra, _ = _load_algebra(args)
     dims = []
     for p in range(args.max_degree + 1):
         rep = hh.hh_dimension(algebra, p, args.budget)
@@ -221,28 +211,20 @@ def cmd_hochschild(args, checks, data, rng):
     checks.append(Check("hochschild/h0-is-center", "sigma:central",
                         "pass" if dims[0]["dim"] == center_dim else "fail",
                         {"h0": dims[0]["dim"], "center": center_dim}))
-    return [doc]
 
 
 def cmd_verify_main_theorem(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=True)
-    F = make_frobenius(algebra, gram)
+    F = _load_frobenius(args)
     for p in range(1, args.max_degree + 1):
-        basis = hh.cocycle_basis(algebra, p, budget=args.budget)
-        unsolved = [i for i, f in enumerate(basis)
-                    if hh.triviality_certificate(F, f, args.budget) is None]
+        cocycles, unsolved = hh.main_theorem(F, p, args.budget)
         checks.append(Check(f"main-theorem/p={p}",
                             "hh2" if p == 2 else "main",
                             "pass" if not unsolved else "fail",
-                            {"cocycles": len(basis), "unsolved": unsolved}))
-    return [doc]
+                            {"cocycles": cocycles, "unsolved": unsolved}))
 
 
 def cmd_homology(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=True)
-    F = make_frobenius(algebra, gram)
+    F = _load_frobenius(args)
     table = hh.duality_dims(F, args.max_degree, args.budget)
     data["duality"] = table
     checks.append(Check("homology/duality", "partial",
@@ -251,12 +233,10 @@ def cmd_homology(args, checks, data, rng):
     tw = hh.sigma_action_on_homology(F, 0, hh.TWISTED, args.budget)
     checks.append(Check("homology/twisted-action-trivial", "twisted",
                         "pass" if tw.is_identity() else "fail"))
-    return [doc]
 
 
 def cmd_crossed_product(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    F, group, action, alpha = serialize.crossed_from_doc(doc)
+    F, group, action, alpha = serialize.crossed_from_doc(_load(args, args.file))
     crossed = build_crossed_product(F.algebra, group, action, alpha)
     gram = crossed_form(F, group, action, alpha)
     FC = make_frobenius(crossed, gram)
@@ -267,61 +247,31 @@ def cmd_crossed_product(args, checks, data, rng):
                         "pass" if ok else "fail"))
     data["dim"] = crossed.dim
     data["sigma"] = serialize.matrix_to_doc(FC.sigma.matrix)
-    return [doc]
 
 
 def cmd_liouville(args, checks, data, rng):
-    doc = _load_json(args, args.file)
-    algebra, gram = _algebra_and_form(doc, need_gram=True)
-    F = make_frobenius(algebra, gram)
-    d, extra = _load_map(args, algebra, checks, ROLE_DERIVATION)
-    if d is not None:
-        poly = liouville_polynomial(F, d)
-        data["polynomial"] = [str(c) for c in poly.coeffs]
-        checks.append(Check("liouville/ode", "Liouville", "pass"))
-        sinv = F.sigma_inv()
-        ok = True
-        for t in (0, 1, 2, Fraction(1, 2)):
-            E = exp_derivation(d, t)
-            if jacobian(F, E) != sinv(poly.evaluate(t)):
-                ok = False
-        checks.append(Check("liouville/jacobian-of-flow", "li:1",
-                            "pass" if ok else "fail"))
-        checks.append(Check("liouville/derivative-at-zero", "li:2",
-                            "pass" if poly.coefficient(1) == divergence(F, d)
-                            else "fail"))
-    return [doc] + extra
+    F = _load_frobenius(args)
+    d = _load_map(args, F.algebra, checks, ROLE_DERIVATION)
+    if d is None:
+        return
+    poly = liouville_polynomial(F, d)
+    data["polynomial"] = [str(c) for c in poly.coeffs]
+    checks.append(Check("liouville/ode", "Liouville", "pass"))
+    sinv = F.sigma_inv()
+    ok = True
+    for t in (0, 1, 2, Fraction(1, 2)):
+        E = exp_derivation(d, t)
+        if jacobian(F, E) != sinv(poly.evaluate(t)):
+            ok = False
+    checks.append(Check("liouville/jacobian-of-flow", "li:1",
+                        "pass" if ok else "fail"))
+    checks.append(Check("liouville/derivative-at-zero", "li:2",
+                        "pass" if poly.coefficient(1) == divergence(F, d)
+                        else "fail"))
 
 
 # ---------------------------------------------------------------------------
 # gallery
-
-def _gallery_build(args):
-    name = args.name
-    field = parse_field_flag(args.field) if args.field else None
-    if name == "exterior":
-        return exterior(args.n, field, budget=args.budget)
-    if name == "qci":
-        f = field or Field.rationals()
-        return qci(f.parse(args.q), f)
-    if name == "cyclic":
-        return cyclic(args.p, field, budget=args.budget)
-    if name == "matrix":
-        return matrix_algebra(args.m, field, budget=args.budget)
-    if name == "group-s3":
-        return s3_group_algebra(field)
-    if name == "trivial":
-        Q = Field.rationals()
-        bases = {
-            "rationals": ground_field_algebra(Q),
-            "dual-numbers": dual_numbers(Q),
-            "matrix2": matrix_algebra(2, Q).algebra,
-        }
-        if args.base not in bases:
-            raise MalformedInput(f"unknown base {args.base!r}")
-        return trivial_extension(bases[args.base])
-    raise MalformedInput(f"unknown gallery name {name!r}")
-
 
 def gallery_expectations(name, item):
     """Closed-form expectation records for a gallery family."""
@@ -345,7 +295,6 @@ def gallery_expectations(name, item):
                 "value": str(div),
                 "matches": div == item.div_expected(a, b, c, d)})
     elif name == "exterior":
-        from .calculus import jacobian_cocycle
         fm = Matrix.identity(item.field, item.n).scale(2)
         u = item.phi(fm)
         val = jacobian_cocycle(F, u)
@@ -374,21 +323,47 @@ def gallery_expectations(name, item):
     return records
 
 
-GALLERY_SUITES = {
-    "qci": lambda rng: (verify.suite_qci_closed_forms(rng=rng)
-                        + verify.suite_jacobian_identities(rng=rng)
-                        + verify.suite_homology()
-                        + verify.suite_liouville(rng=rng)),
-    "exterior": lambda rng: verify.suite_grassmann(rng=rng),
-    "cyclic": lambda rng: verify.suite_cyclic(rng=rng),
-    "trivial": lambda rng: verify.suite_trivial_extension(rng=rng),
-    "matrix": lambda rng: verify.suite_strongly_separable(rng=rng),
-    "group-s3": lambda rng: verify.suite_strongly_separable(rng=rng),
+def _qci(args, field):
+    f = field or Field.rationals()
+    return qci(f.parse(args.q), f)
+
+
+def _trivial(args, field):
+    """The trivial extension of ``--base``, always over Q."""
+    bases = {"rationals": ground_field_algebra, "dual-numbers": dual_numbers,
+             "matrix2": lambda Q: matrix_algebra(2, Q).algebra}
+    if args.base not in bases:
+        raise MalformedInput(f"unknown base {args.base!r}")
+    return trivial_extension(bases[args.base](Field.rationals()))
+
+
+# name -> (builder(args, field or None), closed-form lemma, --verify-all suites)
+GALLERY = {
+    "qci": (_qci, "jac:quantum",
+            lambda rng: (verify.suite_qci_closed_forms(rng=rng)
+                         + verify.suite_jacobian_identities(rng=rng)
+                         + verify.suite_homology()
+                         + verify.suite_liouville(rng=rng))),
+    "exterior": (lambda args, f: exterior(args.n, f, budget=args.budget),
+                 "jacjac", lambda rng: verify.suite_grassmann(rng=rng)),
+    "cyclic": (lambda args, f: cyclic(args.p, f, budget=args.budget),
+               "juf", lambda rng: verify.suite_cyclic(rng=rng)),
+    "trivial": (_trivial, "jtv:1",
+                lambda rng: verify.suite_trivial_extension(rng=rng)),
+    "matrix": (lambda args, f: matrix_algebra(args.m, f, budget=args.budget),
+               "jac:strongly-separable",
+               lambda rng: verify.suite_strongly_separable(rng=rng)),
+    "group-s3": (lambda args, f: s3_group_algebra(f), "jac:strongly-separable",
+                 lambda rng: verify.suite_strongly_separable(rng=rng)),
 }
 
 
 def cmd_gallery(args, checks, data, rng):
-    item = _gallery_build(args)
+    field = parse_field_flag(args.field) if args.field else None
+    if args.name not in GALLERY:
+        raise MalformedInput(f"unknown gallery name {args.name!r}")
+    build, lemma, suites = GALLERY[args.name]
+    item = build(args, field)
     F = verify.frobenius_of(item)
     checks.append(Check(f"gallery/{args.name}/form-valid", "change", "pass"))
     checks.append(Check(f"gallery/{args.name}/center-fixed", "sigma:central",
@@ -396,26 +371,19 @@ def cmd_gallery(args, checks, data, rng):
     data["dim"] = item.algebra.dim
     data["expectations"] = gallery_expectations(args.name, item)
     bad = [r for r in data["expectations"] if r["matches"] is False]
-    checks.append(Check(f"gallery/{args.name}/closed-forms",
-                        _gallery_lemma(args.name),
+    checks.append(Check(f"gallery/{args.name}/closed-forms", lemma,
                         "pass" if not bad else "fail",
                         {"mismatches": bad}))
-    if args.verify_all and args.name in GALLERY_SUITES:
-        checks.extend(GALLERY_SUITES[args.name](rng))
-    doc = serialize.algebra_to_doc(item.algebra, item.gram)
-    return [doc, {"schema": 1, "gallery": args.name}]
-
-
-def _gallery_lemma(name):
-    return {"qci": "jac:quantum", "exterior": "jacjac", "cyclic": "juf",
-            "trivial": "jtv:1", "matrix": "jac:strongly-separable",
-            "group-s3": "jac:strongly-separable"}.get(name, "det")
+    if args.verify_all:
+        checks.extend(suites(rng))
+    args.loaded += [serialize.algebra_to_doc(item.algebra, item.gram),
+                    {"schema": 1, "gallery": args.name}]
 
 
 def cmd_verify_all(args, checks, data, rng):
     checks.extend(verify.run_all(args.seed))
     data["lemmas"] = sorted({c.lemma for c in checks})
-    return [{"schema": 1, "verify": "all"}]
+    args.loaded.append({"schema": 1, "verify": "all"})
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +465,21 @@ def run(argv, stream=None):
     rng = SplitMix64(args.seed)
     checks, data = [], {}
     args.loaded = []
-    digest = ""
     try:
-        digest = serialize.digest(args.handler(args, checks, data, rng))
+        args.handler(args, checks, data, rng)
     except BudgetExceeded as exc:
         # out of budget: the checks done so far stand, the rest is unknown;
         # the input read so far is still what they were made on
-        if args.loaded:
-            digest = serialize.digest(args.loaded)
         checks.append(Check("budget", "plumbing", "inconclusive",
                             {"error": str(exc)}))
-    except MalformedInput as exc:
-        report = build_report(
-            [Check("input/schema", "plumbing", "fail", {"error": str(exc)})],
-            args.seed, "", {})
-        _emit(report, t0, stream)
-        return 1
     except FrobcalcError as exc:
+        check_id = "input/schema" if isinstance(exc, MalformedInput) else "internal"
         report = build_report(
-            [Check("internal", "plumbing", "fail", {"error": str(exc)})],
+            [Check(check_id, "plumbing", "fail", {"error": str(exc)})],
             args.seed, "", {})
         _emit(report, t0, stream)
         return 1
+    digest = serialize.digest(args.loaded) if args.loaded else ""
     report = build_report(checks, args.seed, digest, data)
     code = _emit(report, t0, stream)
     if code == 2 and args.allow_inconclusive:

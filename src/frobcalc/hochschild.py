@@ -504,6 +504,15 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     return g
 
 
+def main_theorem(F: FrobeniusStructure, p, budget=DEFAULT_BUDGET):
+    """The main theorem in degree p ≥ 1, checked on the canonical basis of
+    the cocycles Z^p: ``(dim Z^p, indices of the basis cocycles f with no
+    g such that f^σ − f = d(g))``, the second list empty when it holds."""
+    basis = cocycle_basis(F.algebra, p, budget)
+    return len(basis), [i for i, f in enumerate(basis)
+                        if triviality_certificate(F, f, budget) is None]
+
+
 def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
                              budget=DEFAULT_BUDGET) -> Matrix:
     """Matrix of the induced map on H_p in the deterministic basis.

@@ -11,8 +11,8 @@ All rank, kernel and solve work, dense or sparse, goes through
 :class:`SparseEchelon`: columns are inserted in order into a column
 echelon held in dictionaries, and a column joins it exactly when it is
 not in the span of the columns before it.  ``rref``, ``kernel_basis``,
-``solve_linear``, ``invert`` and ``column_space_basis`` read their
-answers off that echelon, and ``sparse_kernel_basis`` and
+``solve_linear``, ``invert``, ``determinant`` and ``column_space_basis``
+read their answers off that echelon, and ``sparse_kernel_basis`` and
 ``independent_columns`` do the same for columns given as sparse dicts, so
 pivots, kernel bases and solutions are the canonical ones of the reduced
 row echelon form and reports are deterministic.  Over Q, ``solve``
@@ -432,26 +432,25 @@ def invert(m: Matrix):
 
 
 def determinant(m: Matrix):
-    """det m as a raw value, by Gaussian elimination on sparse rows."""
+    """det m as a raw value, read off the echelon of its columns.
+
+    Column j is reduced only by multiples of the columns before it and
+    then joins with leading row r_j and pivot p_j, its tail keeping 1/p_j
+    at j, so det m = sign(j ↦ r_j) · Π p_j; a column that does not join
+    makes m singular."""
     if m.rows != m.cols:
         raise MalformedInput("determinant of a non-square matrix")
     f = m.field
-    rows = m.sparse_rows()
-    det = f.one()
-    for c in range(m.rows):
-        r = next((r for r in range(c, m.rows) if c in rows[r]), None)
-        if r is None:
-            return f.zero()
-        if r != c:
-            rows[c], rows[r] = rows[r], rows[c]
-            det = f.neg(det)
-        piv = rows[c][c]
-        det = f.mul(det, piv)
-        ip = f.neg(f.inv(piv))
-        for row in rows[c + 1:]:
-            if c in row:
-                f.axpy(row, rows[c], f.mul(ip, row[c]))
-    return det
+    ech, _, kernel = _echelon(m)
+    if kernel:
+        return f.zero()
+    lead, inv_det = [0] * m.rows, f.one()
+    for r, (_, tail) in ech.pivots.items():
+        j = max(tail)
+        lead[j], inv_det = r, f.mul(inv_det, tail[j])
+    inversions = sum(a > b for i, a in enumerate(lead) for b in lead[i + 1:])
+    det = f.inv(inv_det)
+    return f.neg(det) if inversions % 2 else det
 
 
 def column_space_basis(m: Matrix):

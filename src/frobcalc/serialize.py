@@ -154,24 +154,30 @@ def crossed_from_doc(doc, path=""):
     return F, group, action, alpha
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``.  A file that cannot be
+    read, is not UTF-8 or not JSON, nests too deep for the decoder or
+    holds an integer too long to convert raises MalformedInput."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is one
+        raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+
+
 def parse_algebra_file(source):
     """Parse an algebra document from a path or a readable stream.
 
     Returns ``(algebra, gram_or_None)`` after full constructor validation.
     """
-    if hasattr(source, "read"):
-        try:
-            doc = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"not valid JSON: {exc}") from exc
-    else:
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise MalformedInput(f"cannot read {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"{source} is not valid JSON: {exc}") from exc
+    if not hasattr(source, "read"):
+        return algebra_from_doc(read_json(source))
+    try:
+        doc = json.load(source)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"not valid JSON: {exc}") from exc
     return algebra_from_doc(doc)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frobcalc import serialize
 from frobcalc.cli import parse_field_flag, run
@@ -191,21 +192,8 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_crossed_product(tmp_path):
-    from frobcalc.gallery import exterior
-    e1 = exterior(1)
-    G = cyclic_group(2)
-    doc = {
-        "schema": 1,
-        "algebra": serialize.algebra_to_doc(e1.algebra, e1.gram),
-        "group": {"table": [list(r) for r in G.table]},
-        "action": [serialize.matrix_to_doc(
-            __import__("frobcalc.linalg", fromlist=["Matrix"])
-            .Matrix.identity(Q, 2)),
-            serialize.matrix_to_doc(e1.phi(
-                __import__("frobcalc.linalg", fromlist=["Matrix"])
-                .Matrix(Q, [[-1]])).matrix)],
-        "alpha": [["1", "1"], ["1", "1"]],
-    }
+    from frobcalc.linalg import Matrix
+    doc = crossed_doc()
     path = write(tmp_path, "cp.json", doc)
     code, rep = run_json(["crossed-product", "--file", path])
     assert code == 0
@@ -213,9 +201,7 @@ def test_cli_crossed_product(tmp_path):
     ids = {c["id"]: c["status"] for c in rep["checks"]}
     assert ids["crossed/nakayama-formula"] == "pass"
     # an action matrix that is not an endomorphism is bad input
-    doc["action"][1] = serialize.matrix_to_doc(
-        __import__("frobcalc.linalg", fromlist=["Matrix"])
-        .Matrix.identity(Q, 2).scale(2))
+    doc["action"][1] = serialize.matrix_to_doc(Matrix.identity(Q, 2).scale(2))
     code, rep = run_json(["crossed-product", "--file",
                           write(tmp_path, "bad.json", doc)])
     assert code == 1
@@ -425,36 +411,253 @@ def test_serializer_fuzz_no_crashes():
     assert rejected > 50
 
 
+def algebra_doc(item, form=True):
+    return serialize.algebra_to_doc(item.algebra, item.gram if form else None)
+
+
+def broken_map_doc(m):
+    """The map document of ``m`` with one entry changed, so it keeps
+    neither the product nor the Leibniz rule of qci(2)."""
+    doc = serialize.map_to_doc(m)
+    doc["matrix"][1][1] = "7"
+    return doc
+
+
+def crossed_doc():
+    """exterior(1) ⋊ C2, the generator acting by x ↦ -x."""
+    from frobcalc.linalg import Matrix
+    e1 = exterior(1)
+    G = cyclic_group(2)
+    return {
+        "schema": 1,
+        "algebra": algebra_doc(e1),
+        "group": {"table": [list(r) for r in G.table]},
+        "action": [serialize.matrix_to_doc(Matrix.identity(Q, 2)),
+                   serialize.matrix_to_doc(e1.phi(Matrix(Q, [[-1]])).matrix)],
+        "alpha": [["1", "1"], ["1", "1"]],
+    }
+
+
 # sha256 of the report with ``timing_ms`` removed, as ``_emit`` writes it
-# (sorted keys, indent 1), recorded with the per-scalar elimination loops
+# (sorted keys, indent 1).  A case is (files, argv, exit code, digest):
+# ``files`` maps --file / --map to a builder of the document written there.
+# The first five were recorded with the per-scalar elimination loops, the
+# rest before the CLI's handlers shared one loader and one failure branch.
+_QCI = {"--file": lambda: algebra_doc(qci(2))}
+_QCI_MAP = {
+    "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
+    "delta": lambda: serialize.map_to_doc(qci(2).delta(1, 2, 0, 4)),
+    "nilpotent": lambda: serialize.map_to_doc(qci(2).delta(0, 0, 1, 0)),
+    "bad alpha": lambda: broken_map_doc(qci(2).alpha(2, 3, 0, 0)),
+    "bad delta": lambda: broken_map_doc(qci(2).delta(1, 2, 0, 4)),
+}
 GOLDEN = {
     "homology exterior(3)/Q p<=2": (
-        exterior, 3, ["homology", "--max-degree", "2"],
+        {"--file": lambda: algebra_doc(exterior(3))},
+        ["homology", "--max-degree", "2"], 0,
         "6745698a7379c01ba4b35d1a58bce07951e91f2d79e9b29479c66c0478dbc210"),
     "hochschild exterior(3)/Q p<=2": (
-        exterior, 3, ["hochschild", "--max-degree", "2"],
+        {"--file": lambda: algebra_doc(exterior(3))},
+        ["hochschild", "--max-degree", "2"], 0,
         "b7d0d3252f4b498e0febaafbe2e525be41910b4aea6a68fcc9435f94f22cade7"),
     "homology qci(2)/Q p<=1": (
-        qci, 2, ["homology", "--max-degree", "1"],
+        _QCI, ["homology", "--max-degree", "1"], 0,
         "02a9383e9fb7d7b6f46040eb8ff72dd34ba33c6c7f55f8d71ee89da722059047"),
     "verify-main-theorem qci(2)/Q p<=3": (
-        qci, 2, ["verify-main-theorem", "--max-degree", "3"],
+        _QCI, ["verify-main-theorem", "--max-degree", "3"], 0,
         "4ec337bb2e505317727a97e90b6fbf04585103be58d3b66fd8779f757eefc6cb"),
     # σ is diagonal and not the identity: the certificates act through it
     "verify-main-theorem exterior(4)/F5 p<=2": (
-        lambda n: exterior(n, Field.prime(5)), 4,
-        ["verify-main-theorem", "--max-degree", "2"],
+        {"--file": lambda: algebra_doc(exterior(4, Field.prime(5)))},
+        ["verify-main-theorem", "--max-degree", "2"], 0,
         "f6e1505e46429f8222a4217649050c05cd6cd4141d6b797f5ed822b8fc97f52f"),
+    "check-algebra qci(2)/Q with form": (
+        _QCI, ["check-algebra"], 0,
+        "f17154c9c1212af2bbd71e2d8d7547d815823acc3bea088ba168038a5da0e629"),
+    "check-algebra exterior(3)/Q without form": (
+        {"--file": lambda: algebra_doc(exterior(3), form=False)},
+        ["check-algebra"], 0,
+        "63b1aedf61f26be9780d5e220015feddfb500fc28ceae7b16e6a7b5014113c89"),
+    "frobenius qci(2)/Q without form": (
+        {"--file": lambda: algebra_doc(qci(2), form=False)},
+        ["frobenius"], 1,
+        "0c45e5015be2a8063372334764f232d74330fec8f2b2b2a37f4c4eabeb02e471"),
+    "nakayama qci(2)/Q": (
+        _QCI, ["nakayama"], 0,
+        "e125b7088afd47c8a03d385568a8fdf3beab1ddf807c03288cc6fe2ab984dd5b"),
+    "jacobian qci(2)/Q alpha(2,3,0,0)": (
+        {**_QCI, "--map": _QCI_MAP["alpha"]}, ["jacobian"], 0,
+        "98671490ce55a032e9be750bebd492b28e9606cf44b527df16ff0f70534e852a"),
+    "jacobian qci(2)/Q not an endomorphism": (
+        {**_QCI, "--map": _QCI_MAP["bad alpha"]}, ["jacobian"], 1,
+        "4027573ea5a34ad4cae77bd9797c7c029a5e207dda3cff447ff69733df2cd7c0"),
+    "divergence qci(2)/Q delta(1,2,0,4)": (
+        {**_QCI, "--map": _QCI_MAP["delta"]}, ["divergence"], 0,
+        "0bba0496d693a450b90cb9ae45f988d8eed9e2b7c32045ef321908ae2415b459"),
+    "divergence qci(2)/Q not a derivation": (
+        {**_QCI, "--map": _QCI_MAP["bad delta"]}, ["divergence"], 1,
+        "6c90d8abfe4902d4d7788c9802628fa236fdfb3dde9af839e785bc993fc81abd"),
+    "derivations qci(2)/Q": (
+        _QCI, ["derivations"], 0,
+        "5c4a4edd8ddb0dc95bb7e114de2710b0a5ea7a9e5cee68055a79ccb76059c301"),
+    "crossed-product exterior(1)/Q x C2": (
+        {"--file": crossed_doc}, ["crossed-product"], 0,
+        "c3020dc69360eb0448797ef6da1d70cf8d205ceeadfa69e638525a91992cd1ba"),
+    "liouville qci(2)/Q delta(0,0,1,0)": (
+        {**_QCI, "--map": _QCI_MAP["nilpotent"]}, ["liouville"], 0,
+        "45ab82016a20624a271ddce20bbfb88d2e4cf9cc5ac747e2410f4e996d4e8423"),
+    "hochschild qci(2)/Q out of budget": (
+        _QCI, ["hochschild", "--budget", "16"], 2,
+        "6afaaa2dbca331cca2a049d84824ec8673be4b063a1bf2ccf6130a824eb9760c"),
+    "gallery exterior --verify-all": (
+        {}, ["gallery", "exterior", "--verify-all"], 0,
+        "788ebca449ee77376d5fa03607de9c98090a5bce03881d08d7d599a547fde808"),
+    "gallery qci --verify-all": (
+        {}, ["gallery", "qci", "--verify-all"], 0,
+        "37781341d9ce766d3278a2878778571087dd248f4257f0e9ce98965a559fc526"),
+    "gallery cyclic --verify-all": (
+        {}, ["gallery", "cyclic", "--verify-all"], 0,
+        "87c6009e32f3048237b0e186373b82fe6250667e0dc89998f998aa90b1c61564"),
+    "gallery matrix --verify-all": (
+        {}, ["gallery", "matrix", "--verify-all"], 0,
+        "85f7356c1eb85cecce7c4b908f55c1f8b7eb0a05b4ab7b070ec27dfc71faa441"),
+    "gallery group-s3 --verify-all": (
+        {}, ["gallery", "group-s3", "--verify-all"], 0,
+        "e3940ee8153441cc7474409552151f9ec258799ca0e9a05dd98f0967ab191aad"),
+    "gallery trivial --verify-all": (
+        {}, ["gallery", "trivial", "--verify-all"], 0,
+        "22e59d8a51f919523a8e65edfe8cc8a87d91ee3a4e3c92557d977e137ac00510"),
+    "gallery trivial unknown base": (
+        {}, ["gallery", "trivial", "--base", "nope"], 1,
+        "10719e9917ae1596b6a84d763b8cb32ebe8b0569233fe8304e9ac064801d1f0b"),
+    "gallery exterior(14) out of budget": (
+        {}, ["gallery", "exterior", "--n", "14"], 2,
+        "61e9806da712a3264f2f3c232116dcdff35b815d9588e9542f458be050f35922"),
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN))
 def test_golden_report_digests(tmp_path, case):
-    family, arg, (command, *flags), digest = GOLDEN[case]
-    item = family(arg)
-    path = write(tmp_path, "a.json", serialize.algebra_to_doc(item.algebra, item.gram))
-    code, rep = run_json([command, "--file", path, *flags])
-    assert code == 0
+    files, (command, *flags), code, digest = GOLDEN[case]
+    argv = [command]
+    for flag, build in files.items():
+        argv += [flag, write(tmp_path, f"{flag[2:]}.json", build())]
+    got, rep = run_json(argv + flags)
+    assert got == code
     rep.pop("timing_ms")
     text = json.dumps(rep, sort_keys=True, indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _square(value):
+    return {"schema": 1, "matrix": [[value if i == j else "0" for j in range(4)]
+                                    for i in range(4)]}
+
+
+# the documents a request may name, all of dimension 4 where they parse;
+# bytes are written as they are
+CLI_INPUTS = {
+    "qci2": lambda: algebra_doc(qci(2)),
+    "exterior2-no-form": lambda: algebra_doc(exterior(2), form=False),
+    "crossed": crossed_doc,
+    "identity": lambda: _square("1"),
+    "zero": lambda: _square("0"),
+    "alpha": _QCI_MAP["alpha"],
+    "delta": _QCI_MAP["delta"],
+    "not-json": lambda: b"{not json",
+    "not-utf8": lambda: b"\xff\xfe{",
+    "too-deep": lambda: b"[" * 100000 + b"]" * 100000,
+    "huge-int": lambda: b'{"schema": 1, "dim": ' + b"9" * 5000 + b"}",
+    "list": lambda: [1],
+    "empty": lambda: {},
+    "wrong-shape": lambda: {"schema": 1, "matrix": [["1"]]},
+}
+_FILES = st.sampled_from(sorted(CLI_INPUTS) + ["missing"])
+_SMALL = {"--max-degree": st.integers(-1, 3).map(str),
+          "--budget": st.sampled_from(["0", "16", "256", "4096"])}
+# flags each subcommand draws; a strategy of None means the flag is optional
+CLI_FLAGS = {
+    "check-algebra": {"--file": _FILES},
+    "frobenius": {"--file": _FILES},
+    "nakayama": {"--file": _FILES},
+    "jacobian": {"--file": _FILES, "--map": _FILES},
+    "divergence": {"--file": _FILES, "--map": _FILES},
+    "derivations": {"--file": _FILES},
+    "hochschild": {"--file": _FILES, **_SMALL},
+    "verify-main-theorem": {"--file": _FILES, **_SMALL},
+    "homology": {"--file": _FILES, **_SMALL},
+    "crossed-product": {"--file": _FILES},
+    "liouville": {"--file": _FILES, "--map": _FILES},
+    "gallery": {
+        "": st.sampled_from(["qci", "exterior", "cyclic", "trivial", "matrix",
+                             "group-s3", "nope"]),
+        "--n": st.integers(0, 3).map(str) | st.none(),
+        "--p": st.sampled_from(["1", "2", "3", "5"]) | st.none(),
+        "--m": st.integers(0, 2).map(str) | st.none(),
+        "--q": st.sampled_from(["2", "0", "1,1", "zz"]) | st.none(),
+        "--base": st.sampled_from(["rationals", "dual-numbers", "matrix2",
+                                   "nope"]) | st.none(),
+        "--field": st.sampled_from(["Q", "F3", "F5", "F4", "F2[a]/1,1,1",
+                                    "Fx"]) | st.none(),
+        "--budget": _SMALL["--budget"] | st.none()},
+    "verify-all": {},
+}
+
+
+@st.composite
+def cli_requests(draw):
+    """argv of one request, input files named by their CLI_INPUTS key.
+    verify-all reads no input and runs for seconds: it is drawn only as an
+    explicit example."""
+    command = draw(st.sampled_from(sorted(set(CLI_FLAGS) - {"verify-all"})))
+    argv = [command]
+    for flag, values in CLI_FLAGS[command].items():
+        value = draw(values)
+        if value is not None:
+            argv += [flag, value] if flag else [value]
+    return argv + ["--seed", str(draw(st.integers(0, 3)))]
+
+
+def test_cli_every_request_ends_in_one_report(tmp_path):
+    # exit 0–3 and no exception, one JSON report on exits 0–2, and a file
+    # request's digest is that of the documents it read, in order (the
+    # empty string when its input was refused)
+    from frobcalc import cli
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(CLI_FLAGS)
+    docs = {}
+    for name, build in CLI_INPUTS.items():
+        doc = build()
+        if isinstance(doc, bytes):
+            (tmp_path / name).write_bytes(doc)
+        else:
+            write(tmp_path, name, doc)
+            docs[name] = doc
+
+    @settings(max_examples=120, deadline=None)
+    @given(cli_requests())
+    @example(["verify-all", "--seed", "42"])
+    @example(["hochschild", "--file", "qci2", "--budget", "16"])
+    @example(["jacobian", "--file", "qci2", "--map", "zero"])
+    def props(argv):
+        named = [argv[i + 1] for i in range(len(argv) - 1)
+                 if argv[i] in ("--file", "--map")]
+        paths = [str(tmp_path / a) if a in named else a for a in argv]
+        buf = io.StringIO()
+        code = run(paths, buf)
+        assert code in (0, 1, 2, 3)
+        if code == 3:
+            assert buf.getvalue() == ""
+            return
+        rep = json.loads(buf.getvalue())
+        counts = rep["counts"]
+        assert code == (1 if counts["fail"] else 2 if counts["inconclusive"] else 0)
+        if "--file" not in argv:
+            return
+        refused = [c["id"] for c in rep["checks"]] in (["input/schema"],
+                                                       ["internal"])
+        assert rep["input_digest"] == (
+            "" if refused else serialize.digest([docs[n] for n in named]))
+
+    props()
