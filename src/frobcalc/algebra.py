@@ -191,6 +191,8 @@ class Algebra:
                        _raw=True)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Algebra) and self.field == other.field
                 and self.dim == other.dim and self.basis_names == other.basis_names
                 and self.structure == other.structure and self.unit == other.unit)

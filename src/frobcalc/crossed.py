@@ -7,13 +7,12 @@ anti-diagonal blocks.
 
 from __future__ import annotations
 
-from .algebra import (Algebra, LinearMap, ROLE_ENDOMORPHISM, left_mult_matrix,
-                      right_mult_matrix)
+from .algebra import Algebra, LinearMap, ROLE_ENDOMORPHISM, right_mult_matrix
 from .calculus import jacobian
 from .errors import MalformedInput
 from .frobenius import FrobeniusStructure
 from .groups import GroupData
-from .linalg import Matrix
+from .linalg import Matrix, sparse_combination
 
 
 class GroupAction:
@@ -94,10 +93,6 @@ class TwoCocycle:
         return TwoCocycle(group, field, table)
 
 
-def _crossed_index(g, i, n):
-    return g * n + i
-
-
 def build_crossed_product(A: Algebra, G: GroupData, action: GroupAction,
                           alpha: TwoCocycle) -> Algebra:
     """(a⋊g)(b⋊h) = α(g,h)·a·g(b) ⋊ gh, unit α(e,e)⁻¹·1⋊e."""
@@ -110,26 +105,20 @@ def build_crossed_product(A: Algebra, G: GroupData, action: GroupAction,
     names = [f"{nm}|g{g}" for g in range(G.order) for nm in A.basis_names]
     triples = []
     for g in range(G.order):
-        # e_i·g(e_j) is entry (k, j) of L_{e_i}·U_g
-        ug = action(g).matrix
-        prods = [left_mult_matrix(e) * ug for e in A.basis_elements()]
+        # e_i·g(e_j) = Σ_b U_g[b][j]·e_i·e_b
+        ug = action(g).matrix.sparse_columns()
+        prods = [[sparse_combination(f, A.left_products(i), col) for col in ug]
+                 for i in range(n)]
         for h in range(G.order):
-            c_gh = alpha(g, h)
-            gh = G.mul(g, h)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        v = prods[i].data[k][j]
-                        if not f.is_zero(v):
-                            triples.append((_crossed_index(g, i, n),
-                                            _crossed_index(h, j, n),
-                                            _crossed_index(gh, k, n),
-                                            f.mul(c_gh, v)))
+            c_gh, gh = alpha(g, h), G.mul(g, h)
+            triples += [(g * n + i, h * n + j, gh * n + k, f.mul(c_gh, v))
+                        for i in range(n) for j in range(n)
+                        for k, v in prods[i][j].items()]
     e = G.identity
     inv_aee = f.inv(alpha(e, e))
     unit = [f.zero()] * (n * G.order)
     for i, c in enumerate(A.unit):
-        unit[_crossed_index(e, i, n)] = f.mul(inv_aee, c)
+        unit[e * n + i] = f.mul(inv_aee, c)
     return Algebra(f, n * G.order, names, triples, unit)
 
 

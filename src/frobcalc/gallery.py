@@ -12,12 +12,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
-                      ROLE_ENDOMORPHISM, inner_automorphism, left_mult_matrix,
-                      right_mult_matrix)
+                      ROLE_ENDOMORPHISM, inner_automorphism, left_mult_matrix)
 from .errors import BudgetExceeded, MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
-from .linalg import Matrix, determinant, invert, linear_combination
+from .linalg import (Matrix, determinant, invert, linear_combination,
+                     sparse_kernel_basis)
 
 # ---------------------------------------------------------------------------
 # bounded construction
@@ -344,24 +344,18 @@ class TrivialExtensionGallery:
                 raise MalformedInput("tau must be invertible")
         self.name = label or ("trivial-ext" if tau is None else "twisted-trivial-ext")
         names = list(B.basis_names) + [f"{nm}*" for nm in B.basis_names]
-        triples = []
-        for (i, j), terms in B.structure.items():
-            for (k, c) in terms:
-                triples.append((i, j, k, c))
+        triples = [(i, j, k, c) for (i, j), terms in B.structure.items()
+                   for k, c in terms]
         tmat = tau.matrix if tau is not None else Matrix.identity(f, n)
-        for i, ei in enumerate(B.basis_elements()):
-            # column m of R_{τ(e_i)} is e_m·τ(e_i), column m of L_{e_i} is e_i·e_m
-            rt = right_mult_matrix(Element(B, tmat.column(i), _raw=True))
-            li = left_mult_matrix(ei)
-            for j in range(n):
-                # e_i · e_j* = Σ_m [coeff of e_j in e_m·τ(e_i)] e_m*
-                for m in range(n):
-                    if not f.is_zero(rt.data[j][m]):
-                        triples.append((i, n + j, n + m, rt.data[j][m]))
-                # e_j* · e_i = Σ_m [coeff of e_j in e_i·e_m] e_m*
-                for m in range(n):
-                    if not f.is_zero(li.data[j][m]):
-                        triples.append((n + j, i, n + m, li.data[j][m]))
+        for i, ti in enumerate(tmat.sparse_columns()):
+            # e_i · e_j* = Σ_m [coeff of e_j in e_m·τ(e_i)] e_m*
+            triples += [(i, n + j, n + m, c)
+                        for m, col in B.mult_columns(ti, False).items()
+                        for j, c in col.items()]
+            # e_j* · e_i = Σ_m [coeff of e_j in e_i·e_m] e_m*
+            triples += [(n + j, i, n + m, c)
+                        for m, col in B.left_products(i).items()
+                        for j, c in col.items()]
         unit = list(B.unit) + [f.zero()] * n
         self.algebra = Algebra(f, 2 * n, names, triples, unit)
         self.gram = Matrix.block(f, [[None, tmat.transpose()],
@@ -434,42 +428,29 @@ class TrivialExtensionGallery:
         The system depends on B alone; it is solved once per B and the
         tuple is kept in B's cache.
         """
-        from .linalg import kernel_basis
-        cached = self.B._cache.get("derivations-to-dual")
+        B, f = self.B, self.field
+        cached = B._cache.get("derivations-to-dual")
         if cached is not None:
             return cached
-        f = self.field
-        n = self.B.dim
-        rows = []
-        basis = self.B.basis_elements()
-        # e_m·e_i is column m of R_{e_i}, e_j·e_m is column m of L_{e_j}
-        lefts = [left_mult_matrix(e) for e in basis]
-        rights = [right_mult_matrix(e) for e in basis]
-        for i in range(n):
-            for j in range(n):
-                prod = self.B.mul_basis(i, j)
-                for m in range(n):
-                    row = [f.zero()] * (n * n)
-                    for (s, c) in prod:
-                        row[m * n + s] = f.add(row[m * n + s], c)
-                    for k in range(n):
-                        w1 = rights[i].data[k][m]
-                        if not f.is_zero(w1):
-                            row[k * n + j] = f.sub(row[k * n + j], w1)
-                    for k in range(n):
-                        w2 = lefts[j].data[k][m]
-                        if not f.is_zero(w2):
-                            row[k * n + i] = f.sub(row[k * n + i], w2)
-                    if any(not f.is_zero(v) for v in row):
-                        rows.append(row)
-        if not rows:
-            vecs = [[f.one() if t == s else f.zero() for t in range(n * n)]
-                    for s in range(n * n)]
-        else:
-            vecs = kernel_basis(Matrix(f, rows, _raw=True))
+        n = B.dim
+        add, neg = f.add_entry, f.neg
+        # column k·n + a holds the coefficients of the unknown D[k][a] in the
+        # equations (i, j, m), row (i·n + j)·n + m, read off the products
+        # e_i e_j ∋ c·e_a (left side) and e_m e_i, e_j e_m ∋ c·e_k (right)
+        cols = []
+        for k in range(n):
+            for a in range(n):
+                col = {}
+                for i, j, c in B.pairs_into(a):
+                    add(col, (i * n + j) * n + k, c)
+                for m, i, c in B.pairs_into(k):
+                    add(col, (i * n + a) * n + m, neg(c))
+                for j, m, c in B.pairs_into(k):
+                    add(col, (a * n + j) * n + m, neg(c))
+                cols.append(col)
         out = tuple(Matrix(f, [[v[k * n + i] for i in range(n)] for k in range(n)],
-                           _raw=True) for v in vecs)
-        self.B._cache["derivations-to-dual"] = out
+                           _raw=True) for v in sparse_kernel_basis(f, cols))
+        B._cache["derivations-to-dual"] = out
         return out
 
 

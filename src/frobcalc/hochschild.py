@@ -5,11 +5,10 @@ values keyed by the flat coordinate k·n^p + J (J a p-tuple of basis
 indices read base n, first index most significant); chains with
 coefficients in M are flattened as (m, tuple).  The differentials are
 assembled column-sparse and all rank/kernel/solve work goes through
-:class:`SparseEchelon` from ``linalg`` on the same dictionaries, so
-nothing goes dense unless a dense matrix or vector is asked for.  Each
-rank question is asked of one echelon by insertion: homology
-representatives are the cycles that still join the echelon of the
-boundaries.  Tails (the combination of inserted columns a pivot stands
+``linalg.echelon`` on the same dictionaries, so nothing goes dense unless
+a dense matrix or vector is asked for.  Each rank question is asked of
+one echelon by insertion: homology representatives are the cycles that
+still join the echelon of the boundaries.  Tails (the combination of inserted columns a pivot stands
 for) are tracked only where they are read, for kernel vectors and for
 solves; echelons used for their rank alone carry none and are fed
 streamed columns that are never cached (b_{p+1} for H_p, b₂ for the
@@ -33,8 +32,9 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       left_mult_matrix)
 from .errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from .frobenius import FrobeniusStructure
-from .linalg import (Matrix, SparseEchelon, dense_vector,
-                     linear_combination, sparse_vector, sum_product)
+from .linalg import (Matrix, SparseEchelon, dense_vector, echelon,
+                     linear_combination, sparse_combination, sparse_vector,
+                     sum_product)
 
 DEFAULT_BUDGET = 1 << 20
 DENSE_CAP = 1 << 24
@@ -213,15 +213,13 @@ def _stream_boundary(A: Algebra, p, twist: Matrix | None):
             for j in range(1, p)]
     # face 0 is the right action of a₁ on m, through sigma when twisted;
     # only the n² products e_m·a (a a basis vector) occur, formed here once:
-    # twisted, e_m·σ(e_a) is column a of L_{e_m}·S
+    # twisted, e_m·σ(e_a) = Σ_b S[b][a]·e_m·e_b
     if twist is None:
         face0 = [[A.mul_basis(m, a) for a in range(n)] for m in range(n)]
     else:
-        face0 = []
-        for em in A.basis_elements():
-            prods_m = left_mult_matrix(em) * twist
-            face0.append([sparse_vector(f, prods_m.column(a)).items()
-                          for a in range(n)])
+        S = twist.sparse_columns()
+        face0 = [[sparse_combination(f, A.left_products(m), S[a]).items()
+                  for a in range(n)] for m in range(n)]
     for m in range(n):
         mbase = m * ncols_out
         for I, J in enumerate(product(range(n), repeat=p)):
@@ -243,24 +241,10 @@ def _stream_boundary(A: Algebra, p, twist: Matrix | None):
 # sparse elimination
 
 def _echelonize(field, cols, *, tails=False):
-    """Echelonize ``cols``, any iterable of sparse columns, in order; a
-    generator such as :func:`_stream_boundary` is consumed column by column,
-    so a rank-only echelon never holds its columns.
-
-    With ``tails`` each pivot carries the combination of original columns
-    it stands for, so the echelon can ``solve``, and the tails of the
-    columns that reduce to zero are collected as the kernel.  Without,
-    every column is inserted with ``tail=None``, the kernel is empty and
-    the echelon answers rank questions and takes further insertions only.
-    """
-    ech = SparseEchelon(field)
-    kernel = []
-    one = field.one()
-    for j, col in enumerate(cols):
-        out = ech.insert(col, {j: one} if tails else None)
-        if out is not None and tails:
-            kernel.append(out)
-    return ech, kernel
+    # linalg.echelon by the name perfbench/layertrace.py spans (and
+    # tests/test_hochschild.py calls)
+    ech, _, kernel = echelon(field, cols, tails=tails)
+    return ech, list(kernel.values())
 
 
 def _representatives(ech, kernel):

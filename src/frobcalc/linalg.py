@@ -7,13 +7,13 @@ loops (``Field.axpy``/``add_entry``/``matmul``, picked once per field
 kind), so elimination makes no per-scalar method call over Q or F_p.
 Every linear combination Σ cᵢ·vᵢ is formed by :func:`linear_combination`
 over the nonzeros of each vᵢ.
-All rank, kernel and solve work, dense or sparse, goes through
-:class:`SparseEchelon`: columns are inserted in order into a column
-echelon held in dictionaries, and a column joins it exactly when it is
-not in the span of the columns before it.  ``rref``, ``kernel_basis``,
-``solve_linear``, ``invert``, ``determinant`` and ``column_space_basis``
-read their answers off that echelon, and ``sparse_kernel_basis`` and
-``independent_columns`` do the same for columns given as sparse dicts, so
+All rank, kernel and solve work, dense or sparse, goes through one
+driver, :func:`echelon`, which inserts columns in order into a
+:class:`SparseEchelon`, a column echelon held in dictionaries; a column
+joins it exactly when it is not in the span of the columns before it.
+``rref``, ``kernel_basis``, ``solve_linear``, ``invert``, ``determinant``,
+``column_space_basis``, ``sparse_kernel_basis``, ``independent_columns``
+and the Hochschild differentials read their answers off that echelon, so
 pivots, kernel bases and solutions are the canonical ones of the reduced
 row echelon form and reports are deterministic.  Over Q, ``solve``
 reduces L·rhs, L the lcm of the denominators of rhs, and divides the
@@ -348,29 +348,28 @@ def dense_vector(f, d, length):
     return out
 
 
-def _echelon_columns(f, columns):
-    """Insert sparse columns in order, each with its identity tail.
+def echelon(f, columns, tails=True):
+    """Insert sparse columns in order, from any iterable: a generator is
+    consumed column by column, so a rank-only echelon never holds them.
 
     Returns the echelon, the pivot columns (those that joined: exactly the
-    RREF pivot columns) and ``{free column: kernel tail}``.  A free
-    column's tail is 1 there and 0 at every other free column, i.e. the
-    canonical kernel vector read off the RREF.
+    RREF pivot columns) and ``{free column: kernel tail}``.  With ``tails``
+    each column enters with its identity tail, so the echelon can
+    ``solve`` and a free column's tail is 1 there and 0 at every other
+    free column, i.e. the canonical kernel vector read off the RREF.
+    Without, the kernel is empty and the echelon answers rank questions
+    and takes further insertions only.
     """
     ech = SparseEchelon(f)
     pivots, kernel = [], {}
     one = f.one()
     for j, col in enumerate(columns):
-        out = ech.insert(col, {j: one})
+        out = ech.insert(col, {j: one} if tails else None)
         if out is None:
             pivots.append(j)
-        else:
+        elif tails:
             kernel[j] = out
     return ech, pivots, kernel
-
-
-def _echelon(m: Matrix):
-    """:func:`_echelon_columns` of the columns of ``m``."""
-    return _echelon_columns(m.field, m.sparse_columns())
 
 
 def rref(m: Matrix):
@@ -381,7 +380,7 @@ def rref(m: Matrix):
     the r-th pivot column and minus the kernel tails elsewhere.
     """
     f = m.field
-    _, pivots, kernel = _echelon(m)
+    _, pivots, kernel = echelon(f, m.sparse_columns())
     data = [[f.zero()] * m.cols for _ in range(m.rows)]
     row_of = {pc: r for r, pc in enumerate(pivots)}
     for pc, r in row_of.items():
@@ -405,7 +404,7 @@ def kernel_basis(m: Matrix):
 def sparse_kernel_basis(f, columns):
     """:func:`kernel_basis` of the matrix whose columns are the sparse dicts
     ``columns``, without forming it."""
-    _, _, kernel = _echelon_columns(f, columns)
+    _, _, kernel = echelon(f, columns)
     return [dense_vector(f, kv, len(columns)) for kv in kernel.values()]
 
 
@@ -414,7 +413,8 @@ def solve_linear(m: Matrix, b):
     if len(b) != m.rows:
         raise MalformedInput("right-hand side length differs from row count")
     f = m.field
-    x = _echelon(m)[0].solve(sparse_vector(f, [f.coerce(v) for v in b]))
+    ech = echelon(f, m.sparse_columns())[0]
+    x = ech.solve(sparse_vector(f, [f.coerce(v) for v in b]))
     return None if x is None else dense_vector(f, x, m.cols)
 
 
@@ -424,7 +424,7 @@ def invert(m: Matrix):
         raise MalformedInput("inverse of a non-square matrix")
     f = m.field
     n = m.rows
-    ech = _echelon(m)[0]
+    ech = echelon(f, m.sparse_columns())[0]
     if ech.rank < n:
         return None
     cols = [dense_vector(f, ech.solve({i: f.one()}), n) for i in range(n)]
@@ -441,7 +441,7 @@ def determinant(m: Matrix):
     if m.rows != m.cols:
         raise MalformedInput("determinant of a non-square matrix")
     f = m.field
-    ech, _, kernel = _echelon(m)
+    ech, _, kernel = echelon(f, m.sparse_columns())
     if kernel:
         return f.zero()
     lead, inv_det = [0] * m.rows, f.one()
@@ -462,5 +462,5 @@ def column_space_basis(m: Matrix):
 def independent_columns(f, columns):
     """The sparse columns that are not in the span of the ones before
     them, i.e. at the RREF pivot positions."""
-    ech = SparseEchelon(f)
-    return [col for col in columns if ech.insert(col, None) is None]
+    columns = list(columns)
+    return [columns[j] for j in echelon(f, columns, tails=False)[1]]

@@ -187,7 +187,7 @@ def derivation_basis(A):
     basis = A._cache.get("derivation-basis")
     if basis is None:
         basis = [c.as_linear_map(ROLE_DERIVATION)
-                 for c in hh.cocycle_basis(A, 1, budget=1 << 22)]
+                 for c in hh.cocycle_basis(A, 1, budget=SUITE_BUDGET)]
         A._cache["derivation-basis"] = basis
     return basis
 
@@ -258,9 +258,16 @@ def _random_invertible(field, n, rng, tries=64):
 # ---------------------------------------------------------------------------
 # suites, one per acceptance criterion (plus shared extras)
 
-def suite_osima(items=None):
+# the cochain budget of the bar-complex suites, and the sample counts of
+# the Grassmann and 𝔽₅ cyclic suites
+SUITE_BUDGET = 1 << 22
+GRASSMANN_SAMPLES = 10
+CYCLIC5_SAMPLES = 30
+
+
+def suite_osima():
     s = Suite()
-    for name, item in (items or gallery_items()):
+    for name, item in gallery_items():
         F = frobenius_of(item)
         s.record(f"osima/{name}", "sigma:central", sigma_fixes_center(F),
                  {"algebra": name})
@@ -286,14 +293,14 @@ def suite_qci_closed_forms(count=20, rng=None):
     return s.checks
 
 
-def suite_grassmann(rng=None, per_n=10):
+def suite_grassmann(rng=None):
     s = Suite()
     rng = rng or SplitMix64(42)
     for n in (2, 3, 4):
         item = carrier(f"exterior{n}")
         F = frobenius_of(item)
         A = item.algebra
-        for k in range(per_n):
+        for k in range(GRASSMANN_SAMPLES):
             fm = _random_invertible(item.field, n, rng)
             u = item.phi(fm)
             detval = item.det_on_generators(fm)
@@ -433,15 +440,15 @@ def main_theorem_degrees(item):
     return (1, 2, 3) if dim <= 4 else (1, 2)
 
 
-def suite_main_theorem(items=None, budget=1 << 22):
+def suite_main_theorem():
     s = Suite()
-    for name, item in (items or gallery_items()):
+    for name, item in gallery_items():
         degrees = main_theorem_degrees(item)
         if not degrees:
             continue
         F = frobenius_of(item)
         for p in degrees:
-            cocycles, missing = hh.main_theorem(F, p, budget)
+            cocycles, missing = hh.main_theorem(F, p, SUITE_BUDGET)
             lemma = "hh2" if p == 2 else "main"
             s.record(f"certificates/{name}/p={p}", lemma, not missing,
                      {"algebra": name, "degree": p, "cocycles": cocycles,
@@ -453,31 +460,31 @@ def suite_main_theorem(items=None, budget=1 << 22):
     return s.checks
 
 
-def suite_homology(budget=1 << 22):
+def suite_homology():
     s = Suite()
     F = frobenius_of(carrier("qci2"))
-    act_plain = hh.sigma_action_on_homology(F, 0, hh.UNTWISTED, budget)
+    act_plain = hh.sigma_action_on_homology(F, 0, hh.UNTWISTED, SUITE_BUDGET)
     s.record("homology/untwisted-nontrivial", "ex:four",
              not act_plain.is_identity())
-    act_tw = hh.sigma_action_on_homology(F, 0, hh.TWISTED, budget)
+    act_tw = hh.sigma_action_on_homology(F, 0, hh.TWISTED, SUITE_BUDGET)
     s.record("homology/twisted-trivial-p0", "twisted", act_tw.is_identity())
-    act_tw1 = hh.sigma_action_on_homology(F, 1, hh.TWISTED, budget)
+    act_tw1 = hh.sigma_action_on_homology(F, 1, hh.TWISTED, SUITE_BUDGET)
     s.record("homology/twisted-trivial-p1", "twisted", act_tw1.is_identity())
     for name in ("qci2", "exterior2"):
         F = frobenius_of(carrier(name))
-        table = hh.duality_dims(F, 2, budget)
+        table = hh.duality_dims(F, 2, SUITE_BUDGET)
         s.record(f"duality/{name}", "partial",
                  all(row["match"] for row in table),
                  {"table": table})
     # symmetric sanity case: plain vs twisted coincide when sigma is trivial
     F3 = frobenius_of(carrier("cyclic3"))
-    table = hh.duality_dims(F3, 2, budget)
+    table = hh.duality_dims(F3, 2, SUITE_BUDGET)
     s.record("duality/cyclic3", "partial", all(row["match"] for row in table),
              {"table": table})
     return s.checks
 
 
-def suite_cyclic(rng=None, count5=30):
+def suite_cyclic(rng=None):
     s = Suite()
     rng = rng or SplitMix64(42)
     item3 = carrier("cyclic3")
@@ -487,7 +494,7 @@ def suite_cyclic(rng=None, count5=30):
     item5 = carrier("cyclic5")
     F5 = frobenius_of(item5)
     f = item5.field
-    for k in range(count5):
+    for k in range(CYCLIC5_SAMPLES):
         coeffs = [f.zero(), f.random_nonzero(rng)] + \
             [f.random(rng) for _ in range(3)]
         _cyclic_check(s, item5, F5, coeffs, f"cyclic-juf/p=5/{k}")
@@ -864,7 +871,7 @@ def suite_symmetry_and_coboundaries(rng=None):
     return s.checks
 
 
-def suite_complexes(budget=1 << 22):
+def suite_complexes():
     """d∘d = 0 and b∘b = 0 on every gallery algebra.
 
     Small algebras are checked through degree 3; for the larger ones the
@@ -875,7 +882,7 @@ def suite_complexes(budget=1 << 22):
     for name, item in gallery_items():
         F = frobenius_of(item)
         pmax = 2 if item.algebra.dim <= 4 else 1
-        ok = hh.verify_complex(item.algebra, pmax, budget, F.sigma)
+        ok = hh.verify_complex(item.algebra, pmax, SUITE_BUDGET, F.sigma)
         s.record(f"complex/{name}", "main", ok)
     return s.checks
 

@@ -11,6 +11,7 @@ from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import cyclic, exterior, qci
 from frobcalc.groups import cyclic_group
 from frobcalc.linalg import Matrix
+from frobcalc.rng import SplitMix64
 
 Q = Field.rationals()
 
@@ -143,3 +144,29 @@ def test_orthogonal_action_gives_plain_sigma():
         for i in range(4):
             col = pred.matrix.column(g * 4 + i)
             assert col[g * 4:(g + 1) * 4] == list(F.sigma.matrix.column(i))
+
+
+@pytest.mark.parametrize("field", [Q, Field.extension(3, [1, 0, 1])],
+                         ids=["Q", "F9"])
+def test_basis_products_against_the_definition(field):
+    # the involution x ↦ −x + xy, y ↦ −y + 2xy is not monomial, so each
+    # e_i·g(e_j) is a combination of several products e_i·e_b
+    item = qci(2, field)
+    A = item.algebra
+    n = A.dim
+    G = cyclic_group(2)
+    act = GroupAction(G, A, [LinearMap.identity(A), item.alpha(-1, -1, 1, 2)])
+    rng = SplitMix64(7)
+    alpha = TwoCocycle.from_coboundary(
+        G, field, [field.random_nonzero(rng) for _ in range(G.order)])
+    C = build_crossed_product(A, G, act, alpha)
+    for g in range(G.order):
+        for h in range(G.order):
+            gh = G.mul(g, h)
+            for i in range(n):
+                for j in range(n):
+                    prod = A.basis_element(i) * act(g)(A.basis_element(j))
+                    expected = [field.zero()] * (n * G.order)
+                    expected[gh * n:(gh + 1) * n] = prod.scale(alpha(g, h)).raw
+                    got = C.basis_element(g * n + i) * C.basis_element(h * n + j)
+                    assert list(got.raw) == expected

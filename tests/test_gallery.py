@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from frobcalc import hochschild as hh
 from frobcalc.algebra import Algebra, is_endomorphism
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.gallery import (cyclic, exterior, group_algebra, matrix_algebra,
-                              qci, s3_group_algebra, trace_form_gram,
-                              trivial_extension)
+from frobcalc.gallery import (cyclic, dual_numbers, exterior,
+                              ground_field_algebra, group_algebra,
+                              matrix_algebra, qci, s3_group_algebra,
+                              trace_form_gram, trivial_extension)
 from frobcalc.groups import GroupData, cyclic_group, symmetric_group_3
-from frobcalc.linalg import Matrix, invert
+from frobcalc.linalg import Matrix, invert, kernel_basis
 
 Q = Field.rationals()
 
@@ -146,6 +148,31 @@ def test_trivial_extension_structure():
     for dmat in item.derivation_space_to_dual():
         ud = item.u_delta(dmat)
         assert is_endomorphism(A, ud.matrix)
+
+
+DERIVATION_BASES = {
+    "k": ground_field_algebra,
+    "k[t]/(t^2)": dual_numbers,
+    "M2": lambda f: matrix_algebra(2, f).algebra,
+    "qci(2)": lambda f: qci(2, f).algebra,
+}
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("base", list(DERIVATION_BASES))
+def test_derivations_to_dual_are_the_canonical_coboundary_kernel(base, field):
+    # a map B → DB, zero elsewhere, is a derivation of T = B ⊕ DB exactly
+    # when it is one into the bimodule DB; D[k][i] is the coordinate
+    # (n + k)·2n + i of d¹ on T, and the unknowns are ordered k·n + i
+    B = DERIVATION_BASES[base](field)
+    n = B.dim
+    T = trivial_extension(B)
+    d1 = hh.coboundary_matrix(T.algebra, 1)
+    sub = Matrix.from_columns(field, [d1.column((n + k) * 2 * n + i)
+                                      for k in range(n) for i in range(n)])
+    expected = [Matrix(field, [[v[k * n + i] for i in range(n)] for k in range(n)],
+                       _raw=True) for v in kernel_basis(sub)]
+    assert list(T.derivation_space_to_dual()) == expected
 
 
 def test_twisted_trivial_extension():

@@ -8,8 +8,8 @@ import pytest
 
 from frobcalc import hochschild as hh
 from frobcalc.algebra import (Element, LinearMap, ad, center_basis,
-                              commutator_subspace, is_derivation,
-                              right_mult_matrix)
+                              commutator_subspace, inner_automorphism,
+                              is_derivation, right_mult_matrix)
 from frobcalc.errors import BudgetExceeded, MalformedInput
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
@@ -570,3 +570,20 @@ def test_rank_only_boundaries_are_streamed_not_kept():
     assert (rep.dim_boundaries, rep.dim) == (3800, 80)
     assert ("bnd", 3, F.sigma.matrix) not in A._cache
     assert held < 10 * 2**20
+
+
+def test_twisted_boundary_against_the_definition():
+    # b(e_m ⊗ e_a) = e_m·σ(e_a) − e_a·e_m on the trivial extension of M₂
+    # twisted by ι_{1+E₁₂}, whose σ is not monomial
+    B = matrix_algebra(2).algebra
+    item = trivial_extension(B, inner_automorphism(B.unit_element()
+                                                   + B.basis_element(1)))
+    A = item.algebra
+    n = A.dim
+    sigma = make_frobenius(A, item.gram).sigma
+    assert any(len(col) > 1 for col in sigma.matrix.sparse_columns())
+    b1 = hh.boundary_matrix(A, 1, hh.TWISTED, sigma)
+    for m in range(n):
+        for a in range(n):
+            em, ea = A.basis_element(m), A.basis_element(a)
+            assert b1.column(m * n + a) == list((em * sigma(ea) - ea * em).raw)

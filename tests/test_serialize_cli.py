@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobcalc import serialize
+from frobcalc.algebra import LinearMap, inner_automorphism
 from frobcalc.cli import parse_field_flag, run
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.gallery import exterior, qci
+from frobcalc.gallery import exterior, matrix_algebra, qci, trivial_extension
 from frobcalc.groups import cyclic_group
 
 Q = Field.rationals()
@@ -438,11 +439,40 @@ def crossed_doc():
     }
 
 
+def qci_crossed_doc():
+    """qci(2) ⋊ C2, the generator acting by the involution x ↦ −x + xy,
+    y ↦ −y + 2xy, which is not monomial, with a sampled coboundary α."""
+    from frobcalc.crossed import TwoCocycle
+    from frobcalc.rng import SplitMix64
+    item = qci(2)
+    G = cyclic_group(2)
+    rng = SplitMix64(15)
+    alpha = TwoCocycle.from_coboundary(
+        G, Q, [rng.small_int(nonzero=True) for _ in range(G.order)])
+    return {
+        "schema": 1,
+        "algebra": algebra_doc(item),
+        "group": {"table": [list(r) for r in G.table]},
+        "action": [serialize.matrix_to_doc(m.matrix) for m in
+                   (LinearMap.identity(item.algebra), item.alpha(-1, -1, 1, 2))],
+        "alpha": [[Q.format(v) for v in row] for row in alpha.table],
+    }
+
+
+def twisted_trivial_doc():
+    """The trivial extension of M₂ twisted by ι_{1+E₁₂}: σ is not monomial."""
+    B = matrix_algebra(2).algebra
+    tau = inner_automorphism(B.unit_element() + B.basis_element(1))
+    return algebra_doc(trivial_extension(B, tau))
+
+
 # sha256 of the report with ``timing_ms`` removed, as ``_emit`` writes it
 # (sorted keys, indent 1).  A case is (files, argv, exit code, digest):
 # ``files`` maps --file / --map to a builder of the document written there.
 # The first five were recorded with the per-scalar elimination loops, the
-# rest before the CLI's handlers shared one loader and one failure branch.
+# next twenty before the CLI's handlers shared one loader and one failure
+# branch, and the last two while crossed products and twisted boundaries
+# still formed dense multiplication matrices.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -533,6 +563,12 @@ GOLDEN = {
     "gallery exterior(14) out of budget": (
         {}, ["gallery", "exterior", "--n", "14"], 2,
         "61e9806da712a3264f2f3c232116dcdff35b815d9588e9542f458be050f35922"),
+    "crossed-product qci(2)/Q x C2, non-monomial action": (
+        {"--file": qci_crossed_doc}, ["crossed-product"], 0,
+        "fe86c18ae11e58d5c6309f2174752aee636c5c12f0f10caf3c23be89d00ba006"),
+    "homology twisted trivial extension of M2 p<=2": (
+        {"--file": twisted_trivial_doc}, ["homology", "--max-degree", "2"], 0,
+        "25c1729d1a8d75f57825c70b707b8128caf9832d6d6cd9ba36375df3f7803d72"),
 }
 
 
