@@ -308,10 +308,12 @@ class LinearMap:
 
     The matrix columns are the images of the basis vectors.  Role claims
     are verified on construction: ``endomorphism`` must preserve products
-    and the unit, ``derivation`` must satisfy the Leibniz law.
+    and the unit, ``derivation`` must satisfy the Leibniz law.  The inverse
+    is eliminated once, on first use, and kept (False when singular); it
+    does not point back at its map.
     """
 
-    __slots__ = ("algebra", "matrix", "role")
+    __slots__ = ("algebra", "matrix", "role", "_inverse")
 
     def __init__(self, algebra, matrix, role=ROLE_GENERAL, *, check=True):
         self.algebra = algebra
@@ -323,6 +325,7 @@ class LinearMap:
             raise MalformedInput("map matrix must be dim x dim")
         self.matrix = matrix
         self.role = role
+        self._inverse = None
         if check:
             if role == ROLE_ENDOMORPHISM:
                 w = endomorphism_witness(algebra, matrix)
@@ -355,14 +358,17 @@ class LinearMap:
         return LinearMap(self.algebra, self.matrix * other.matrix, role, check=False)
 
     def inverse(self):
-        inv = invert(self.matrix)
-        if inv is None:
+        if not self.is_invertible():
             raise MalformedInput("map is not invertible")
-        role = ROLE_ENDOMORPHISM if self.role == ROLE_ENDOMORPHISM else ROLE_GENERAL
-        return LinearMap(self.algebra, inv, role, check=False)
+        return self._inverse
 
     def is_invertible(self):
-        return invert(self.matrix) is not None
+        if self._inverse is None:
+            inv = invert(self.matrix)
+            role = ROLE_ENDOMORPHISM if self.role == ROLE_ENDOMORPHISM else ROLE_GENERAL
+            self._inverse = inv is not None and LinearMap(self.algebra, inv, role,
+                                                          check=False)
+        return self._inverse is not False
 
     def power(self, n):
         if n < 0:

@@ -172,12 +172,12 @@ def cmd_jacobian(args, checks, data, rng):
     data["jacobian"] = str(jac)
     data["jacobian_coeffs"] = [F.algebra.field.format(c) for c in jac.raw]
     unit = inverse_of(jac) is not None
+    invertible = u.is_invertible()
     checks.append(Check("jacobian/unit-iff-invertible", "det:JC",
-                        "pass" if unit == u.is_invertible() else "fail",
-                        {"jacobian_unit": unit,
-                         "map_invertible": u.is_invertible()}))
+                        "pass" if unit == invertible else "fail",
+                        {"jacobian_unit": unit, "map_invertible": invertible}))
     data["orbit_readings"] = (commutator_orbit_readings(F, u)
-                              if u.is_invertible() else None)
+                              if invertible else None)
 
 
 def cmd_divergence(args, checks, data, rng):

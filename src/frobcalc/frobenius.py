@@ -21,15 +21,13 @@ from .rng import SplitMix64
 
 
 class FrobeniusStructure:
-    __slots__ = ("algebra", "gram", "sigma", "_gram_inv", "_sigma_inv", "_cache")
+    __slots__ = ("algebra", "gram", "sigma", "_gram_inv")
 
-    def __init__(self, algebra, gram, sigma, gram_inv, sigma_inv):
+    def __init__(self, algebra, gram, sigma, gram_inv):
         self.algebra = algebra
         self.gram = gram
         self.sigma = sigma
         self._gram_inv = gram_inv
-        self._sigma_inv = sigma_inv
-        self._cache = {}
 
     # pairing and beta ---------------------------------------------------------
     def pair_raw(self, a, b):
@@ -46,7 +44,10 @@ class FrobeniusStructure:
                        _raw=True)
 
     def sigma_inv(self) -> LinearMap:
-        return self._sigma_inv
+        """σ⁻¹, σ's own inverse: eliminated on first use, then kept by σ."""
+        if not self.sigma.is_invertible():
+            raise InternalInconsistency("induced automorphism is singular")
+        return self.sigma.inverse()
 
     def __repr__(self):
         return f"FrobeniusStructure({self.algebra!r})"
@@ -87,12 +88,9 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
         raise InternalInconsistency(
             f"induced map is not an algebra endomorphism (at {w}); "
             "the form passed associativity, so this indicates a bug")
-    sinv = invert(sigma_mat)
-    if sinv is None:
-        raise InternalInconsistency("induced automorphism is singular")
     F = FrobeniusStructure(A, gram,
                            LinearMap(A, sigma_mat, ROLE_ENDOMORPHISM, check=False),
-                           ginv, LinearMap(A, sinv, ROLE_ENDOMORPHISM, check=False))
+                           ginv)
     # defining property: row i of G, ⟨e_i, −⟩ = ⟨−, σ(e_i)⟩, is G·σ(e_i)
     images = sigma_mat.sparse_columns()
     if any(sparse_combination(f, gcols, images[i]) != grows[i]

@@ -396,10 +396,8 @@ class TrivialExtensionGallery:
 
     def lift(self, theta: LinearMap) -> LinearMap:
         """diag(θ, θ^{-T}) for an automorphism θ of B (untwisted case)."""
-        inv = invert(theta.matrix)
-        if inv is None:
-            raise MalformedInput("lift needs an invertible endomorphism")
-        return self.from_blocks(theta.matrix, None, None, inv.transpose())
+        return self.from_blocks(theta.matrix, None, None,
+                                theta.inverse().matrix.transpose())
 
     def t_part(self, u: LinearMap) -> Element:
         """The B-component the Jacobian of u must equal, read off block d:

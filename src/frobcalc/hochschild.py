@@ -430,16 +430,14 @@ def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
     return HomologyReport(p, cycles, bound, len(reps), [dict(kv) for kv in reps])
 
 
-def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
+def cochain_action(u: LinearMap, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     """The twisted cochain a₁⊗...⊗a_p ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p)).
 
-    ``u`` is an invertible endomorphism, or a Frobenius structure standing
-    for σ with its cached σ⁻¹.  The action is p + 1 mode products on the
-    nonzeros of f: rows of u⁻¹ on the input digits (weights n⁰ … n^{p−1}),
-    then columns of u on the output digit (weight n^p)."""
-    uinv = None
-    if isinstance(u, FrobeniusStructure):
-        u, uinv = u.sigma, u.sigma_inv()
+    ``u`` is an invertible endomorphism; u⁻¹ is the one u keeps, so acting
+    by σ on many cochains eliminates σ once.  The action is p + 1 mode
+    products on the nonzeros of f: rows of u⁻¹ on the input digits
+    (weights n⁰ … n^{p−1}), then columns of u on the output digit
+    (weight n^p)."""
     if u.role != ROLE_ENDOMORPHISM:
         raise MalformedInput("cochain action needs an invertible endomorphism")
     A = f.algebra
@@ -448,7 +446,7 @@ def cochain_action(u, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     fld, n, p = A.field, A.dim, f.degree
     if u.is_identity():
         return Cochain(A, p, dict(f.data))
-    in_slot = _slot_map((uinv or u.inverse()).matrix.sparse_rows())
+    in_slot = _slot_map(u.inverse().matrix.sparse_rows())
     data = f.data
     for i in range(p):
         data = _mode_product(fld, data, n, n ** i, in_slot)
@@ -469,16 +467,16 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
         raise MalformedInput("certificates start at degree 1")
     if not is_cocycle(A, f, budget):
         raise MalformedInput("cochain is not a cocycle")
-    rhs = cochain_action(F, f, budget) - f
+    rhs = cochain_action(F.sigma, f, budget) - f
     if rhs.is_zero():
         return Cochain(A, p - 1, {})
+    # the echelon of d^{p−1} depends on A alone: kept beside its columns
     key = ("certificate-echelon", p - 1)
-    ech = F._cache.get(key)
+    ech = A._cache.get(key)
     if ech is None:
         _check_budget(A, p - 1, budget)
         _, cols = _coboundary_columns(A, p - 1)
-        ech = _echelonize(A.field, cols, tails=True)[0]
-        F._cache[key] = ech
+        ech = A._cache[key] = _echelonize(A.field, cols, tails=True)[0]
     sol = ech.solve(rhs.data)
     if sol is None:
         return None

@@ -274,9 +274,8 @@ def suite_osima():
     return s.checks
 
 
-def suite_qci_closed_forms(count=20, rng=None):
+def suite_qci_closed_forms(rng, count=20):
     s = Suite()
-    rng = rng or SplitMix64(42)
     for qlabel in ("2", "3", "1/2"):
         item = carrier(f"qci{qlabel}")
         F = frobenius_of(item)
@@ -293,9 +292,8 @@ def suite_qci_closed_forms(count=20, rng=None):
     return s.checks
 
 
-def suite_grassmann(rng=None):
+def suite_grassmann(rng):
     s = Suite()
-    rng = rng or SplitMix64(42)
     for n in (2, 3, 4):
         item = carrier(f"exterior{n}")
         F = frobenius_of(item)
@@ -350,9 +348,8 @@ def _random_3subset(rng, n):
     return tuple(sorted(out))
 
 
-def suite_cocycle_laws(pairs=50, rng=None):
+def suite_cocycle_laws(rng, pairs=50):
     s = Suite()
-    rng = rng or SplitMix64(42)
     items = [(name, carrier(name)) for name in
              ("qci2", "exterior2", "exterior3", "exterior4", "trivDual",
               "cyclic3", "matrix2")]
@@ -376,10 +373,9 @@ def suite_cocycle_laws(pairs=50, rng=None):
     return s.checks
 
 
-def suite_jacobian_identities(rng=None):
+def suite_jacobian_identities(rng):
     """Power/shift identities, commutation, orbit readings, form change."""
     s = Suite()
-    rng = rng or SplitMix64(42)
     for name in ("qci2", "exterior2"):
         item = carrier(name)
         F = frobenius_of(item)
@@ -484,9 +480,8 @@ def suite_homology():
     return s.checks
 
 
-def suite_cyclic(rng=None):
+def suite_cyclic(rng):
     s = Suite()
-    rng = rng or SplitMix64(42)
     item3 = carrier("cyclic3")
     F3 = frobenius_of(item3)
     for idx, coeffs in enumerate(item3.all_valid_f()):
@@ -512,9 +507,8 @@ def _cyclic_check(s, item, F, coeffs, cid):
     s.eq(cid + "/alternating", "juf", item.mu(jac), fld.one())
 
 
-def suite_trivial_extension(rng=None, count=20):
+def suite_trivial_extension(rng, count=20):
     s = Suite()
-    rng = rng or SplitMix64(42)
     for label, name in (("dual-numbers", "trivDual"), ("matrix2", "trivM2")):
         item = carrier(name)
         B = item.B
@@ -547,9 +541,8 @@ def suite_trivial_extension(rng=None, count=20):
     return s.checks
 
 
-def suite_divergence(rng=None, pairs=30, items=None):
+def suite_divergence(rng, pairs=30, items=None):
     s = Suite()
-    rng = rng or SplitMix64(42)
     for name, item in (items or gallery_items()):
         A = item.algebra
         F = frobenius_of(item)
@@ -614,9 +607,8 @@ def suite_div_nontrivial():
     return s.checks
 
 
-def suite_liouville(rng=None):
+def suite_liouville(rng):
     s = Suite()
-    rng = rng or SplitMix64(42)
     item = carrier("qci2")
     F = frobenius_of(item)
     A = item.algebra
@@ -694,9 +686,8 @@ def _interpolated_derivative_at_zero(A, samples):
     return A.combination(terms)
 
 
-def suite_crossed(rng=None):
+def suite_crossed(rng):
     s = Suite()
-    rng = rng or SplitMix64(42)
     Q = Field.rationals()
     G = cyclic_group(2)
     e1, e2 = carrier("exterior1"), carrier("exterior2")
@@ -730,9 +721,8 @@ def suite_crossed(rng=None):
     return s.checks
 
 
-def suite_reductions(rng=None):
+def suite_reductions(rng):
     s = Suite()
-    rng = rng or SplitMix64(42)
     Q = Field.rationals()
     # direct products: Jacobians add blockwise
     g2, m2 = carrier("qci2"), carrier("matrix2")
@@ -793,9 +783,8 @@ def suite_reductions(rng=None):
     return s.checks
 
 
-def suite_strongly_separable(rng=None, count=20):
+def suite_strongly_separable(rng, count=20):
     s = Suite()
-    rng = rng or SplitMix64(42)
     for name in ("matrix2", "matrix3", "groupS3"):
         item = carrier(name)
         F = frobenius_of(item)
@@ -807,10 +796,9 @@ def suite_strongly_separable(rng=None, count=20):
     return s.checks
 
 
-def suite_symmetry_and_coboundaries(rng=None):
+def suite_symmetry_and_coboundaries(rng):
     """Symmetry verdicts and the proven-no coboundary obstructions."""
     s = Suite()
-    rng = rng or SplitMix64(42)
     expectations = [("trivDual", True), ("exterior2", False),
                     ("exterior3", True), ("qci2", False)]
     for name, expect in expectations:

@@ -144,8 +144,7 @@ def test_cochain_action_matches_definition_in_degree_two():
         flat = [fld.from_int(i % 5 - 2) for i in range(n ** 3)]
         f = hh.Cochain.from_flat(A, 2, flat)
         assert f.flatten() == flat
-        fs = hh.cochain_action(F, f)
-        assert fs == hh.cochain_action(F.sigma, f)
+        fs = hh.cochain_action(F.sigma, f)
         _assert_action_by_definition(item, F, f)
         # no operation stores a zero
         assert (f - f).data == {}
@@ -162,7 +161,6 @@ def test_cochain_action_matches_definition_in_degree_three():
         F = make_frobenius(A, item.gram)
         f = hh.Cochain.from_flat(A, 3, [fld.from_int((7 * i) % 11 - 5) if i % 3 else
                                         fld.zero() for i in range(A.dim ** 4)])
-        assert hh.cochain_action(F, f) == hh.cochain_action(F.sigma, f)
         _assert_action_by_definition(item, F, f)
 
 

@@ -3,10 +3,18 @@ without changing a single report."""
 
 from types import SimpleNamespace
 
-from frobcalc import gallery, hochschild as hh, verify
+import pytest
+
+from frobcalc import algebra, frobenius, gallery, hochschild as hh, verify
 from frobcalc.algebra import right_mult_matrix
+from frobcalc.calculus import jacobian_cocycle
+from frobcalc.errors import MalformedInput
+from frobcalc.fields import Field
+from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import dual_numbers, exterior, qci, trivial_extension
+from frobcalc.linalg import Matrix, invert
 from frobcalc.rng import SplitMix64
+from test_serialize_cli import augmentation_map
 
 
 def test_gallery_items_are_built_once():
@@ -75,3 +83,38 @@ def test_warm_structures_give_the_cold_reports():
             for items in (fresh, shared, shared)]
     assert runs[0] == runs[1] == runs[2]
     assert all(c["status"] == "pass" for c in runs[0])
+
+
+def test_each_map_is_inverted_once(monkeypatch):
+    inverted = []
+
+    def counting(m):
+        inverted.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(algebra, "invert", counting)
+    monkeypatch.setattr(frobenius, "invert", counting)
+    F5, F9 = Field.prime(5), Field.extension(3, [1, 0, 1])
+    cases = [(qci(2), lambda item: item.alpha(2, 1, 1, 2)),
+             (exterior(3, F5), lambda item: item.phi(
+                 Matrix(F5, [[1, 1, 0], [0, 2, 0], [3, 0, 1]]))),
+             (qci(F9.parse("0,1"), F9), lambda item: item.alpha(2, 1, 1, 2))]
+    for item, automorphism in cases:
+        del inverted[:]
+        F = make_frobenius(item.algebra, item.gram)
+        assert inverted == [F.gram]
+        first, second = F.sigma_inv(), F.sigma_inv()
+        assert inverted == [F.gram, F.sigma.matrix] and first is second
+        assert first.matrix == invert(F.sigma.matrix)
+        u = automorphism(item)
+        del inverted[:]
+        jacobian_cocycle(F, u)
+        assert inverted == [u.matrix]
+    # a singular map keeps its failed elimination too
+    augmentation = augmentation_map()
+    del inverted[:]
+    assert not augmentation.is_invertible() and not augmentation.is_invertible()
+    assert len(inverted) == 1
+    with pytest.raises(MalformedInput):
+        augmentation.inverse()
+    assert len(inverted) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frobcalc import serialize
-from frobcalc.algebra import LinearMap, inner_automorphism
+from frobcalc.algebra import ROLE_ENDOMORPHISM, LinearMap, inner_automorphism
 from frobcalc.cli import parse_field_flag, run
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
@@ -466,18 +466,29 @@ def twisted_trivial_doc():
     return algebra_doc(trivial_extension(B, tau))
 
 
+def augmentation_map():
+    """diag(1, 0, 0, 0) on qci(2): the singular endomorphism a ↦ ε(a)·1."""
+    from frobcalc.linalg import Matrix
+    A = qci(2).algebra
+    diag = [[1 if i == j == 0 else 0 for j in range(4)] for i in range(4)]
+    return LinearMap(A, Matrix(Q, diag), ROLE_ENDOMORPHISM)
+
+
 # sha256 of the report with ``timing_ms`` removed, as ``_emit`` writes it
 # (sorted keys, indent 1).  A case is (files, argv, exit code, digest):
 # ``files`` maps --file / --map to a builder of the document written there.
 # The first five were recorded with the per-scalar elimination loops, the
 # next twenty before the CLI's handlers shared one loader and one failure
-# branch, and the last two while crossed products and twisted boundaries
-# still formed dense multiplication matrices.
+# branch, the next two while crossed products and twisted boundaries still
+# formed dense multiplication matrices, and the last three while each caller
+# of an inverse ran its own elimination.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
     "delta": lambda: serialize.map_to_doc(qci(2).delta(1, 2, 0, 4)),
     "nilpotent": lambda: serialize.map_to_doc(qci(2).delta(0, 0, 1, 0)),
+    "non-monomial alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 1, 1, 2)),
+    "augmentation": lambda: serialize.map_to_doc(augmentation_map()),
     "bad alpha": lambda: broken_map_doc(qci(2).alpha(2, 3, 0, 0)),
     "bad delta": lambda: broken_map_doc(qci(2).delta(1, 2, 0, 4)),
 }
@@ -569,6 +580,17 @@ GOLDEN = {
     "homology twisted trivial extension of M2 p<=2": (
         {"--file": twisted_trivial_doc}, ["homology", "--max-degree", "2"], 0,
         "25c1729d1a8d75f57825c70b707b8128caf9832d6d6cd9ba36375df3f7803d72"),
+    # the orbit readings read u⁻¹ and σ⁻¹ of a non-monomial map
+    "jacobian qci(2)/Q alpha(2,1,1,2)": (
+        {**_QCI, "--map": _QCI_MAP["non-monomial alpha"]}, ["jacobian"], 0,
+        "9440e281a599890478746217e850d9a09ceeb52d454b7386ca8bb7c63893680b"),
+    "jacobian qci(2)/Q singular augmentation": (
+        {**_QCI, "--map": _QCI_MAP["augmentation"]}, ["jacobian"], 0,
+        "08c108d1b446673afdede6a944d753bda2be8684234e34513cc15fb320668652"),
+    # the certificates act through a non-monomial σ⁻¹
+    "verify-main-theorem twisted trivial extension of M2 p<=2": (
+        {"--file": twisted_trivial_doc}, ["verify-main-theorem", "--max-degree", "2"],
+        0, "dcc5e1280149206bb08db5c1f1717b9dcd39983f9d8ff848ca651027ff1328ec"),
 }
 
 
