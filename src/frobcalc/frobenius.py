@@ -104,6 +104,8 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
     if bad:
         i, j, k = min(bad)
         raise InternalInconsistency(f"bimodule law failed at ({i},{j},{k})")
+    # the validated form of σ: H_p(A, A_σ) is read off the cocycles by it
+    A._cache[("nakayama-form", sigma_mat)] = gram
     return F
 
 

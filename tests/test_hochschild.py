@@ -10,12 +10,14 @@ from frobcalc import hochschild as hh
 from frobcalc.algebra import (Element, LinearMap, ad, center_basis,
                               commutator_subspace, inner_automorphism,
                               is_derivation, right_mult_matrix)
-from frobcalc.errors import BudgetExceeded, MalformedInput
+from frobcalc.errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
-from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra,
-                              qci, trivial_extension)
-from frobcalc.linalg import Matrix, dense_vector, rref, solve_linear
+from frobcalc.gallery import (cyclic, dual_numbers, exterior,
+                              ground_field_algebra, matrix_algebra, qci,
+                              s3_group_algebra, trivial_extension)
+from frobcalc.linalg import (Matrix, dense_vector, rref, solve_linear,
+                             sparse_combination)
 from test_fields import assert_canonical
 
 Q = Field.rationals()
@@ -499,7 +501,7 @@ def test_rational_cocycles_and_homology_keep_the_canonical_form():
 
 def _homology_state(field, monkeypatch=None):
     """exterior(3) over ``field`` at p = 2, twisted: the kernel of b₂, the
-    report, the cached echelon and the Frobenius structure; with
+    report, the cached homology state and the Frobenius structure; with
     ``monkeypatch`` the field's denominator clearing is switched off."""
     item = exterior(3, field)
     A, F = item.algebra, make_frobenius(item.algebra, item.gram)
@@ -508,7 +510,7 @@ def _homology_state(field, monkeypatch=None):
     twist = F.sigma.matrix
     _, kernel = hh._echelonize(field, hh._boundary_columns(A, 2, twist)[1], tails=True)
     rep = hh.homology_dimension(A, 2, hh.TWISTED, F.sigma)
-    return kernel, rep, hh._homology(A, 2, twist)[3], F
+    return kernel, rep, hh._homology(A, 2, twist), F
 
 
 def _items(d):
@@ -517,19 +519,28 @@ def _items(d):
 
 def test_rational_representatives_enter_the_echelon_integral(monkeypatch):
     # exterior(3)/Q at p = 2: 54 cycle entries and one representative are
-    # not integral; such a cycle goes in as L·kv with tail {i: L}
-    kernel, rep, ech, F = _homology_state(Field.rationals())
+    # not integral; the twist has a validated form, so each cycle's pairing
+    # vector v against the cocycles enters the echelon, as L·v with tail
+    # {i: L} when v is fractional
+    kernel, rep, state, F = _homology_state(Field.rationals())
+    ech = state.echelon
+    assert state.pairing is not None
     assert sum(type(v) is Fraction for kv in kernel for v in kv.values()) == 54
     assert sum(any(type(v) is Fraction for v in kv.values())
                for kv in rep.representatives) == 1
     # the representatives are the kernel vectors themselves, unscaled
     assert all(kv in kernel for kv in rep.representatives)
+    assert sum(any(type(v) is Fraction for v in
+                   sparse_combination(Q, state.pairing, kv).values())
+               for kv in kernel) == 18
     for i, kv in enumerate(rep.representatives):
-        assert ech.solve(kv) == {i: 1}
+        assert state.coordinates(kv) == {i: 1}
     assert hh.sigma_action_on_homology(F, 2, hh.TWISTED).is_identity()
     # the same reports and the same echelon, key order included, with the
     # clearing switched off
-    ref_kernel, ref_rep, ref_ech, ref_F = _homology_state(Field.rationals(), monkeypatch)
+    ref_kernel, ref_rep, ref_state, ref_F = _homology_state(Field.rationals(),
+                                                            monkeypatch)
+    ref_ech = ref_state.echelon
     assert rep == ref_rep and list(map(_items, rep.representatives)) == \
         list(map(_items, ref_rep.representatives))
     assert list(ech.pivots) == list(ref_ech.pivots)
@@ -570,12 +581,17 @@ def test_rank_only_boundaries_are_streamed_not_kept():
     assert held < 10 * 2**20
 
 
+def _twisted_trivial_m2():
+    """The trivial extension of M₂ twisted by ι_{1+E₁₂}: σ is not monomial."""
+    B = matrix_algebra(2).algebra
+    return trivial_extension(B, inner_automorphism(B.unit_element()
+                                                   + B.basis_element(1)))
+
+
 def test_twisted_boundary_against_the_definition():
     # b(e_m ⊗ e_a) = e_m·σ(e_a) − e_a·e_m on the trivial extension of M₂
     # twisted by ι_{1+E₁₂}, whose σ is not monomial
-    B = matrix_algebra(2).algebra
-    item = trivial_extension(B, inner_automorphism(B.unit_element()
-                                                   + B.basis_element(1)))
+    item = _twisted_trivial_m2()
     A = item.algebra
     n = A.dim
     sigma = make_frobenius(A, item.gram).sigma
@@ -585,3 +601,113 @@ def test_twisted_boundary_against_the_definition():
         for a in range(n):
             em, ea = A.basis_element(m), A.basis_element(a)
             assert b1.column(m * n + a) == list((em * sigma(ea) - ea * em).raw)
+
+
+# the verification gallery's carriers, built fresh, with exterior(4) over 𝔽₅,
+# qci(a) over 𝔽₉ and a trivial extension whose σ is not monomial
+DUALITY_CARRIERS = {
+    "exterior(1)/Q": lambda: exterior(1),
+    "exterior(2)/Q": lambda: exterior(2),
+    "exterior(3)/Q": lambda: exterior(3),
+    "exterior(4)/Q": lambda: exterior(4),
+    "exterior(4)/F5": lambda: exterior(4, Field.prime(5)),
+    "qci(2)/Q": lambda: qci(2),
+    "qci(3)/Q": lambda: qci(3),
+    "qci(1/2)/Q": lambda: qci(Fraction(1, 2)),
+    "qci(a)/F9": GALLERY["qci(a)/F9"],
+    "trivQ": lambda: trivial_extension(ground_field_algebra()),
+    "trivDual": lambda: trivial_extension(dual_numbers()),
+    "trivM2": lambda: trivial_extension(matrix_algebra(2).algebra),
+    "cyclic(3)": lambda: cyclic(3),
+    "cyclic(5)": lambda: cyclic(5),
+    "matrix(2)/Q": lambda: matrix_algebra(2),
+    "matrix(3)/Q": lambda: matrix_algebra(3),
+    "S3/Q": lambda: s3_group_algebra(),
+    "trivM2 twisted by 1+E12": _twisted_trivial_m2,
+}
+
+
+def _twisted_homology(item, dual):
+    """Twisted H_p for p ≤ 2 on a fresh copy of ``item``: per degree the
+    report, its representatives' items in key order and the σ-action.
+    Without ``dual`` the form record is dropped, so the boundaries of b_{p+1}
+    are eliminated."""
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    if not dual:
+        del A._cache[("nakayama-form", F.sigma.matrix)]
+    out = []
+    for p in range(3):
+        rep = hh.homology_dimension(A, p, hh.TWISTED, F.sigma)
+        assert (hh._homology(A, p, F.sigma.matrix).pairing is not None) == dual
+        out.append((rep, [_items(kv) for kv in rep.representatives],
+                    hh.sigma_action_on_homology(F, p, hh.TWISTED)))
+    return out
+
+
+@pytest.mark.parametrize("label", list(DUALITY_CARRIERS))
+def test_dual_route_matches_elimination(label):
+    build = DUALITY_CARRIERS[label]
+    dual = _twisted_homology(build(), True)
+    assert dual == _twisted_homology(build(), False)
+    assert all(action.is_identity() for _, _, action in dual)
+
+
+def test_a_form_of_another_sigma_fails_the_duality_check():
+    # G·R_t with t = 1 + x, not central in qci(2), is a valid form whose
+    # Nakayama map ι_t∘σ differs from σ; recorded for σ, it must be caught
+    for p in range(3):
+        item = qci(2)
+        A = item.algebra
+        F = make_frobenius(A, item.gram)
+        wrong = item.gram * right_mult_matrix(A.unit_element() + item.x)
+        assert make_frobenius(A, wrong).sigma.matrix != F.sigma.matrix
+        A._cache[("nakayama-form", F.sigma.matrix)] = wrong
+        for call in (lambda: hh.homology_dimension(A, p, hh.TWISTED, F.sigma),
+                     lambda: hh.sigma_action_on_homology(F, p, hh.TWISTED)):
+            with pytest.raises(InternalInconsistency,
+                               match="chain-level duality failed"):
+                call()
+        assert ("hom", p, F.sigma.matrix) not in A._cache
+
+
+def test_a_boundary_twisted_by_the_inverse_fails_the_duality_check(monkeypatch):
+    # face 0 twisted by σ⁻¹ ≠ σ (σ = diag(1, 2, 1/2, 1) on qci(2)) builds the
+    # complex of A_{σ⁻¹}, which σ's form does not dualize
+    stream = hh._stream_boundary
+    for p in range(3):
+        item = qci(2)
+        A = item.algebra
+        F = make_frobenius(A, item.gram)
+        inverse = F.sigma_inv().matrix
+        assert inverse != F.sigma.matrix
+        monkeypatch.setattr(hh, "_stream_boundary", lambda A, q, twist: stream(
+            A, q, None if twist is None else inverse))
+        for call in (lambda: hh.homology_dimension(A, p, hh.TWISTED, F.sigma),
+                     lambda: hh.sigma_action_on_homology(F, p, hh.TWISTED)):
+            with pytest.raises(InternalInconsistency,
+                               match="chain-level duality failed"):
+                call()
+        assert ("hom", p, F.sigma.matrix) not in A._cache
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dual", [True, False])
+def test_a_sigma_image_that_is_not_a_cycle_is_refused(monkeypatch, dual):
+    # on the dual route a chain's pairing vector is in the span of the
+    # cycles' ones exactly when it is a cycle: here the images are taken
+    # under the linear map x ↦ 1 + x (fixing the other basis vectors), which
+    # is not an algebra map, and leave the cycles of qci(2) at p = 1
+    item = qci(2)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    if not dual:
+        del A._cache[("nakayama-form", F.sigma.matrix)]
+    hh.homology_dimension(A, 1, hh.TWISTED, F.sigma)
+    assert (hh._homology(A, 1, F.sigma.matrix).pairing is not None) == dual
+    skew = Matrix.identity(Q, 4).data
+    skew[0][1] = 1
+    slot = hh._slot_map(Matrix(Q, skew).sparse_columns())
+    monkeypatch.setattr(hh, "_slot_map", lambda images: slot)
+    with pytest.raises(InternalInconsistency, match="failed to re-express"):
+        hh.sigma_action_on_homology(F, 1, hh.TWISTED)

@@ -480,8 +480,9 @@ def augmentation_map():
 # The first five were recorded with the per-scalar elimination loops, the
 # next twenty before the CLI's handlers shared one loader and one failure
 # branch, the next two while crossed products and twisted boundaries still
-# formed dense multiplication matrices, and the last three while each caller
-# of an inverse ran its own elimination.
+# formed dense multiplication matrices, the next three while each caller
+# of an inverse ran its own elimination, and the last two while twisted
+# homology still eliminated b_{p+1} for its boundaries.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -591,6 +592,14 @@ GOLDEN = {
     "verify-main-theorem twisted trivial extension of M2 p<=2": (
         {"--file": twisted_trivial_doc}, ["verify-main-theorem", "--max-degree", "2"],
         0, "dcc5e1280149206bb08db5c1f1717b9dcd39983f9d8ff848ca651027ff1328ec"),
+    # σ ≠ id on both: twisted homology reads its boundaries off the cocycles
+    "homology qci(2)/Q p<=2": (
+        _QCI, ["homology", "--max-degree", "2"], 0,
+        "dd19e72032b48d44cae16c405c73750d7e9fdf6008361a4e7d81e2f0562dc705"),
+    "homology exterior(2)/Q p<=2": (
+        {"--file": lambda: algebra_doc(exterior(2))},
+        ["homology", "--max-degree", "2"], 0,
+        "3eccaa2e7707c26b5cb536d8472db4effd95455fedaff787a65a62c543d05750"),
 }
 
 
