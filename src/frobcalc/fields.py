@@ -152,7 +152,9 @@ def _canonical(q):
 # ``add_entry(d, key, val)`` d[key] += val on a sparse dict,
 # ``matmul(left, right, w)`` the rows of left·right, right of width w,
 # ``clear_denominators(v)``  (L·v, L) with L·v integral, or (v, None) when
-#                            v is integral or the field is not Q.
+#                            v is integral or the field is not Q,
+# ``monomial_mode(v, n, w, images)`` v with each key k moved to k + d·w and
+#                            its value times c, (d, c) = images[k // w % n].
 #
 # Sparse dicts never hold a zero: an entry that becomes zero is dropped.
 # On Q and F_p a raw zero is falsy, so these run on plain ``+ *`` with the
@@ -208,6 +210,11 @@ _rational_matmul = _raw_matmul(
                  for x in acc])
 
 
+def _rational_monomial_mode(vec, n, w, images):
+    return {k + d * w: x if type(x) is int or x.denominator != 1 else x.numerator
+            for k, v in vec.items() for d, c in [images[k // w % n]] for x in [c * v]}
+
+
 def _rational_clear_denominators(vec):
     lcm = 1
     for v in vec.values():
@@ -243,8 +250,13 @@ def _prime_loops(p):
         else:
             d.pop(key, None)
 
+    def monomial_mode(vec, n, w, images):
+        return {k + d * w: c * v % p
+                for k, v in vec.items() for d, c in [images[k // w % n]]}
+
     # ints do not overflow: each sum is reduced once, at the end
-    return axpy, add_entry, _raw_matmul(lambda acc: [x % p for x in acc]), _unscaled
+    return (axpy, add_entry, _raw_matmul(lambda acc: [x % p for x in acc]),
+            _unscaled, monomial_mode)
 
 
 def _generic_loops(f):
@@ -282,18 +294,22 @@ def _generic_loops(f):
             out.append(acc)
         return out
 
-    return axpy, add_entry, matmul, _unscaled
+    def monomial_mode(vec, n, w, images):
+        return {k + d * w: f.mul(c, v)
+                for k, v in vec.items() for d, c in [images[k // w % n]]}
+
+    return axpy, add_entry, matmul, _unscaled, monomial_mode
 
 
 class Field:
     """Immutable field description plus arithmetic on raw values.
 
-    ``axpy``, ``add_entry``, ``matmul`` and ``clear_denominators`` are the
-    fused sparse loops of the field's kind, picked once here (see above).
+    The fused sparse loops of the field's kind (``axpy`` and the rest, see
+    above) are picked once here.
     """
 
-    __slots__ = ("kind", "p", "min_poly", "_deg",
-                 "axpy", "add_entry", "matmul", "clear_denominators")
+    __slots__ = ("kind", "p", "min_poly", "_deg", "axpy", "add_entry",
+                 "matmul", "clear_denominators", "monomial_mode")
 
     def __init__(self, kind, p=None, min_poly=None):
         self.kind = kind
@@ -326,12 +342,13 @@ class Field:
             raise MalformedInput(f"unknown field kind {kind!r}")
         if kind == RATIONALS:
             loops = (_rational_axpy, _rational_add_entry, _rational_matmul,
-                     _rational_clear_denominators)
+                     _rational_clear_denominators, _rational_monomial_mode)
         elif kind == PRIME:
             loops = _prime_loops(p)
         else:
             loops = _generic_loops(self)
-        self.axpy, self.add_entry, self.matmul, self.clear_denominators = loops
+        (self.axpy, self.add_entry, self.matmul, self.clear_denominators,
+         self.monomial_mode) = loops
 
     # constructors ---------------------------------------------------------
     @staticmethod

@@ -3,17 +3,18 @@
 A degree-p cochain is a :class:`Cochain`, the dictionary of its nonzero
 values keyed by the flat coordinate k·n^p + J (J a p-tuple of basis
 indices read base n, first index most significant); chains with
-coefficients in M are flattened as (m, tuple).  The differentials are
-assembled column-sparse and all rank/kernel/solve work goes through
-``linalg.echelon`` on the same dictionaries, so nothing goes dense unless
-a dense matrix or vector is asked for.  Each rank question is asked of
-one echelon by insertion: cohomology representatives are the cocycles
-that still join the echelon of the coboundaries.  Tails (the combination
-of inserted columns a pivot stands for) are tracked only where they are
-read, for kernel vectors and for solves; echelons used for their rank
-alone carry none and are fed streamed columns that are never cached
-(b_{p+1} for H_p without a form, b₂ for the Connes image test).  Over Q a
-vector with fractional entries enters an echelon as L·v, L the lcm of its
+coefficients in M are flattened as (m, tuple).  Each differential is
+defined once, as tables of face offsets, and read off them column-sparse
+(the duality check reads b_{p+1} by rows); all rank/kernel/solve work
+goes through ``linalg.echelon`` on the same dictionaries, so nothing goes
+dense unless asked for.  Each rank question is asked of one echelon by
+insertion: cohomology representatives are the cocycles that still join
+the echelon of the coboundaries.  Tails (the combination of inserted
+columns a pivot stands for) are tracked only where they are read, for
+kernel vectors and for solves; echelons used for their rank alone carry
+none and are fed streamed columns that are never cached (b_{p+1} for H_p
+without a form, b₂ for the Connes image test).  Over Q a vector with
+fractional entries enters an echelon as L·v, L the lcm of its
 denominators, with tail {i: L}: the pivot it leaves is the same once
 normalized, but it is reduced on integers.
 
@@ -25,16 +26,15 @@ is dual to C_•(A, A_σ) (Cartan–Eilenberg 1956, ch. IX; Van den Bergh
 the twist of a validated form, H_p(A, A_σ) is read off the cocycles of
 d^p: the boundaries are the chains that pair to zero with every cocycle,
 and the representatives are the cycles whose pairing vectors still join
-the echelon of the earlier ones.  b_{p+1} is streamed once, to check the
-duality exactly, and never eliminated.  Other coefficients eliminate
-b_{p+1} for its rank.  Either way H_p is built once per (p, twist) and
-reused by the σ-action on H_p.
+the echelon of the earlier ones.  b_{p+1} is read by rows from its face
+table, to check the duality exactly, and never eliminated.  Other
+coefficients eliminate b_{p+1} for its rank.  Either way H_p is built
+once per (p, twist) and reused by the σ-action on H_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 
 from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       left_mult_matrix)
@@ -142,54 +142,76 @@ class HomologyReport:
 # ---------------------------------------------------------------------------
 # sparse columns of the differentials
 
-def _signed_products(A: Algebra):
-    """e_i·e_j and −e_i·e_j as {(i, j): ((k, c), ...)}: the face terms of
-    the bar differentials, with their sign taken once per call."""
-    neg = A.field.neg
-    return A.structure, {ij: tuple((k, neg(c)) for k, c in terms)
-                         for ij, terms in A.structure.items()}
-
-
 def _coboundary_columns(A: Algebra, p):
     """Columns of d: C^p → C^{p+1} keyed by flat cochain coordinates (cached).
 
     Column k·n^p + I (I the index of J) collects, in this order, the terms
-    e_i·f(J), then ∓f(…, e_u e_v, …) for each slot of J, then ±f(J)·e_i."""
+    e_i·f(J), then ∓f(…, e_u e_v, …) for each slot of J, then ±f(J)·e_i:
+    offset lists shifted by I, by digit of J and by I·n."""
     cached = A._cache.get(("cob", p))
     if cached is not None:
         return cached
-    f = A.field
-    n = A.dim
-    add = f.add_entry
+    f, n = A.field, A.dim
+    add, neg = f.add_entry, f.neg
     npow, ncols_out, nrows = n ** p, n ** (p + 1), n ** (p + 2)
-    prods, negprods = _signed_products(A)
-    last = negprods if p % 2 == 0 else prods
-    into = [A.pairs_into(t) for t in range(n)]
-    into_neg = [tuple((u, v, f.neg(c)) for u, v, c in terms) for terms in into]
+    # e_i·e_j ∋ c·e_m is face 0 of k = j at (m, i, J) and the last face of
+    # k = i at (m, J, j)
+    first, last = [[] for _ in range(n)], [[] for _ in range(n)]
+    for (i, j), terms in sorted(A.structure.items()):
+        for m, c in terms:
+            first[j].append((m * ncols_out + i * npow, c))
+            last[i].append((m * ncols_out + j, neg(c) if p % 2 == 0 else c))
     # face j splits slot j−1 of J into (u, v): the p+1 digits of the output
     # are J[:j−1], u, v, J[j:], i.e. weights hi·n, hi, lo and 1
-    mids = [(n ** (p - j + 1), n ** (p - j), into_neg if j % 2 else into)
+    mids = [(n ** (p - j + 1), n ** (p - j),
+             [[(u * n ** (p - j + 1) + v * n ** (p - j), neg(c) if j % 2 else c)
+               for u, v, c in A.pairs_into(t)] for t in range(n)])
             for j in range(1, p + 1)]
     cols = []
     for k in range(n):
         kbase = k * ncols_out
-        for I, J in enumerate(product(range(n), repeat=p)):
-            col = {}
-            for i1 in range(n):
-                pref = i1 * npow + I
-                for (m, c) in prods.get((i1, k), ()):
-                    add(col, m * ncols_out + pref, c)
-            for j, (hi, lo, pairs) in enumerate(mids, 1):
+        for I in range(npow):
+            # no two face-0 terms meet
+            col = {off + I: c for off, c in first[k]}
+            for hi, lo, faces in mids:
                 base = kbase + I // hi * hi * n + I % lo
-                for (u, v, c) in pairs[J[j - 1]]:
-                    add(col, base + u * hi + v * lo, c)
-            for i in range(n):
-                suff = I * n + i
-                for (m, c) in last.get((k, i), ()):
-                    add(col, m * ncols_out + suff, c)
+                for off, c in faces[I // lo % n]:
+                    add(col, base + off, c)
+            for off, c in last[k]:
+                add(col, off + I * n, c)
             cols.append(col)
     A._cache[("cob", p)] = (nrows, cols)
     return nrows, cols
+
+
+def _boundary_faces(A: Algebra, p, twist: Matrix | None):
+    """The faces of b_p: M⊗A^{⊗p} → M⊗A^{⊗p-1} as offset tables (w, first,
+    mids, last), w = n^{p−1}, cached per (p, twist), twist sigma's matrix
+    or None.  Column m·n^p + I, I = a·w + tail = head·n + a′, collects face
+    0 (m·a, through sigma when twisted), ``first[m][a]`` shifted by tail,
+    each middle face (hi, lo, table) ±(…, a_j a_{j+1}, …), table[I // lo %
+    n²] shifted by m·w + I // hi·hi/n + I % lo, and the last face ±a′·m,
+    ``last[m][a′]`` shifted by head."""
+    key = ("faces", p, twist)
+    cached = A._cache.get(key)
+    if cached is not None:
+        return cached
+    f, n, w = A.field, A.dim, A.dim ** (p - 1)
+
+    def offsets(terms, weight, sign=0):
+        return [(t * weight, f.neg(c) if sign else c) for t, c in terms]
+
+    # twisted, e_m·σ(e_a) = Σ_b S[b][a]·e_m·e_b
+    S = None if twist is None else twist.sparse_columns()
+    first = [[offsets(A.mul_basis(m, a) if S is None else sparse_combination(
+        f, A.left_products(m), S[a]).items(), w) for a in range(n)] for m in range(n)]
+    # middle face j merges slots j−1 and j of J into t: the p−1 digits of
+    # the output are J[:j−1], t, J[j+1:], i.e. weights hi/n, lo and 1
+    mids = [(n ** (p - j + 1), n ** (p - j - 1),
+             [offsets(A.mul_basis(d // n, d % n), n ** (p - j - 1), j % 2)
+              for d in range(n * n)]) for j in range(1, p)]
+    last = [[offsets(A.mul_basis(a, m), w, p % 2) for a in range(n)] for m in range(n)]
+    return A._cache.setdefault(key, (w, first, mids, last))
 
 
 def _boundary_columns(A: Algebra, p, twist: Matrix | None):
@@ -203,46 +225,55 @@ def _boundary_columns(A: Algebra, p, twist: Matrix | None):
 
 
 def _stream_boundary(A: Algebra, p, twist: Matrix | None):
-    """The columns of b_p one at a time, uncached: rank-only echelons take
-    them as they come, :func:`_boundary_columns` keeps them.
-
-    Column m·n^p + I (I the index of J) collects, in this order, face 0
-    (m·a₁, through sigma when twisted), the middle faces ±(…, a_j a_{j+1},
-    …) and the last face ±a_p·m."""
-    f = A.field
-    n = A.dim
-    add = f.add_entry
-    ncols_out = n ** (p - 1)
-    prods, negprods = _signed_products(A)
-    last = negprods if p % 2 else prods
-    # middle face j merges slots j−1 and j of J into t: the p−1 digits of
-    # the output are J[:j−1], t, J[j+1:], i.e. weights hi/n, lo and 1
-    mids = [(n ** (p - j + 1), n ** (p - j - 1), negprods if j % 2 else prods)
-            for j in range(1, p)]
-    # face 0 is the right action of a₁ on m, through sigma when twisted;
-    # only the n² products e_m·a (a a basis vector) occur, formed here once:
-    # twisted, e_m·σ(e_a) = Σ_b S[b][a]·e_m·e_b
-    if twist is None:
-        face0 = [[A.mul_basis(m, a) for a in range(n)] for m in range(n)]
-    else:
-        S = twist.sparse_columns()
-        face0 = [[sparse_combination(f, A.left_products(m), S[a]).items()
-                  for a in range(n)] for m in range(n)]
+    """The columns of b_p one at a time from its face table
+    (:func:`_boundary_faces`), uncached: rank-only echelons take them as
+    they come, :func:`_boundary_columns` keeps them."""
+    w, first, mids, last = _boundary_faces(A, p, twist)
+    n, add = A.dim, A.field.add_entry
     for m in range(n):
-        mbase = m * ncols_out
-        for I, J in enumerate(product(range(n), repeat=p)):
-            col = {}
-            tail = I % ncols_out
-            for (mm, c) in face0[m][J[0]]:
-                add(col, mm * ncols_out + tail, c)
-            for j, (hi, lo, faces) in enumerate(mids, 1):
+        mbase = m * w
+        for I in range(n ** p):
+            tail = I % w
+            # no two face-0 terms meet
+            col = {off + tail: c for off, c in first[m][I // w]}
+            for hi, lo, faces in mids:
                 base = mbase + I // hi * (hi // n) + I % lo
-                for (t, c) in faces.get((J[j - 1], J[j]), ()):
-                    add(col, base + t * lo, c)
+                for off, c in faces[I // lo % (n * n)]:
+                    add(col, base + off, c)
             head = I // n
-            for (mm, c) in last.get((J[p - 1], m), ()):
-                add(col, mm * ncols_out + head, c)
+            for off, c in last[m][I % n]:
+                add(col, off + head, c)
             yield col
+
+
+def _boundary_rows(A: Algebra, p, twist: Matrix | None, mm):
+    """Rows mm·n^{p−1} + K of b_p as dicts {column: value}: the face terms of
+    :func:`_boundary_faces` that land there, scattered face by face."""
+    w, first, mids, last = _boundary_faces(A, p, twist)
+    n, add, npow = A.dim, A.field.add_entry, A.dim * w
+    rows = [{} for _ in range(w)]
+    # face 0: column (m, a, tail) to row off + tail; last: (m, head, a) to off + head
+    for table, weight, step in ((first, w, 1), (last, 1, n)):
+        for m in range(n):
+            for a, terms in enumerate(table[m]):
+                start = m * npow + a * weight
+                for off, c in terms:
+                    if off == mm * w:
+                        for row, col in zip(rows, range(start, start + w * step, step)):
+                            add(row, col, c)
+    # middle face (hi, lo, table) takes column (mm, pre, d, suf) to row
+    # pre·hi/n + off + suf here; (count, row step, column step) of pre and
+    # suf, the longer one inner
+    for hi, lo, table in mids:
+        (outer, rs, cs), (inner, ri, ci) = sorted(((npow // hi, hi // n, hi), (lo, 1, 1)))
+        for d, terms in enumerate(table):
+            for off, c in terms:
+                for o in range(outer):
+                    r, start = off + o * rs, mm * npow + d * lo + o * cs
+                    for row, col in zip(rows[r:r + inner * ri:ri],
+                                        range(start, start + inner * ci, ci)):
+                        add(row, col, c)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +336,10 @@ def _mode_product(fld, data, n, w, slot):
     flat key, read once: the n-mode product (Kolda & Bader 2009, §2.5).
     On a monomial map no two keys meet and no product is zero."""
     monomial, images = slot
-    mul = fld.mul
-    out = {}
     if monomial:
-        for idx, val in data.items():
-            d, c = images[idx // w % n]
-            out[idx + d * w] = mul(c, val)
-        return out
-    add = fld.add_entry
+        return fld.monomial_mode(data, n, w, images)
+    mul, add = fld.mul, fld.add_entry
+    out = {}
     for idx, val in data.items():
         t = idx // w % n
         for s, c in images[t].items():
@@ -453,26 +480,22 @@ def _dual_pairing(A: Algebra, p, twist, gram):
     validated form, so Φ_p is invertible, and by the identity d^p f = 0
     exactly when Φ_p f vanishes on im b_{p+1}: B_p is the set of chains c
     with ⟨z, c⟩ = Σ Φ_p(z)[i]·c[i] = 0 for every cocycle z.  The check
-    streams b_{p+1} once, into one dict per row, and compares Σ_m
-    G[k][m]·(row (m, J) of b_{p+1}) with the mode product of d^p's cached
-    column (k, J); a mismatch, as from a form whose Nakayama map is not
-    ``twist``, raises."""
-    f, n = A.field, A.dim
-    w = n ** p
+    reads b_{p+1} by rows, one output-digit block at a time, and compares Σ_m
+    G[k][m]·(row (m, J)) with the mode product of d^p's column (k, J); a
+    mismatch, as from a form whose Nakayama map is not ``twist``, raises."""
+    f, n, w = A.field, A.dim, A.dim ** p
     grows = gram.sparse_rows()
     slot = _slot_map(grows)
-    bt = [{} for _ in range(n * w)]
-    for c, col in enumerate(_stream_boundary(A, p + 1, twist)):
-        for r, v in col.items():
-            bt[r][c] = v
     _, dcols = _coboundary_columns(A, p)
-    for j, dcol in enumerate(dcols):
-        k, J = divmod(j, w)
-        rhs = {}
-        for m, g in grows[k].items():
-            f.axpy(rhs, bt[m * w + J], g)
-        if _mode_product(f, dcol, n, n * w, slot) != rhs:
-            raise InternalInconsistency("chain-level duality failed")
+    for k in range(n):
+        # a monomial G reads each block of rows for one k: only one is held
+        blocks = {m: _boundary_rows(A, p + 1, twist, m) for m in grows[k]}
+        for J in range(w):
+            rhs = {}
+            for m, g in grows[k].items():
+                f.axpy(rhs, blocks[m][J], g)
+            if _mode_product(f, dcols[k * w + J], n, n * w, slot) != rhs:
+                raise InternalInconsistency("chain-level duality failed")
     pairing = {}
     for i, z in enumerate(_cocycles(A, p)):
         for idx, v in _mode_product(f, z, n, w, slot).items():
@@ -502,7 +525,7 @@ def _homology(A: Algebra, p, twist):
     f = A.field
     gram = None if twist is None else A._cache.get(("nakayama-form", twist))
     # the duality check runs before b_p is eliminated: run after it, the
-    # transposed b_{p+1} went to fresh memory and not to what that
+    # rows of b_{p+1} went to fresh memory and not to what that
     # elimination freed, and the homology benchmark's peak RSS read +3.5 %
     pairing = None if gram is None else _dual_pairing(A, p, twist, gram)
     if p == 0:

@@ -1,6 +1,7 @@
 """Bar complexes: differentials, dimensions, actions, certificates."""
 
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -588,6 +589,70 @@ def _twisted_trivial_m2():
                                                    + B.basis_element(1)))
 
 
+def _exact(cols):
+    """Sparse dicts as comparable items, value types included: over Q an
+    integral value must be an int."""
+    return [sorted((k, type(v), v) for k, v in col.items()) for col in cols]
+
+
+class _BarFormulas:
+    """The columns of the bar differentials of A, as {flat index: value}
+    dicts, from their defining formulas with ``Element`` products."""
+
+    def __init__(self, A):
+        self.f, self.n = A.field, A.dim
+        self.e = [A.basis_element(i) for i in range(A.dim)]
+        self.prod = [[(a * b).raw for b in self.e] for a in self.e]
+
+    def _put(self, col, sign, x, place):
+        # the terms ±x_t at place(t) of one face
+        f = self.f
+        for t, v in enumerate(x):
+            if not f.is_zero(v):
+                key = sum(d * self.n ** i for i, d in enumerate(reversed(place(t))))
+                col[key] = f.add(col.get(key, f.zero()), v if sign > 0 else f.neg(v))
+
+    def _nonzero(self, col):
+        return {k: v for k, v in col.items() if not self.f.is_zero(v)}
+
+    def boundary(self, p, sigma):
+        """b(m ⊗ a₁ ⊗ … ⊗ a_p) = m·σ(a₁) ⊗ a₂ ⊗ … + Σ_i (−1)^i m ⊗ … ⊗ a_i a_{i+1}
+        ⊗ … + (−1)^p a_p·m ⊗ a₁ ⊗ … ⊗ a_{p−1}, σ the identity untwisted."""
+        e, prod, put = self.e, self.prod, self._put
+        cols = []
+        for m in range(self.n):
+            for J in itertools.product(range(self.n), repeat=p):
+                col = {}
+                put(col, 1, (e[m] * sigma(e[J[0]])).raw, lambda t: (t, *J[1:]))
+                for i in range(1, p):
+                    put(col, (-1) ** i, prod[J[i - 1]][J[i]],
+                        lambda t: (m, *J[:i - 1], t, *J[i + 1:]))
+                put(col, (-1) ** p, prod[J[p - 1]][m], lambda t: (t, *J[:p - 1]))
+                cols.append(self._nonzero(col))
+        return cols
+
+    def coboundary(self, p):
+        """(d f)(a₀, …, a_p) = a₀·f(a₁, …) + Σ_i (−1)^i f(…, a_{i−1} a_i, …)
+        + (−1)^{p+1} f(…, a_{p−1})·a_p on every basis tuple T, for each basis
+        cochain f: e_J ↦ e_k (zero on the other basis tensors), column k·n^p + J."""
+        n, prod, put = self.n, self.prod, self._put
+        cols = {}
+
+        def col(k, J):
+            return cols.setdefault((k, *J), {})
+
+        for T in itertools.product(range(n), repeat=p + 1):
+            for k in range(n):
+                put(col(k, T[1:]), 1, prod[T[0]][k], lambda t: (t, *T))
+                for i in range(1, p + 1):
+                    for t, v in enumerate(prod[T[i - 1]][T[i]]):
+                        put(col(k, (*T[:i - 1], t, *T[i + 1:])), (-1) ** i, [v],
+                            lambda _: (k, *T))
+                put(col(k, T[:p]), (-1) ** (p + 1), prod[k][T[p]], lambda t: (t, *T))
+        return [self._nonzero(cols.get(key, {}))
+                for key in itertools.product(range(n), repeat=p + 1)]
+
+
 def test_twisted_boundary_against_the_definition():
     # b(e_m ⊗ e_a) = e_m·σ(e_a) − e_a·e_m on the trivial extension of M₂
     # twisted by ι_{1+E₁₂}, whose σ is not monomial
@@ -601,6 +666,19 @@ def test_twisted_boundary_against_the_definition():
         for a in range(n):
             em, ea = A.basis_element(m), A.basis_element(a)
             assert b1.column(m * n + a) == list((em * sigma(ea) - ea * em).raw)
+    # every column of b_p for p ≤ 3, twisted and not, and of d^p for p ≤ 2,
+    # as the face tables give them, here and on qci(2)
+    for item in (item, qci(2)):
+        A = item.algebra
+        sigma = make_frobenius(A, item.gram).sigma
+        assert not sigma.is_identity()
+        bar = _BarFormulas(A)
+        for p in range(1, 4):
+            for twist, right in ((sigma.matrix, sigma), (None, LinearMap.identity(A))):
+                assert _exact(hh._stream_boundary(A, p, twist)) == \
+                    _exact(bar.boundary(p, right))
+        for p in range(3):
+            assert _exact(hh._coboundary_columns(A, p)[1]) == _exact(bar.coboundary(p))
 
 
 # the verification gallery's carriers, built fresh, with exterior(4) over 𝔽₅,
@@ -671,25 +749,23 @@ def test_a_form_of_another_sigma_fails_the_duality_check():
         assert ("hom", p, F.sigma.matrix) not in A._cache
 
 
-def test_a_boundary_twisted_by_the_inverse_fails_the_duality_check(monkeypatch):
-    # face 0 twisted by σ⁻¹ ≠ σ (σ = diag(1, 2, 1/2, 1) on qci(2)) builds the
-    # complex of A_{σ⁻¹}, which σ's form does not dualize
-    stream = hh._stream_boundary
+def test_a_boundary_twisted_by_the_inverse_fails_the_duality_check():
+    # b_{p+1}'s face table built for σ⁻¹ ≠ σ (σ = diag(1, 2, 1/2, 1) on
+    # qci(2)) and cached as σ's is the complex of A_{σ⁻¹}, which σ's form
+    # does not dualize
     for p in range(3):
         item = qci(2)
         A = item.algebra
         F = make_frobenius(A, item.gram)
         inverse = F.sigma_inv().matrix
         assert inverse != F.sigma.matrix
-        monkeypatch.setattr(hh, "_stream_boundary", lambda A, q, twist: stream(
-            A, q, None if twist is None else inverse))
+        A._cache[("faces", p + 1, F.sigma.matrix)] = hh._boundary_faces(A, p + 1, inverse)
         for call in (lambda: hh.homology_dimension(A, p, hh.TWISTED, F.sigma),
                      lambda: hh.sigma_action_on_homology(F, p, hh.TWISTED)):
             with pytest.raises(InternalInconsistency,
                                match="chain-level duality failed"):
                 call()
         assert ("hom", p, F.sigma.matrix) not in A._cache
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("dual", [True, False])
@@ -711,3 +787,81 @@ def test_a_sigma_image_that_is_not_a_cycle_is_refused(monkeypatch, dual):
     monkeypatch.setattr(hh, "_slot_map", lambda images: slot)
     with pytest.raises(InternalInconsistency, match="failed to re-express"):
         hh.sigma_action_on_homology(F, 1, hh.TWISTED)
+
+
+# one carrier per kind of face table: a commutative one, a group algebra
+# over 𝔽₅ (σ = id), an exterior algebra and a σ that is not monomial
+FACE_TABLE_CARRIERS = {
+    "qci(2)/Q": lambda: qci(2),
+    "S3/F5": lambda: s3_group_algebra(Field.prime(5)),
+    "exterior(3)/Q": lambda: exterior(3),
+    "trivM2 twisted by 1+E12": _twisted_trivial_m2,
+}
+
+
+@pytest.mark.parametrize("label", list(FACE_TABLE_CARRIERS))
+def test_boundary_rows_are_the_streamed_columns_transposed(label):
+    # the duality check reads b_p by rows off the face table that streams
+    # its columns: both readings must give the same entries
+    item = FACE_TABLE_CARRIERS[label]()
+    A = item.algebra
+    sigma = make_frobenius(A, item.gram).sigma
+    for p in range(1, 4):
+        for twist in (None, sigma.matrix):
+            transposed = [{} for _ in range(A.dim ** p)]
+            for c, col in enumerate(hh._stream_boundary(A, p, twist)):
+                for r, v in col.items():
+                    transposed[r][c] = v
+            rows = [row for mm in range(A.dim) for row in hh._boundary_rows(A, p, twist, mm)]
+            assert _exact(rows) == _exact(transposed)
+
+
+SIGMA_NOT_IDENTITY = ["exterior(2)/Q", "exterior(4)/Q", "exterior(4)/F5", "qci(2)/Q",
+                      "qci(3)/Q", "qci(1/2)/Q", "qci(a)/F9", "trivM2 twisted by 1+E12"]
+
+
+@pytest.mark.parametrize("label", SIGMA_NOT_IDENTITY)
+def test_main_theorem_holds_exactly_when_sigma_fixes_twisted_homology(label):
+    # by the chain-level duality the main theorem in degree p (σ acts
+    # trivially on HH^p) and σ acting trivially on H_p(A, A_σ) are one
+    # statement; in degree 0, where there are no coboundaries, it says σ
+    # fixes every cocycle
+    item = DUALITY_CARRIERS[label]()
+    F = make_frobenius(item.algebra, item.gram)
+    assert not F.sigma.is_identity()
+    for p in range(3):
+        if p == 0:
+            holds = all(hh.cochain_action(F.sigma, f) == f
+                        for f in hh.cocycle_basis(F.algebra, 0))
+        else:
+            holds = not hh.main_theorem(F, p)[1]
+        assert holds == hh.sigma_action_on_homology(F, p, hh.TWISTED).is_identity()
+
+
+def test_duality_intertwines_the_cochain_action():
+    # Φ_p(f)[m·n^p + J] = ⟨f(e_J), e_m⟩ and ⟨σa, σb⟩ = ⟨a, b⟩ give
+    # Φ_p∘σ* = ((σ⁻¹)^{⊗(p+1)})ᵀ∘Φ_p, σ* the cochain action
+    # f ↦ σ∘f∘(σ⁻¹)^{⊗p}; checked entry by entry on the basis cochains
+    item = qci(2)
+    A, G = item.algebra, item.gram.data
+    F = make_frobenius(A, item.gram)
+    assert not F.sigma.is_identity()
+    n, inv = A.dim, F.sigma_inv().matrix.data
+
+    def phi(f, p):
+        return [sum(G[k][m] * f.data.get(k * n ** p + J, 0) for k in range(n))
+                for m in range(n) for J in range(n ** p)]
+
+    for p in range(3):
+        tensors = list(itertools.product(range(n), repeat=p + 1))
+        # entry (m′J′, mJ) of (σ⁻¹)^{⊗(p+1)}
+        power = [[math.prod(inv[s][t] for s, t in zip(S, T)) for T in tensors]
+                 for S in tensors]
+        for idx in range(n ** (p + 1)):
+            f = hh.Cochain(A, p, {idx: 1})
+            lhs = phi(hh.cochain_action(F.sigma, f), p)
+            image = phi(f, p)
+            rhs = [sum(power[r][c] * image[r] for r in range(len(tensors)))
+                   for c in range(len(tensors))]
+            assert lhs == rhs
+

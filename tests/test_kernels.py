@@ -1,6 +1,6 @@
 """The fused sparse loops of each field kind against per-scalar references.
 
-``Field.axpy``/``add_entry``/``matmul`` run on plain ``+ *`` over Q and
+``Field.axpy``/``add_entry``/``matmul``/``monomial_mode`` run on plain ``+ *`` over Q and
 F_p; ``SparseEchelon`` reduces through them and clears Q denominators in
 ``solve``.  The references below are the same loops written with one
 ``Field`` method call per scalar: results, key order and the canonical Q
@@ -163,6 +163,31 @@ def test_axpy_and_add_entry_match_per_scalar_ops(label):
                 f.add_entry(fused, k, val)
                 ref_add_entry(f, ref, k, val)
                 assert list(fused.items()) == list(ref.items())
+        check_form(f, fused.values())
+
+    props()
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_monomial_mode_matches_per_scalar_ops(label):
+    # keys are flat three-digit indices base 3; the map on the digit of
+    # weight w sends t to perm[t] scaled by scale[t] ≠ 0
+    f = FIELDS[label]
+    nonzero = ENTRY[label].filter(lambda v: not f.is_zero(f.coerce(v)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(min_value=0, max_value=26), ENTRY[label]),
+           st.sampled_from([1, 3, 9]), st.permutations(range(3)),
+           st.lists(nonzero, min_size=3, max_size=3))
+    def props(raw, w, perm, scale):
+        vec = sparse(f, raw)
+        images = [(perm[t] - t, f.coerce(c)) for t, c in enumerate(scale)]
+        ref = {}
+        for k, v in vec.items():
+            d, c = images[k // w % 3]
+            ref[k + d * w] = f.mul(c, v)
+        fused = f.monomial_mode(vec, 3, w, images)
+        assert list(fused.items()) == list(ref.items())
         check_form(f, fused.values())
 
     props()

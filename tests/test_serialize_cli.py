@@ -481,8 +481,10 @@ def augmentation_map():
 # next twenty before the CLI's handlers shared one loader and one failure
 # branch, the next two while crossed products and twisted boundaries still
 # formed dense multiplication matrices, the next three while each caller
-# of an inverse ran its own elimination, and the last two while twisted
-# homology still eliminated b_{p+1} for its boundaries.
+# of an inverse ran its own elimination, the next two while twisted
+# homology still eliminated b_{p+1} for its boundaries, and the last two
+# while the bar differentials were built column by column from product
+# lookups and the duality check transposed the streamed b_{p+1}.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -600,6 +602,16 @@ GOLDEN = {
         {"--file": lambda: algebra_doc(exterior(2))},
         ["homology", "--max-degree", "2"], 0,
         "3eccaa2e7707c26b5cb536d8472db4effd95455fedaff787a65a62c543d05750"),
+    # the largest differentials a report reads: b₃ of exterior(4) by rows in
+    # the duality check, and d³ of exterior(3)
+    "homology exterior(4)/Q p<=2": (
+        {"--file": lambda: algebra_doc(exterior(4))},
+        ["homology", "--max-degree", "2"], 0,
+        "836f913de1e366b133cafc15008be2537928f338a5bca38183c4fe8e268c9294"),
+    "hochschild exterior(3)/Q p<=3": (
+        {"--file": lambda: algebra_doc(exterior(3))},
+        ["hochschild", "--max-degree", "3"], 0,
+        "f6572e0b24c221904682caa7179662614126dabe4ddc24ba0fc95e2616fad351"),
 }
 
 
