@@ -5,18 +5,20 @@ values keyed by the flat coordinate k·n^p + J (J a p-tuple of basis
 indices read base n, first index most significant); chains with
 coefficients in M are flattened as (m, tuple).  Each differential is
 defined once, as tables of face offsets, and read off them column-sparse
-(the duality check reads b_{p+1} by rows); all rank/kernel/solve work
-goes through ``linalg.echelon`` on the same dictionaries, so nothing goes
-dense unless asked for.  Each rank question is asked of one echelon by
-insertion: cohomology representatives are the cocycles that still join
-the echelon of the coboundaries.  Tails (the combination of inserted
-columns a pivot stands for) are tracked only where they are read, for
-kernel vectors and for solves; echelons used for their rank alone carry
-none and are fed streamed columns that are never cached (b_{p+1} for H_p
-without a form, b₂ for the Connes image test).  Over Q a vector with
-fractional entries enters an echelon as L·v, L the lcm of its
-denominators, with tail {i: L}: the pivot it leaves is the same once
-normalized, but it is reduced on integers.
+(the duality check reads b_{p+1} by rows); neither has a dense copy.
+d^p's columns are cached, since certificates and the duality check read
+them again; b_p is only its face table, and its columns are streamed to
+where they are read and never cached.  All rank/kernel/solve work goes
+through ``linalg.echelon`` on the same dictionaries.  Each rank question
+is asked of one echelon by insertion: cohomology representatives are the
+cocycles that still join the echelon of the coboundaries.  Tails (the
+combination of inserted columns a pivot stands for) are tracked only
+where they are read, for kernel vectors and for solves; echelons used
+for their rank alone carry none (b_{p+1} for H_p without a form, b₂ for
+the Connes image test).  Over Q a vector with fractional entries enters
+an echelon as L·v, L the lcm of its denominators, with tail {i: L}: the
+pivot it leaves is the same once normalized, but it is reduced on
+integers.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -45,20 +47,9 @@ from .linalg import (Matrix, SparseEchelon, dense_vector, echelon,
                      sum_product)
 
 DEFAULT_BUDGET = 1 << 20
-DENSE_CAP = 1 << 24
 
 UNTWISTED = "A"
 TWISTED = "A_sigma"
-
-
-# ---------------------------------------------------------------------------
-# flattening helpers
-
-def _tuple_index(J, n):
-    idx = 0
-    for j in J:
-        idx = idx * n + j
-    return idx
 
 
 def _check_budget(A, p, budget):
@@ -70,7 +61,7 @@ def _check_budget(A, p, budget):
 class Cochain:
     """A degree-p cochain A^{⊗p} → A: ``data`` maps the flat coordinate
     k·n^p + J to its raw value and never holds a zero.  Dense input comes
-    in, coerced and checked, through :meth:`from_flat`/:meth:`from_linear_map`."""
+    in, coerced and checked, through :meth:`from_flat`."""
 
     __slots__ = ("algebra", "degree", "data")
 
@@ -88,11 +79,6 @@ class Cochain:
         return Cochain(algebra, degree,
                        sparse_vector(f, [f.coerce(v) for v in vec]))
 
-    @staticmethod
-    def from_linear_map(m: LinearMap):
-        return Cochain.from_flat(m.algebra, 1,
-                                 [v for row in m.matrix.data for v in row])
-
     def as_linear_map(self, role="general") -> LinearMap:
         if self.degree != 1:
             raise MalformedInput("only degree-1 cochains are linear maps")
@@ -101,15 +87,6 @@ class Cochain:
         rows = [flat[k * n:(k + 1) * n] for k in range(n)]
         return LinearMap(self.algebra, Matrix(self.algebra.field, rows, _raw=True),
                          role)
-
-    def value(self, J) -> Element:
-        """The image of the basis tensor e_{J0} ⊗ ... ⊗ e_{Jp-1}."""
-        n = self.algebra.dim
-        col = _tuple_index(J, n)
-        z = self.algebra.field.zero()
-        return Element(self.algebra,
-                       [self.data.get(k * n ** self.degree + col, z)
-                        for k in range(n)], _raw=True)
 
     def flatten(self):
         """The dense row-major vector: coordinate (k, J) at k·n^p + J."""
@@ -153,7 +130,7 @@ def _coboundary_columns(A: Algebra, p):
         return cached
     f, n = A.field, A.dim
     add, neg = f.add_entry, f.neg
-    npow, ncols_out, nrows = n ** p, n ** (p + 1), n ** (p + 2)
+    npow, ncols_out = n ** p, n ** (p + 1)
     # e_i·e_j ∋ c·e_m is face 0 of k = j at (m, i, J) and the last face of
     # k = i at (m, J, j)
     first, last = [[] for _ in range(n)], [[] for _ in range(n)]
@@ -180,8 +157,8 @@ def _coboundary_columns(A: Algebra, p):
             for off, c in last[k]:
                 add(col, off + I * n, c)
             cols.append(col)
-    A._cache[("cob", p)] = (nrows, cols)
-    return nrows, cols
+    A._cache[("cob", p)] = cols
+    return cols
 
 
 def _boundary_faces(A: Algebra, p, twist: Matrix | None):
@@ -214,20 +191,11 @@ def _boundary_faces(A: Algebra, p, twist: Matrix | None):
     return A._cache.setdefault(key, (w, first, mids, last))
 
 
-def _boundary_columns(A: Algebra, p, twist: Matrix | None):
-    """Columns of b: M⊗A^{⊗p} → M⊗A^{⊗p-1}; twist is sigma's matrix or None
-    (cached)."""
-    key = ("bnd", p, twist)
-    cached = A._cache.get(key)
-    if cached is None:
-        cached = A._cache[key] = (A.dim ** p, list(_stream_boundary(A, p, twist)))
-    return cached
-
-
 def _stream_boundary(A: Algebra, p, twist: Matrix | None):
     """The columns of b_p one at a time from its face table
-    (:func:`_boundary_faces`), uncached: rank-only echelons take them as
-    they come, :func:`_boundary_columns` keeps them."""
+    (:func:`_boundary_faces`), never cached: each echelon of b_p takes
+    them as they come, and :func:`verify_complex` keeps one degree's list
+    while it applies it to the next."""
     w, first, mids, last = _boundary_faces(A, p, twist)
     n, add = A.dim, A.field.add_entry
     for m in range(n):
@@ -350,42 +318,6 @@ def _mode_product(fld, data, n, w, slot):
 # ---------------------------------------------------------------------------
 # public operations
 
-def _dense_from_columns(field, nrows, cols):
-    if nrows * len(cols) > DENSE_CAP:
-        raise BudgetExceeded(
-            f"dense matrix of {nrows}x{len(cols)} exceeds the materialization cap")
-    z = field.zero()
-    data = [[z] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            data[i][j] = v
-    return Matrix(field, data, _raw=True)
-
-
-def coboundary_matrix(A: Algebra, p, budget=DEFAULT_BUDGET) -> Matrix:
-    """Dense matrix of d: C^p → C^{p+1} on flattened cochain coordinates."""
-    if p < 0:
-        raise MalformedInput("degree must be nonnegative")
-    _check_budget(A, p, budget)
-    nrows, cols = _coboundary_columns(A, p)
-    return _dense_from_columns(A.field, nrows, cols)
-
-
-def boundary_matrix(A: Algebra, p, coeffs=UNTWISTED, sigma: LinearMap | None = None,
-                    budget=DEFAULT_BUDGET) -> Matrix:
-    """Dense matrix of b: M⊗A^{⊗p} → M⊗A^{⊗p-1}.
-
-    ``coeffs`` selects the bimodule: the algebra itself, or its right
-    sigma-twist (then ``sigma`` must be supplied).
-    """
-    if p < 1:
-        raise MalformedInput("boundary starts at degree 1")
-    _check_budget(A, p - 1, budget)
-    twist = _resolve_twist(A, coeffs, sigma)
-    nrows, cols = _boundary_columns(A, p, twist)
-    return _dense_from_columns(A.field, nrows, cols)
-
-
 def _resolve_twist(A, coeffs, sigma):
     if coeffs == UNTWISTED:
         return None
@@ -398,7 +330,7 @@ def _resolve_twist(A, coeffs, sigma):
 
 def apply_coboundary(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
     _check_budget(A, f.degree, budget)
-    _, cols = _coboundary_columns(A, f.degree)
+    cols = _coboundary_columns(A, f.degree)
     return Cochain(A, f.degree + 1, _apply_columns(A.field, cols, f.data))
 
 
@@ -410,7 +342,7 @@ def cocycle_basis(A: Algebra, p, budget=DEFAULT_BUDGET):
     """Canonical basis of ker(d: C^p → C^{p+1}) as Cochain objects."""
     _check_budget(A, p, budget)
     f = A.field
-    _, cols = _coboundary_columns(A, p)
+    cols = _coboundary_columns(A, p)
     _, kernel = _echelonize(f, cols, tails=True)
     return [Cochain(A, p, k) for k in kernel]
 
@@ -423,7 +355,7 @@ def _cocycles(A: Algebra, p):
     key = ("cocycles", p)
     kernel = A._cache.get(key)
     if kernel is None:
-        _, cols = _coboundary_columns(A, p)
+        cols = _coboundary_columns(A, p)
         kernel = A._cache[key] = _echelonize(A.field, cols, tails=True)[1]
     return kernel
 
@@ -436,7 +368,7 @@ def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
     bech = SparseEchelon(f)
     if p > 0:
         _check_budget(A, p - 1, budget)
-        _, bcols = _coboundary_columns(A, p - 1)
+        bcols = _coboundary_columns(A, p - 1)
         bech, _ = _echelonize(f, bcols)
     dim_bound = bech.rank
     reps = _representatives(bech, kernel, dim_bound)
@@ -486,7 +418,7 @@ def _dual_pairing(A: Algebra, p, twist, gram):
     f, n, w = A.field, A.dim, A.dim ** p
     grows = gram.sparse_rows()
     slot = _slot_map(grows)
-    _, dcols = _coboundary_columns(A, p)
+    dcols = _coboundary_columns(A, p)
     for k in range(n):
         # a monomial G reads each block of rows for one k: only one is held
         blocks = {m: _boundary_rows(A, p + 1, twist, m) for m in grows[k]}
@@ -505,10 +437,10 @@ def _dual_pairing(A: Algebra, p, twist, gram):
 
 def _homology(A: Algebra, p, twist):
     """The :class:`_HomologyState` of H_p(A, M), built once per (p, twist)
-    and cached next to the columns it came from; callers must not mutate
-    it.
+    and cached on the algebra; callers must not mutate it.
 
-    The cycles are the canonical kernel of b_p.  For the twist of a
+    The cycles are the canonical kernel of b_p, whose columns are streamed
+    into its echelon and not kept.  For the twist of a
     validated Frobenius form (``make_frobenius`` records the form under
     σ's matrix) the boundaries, the representatives and the σ-action come
     from the cocycles of d^p by duality (:func:`_dual_pairing`), and
@@ -531,8 +463,7 @@ def _homology(A: Algebra, p, twist):
     if p == 0:
         kernel = [{i: f.one()} for i in range(A.dim)]
     else:
-        _, cols = _boundary_columns(A, p, twist)
-        _, kernel = _echelonize(f, cols, tails=True)
+        _, kernel = _echelonize(f, _stream_boundary(A, p, twist), tails=True)
     if pairing is None:
         ech, _ = _echelonize(f, _stream_boundary(A, p + 1, twist))
         bound = ech.rank
@@ -601,7 +532,7 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     ech = A._cache.get(key)
     if ech is None:
         _check_budget(A, p - 1, budget)
-        _, cols = _coboundary_columns(A, p - 1)
+        cols = _coboundary_columns(A, p - 1)
         ech = A._cache[key] = _echelonize(A.field, cols, tails=True)[0]
     sol = ech.solve(rhs.data)
     if sol is None:
@@ -666,25 +597,27 @@ def duality_dims(F: FrobeniusStructure, pmax, budget=DEFAULT_BUDGET):
 
 def verify_complex(A: Algebra, pmax, budget=DEFAULT_BUDGET,
                    sigma: LinearMap | None = None) -> bool:
-    """d∘d = 0 and b∘b = 0 (both coefficient choices) up to degree pmax."""
+    """d∘d = 0 and b∘b = 0 (both coefficient choices) up to degree pmax.
+
+    b's columns are streamed degree by degree and applied to the list of
+    the degree below, the only one held."""
     fld = A.field
     for p in range(pmax + 1):
         _check_budget(A, p, budget)
-        _, cols_p = _coboundary_columns(A, p)
-        _, cols_q = _coboundary_columns(A, p + 1)
+        cols_p = _coboundary_columns(A, p)
+        cols_q = _coboundary_columns(A, p + 1)
         for col in cols_p:
             if _apply_columns(fld, cols_q, col):
                 return False
-    choices = [(UNTWISTED, None)]
-    if sigma is not None:
-        choices.append((TWISTED, sigma.matrix))
-    for _, twist in choices:
+    for twist in (None,) if sigma is None else (None, sigma.matrix):
+        below = list(_stream_boundary(A, 1, twist))
         for p in range(2, pmax + 2):
-            _, cols_p = _boundary_columns(A, p, twist)
-            _, cols_q = _boundary_columns(A, p - 1, twist)
-            for col in cols_p:
-                if _apply_columns(fld, cols_q, col):
+            cols = []
+            for col in _stream_boundary(A, p, twist):
+                if _apply_columns(fld, below, col):
                     return False
+                cols.append(col)
+            below = cols
     return True
 
 

@@ -8,14 +8,14 @@ kind), so elimination makes no per-scalar method call over Q or F_p.
 Every linear combination Σ cᵢ·vᵢ is formed by :func:`linear_combination`
 over the nonzeros of each vᵢ.
 All rank, kernel and solve work, dense or sparse, goes through one
-driver, :func:`echelon`, which inserts columns in order into a
+driver, :func:`echelon`, which inserts sparse columns in order into a
 :class:`SparseEchelon`, a column echelon held in dictionaries; a column
 joins it exactly when it is not in the span of the columns before it.
-``rref``, ``kernel_basis``, ``solve_linear``, ``invert``, ``determinant``,
-``column_space_basis``, ``sparse_kernel_basis``, ``independent_columns``
-and the Hochschild differentials read their answers off that echelon, so
-pivots, kernel bases and solutions are the canonical ones of the reduced
-row echelon form and reports are deterministic.  Over Q, ``solve``
+``kernel_basis``, ``solve_linear``, ``invert``, ``determinant``,
+``sparse_kernel_basis``, ``independent_columns`` and the Hochschild
+differentials read their answers off that echelon, so pivots, kernel
+bases and solutions are the canonical ones of the reduced row echelon
+form (which is never formed) and reports are deterministic.  Over Q, ``solve``
 reduces L·rhs, L the lcm of the denominators of rhs, and divides the
 solution by L: integer arithmetic on the same pivots.  Matrices are
 immutable by convention: no public method mutates ``data``.
@@ -120,12 +120,6 @@ class Matrix:
         return Matrix(field, data, _raw=True)
 
     # access ------------------------------------------------------------------
-    def entry(self, i, j):
-        return Scalar(self.field, self.data[i][j])
-
-    def row(self, i):
-        return list(self.data[i])
-
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -209,14 +203,6 @@ class Matrix:
                       [[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)], _raw=True)
 
-    def trace(self):
-        if self.rows != self.cols:
-            raise MalformedInput("trace of a non-square matrix")
-        acc = self.field.zero()
-        for i in range(self.rows):
-            acc = self.field.add(acc, self.data[i][i])
-        return acc
-
     def is_identity(self):
         return self == Matrix.identity(self.field, self.rows) if self.rows == self.cols else False
 
@@ -278,9 +264,12 @@ class SparseEchelon:
         piv = col[r]
         if not f.is_one(piv):
             ip = f.inv(piv)
-            col = {row: f.mul(ip, v) for row, v in col.items()}
+            # col and tail times 1/piv, each into a fresh dict in key order
+            col, scaled = {}, col
+            f.axpy(col, scaled, ip)
             if tail is not None:
-                tail = {idx: f.mul(ip, v) for idx, v in tail.items()}
+                tail, scaled = {}, tail
+                f.axpy(tail, scaled, ip)
         self.pivots[r] = (col, tail if tail is not None else {})
         return None
 
@@ -372,26 +361,6 @@ def echelon(f, columns, tails=True):
     return ech, pivots, kernel
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns ``(R, pivot_columns, rank)``; pivot columns are strictly
-    increasing and ``rank == len(pivot_columns)``.  Row r of R is 1 at
-    the r-th pivot column and minus the kernel tails elsewhere.
-    """
-    f = m.field
-    _, pivots, kernel = echelon(f, m.sparse_columns())
-    data = [[f.zero()] * m.cols for _ in range(m.rows)]
-    row_of = {pc: r for r, pc in enumerate(pivots)}
-    for pc, r in row_of.items():
-        data[r][pc] = f.one()
-    for fc, kv in kernel.items():
-        for pc, v in kv.items():
-            if pc != fc:
-                data[row_of[pc]][fc] = f.neg(v)
-    return Matrix(f, data, _raw=True), tuple(pivots), len(pivots)
-
-
 def kernel_basis(m: Matrix):
     """Basis of the right kernel, as raw-value column vectors.
 
@@ -451,12 +420,6 @@ def determinant(m: Matrix):
     inversions = sum(a > b for i, a in enumerate(lead) for b in lead[i + 1:])
     det = f.inv(inv_det)
     return f.neg(det) if inversions % 2 else det
-
-
-def column_space_basis(m: Matrix):
-    """Columns of ``m`` at the RREF pivot positions (a deterministic basis)."""
-    return [dense_vector(m.field, v, m.rows)
-            for v in independent_columns(m.field, m.sparse_columns())]
 
 
 def independent_columns(f, columns):

@@ -167,20 +167,6 @@ def read_json(path):
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 
 
-def parse_algebra_file(source):
-    """Parse an algebra document from a path or a readable stream.
-
-    Returns ``(algebra, gram_or_None)`` after full constructor validation.
-    """
-    if not hasattr(source, "read"):
-        return algebra_from_doc(read_json(source))
-    try:
-        doc = json.load(source)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"not valid JSON: {exc}") from exc
-    return algebra_from_doc(doc)
-
-
 # --- writing ---------------------------------------------------------------
 
 def matrix_to_doc(m: Matrix):

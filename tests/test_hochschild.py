@@ -17,8 +17,9 @@ from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import (cyclic, dual_numbers, exterior,
                               ground_field_algebra, matrix_algebra, qci,
                               s3_group_algebra, trivial_extension)
-from frobcalc.linalg import (Matrix, dense_vector, rref, solve_linear,
-                             sparse_combination)
+from frobcalc.linalg import (Matrix, dense_vector, echelon, solve_linear,
+                             sparse_combination, sparse_kernel_basis,
+                             sparse_vector)
 from test_fields import assert_canonical
 
 Q = Field.rationals()
@@ -26,10 +27,9 @@ Q = Field.rationals()
 
 def test_coboundary_degree_zero_kernel_is_center():
     A = qci(2).algebra
-    d0 = hh.coboundary_matrix(A, 0)
-    assert d0.rows == 16 and d0.cols == 4
-    from frobcalc.linalg import kernel_basis
-    ker = kernel_basis(d0)
+    d0 = hh._coboundary_columns(A, 0)
+    assert len(d0) == 4 and max(k for col in d0 for k in col) < 16
+    ker = sparse_kernel_basis(Q, d0)
     centers = center_basis(A)
     assert len(ker) == len(centers) == 2
     # same span
@@ -54,12 +54,46 @@ def test_complex_squares_to_zero():
     for item in (qci(2), exterior(2), cyclic(3)):
         F = make_frobenius(item.algebra, item.gram)
         assert hh.verify_complex(item.algebra, 2, sigma=F.sigma)
-    # dense route as well, low degrees
+    # as a product of dense matrices as well, low degrees
     A = qci(2).algebra
+    d = []
+    for p in (0, 1, 2):
+        d.append(Matrix.from_columns(Q, [dense_vector(Q, c, A.dim ** (p + 2))
+                                         for c in hh._coboundary_columns(A, p)]))
     for p in (0, 1):
-        d1 = hh.coboundary_matrix(A, p)
-        d2 = hh.coboundary_matrix(A, p + 1)
-        assert d2 * d1 == Matrix.zero(Q, d2.rows, d1.cols)
+        assert d[p + 1] * d[p] == Matrix.zero(Q, d[p + 1].rows, d[p].cols)
+
+
+def _corrupt(col):
+    """A copy of a sparse column, or of a face-table list of (offset,
+    value) terms, with its first value doubled."""
+    items = list(col.items()) if isinstance(col, dict) else list(col)
+    (k, v), rest = items[0], items[1:]
+    items = [(k, 2 * v)] + rest
+    return dict(items) if isinstance(col, dict) else items
+
+
+def test_a_corrupted_differential_fails_verify_complex():
+    # one doubled coefficient in b₂'s cached face table (untwisted or
+    # twisted: the middle face's term 1·x = x) or in one column of the
+    # cached d¹ must be seen, on fresh copies of qci(2)
+    for twisted in (False, True):
+        item = qci(2)
+        A = item.algebra
+        F = make_frobenius(A, item.gram)
+        twist = F.sigma.matrix if twisted else None
+        w, first, ((hi, lo, table),), last = hh._boundary_faces(A, 2, twist)
+        table = list(table)
+        table[1] = _corrupt(table[1])
+        A._cache[("faces", 2, twist)] = (w, first, [(hi, lo, table)], last)
+        assert not hh.verify_complex(A, 1, sigma=F.sigma)
+    item = qci(2)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    cols = list(hh._coboundary_columns(A, 1))
+    cols[1] = _corrupt(cols[1])
+    A._cache[("cob", 1)] = cols
+    assert not hh.verify_complex(A, 1, sigma=F.sigma)
 
 
 def test_hh_dimensions_qci():
@@ -75,7 +109,7 @@ def test_hh_dimensions_qci():
 def test_budget_guard():
     A = qci(2).algebra
     with pytest.raises(BudgetExceeded):
-        hh.coboundary_matrix(A, 2, budget=16)
+        hh.cocycle_basis(A, 2, budget=16)
     with pytest.raises(BudgetExceeded):
         hh.hh_dimension(A, 3, budget=256)
     # homology at degree p builds b_{p+1} on n^{p+2} columns and is charged
@@ -101,7 +135,7 @@ def test_cochain_action():
     A = item.algebra
     F = make_frobenius(A, item.gram)
     d = item.delta(0, 0, 1, 0)
-    f1 = hh.Cochain.from_linear_map(d)
+    f1 = hh.Cochain.from_flat(A, 1, sum(d.matrix.data, []))
     # identity leaves the cochain alone
     same = hh.cochain_action(LinearMap.identity(A), f1)
     assert same == f1
@@ -110,31 +144,35 @@ def test_cochain_action():
     for z in zs:
         c0 = hh.Cochain.from_flat(A, 0, z.raw)
         acted = hh.cochain_action(F.sigma, c0)
-        assert acted.value(()) == F.sigma(z)
+        assert tuple(acted.flatten()) == F.sigma(z).raw
     # sigma-twist of the derivation sends x to q·xy
-    fs = hh.cochain_action(F.sigma, f1)
-    assert fs.value((1,)) == item.xy.scale(2)
-    assert fs.value((2,)).is_zero()
+    fs = hh.cochain_action(F.sigma, f1).as_linear_map()
+    assert fs(A.basis_element(1)) == item.xy.scale(2)
+    assert fs(A.basis_element(2)).is_zero()
 
 
 def _assert_action_by_definition(item, F, f):
     """cochain_action(u, f) is a ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p)) for σ and for
     the non-monomial alpha(2, 1, 1, 2), which mixes x and y into xy; f is
-    evaluated on each tensor of basis vectors that u⁻¹ puts in the slots."""
+    evaluated on each tensor of basis vectors that u⁻¹ puts in the slots.
+    In the dense row-major vector of a cochain, its value at the i-th basis
+    tensor (in ``itertools.product`` order) is the slice [i::n^p]."""
     A = f.algebra
     fld, n, p = A.field, A.dim, f.degree
+    flat = f.flatten()
     for u in (F.sigma, item.alpha(2, 1, 1, 2)):
         cols = [u.inverse()(A.basis_element(t)).raw for t in range(n)]
-        g = hh.cochain_action(u, f)
-        for J in itertools.product(range(n), repeat=p):
+        g = hh.cochain_action(u, f).flatten()
+        tensors = list(itertools.product(range(n), repeat=p))
+        for i, J in enumerate(tensors):
             value = A.zero_element()
-            for K in itertools.product(range(n), repeat=p):
+            for k_idx, K in enumerate(tensors):
                 c = fld.one()
                 for j, k in zip(J, K):
                     c = fld.mul(c, cols[j][k])
                 if not fld.is_zero(c):
-                    value = value + f.value(K).scale(c)
-            assert g.value(J) == u(value), (u, J)
+                    value = value + Element(A, flat[k_idx::n ** p], _raw=True).scale(c)
+            assert Element(A, g[i::n ** p], _raw=True) == u(value), (u, J)
 
 
 def test_cochain_action_matches_definition_in_degree_two():
@@ -172,15 +210,15 @@ def test_triviality_certificate_degree_one():
     A = item.algebra
     F = make_frobenius(A, item.gram)
     d = item.delta(0, 0, 1, 0)
-    f1 = hh.Cochain.from_linear_map(d)
+    f1 = hh.Cochain.from_flat(A, 1, sum(d.matrix.data, []))
     g = hh.triviality_certificate(F, f1)
     assert g is not None and g.degree == 0
     # re-check the certificate identity by hand: dg = f^σ − f
-    fs = hh.cochain_action(F.sigma, f1)
-    gel = g.value(())
+    fs = hh.cochain_action(F.sigma, f1).as_linear_map()
+    gel = Element(A, g.flatten(), _raw=True)
     for i in range(A.dim):
         a = A.basis_element(i)
-        assert a * gel - gel * a == fs.value((i,)) - f1.value((i,))
+        assert a * gel - gel * a == fs(a) - d(a)
     # a cocycle fixed by the action certifies with g = 0
     c3 = cyclic(3)
     F3 = make_frobenius(c3.algebra, c3.gram)
@@ -194,7 +232,7 @@ def test_certificate_rejects_non_cocycles():
     A = item.algebra
     F = make_frobenius(A, item.gram)
     # the identity map is not a derivation, hence not a 1-cocycle
-    bad = hh.Cochain.from_linear_map(LinearMap.identity(A))
+    bad = hh.Cochain.from_flat(A, 1, sum(Matrix.identity(Q, A.dim).data, []))
     with pytest.raises(MalformedInput):
         hh.triviality_certificate(F, bad)
 
@@ -217,13 +255,12 @@ def test_hh1_dual_numbers():
     assert rep.dim_cycles == 4          # commutative: every chain is a cycle
     assert rep.dim_boundaries == 3      # spanned by 1⊗1, t⊗1, t⊗t
     assert rep.dim == 1
-    # boundary space: exactly the span of 1⊗1, t⊗1, t⊗t
-    b2 = hh.boundary_matrix(B, 2)
-    vectors = [b2.column(j) for j in range(b2.cols)]
-    R = rref(Matrix(Q, vectors))[0]
-    expected = rref(Matrix(Q, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))[0]
-    nonzero_rows = [r for r in R.data if any(v != 0 for v in r)]
-    assert nonzero_rows == expected.data
+    # boundary space: exactly the span of 1⊗1, t⊗1, t⊗t (flat 0, 2, 3),
+    # which does not hold 1⊗t
+    ech = echelon(Q, hh._stream_boundary(B, 2, None))[0]
+    assert ech.rank == 3
+    assert all(ech.solve({i: 1}) is not None for i in (0, 2, 3))
+    assert ech.solve({1: 1}) is None
 
 
 def test_sigma_action_on_homology():
@@ -276,8 +313,9 @@ def _reference_sigma_action(A, F, p, coeffs):
     f, n = A.field, A.dim
     reps = [dense_vector(f, v, n ** (p + 1))
             for v in hh.homology_dimension(A, p, coeffs, F.sigma).representatives]
-    B = hh.boundary_matrix(A, p + 1, coeffs, F.sigma)
-    M = Matrix.from_columns(f, reps + [B.column(j) for j in range(B.cols)])
+    twist = None if coeffs == hh.UNTWISTED else F.sigma.matrix
+    M = Matrix.from_columns(f, reps + [dense_vector(f, c, n ** (p + 1))
+                                       for c in hh._stream_boundary(A, p + 1, twist)])
     s = F.sigma.matrix.data
     idx = list(itertools.product(range(n), repeat=p + 1))
     cols = []
@@ -335,46 +373,6 @@ def test_sigma_action_with_a_non_monomial_sigma():
                 assert got.is_identity()
 
 
-def _reference_boundary(A, p, sigma):
-    """b: M⊗A^{⊗p} → M⊗A^{⊗p-1} column by column from products of raw
-    vectors, with M = A right-twisted by ``sigma`` (a LinearMap or None)."""
-    f, n = A.field, A.dim
-    e = [A._basis_vec(i) for i in range(n)]
-    cols = []
-    for m in range(n):
-        for J in itertools.product(range(n), repeat=p):
-            col = [f.zero()] * n ** p
-            a1 = e[J[0]] if sigma is None else sigma(A.basis_element(J[0])).raw
-            # (m·a₁) ⊗ a₂…, (−1)^j m ⊗ …a_j a_{j+1}…, (−1)^p (a_p·m) ⊗ a₁…
-            faces = [(1, A.mul_raw(e[m], a1), J[1:])]
-            for j in range(1, p):
-                prod = A.mul_raw(e[J[j - 1]], e[J[j]])
-                for t, c in enumerate(prod):
-                    faces.append(((-1) ** j, [f.mul(c, v) for v in e[m]],
-                                  J[:j - 1] + (t,) + J[j + 1:]))
-            faces.append(((-1) ** p, A.mul_raw(e[J[-1]], e[m]), J[:-1]))
-            for sign, vec, rest in faces:
-                for mm, c in enumerate(vec):
-                    idx = mm * n ** (p - 1) + hh._tuple_index(rest, n)
-                    col[idx] = f.add(col[idx], f.mul(f.from_int(sign), c))
-            cols.append(col)
-    return Matrix.from_columns(f, cols)
-
-
-def test_boundary_matrix_matches_products():
-    for label in ("qci(2)/Q", "trivM2/Q"):
-        A, F = _fresh(label)
-        twists = [F.sigma]
-        if label == "qci(2)/Q":
-            # sigma is diagonal there; alpha mixes x and y into xy
-            twists.append(qci(2).alpha(2, 1, 1, 2))
-        for p in (1, 2):
-            for u in twists:
-                assert (hh.boundary_matrix(A, p, hh.TWISTED, u)
-                        == _reference_boundary(A, p, u))
-            assert hh.boundary_matrix(A, p) == _reference_boundary(A, p, None)
-
-
 def test_duality_dims():
     item = qci(2)
     F = make_frobenius(item.algebra, item.gram)
@@ -427,33 +425,23 @@ def test_twisted_h0_representatives():
     assert got == [A.unit_element(), A.basis_element(3)]
 
 
-def test_parse_algebra_file_stream():
-    import io, json
-    from frobcalc import serialize
-    g = qci(2)
-    doc = serialize.algebra_to_doc(g.algebra, g.gram)
-    algebra, gram = serialize.parse_algebra_file(io.StringIO(json.dumps(doc)))
-    assert algebra == g.algebra and gram == g.gram
-
-
 def test_degree_one_coboundaries_are_inner_derivations():
     item = qci(2)
     A = item.algebra
-    d0 = hh.coboundary_matrix(A, 0)
+    d0 = hh._coboundary_columns(A, 0)
     # image of d0 = the maps a ↦ ag − ga, i.e. minus the inner derivations;
-    # cochain flattening is row-major on (value coordinate, argument)
-    from frobcalc.linalg import rref, Matrix
-    boundary_rows = [d0.column(j) for j in range(d0.cols)]
+    # cochain flattening is row-major on (value coordinate, argument); the
+    # spans agree when each set and their union have one rank
     flat_inner = []
     for i in range(A.dim):
         m = ad(A.basis_element(i)).matrix
-        flat_inner.append([m.data[k][j] for k in range(A.dim)
-                           for j in range(A.dim)])
-    R1 = rref(Matrix(Q, boundary_rows))[0]
-    R2 = rref(Matrix(Q, flat_inner))[0]
-    nz1 = [r for r in R1.data if any(v != 0 for v in r)]
-    nz2 = [r for r in R2.data if any(v != 0 for v in r)]
-    assert nz1 == nz2
+        flat_inner.append(sparse_vector(Q, [m.data[k][j] for k in range(A.dim)
+                                            for j in range(A.dim)]))
+
+    def rank(cols):
+        return echelon(Q, cols, tails=False)[0].rank
+
+    assert rank(d0) == rank(flat_inner) == rank(d0 + flat_inner) == 2
 
 
 def test_twisted_trivial_extension_full_machinery():
@@ -509,7 +497,7 @@ def _homology_state(field, monkeypatch=None):
     if monkeypatch is not None:
         monkeypatch.setattr(field, "clear_denominators", lambda vec: (vec, None))
     twist = F.sigma.matrix
-    _, kernel = hh._echelonize(field, hh._boundary_columns(A, 2, twist)[1], tails=True)
+    _, kernel = hh._echelonize(field, hh._stream_boundary(A, 2, twist), tails=True)
     rep = hh.homology_dimension(A, 2, hh.TWISTED, F.sigma)
     return kernel, rep, hh._homology(A, 2, twist), F
 
@@ -557,14 +545,21 @@ def test_rational_representatives_enter_the_echelon_integral(monkeypatch):
         [c.data for c in ref_hh.representatives]
 
 
+CACHE_TAGS = {"cob", "cocycles", "faces", "hom", "nakayama-form"}
+
+
 def test_rank_only_boundaries_are_streamed_not_kept():
-    # b_{p+1} serves H_p for its rank alone: it is never cached, so the
-    # 65 536 columns of b₃ on exterior(4) do not outlive the call
+    # b_p's columns are streamed from its face table and never cached: H_p
+    # and the b∘b = 0 check leave only d^p's columns, the cocycles, the
+    # face tables and the homology states behind, and the 65 536 columns of
+    # b₃ on exterior(4) do not outlive the call
     small = exterior(3, Field.prime(5))
     F = make_frobenius(small.algebra, small.gram)
     for p in range(3):
-        hh.homology_dimension(small.algebra, p, hh.TWISTED, F.sigma)
-        assert ("bnd", p + 1, F.sigma.matrix) not in small.algebra._cache
+        for coeffs in (hh.UNTWISTED, hh.TWISTED):
+            hh.homology_dimension(small.algebra, p, coeffs, F.sigma)
+    assert hh.verify_complex(small.algebra, 2, sigma=F.sigma)
+    assert {key[0] for key in small.algebra._cache} == CACHE_TAGS
     item = exterior(4, Field.prime(5))
     A, F = item.algebra, make_frobenius(item.algebra, item.gram)
     started = not tracemalloc.is_tracing()
@@ -578,7 +573,7 @@ def test_rank_only_boundaries_are_streamed_not_kept():
         if started:
             tracemalloc.stop()
     assert (rep.dim_boundaries, rep.dim) == (3800, 80)
-    assert ("bnd", 3, F.sigma.matrix) not in A._cache
+    assert {key[0] for key in A._cache} == CACHE_TAGS
     assert held < 10 * 2**20
 
 
@@ -661,11 +656,11 @@ def test_twisted_boundary_against_the_definition():
     n = A.dim
     sigma = make_frobenius(A, item.gram).sigma
     assert any(len(col) > 1 for col in sigma.matrix.sparse_columns())
-    b1 = hh.boundary_matrix(A, 1, hh.TWISTED, sigma)
+    b1 = list(hh._stream_boundary(A, 1, sigma.matrix))
     for m in range(n):
         for a in range(n):
             em, ea = A.basis_element(m), A.basis_element(a)
-            assert b1.column(m * n + a) == list((em * sigma(ea) - ea * em).raw)
+            assert b1[m * n + a] == sparse_vector(A.field, (em * sigma(ea) - ea * em).raw)
     # every column of b_p for p ≤ 3, twisted and not, and of d^p for p ≤ 2,
     # as the face tables give them, here and on qci(2)
     for item in (item, qci(2)):
@@ -678,7 +673,23 @@ def test_twisted_boundary_against_the_definition():
                 assert _exact(hh._stream_boundary(A, p, twist)) == \
                     _exact(bar.boundary(p, right))
         for p in range(3):
-            assert _exact(hh._coboundary_columns(A, p)[1]) == _exact(bar.coboundary(p))
+            assert _exact(hh._coboundary_columns(A, p)) == _exact(bar.coboundary(p))
+
+
+def test_boundary_matrix_matches_products():
+    # b_p for p ≤ 2 on qci(2) twisted by alpha(2, 1, 1, 2), which mixes x
+    # and y into xy, and on trivM2, whose σ is the identity, twisted by σ
+    # and not
+    q2, tm2 = qci(2), trivial_extension(matrix_algebra(2).algebra)
+    alpha = q2.alpha(2, 1, 1, 2)
+    sigma = make_frobenius(tm2.algebra, tm2.gram).sigma
+    assert sigma.is_identity()
+    for A, twist, right in ((q2.algebra, alpha.matrix, alpha),
+                            (tm2.algebra, sigma.matrix, sigma),
+                            (tm2.algebra, None, LinearMap.identity(tm2.algebra))):
+        bar = _BarFormulas(A)
+        for p in (1, 2):
+            assert _exact(hh._stream_boundary(A, p, twist)) == _exact(bar.boundary(p, right))
 
 
 # the verification gallery's carriers, built fresh, with exterior(4) over 𝔽₅,

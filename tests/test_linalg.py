@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.linalg import (Matrix, SparseEchelon, determinant, invert,
-                             kernel_basis, linear_combination, rref,
-                             solve_linear)
+from frobcalc.linalg import (Matrix, SparseEchelon, determinant, echelon,
+                             independent_columns, invert, kernel_basis,
+                             linear_combination, solve_linear)
 from test_fields import assert_canonical
 
 Q = Field.rationals()
@@ -18,23 +18,25 @@ F5 = Field.prime(5)
 F9 = Field.extension(3, [1, 0, 1])
 
 
+# The RREF is never formed: it is fixed by its pivot columns and its
+# canonical kernel, which ``echelon`` returns.
+
 def test_rref_proportional_rows():
-    R, pivots, rank = rref(Matrix(Q, [[1, 2], [2, 4]]))
-    assert rank == 1 and pivots == (0,)
-    assert R.data[0] == [Fraction(1), Fraction(2)]
+    # RREF [[1, 2], [0, 0]]: pivot column 0, and row 0 is 2 at the free
+    # column 1, whose kernel vector is (−2, 1)
+    _, pivots, kernel = echelon(Q, Matrix(Q, [[1, 2], [2, 4]]).sparse_columns())
+    assert pivots == [0] and kernel == {1: {0: -2, 1: 1}}
 
 
 def test_rref_identity():
-    I3 = Matrix.identity(Q, 3)
-    R, _, rank = rref(I3)
-    assert R == I3 and rank == 3
+    _, pivots, kernel = echelon(Q, Matrix.identity(Q, 3).sparse_columns())
+    assert pivots == [0, 1, 2] and kernel == {}
 
 
 def test_rref_qci_gram_rank():
     # permutation-like Gram of the 4-dimensional quantum intersection, q = 2
     g = Matrix(Q, [[0, 0, 0, 1], [0, 0, 1, 0], [0, 2, 0, 0], [1, 0, 0, 0]])
-    _, _, rank = rref(g)
-    assert rank == 4
+    assert echelon(Q, g.sparse_columns(), tails=False)[0].rank == 4
     assert invert(g) is not None
 
 
@@ -97,16 +99,19 @@ def test_rref_properties(label):
     @given(_matrices(field, ENTRY[label]))
     def props(rows):
         m = Matrix(field, rows)
-        R, pivots, rank = rref(m)
-        # idempotent, pivot columns strictly increasing
-        R2, pivots2, rank2 = rref(R)
-        assert R2 == R and pivots2 == pivots and rank2 == rank
+        cols = m.sparse_columns()
+        _, pivots, kernel = echelon(field, cols)
+        rank = len(pivots)
+        # pivot columns strictly increasing, the same ones without tails and
+        # as independent_columns picks them; row rank is column rank
         assert all(a < b for a, b in zip(pivots, pivots[1:]))
-        # pivot columns of R are unit vectors, rows past the rank vanish
-        for r, pc in enumerate(pivots):
-            assert R.column(pc) == [field.one() if i == r else field.zero()
-                                    for i in range(m.rows)]
-        assert all(field.is_zero(v) for row in R.data[rank:] for v in row)
+        assert echelon(field, cols, tails=False)[1] == pivots
+        assert independent_columns(field, cols) == [cols[j] for j in pivots]
+        assert echelon(field, m.transpose().sparse_columns(), tails=False)[0].rank == rank
+        # RREF row r is nonzero at a free column only right of its pivot:
+        # a free column's kernel vector lives on itself and earlier pivots
+        for fc, kv in kernel.items():
+            assert all(c == fc or (c in pivots and c < fc) for c in kv)
         # kernel vectors are killed, count is the nullity, and each one is
         # 1 at its free column and 0 at every other free column
         ker = kernel_basis(m)
@@ -302,7 +307,7 @@ def _gauss_jordan(rows, ncols):
 
 
 def _reference(rows, ncols, b):
-    """(RREF, pivots, kernel basis, solution or None, inverse or None)."""
+    """(pivots, kernel basis, solution or None, inverse or None)."""
     R, pivots = _gauss_jordan(rows, ncols)
     kernel = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -324,20 +329,19 @@ def _reference(rows, ncols, b):
         full, fpiv = _gauss_jordan([r + e for r, e in zip(rows, eye)], n)
         if fpiv[:n] == list(range(n)):
             inv = [r[n:] for r in full]
-    return R, tuple(pivots), kernel, x, inv
+    return tuple(pivots), kernel, x, inv
 
 
 def _check_against_reference(m, rows, b):
-    R, pivots, kernel, x, inv = _reference(rows, m.cols, b)
-    got_R, got_piv, rank = rref(m)
-    assert got_R.data == R and got_piv == pivots and rank == len(pivots)
+    # the RREF is fixed by its pivot columns and its canonical kernel
+    pivots, kernel, x, inv = _reference(rows, m.cols, b)
+    assert tuple(echelon(Q, m.sparse_columns())[1]) == pivots
     got_ker = kernel_basis(m)
     assert got_ker == kernel
     got_x = solve_linear(m, b)
     assert got_x == x
     got_inv = invert(m) if m.rows == m.cols else None
     assert (got_inv.data if got_inv is not None else None) == inv
-    assert_canonical(v for row in got_R.data for v in row)
     assert_canonical(v for vec in got_ker for v in vec)
     assert_canonical(got_x or [])
     assert_canonical(v for row in (got_inv.data if got_inv else []) for v in row)

@@ -4,8 +4,8 @@
 kernel ``is_inner`` searches for a unit) build their columns sparse from
 the nonzero products.  The references below stack the dense blocks
 L_{u(e_i)} − R_{e_i} and L_{e_i} − R_{τ(e_i)} with ``Matrix.block`` and
-read the canonical kernel and column basis off them; the two must agree
-vector for vector, in order.
+read the canonical kernel and the independent columns off them; the two
+must agree vector for vector, in order.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from frobcalc.algebra import (Element, LinearMap, center_basis,
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import exterior, matrix_algebra, qci, trivial_extension
-from frobcalc.linalg import Matrix, column_space_basis, kernel_basis
+from frobcalc.linalg import Matrix, echelon, kernel_basis, sparse_vector
 from frobcalc.rng import SplitMix64
 
 FIELDS = {"Q": Field.rationals(), "F5": Field.prime(5),
@@ -49,8 +49,8 @@ def _dense_commutators(A, tau):
                     if any(not f.is_zero(c) for c in v))
     if not cols:
         return []
-    return [Element(A, v, _raw=True)
-            for v in column_space_basis(Matrix.from_columns(f, cols))]
+    pivots = echelon(f, (sparse_vector(f, v) for v in cols), tails=False)[1]
+    return [Element(A, cols[j], _raw=True) for j in pivots]
 
 
 def _maps(A, F):
