@@ -17,8 +17,8 @@ it keeps integral values -- most of an elimination on +-1 structure
 constants -- on plain ``int`` arithmetic.
 
 Each field also carries the fused sparse loops of its kind (``axpy``,
-``add_entry``, ``matmul``, ``clear_denominators``; see below), which the
-elimination kernel runs instead of one method call per scalar.
+``eliminate`` and the rest; see below), which the elimination kernel
+runs instead of one method call per scalar.
 
 :class:`Scalar` is a thin wrapper pairing a raw value with its field; it
 exists so that callers can do ordinary ``+ - * /`` arithmetic without
@@ -29,7 +29,7 @@ values directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import MalformedInput
 
@@ -151,10 +151,15 @@ def _canonical(q):
 # ``axpy(dst, src, c)``      dst += c·src on sparse dicts,
 # ``add_entry(d, key, val)`` d[key] += val on a sparse dict,
 # ``matmul(left, right, w)`` the rows of left·right, right of width w,
-# ``clear_denominators(v)``  (L·v, L) with L·v integral, or (v, None) when
-#                            v is integral or the field is not Q,
+# ``clear_denominators(v)``  (L·v, L) with L·v in ints, or (v, None) when
+#                            v holds ints only or the field is not Q,
 # ``monomial_mode(v, n, w, images)`` v with each key k moved to k + d·w and
-#                            its value times c, (d, c) = images[k // w % n].
+#                            its value times c, (d, c) = images[k // w % n],
+# ``eliminate(col, tail, pivot, r)`` col −= (col[r]/L)·pivot, L its lead, and
+#                            tail alongside (None: untracked), in place; returns
+#                            the scale both took first (Q: |L/gcd| if L ∤ col[r]),
+# ``primitive(col, tail)``   Q: both divided by the content of col ∪ tail,
+# ``unscale(v, s)``          v/s, for the scales s ≠ 1 that only Q takes.
 #
 # Sparse dicts never hold a zero: an entry that becomes zero is dropped.
 # On Q and F_p a raw zero is falsy, so these run on plain ``+ *`` with the
@@ -216,19 +221,56 @@ def _rational_monomial_mode(vec, n, w, images):
 
 
 def _rational_clear_denominators(vec):
-    lcm = 1
-    for v in vec.values():
-        if type(v) is not int:
-            d = v.denominator
-            if lcm % d:
-                lcm = lcm // gcd(lcm, d) * d
-    if lcm == 1:
+    if all(type(v) is int for v in vec.values()):
         return vec, None
-    return {k: v.numerator * (lcm // v.denominator) for k, v in vec.items()}, lcm
+    m = lcm(*[v.denominator for v in vec.values()])
+    return {k: v.numerator * (m // v.denominator) for k, v in vec.items()}, m
+
+
+def _rational_eliminate(col, tail, pivot, r):
+    pcol, ptail = pivot
+    a, lead = col[r], pcol[r]
+    c, rem = divmod(a, lead)
+    s = 1
+    if rem:
+        g = gcd(a, lead)
+        s = abs(lead) // g
+        col.update({k: v * s for k, v in col.items()})
+        if tail is not None:
+            tail.update({k: v * s for k, v in tail.items()})
+        c = a // g if lead > 0 else -(a // g)
+    _rational_axpy(col, pcol, -c)
+    if tail is not None:
+        _rational_axpy(tail, ptail, -c)
+    return s
+
+
+def _rational_primitive(col, tail):
+    g = gcd(*col.values(), *tail.values())
+    if g == 1:
+        return col, tail
+    return {k: v // g for k, v in col.items()}, {k: v // g for k, v in tail.items()}
+
+
+def _rational_unscale(vec, s):
+    return {k: Fraction(v, s) if v % s else v // s for k, v in vec.items()}
 
 
 def _unscaled(vec):
     return vec, None
+
+
+def _unscaled_steps(axpy, coefficient):
+    """``eliminate``, ``primitive`` and ``unscale`` of a field whose
+    elimination never scales; ``coefficient(a, L)`` is −a/L."""
+    def eliminate(col, tail, pivot, r):
+        pcol, ptail = pivot
+        c = coefficient(col[r], pcol[r])
+        axpy(col, pcol, c)
+        if tail is not None:
+            axpy(tail, ptail, c)
+        return 1
+    return eliminate, lambda col, tail: (col, tail), None
 
 
 def _prime_loops(p):
@@ -256,7 +298,8 @@ def _prime_loops(p):
 
     # ints do not overflow: each sum is reduced once, at the end
     return (axpy, add_entry, _raw_matmul(lambda acc: [x % p for x in acc]),
-            _unscaled, monomial_mode)
+            _unscaled, monomial_mode,
+            *_unscaled_steps(axpy, lambda a, lead: -a * pow(lead, -1, p) % p))
 
 
 def _generic_loops(f):
@@ -298,7 +341,8 @@ def _generic_loops(f):
         return {k + d * w: f.mul(c, v)
                 for k, v in vec.items() for d, c in [images[k // w % n]]}
 
-    return axpy, add_entry, matmul, _unscaled, monomial_mode
+    return (axpy, add_entry, matmul, _unscaled, monomial_mode,
+            *_unscaled_steps(axpy, lambda a, lead: f.neg(f.div(a, lead))))
 
 
 class Field:
@@ -309,7 +353,8 @@ class Field:
     """
 
     __slots__ = ("kind", "p", "min_poly", "_deg", "axpy", "add_entry",
-                 "matmul", "clear_denominators", "monomial_mode")
+                 "matmul", "clear_denominators", "monomial_mode", "eliminate",
+                 "primitive", "unscale")
 
     def __init__(self, kind, p=None, min_poly=None):
         self.kind = kind
@@ -342,13 +387,14 @@ class Field:
             raise MalformedInput(f"unknown field kind {kind!r}")
         if kind == RATIONALS:
             loops = (_rational_axpy, _rational_add_entry, _rational_matmul,
-                     _rational_clear_denominators, _rational_monomial_mode)
+                     _rational_clear_denominators, _rational_monomial_mode,
+                     _rational_eliminate, _rational_primitive, _rational_unscale)
         elif kind == PRIME:
             loops = _prime_loops(p)
         else:
             loops = _generic_loops(self)
         (self.axpy, self.add_entry, self.matmul, self.clear_denominators,
-         self.monomial_mode) = loops
+         self.monomial_mode, self.eliminate, self.primitive, self.unscale) = loops
 
     # constructors ---------------------------------------------------------
     @staticmethod

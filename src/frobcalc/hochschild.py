@@ -15,10 +15,9 @@ cocycles that still join the echelon of the coboundaries.  Tails (the
 combination of inserted columns a pivot stands for) are tracked only
 where they are read, for kernel vectors and for solves; echelons used
 for their rank alone carry none (b_{p+1} for H_p without a form, b₂ for
-the Connes image test).  Over Q a vector with fractional entries enters
-an echelon as L·v, L the lcm of its denominators, with tail {i: L}: the
-pivot it leaves is the same once normalized, but it is reduced on
-integers.
+the Connes image test).  Over Q an echelon clears the denominators of
+each vector it takes and reduces on integers, and a cocycle is tested
+as d(L·f) = 0, L·f the cochain with its denominators cleared.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -273,10 +272,7 @@ def _representatives(ech, kernel, dim_bound, pairing=None):
     reps = []
     for kv in kernel:
         vec = kv if pairing is None else sparse_combination(f, pairing, kv)
-        # over Q a fractional vector goes in as L·vec with tail {i: L}: the
-        # same pivot once normalized, reduced on integers
-        col, scale = f.clear_denominators(vec)
-        if ech.insert(col, {len(reps): one if scale is None else scale}) is None:
+        if ech.insert(vec, {len(reps): one}) is None:
             reps.append(kv)
     if len(reps) != dim:
         raise InternalInconsistency("representative count differs from dimension")
@@ -328,14 +324,20 @@ def _resolve_twist(A, coeffs, sigma):
     raise MalformedInput(f"unknown coefficient choice {coeffs!r}")
 
 
+def _coboundary_of(A, p, vec, budget):
+    """d^p applied to the sparse p-cochain vec, as a sparse dict."""
+    _check_budget(A, p, budget)
+    return _apply_columns(A.field, _coboundary_columns(A, p), vec)
+
+
 def apply_coboundary(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
-    _check_budget(A, f.degree, budget)
-    cols = _coboundary_columns(A, f.degree)
-    return Cochain(A, f.degree + 1, _apply_columns(A.field, cols, f.data))
+    return Cochain(A, f.degree + 1, _coboundary_of(A, f.degree, f.data, budget))
 
 
 def is_cocycle(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> bool:
-    return apply_coboundary(A, f, budget).is_zero()
+    # d(L·f) = 0, L·f f with its denominators cleared: the same test, on ints
+    vec, _ = A.field.clear_denominators(f.data)
+    return not _coboundary_of(A, f.degree, vec, budget)
 
 
 def cocycle_basis(A: Algebra, p, budget=DEFAULT_BUDGET):

@@ -15,10 +15,9 @@ joins it exactly when it is not in the span of the columns before it.
 ``sparse_kernel_basis``, ``independent_columns`` and the Hochschild
 differentials read their answers off that echelon, so pivots, kernel
 bases and solutions are the canonical ones of the reduced row echelon
-form (which is never formed) and reports are deterministic.  Over Q, ``solve``
-reduces L·rhs, L the lcm of the denominators of rhs, and divides the
-solution by L: integer arithmetic on the same pivots.  Matrices are
-immutable by convention: no public method mutates ``data``.
+form (which is never formed) and reports are deterministic.  Pivots are
+kept unnormalized and reduce by exact quotients, over Q on ints only.
+Matrices are immutable by convention: no public method mutates ``data``.
 """
 
 from __future__ import annotations
@@ -224,9 +223,14 @@ class SparseEchelon:
     """Column echelon over a field with combination tracking.
 
     Inserted columns are reduced against existing pivots (pivot = least
-    row index, normalized to 1).  Each pivot keeps a tail, the combination
-    of inserted columns it equals, so a column that reduces to zero yields
-    a kernel vector and ``solve`` yields a solution.  A tail of None is not
+    row index, kept as found): an entry a at a pivot with lead L is removed
+    by the multiple −a/L of it (``Field.eliminate``).  Over Q all of it is
+    on ints: a column enters with denominators cleared, is scaled by
+    |L/gcd(a, L)| where L ∤ a, and joins divided by the content of column
+    and tail (tails enter as ints).  Each pivot keeps a tail, the
+    combination of inserted columns it equals, so a column that reduces
+    to zero yields a kernel vector and ``solve`` a solution, either one
+    divided by the scale its column picked up.  A tail of None is not
     tracked: the pivot keeps an empty tail, so it still serves rank
     questions and reduces later columns, and a ``solve`` reads only the
     tails that were tracked.
@@ -236,41 +240,32 @@ class SparseEchelon:
         self.field = field
         self.pivots = {}  # row -> (column dict, tail dict)
 
-    def _reduce(self, col, tail):
+    def _reduce(self, col, tail, scale):
         """Reduce col, and tail alongside, in place; returns the leading row
-        of what is left, or None when col reduced to zero."""
-        neg, axpy, pivots = self.field.neg, self.field.axpy, self.pivots
+        of what is left (None if nothing is) and ``scale`` times their scaling."""
+        step, pivots = self.field.eliminate, self.pivots
         while col:
             r = min(col)
             hit = pivots.get(r)
             if hit is None:
-                return r
-            pcol, ptail = hit
-            c = neg(col[r])
-            axpy(col, pcol, c)
-            if tail is not None:
-                axpy(tail, ptail, c)
-        return None
+                return r, scale
+            scale *= step(col, tail, hit, r)
+        return None, scale
 
     def insert(self, col, tail):
         """Returns None if the column joined the echelon, else its tail
         (a kernel combination when the tail tracked the identity)."""
         f = self.field
-        col = dict(col)
-        tail = dict(tail) if tail is not None else None
-        r = self._reduce(col, tail)
+        col, lcm = f.clear_denominators(col)
+        col, scale = (dict(col), 1) if lcm is None else (col, lcm)
+        if tail is not None:
+            tail = dict(tail) if lcm is None else {k: v * lcm for k, v in tail.items()}
+        r, scale = self._reduce(col, tail, scale)
         if r is None:
-            return tail if tail is not None else {}
-        piv = col[r]
-        if not f.is_one(piv):
-            ip = f.inv(piv)
-            # col and tail times 1/piv, each into a fresh dict in key order
-            col, scaled = {}, col
-            f.axpy(col, scaled, ip)
-            if tail is not None:
-                tail, scaled = {}, tail
-                f.axpy(tail, scaled, ip)
-        self.pivots[r] = (col, tail if tail is not None else {})
+            if tail is None:
+                return {}
+            return tail if scale == 1 else f.unscale(tail, scale)
+        self.pivots[r] = f.primitive(col, tail if tail is not None else {})
         return None
 
     @property
@@ -278,19 +273,17 @@ class SparseEchelon:
         return len(self.pivots)
 
     def solve(self, rhs_dict):
-        """x with (echelon columns as M) · x = rhs, or None.
-
-        Over Q a fractional rhs is reduced as L·rhs, L the lcm of its
-        denominators, and the solution divided by L afterwards."""
+        """x with (echelon columns as M) · x = rhs, or None: the reduction
+        of scale·rhs leaves M·tail = −scale·rhs, so x = −tail/scale."""
         f = self.field
         col, scale = f.clear_denominators(rhs_dict)
         col, tail = dict(col), {}
-        if self._reduce(col, tail) is not None:
+        r, scale = self._reduce(col, tail, scale or 1)
+        if r is not None:
             return None
-        if scale is None:
+        if scale == 1:
             return {idx: f.neg(v) for idx, v in tail.items()}
-        s = f.neg(f.inv(scale))
-        return {idx: f.mul(s, v) for idx, v in tail.items()}
+        return f.unscale(tail, -scale)
 
 
 def linear_combination(f, terms, length):
@@ -404,21 +397,21 @@ def determinant(m: Matrix):
     """det m as a raw value, read off the echelon of its columns.
 
     Column j is reduced only by multiples of the columns before it and
-    then joins with leading row r_j and pivot p_j, its tail keeping 1/p_j
-    at j, so det m = sign(j ↦ r_j) · Π p_j; a column that does not join
-    makes m singular."""
+    then joins with leading row r_j, kept as λ_j times what is left of it,
+    its tail λ_j at j: its pivot is p_j = lead/tail[j], det m = sign(j ↦
+    r_j) · Π p_j, and a column that does not join makes m singular."""
     if m.rows != m.cols:
         raise MalformedInput("determinant of a non-square matrix")
     f = m.field
     ech, _, kernel = echelon(f, m.sparse_columns())
     if kernel:
         return f.zero()
-    lead, inv_det = [0] * m.rows, f.one()
-    for r, (_, tail) in ech.pivots.items():
+    lead, num, den = [0] * m.rows, f.one(), f.one()
+    for r, (col, tail) in ech.pivots.items():
         j = max(tail)
-        lead[j], inv_det = r, f.mul(inv_det, tail[j])
+        lead[j], num, den = r, f.mul(num, col[r]), f.mul(den, tail[j])
     inversions = sum(a > b for i, a in enumerate(lead) for b in lead[i + 1:])
-    det = f.inv(inv_det)
+    det = f.div(num, den)
     return f.neg(det) if inversions % 2 else det
 
 

@@ -21,6 +21,7 @@ from frobcalc.linalg import (Matrix, dense_vector, echelon, solve_linear,
                              sparse_combination, sparse_kernel_basis,
                              sparse_vector)
 from test_fields import assert_canonical
+from test_kernels import RefEchelon, assert_integral_pivots, normalized, typed
 
 Q = Field.rationals()
 
@@ -488,61 +489,101 @@ def test_rational_cocycles_and_homology_keep_the_canonical_form():
     assert Fraction(1, 2) in (v for row in action.data for v in row)
 
 
-def _homology_state(field, monkeypatch=None):
+def _homology_state(field):
     """exterior(3) over ``field`` at p = 2, twisted: the kernel of b₂, the
-    report, the cached homology state and the Frobenius structure; with
-    ``monkeypatch`` the field's denominator clearing is switched off."""
+    report, the cached homology state and the Frobenius structure."""
     item = exterior(3, field)
     A, F = item.algebra, make_frobenius(item.algebra, item.gram)
-    if monkeypatch is not None:
-        monkeypatch.setattr(field, "clear_denominators", lambda vec: (vec, None))
     twist = F.sigma.matrix
     _, kernel = hh._echelonize(field, hh._stream_boundary(A, 2, twist), tails=True)
     rep = hh.homology_dimension(A, 2, hh.TWISTED, F.sigma)
     return kernel, rep, hh._homology(A, 2, twist), F
 
 
-def _items(d):
-    return list(d.items())
+def _ref_echelon(field, columns, tails=True):
+    """A normalizing per-scalar echelon (``RefEchelon``) fed ``columns`` in
+    order, with identity tails or none: the echelon and its kernel tails."""
+    ref, kernel = RefEchelon(field), []
+    for j, col in enumerate(columns):
+        out = ref.insert(col, {j: field.one()} if tails else None)
+        if out is not None and tails:
+            kernel.append(out)
+    return ref, kernel
 
 
-def test_rational_representatives_enter_the_echelon_integral(monkeypatch):
+def _ref_representatives(ref, cycles, vector=lambda kv: kv):
+    """The cycles that join ``ref``, the i-th to join with tail {i: 1}, as
+    ``_representatives`` inserts them."""
+    reps = []
+    for kv in cycles:
+        if ref.insert(vector(kv), {len(reps): 1}) is None:
+            reps.append(kv)
+    return reps
+
+
+def test_rational_representatives_enter_the_echelon_integral():
     # exterior(3)/Q at p = 2: 54 cycle entries and one representative are
     # not integral; the twist has a validated form, so each cycle's pairing
-    # vector v against the cocycles enters the echelon, as L·v with tail
-    # {i: L} when v is fractional
-    kernel, rep, state, F = _homology_state(Field.rationals())
-    ech = state.echelon
+    # vector v against the cocycles enters the echelon, which clears v's
+    # denominators and keeps ints only
+    kernel, rep, state, F = _homology_state(Q)
+    A, ech = F.algebra, state.echelon
     assert state.pairing is not None
     assert sum(type(v) is Fraction for kv in kernel for v in kv.values()) == 54
     assert sum(any(type(v) is Fraction for v in kv.values())
                for kv in rep.representatives) == 1
     # the representatives are the kernel vectors themselves, unscaled
     assert all(kv in kernel for kv in rep.representatives)
-    assert sum(any(type(v) is Fraction for v in
-                   sparse_combination(Q, state.pairing, kv).values())
+
+    def pairing(kv):
+        return sparse_combination(Q, state.pairing, kv)
+
+    assert sum(any(type(v) is Fraction for v in pairing(kv).values())
                for kv in kernel) == 18
     for i, kv in enumerate(rep.representatives):
         assert state.coordinates(kv) == {i: 1}
     assert hh.sigma_action_on_homology(F, 2, hh.TWISTED).is_identity()
-    # the same reports and the same echelon, key order included, with the
-    # clearing switched off
-    ref_kernel, ref_rep, ref_state, ref_F = _homology_state(Field.rationals(),
-                                                            monkeypatch)
-    ref_ech = ref_state.echelon
-    assert rep == ref_rep and list(map(_items, rep.representatives)) == \
-        list(map(_items, ref_rep.representatives))
-    assert list(ech.pivots) == list(ref_ech.pivots)
-    for r, (col, tail) in ech.pivots.items():
-        assert (_items(col), _items(tail)) == tuple(map(_items, ref_ech.pivots[r]))
-    assert_canonical(v for col, tail in ech.pivots.values()
-                     for v in (*col.values(), *tail.values()))
-    hh_rep = hh.hh_dimension(F.algebra, 2)
-    ref_hh = hh.hh_dimension(ref_F.algebra, 2)
+    # the same kernel, representatives, pivot rows and coordinates, key
+    # order and value types included, as a normalizing echelon on
+    # Fractions fed the same vectors; each pivot is the reference's times
+    # its lead
+    ref_kernel = _ref_echelon(Q, hh._stream_boundary(A, 2, F.sigma.matrix))[1]
+    assert list(map(typed, kernel)) == list(map(typed, ref_kernel))
+    ref = RefEchelon(Q)
+    ref_reps = _ref_representatives(ref, kernel, pairing)
+    assert list(map(typed, rep.representatives)) == list(map(typed, ref_reps))
+    assert list(ech.pivots) == list(ref.pivots)
+    for r, pivot in ech.pivots.items():
+        assert tuple(map(typed, normalized(Q, pivot))) == \
+            tuple(map(typed, ref.pivots[r]))
+    assert_integral_pivots(ech)
+    for kv in kernel:
+        assert typed(state.coordinates(kv)) == typed(ref.solve(pairing(kv)))
+    # HH² on the same algebra: the cocycles of d² against the echelon of d¹
+    hh_rep = hh.hh_dimension(A, 2)
+    ref_b = _ref_echelon(Q, hh._coboundary_columns(A, 1), tails=False)[0]
+    dim_bound = len(ref_b.pivots)
+    cocycles = _ref_echelon(Q, hh._coboundary_columns(A, 2))[1]
+    ref_reps = _ref_representatives(ref_b, cocycles)
     assert (hh_rep.dim_cycles, hh_rep.dim_boundaries, hh_rep.dim) == \
-        (ref_hh.dim_cycles, ref_hh.dim_boundaries, ref_hh.dim) == (73, 49, 24)
-    assert [c.data for c in hh_rep.representatives] == \
-        [c.data for c in ref_hh.representatives]
+        (len(cocycles), dim_bound, len(ref_reps)) == (73, 49, 24)
+    assert [typed(c.data) for c in hh_rep.representatives] == \
+        list(map(typed, ref_reps))
+
+
+def test_rational_pivots_hold_ints_of_content_one():
+    # S₃/Q d² (integral structure constants) and qci(1/2)/Q d³ (fractional
+    # ones): every pivot column and tail holds ints of content 1, and the
+    # canonical kernel is the normalizing echelon's, value types included
+    for A, p in ((s3_group_algebra().algebra, 2), (qci(Fraction(1, 2)).algebra, 3)):
+        cols = hh._coboundary_columns(A, p)
+        ech, kernel = hh._echelonize(Q, cols, tails=True)
+        assert_integral_pivots(ech)
+        ref, ref_kernel = _ref_echelon(Q, cols)
+        assert list(ech.pivots) == list(ref.pivots)
+        assert list(map(typed, kernel)) == list(map(typed, ref_kernel))
+    assert any(type(v) is Fraction for col in cols for v in col.values())
+    assert any(type(v) is Fraction for kv in kernel for v in kv.values())
 
 
 CACHE_TAGS = {"cob", "cocycles", "faces", "hom", "nakayama-form"}
@@ -718,9 +759,9 @@ DUALITY_CARRIERS = {
 
 def _twisted_homology(item, dual):
     """Twisted H_p for p ≤ 2 on a fresh copy of ``item``: per degree the
-    report, its representatives' items in key order and the σ-action.
-    Without ``dual`` the form record is dropped, so the boundaries of b_{p+1}
-    are eliminated."""
+    report, its representatives' items in key order with their value
+    types, and the σ-action.  Without ``dual`` the form record is dropped,
+    so the boundaries of b_{p+1} are eliminated."""
     A = item.algebra
     F = make_frobenius(A, item.gram)
     if not dual:
@@ -729,7 +770,7 @@ def _twisted_homology(item, dual):
     for p in range(3):
         rep = hh.homology_dimension(A, p, hh.TWISTED, F.sigma)
         assert (hh._homology(A, p, F.sigma.matrix).pairing is not None) == dual
-        out.append((rep, [_items(kv) for kv in rep.representatives],
+        out.append((rep, [typed(kv) for kv in rep.representatives],
                     hh.sigma_action_on_homology(F, p, hh.TWISTED)))
     return out
 

@@ -1,13 +1,16 @@
 """The fused sparse loops of each field kind against per-scalar references.
 
 ``Field.axpy``/``add_entry``/``matmul``/``monomial_mode`` run on plain ``+ *`` over Q and
-F_p; ``SparseEchelon`` reduces through them and clears Q denominators in
-``solve``.  The references below are the same loops written with one
-``Field`` method call per scalar: results, key order and the canonical Q
-form must come out the same.
+F_p; ``SparseEchelon`` reduces through ``Field.eliminate``, keeps its
+pivots unnormalized and, over Q, holds ints only.  The references below
+are the same loops written with one ``Field`` method call per scalar, and
+an echelon that normalizes every pivot to 1: results, key order and the
+canonical Q form must come out the same, and the echelon's pivots must
+be the reference's once divided by their leads.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +60,29 @@ def check_form(f, values):
     assert not any(f.is_zero(v) for v in values)
     if f == FIELDS["Q"]:
         assert_canonical(values)
+
+
+def typed(d):
+    """A sparse dict's items in key order, each with its value's type."""
+    return [(k, v, type(v)) for k, v in d.items()]
+
+
+def normalized(f, pivot):
+    """(col/lead, tail/lead) of a pivot (col, tail), lead its entry at its
+    least row: the pivot a normalizing echelon keeps."""
+    col, tail = pivot
+    il = f.inv(col[min(col)])
+    return ({k: f.mul(il, v) for k, v in col.items()},
+            {k: f.mul(il, v) for k, v in tail.items()})
+
+
+def assert_integral_pivots(ech):
+    """Over Q: every pivot column and tail holds ints only, and column ∪
+    tail has content 1."""
+    for col, tail in ech.pivots.values():
+        values = [*col.values(), *tail.values()]
+        assert all(type(v) is int for v in values)
+        assert gcd(*values) == 1
 
 
 # --- per-scalar references -------------------------------------------------
@@ -239,19 +265,24 @@ def test_echelon_insert_and_solve_match_per_scalar_ops(label):
             out, ref_out = ech.insert(col, {j: one}), ref.insert(col, {j: one})
             assert (out is None) == (ref_out is None)
             if out is not None:
-                assert list(out.items()) == list(ref_out.items())
+                assert typed(out) == typed(ref_out)
                 free.append(j)
                 # the canonical kernel tail: 1 at its free column, 0 at
                 # every earlier free one
                 assert f.is_one(out[j])
                 assert not set(free[:-1]) & out.keys()
                 check_form(f, out.values())
+        # the same pivot rows, in order; each pivot is the reference's
+        # times its lead
         assert list(ech.pivots) == list(ref.pivots)
-        for r, (col, tail) in ech.pivots.items():
-            assert list(col.items()) == list(ref.pivots[r][0].items())
-            assert list(tail.items()) == list(ref.pivots[r][1].items())
-            check_form(f, col.values())
-            check_form(f, tail.values())
+        for r, pivot in ech.pivots.items():
+            col, tail = normalized(f, pivot)
+            assert typed(col) == typed(ref.pivots[r][0])
+            assert typed(tail) == typed(ref.pivots[r][1])
+            check_form(f, pivot[0].values())
+            check_form(f, pivot[1].values())
+        if f == FIELDS["Q"]:
+            assert_integral_pivots(ech)
         # a column combination (in the span) and a free right-hand side
         combo = {}
         for c, col in zip(coeffs, cols):
@@ -263,7 +294,7 @@ def test_echelon_insert_and_solve_match_per_scalar_ops(label):
             if x is None:
                 assert rhs is not combo
                 continue
-            assert list(x.items()) == list(y.items())
+            assert typed(x) == typed(y)
             check_form(f, x.values())
             back = {}
             for j, v in x.items():

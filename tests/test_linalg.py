@@ -12,6 +12,7 @@ from frobcalc.linalg import (Matrix, SparseEchelon, determinant, echelon,
                              independent_columns, invert, kernel_basis,
                              linear_combination, solve_linear)
 from test_fields import assert_canonical
+from test_kernels import normalized, typed
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -168,9 +169,13 @@ def test_rank_only_insert_matches_tracked(label):
             joined = plain.insert(col, None) is None
             assert joined == (tracked.insert(col, {j: field.one()}) is None)
         assert plain.rank == tracked.rank
-        assert plain.pivots.keys() == tracked.pivots.keys()
+        assert list(plain.pivots) == list(tracked.pivots)
+        # a pivot is kept up to a scalar (over Q, the content of column and
+        # tail together): divided by its lead, the columns agree
         for r, (col, tail) in plain.pivots.items():
-            assert col == tracked.pivots[r][0] and tail == {}
+            assert tail == {}
+            assert typed(normalized(field, (col, {}))[0]) == \
+                typed(normalized(field, tracked.pivots[r])[0])
 
     props()
 
@@ -207,11 +212,8 @@ def test_determinant_matches_the_permutation_expansion(label):
     # 0–4 including singular ones and ones whose first pivot is zero
     field = FIELDS[label]
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=4), st.data())
-    def props(n, data):
-        rows = data.draw(st.lists(st.lists(ENTRY[label], min_size=n, max_size=n),
-                                  min_size=n, max_size=n))
+    def check(rows):
+        n = len(rows)
         m = Matrix(field, rows)
         expected = field.zero()
         for perm in itertools.permutations(range(n)):
@@ -227,7 +229,17 @@ def test_determinant_matches_the_permutation_expansion(label):
             shifted = Matrix(field, m.data[1:] + m.data[:1])
             assert determinant(shifted) == (expected if n % 2 else field.neg(expected))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=4), st.data())
+    def props(n, data):
+        check(data.draw(st.lists(st.lists(ENTRY[label], min_size=n, max_size=n),
+                                 min_size=n, max_size=n)))
+
     props()
+    # non-unit leads, kept unscaled: over Q the pivots lead/tail[j] are 2, 3,
+    # 5/3 and 9/2, then 2, 3 and −4; over F5 the first matrix is singular
+    check([[2, 1, 1, 0], [0, 3, 1, 1], [1, 0, 2, 4], [1, 1, 0, 3]])
+    check([[0, 3, 2], [2, 0, 1], [4, 3, 0]])
     assert determinant(Matrix(field, [[0, 1], [1, 0]])) == field.neg(field.one())
     with pytest.raises(MalformedInput):
         determinant(Matrix.zero(field, 2, 3))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,8 @@ from frobcalc.algebra import ROLE_ENDOMORPHISM, LinearMap, inner_automorphism
 from frobcalc.cli import parse_field_flag, run
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.gallery import exterior, matrix_algebra, qci, trivial_extension
+from frobcalc.gallery import (exterior, matrix_algebra, qci, s3_group_algebra,
+                              trivial_extension)
 from frobcalc.groups import cyclic_group
 
 Q = Field.rationals()
@@ -482,9 +484,11 @@ def augmentation_map():
 # branch, the next two while crossed products and twisted boundaries still
 # formed dense multiplication matrices, the next three while each caller
 # of an inverse ran its own elimination, the next two while twisted
-# homology still eliminated b_{p+1} for its boundaries, and the last two
+# homology still eliminated b_{p+1} for its boundaries, the next two
 # while the bar differentials were built column by column from product
-# lookups and the duality check transposed the streamed b_{p+1}.
+# lookups and the duality check transposed the streamed b_{p+1}, and the
+# last two while the echelon scaled every pivot to lead 1 and Q reduced
+# on Fractions.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -612,6 +616,16 @@ GOLDEN = {
         {"--file": lambda: algebra_doc(exterior(3))},
         ["hochschild", "--max-degree", "3"], 0,
         "f6572e0b24c221904682caa7179662614126dabe4ddc24ba0fc95e2616fad351"),
+    # d³ of S₃ reduces through leads other than ±1; qci(1/2) has fractional
+    # structure constants, so its cochains enter the echelons fractional
+    "hochschild S3/Q p<=3": (
+        {"--file": lambda: algebra_doc(s3_group_algebra())},
+        ["hochschild", "--max-degree", "3"], 0,
+        "e3ebfc16d2490d47211322607c48f0eb98e56ef4d059420365926b897f8511d4"),
+    "verify-main-theorem qci(1/2)/Q p<=3": (
+        {"--file": lambda: algebra_doc(qci(Fraction(1, 2)))},
+        ["verify-main-theorem", "--max-degree", "3"], 0,
+        "feba748ad8fe4bc1f346553474198fb6117188d6d1f17df6eac66f53d4390ca1"),
 }
 
 
