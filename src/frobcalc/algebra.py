@@ -593,7 +593,7 @@ def direct_product(A1: Algebra, A2: Algebra) -> Algebra:
     return Algebra(A1.field, n1 + A2.dim, names, triples, unit)
 
 
-def product_embed(P: Algebra, A: Algebra, el: Element, offset: int) -> Element:
+def product_embed(P: Algebra, el: Element, offset: int) -> Element:
     """Embed an element of a factor into the product at the given offset."""
     f = P.field
     v = [f.zero()] * P.dim
@@ -679,7 +679,7 @@ def restrict_scalars(A: Algebra, base_field) -> Algebra:
     return Algebra(base_field, A.dim * k, names, triples, unit)
 
 
-def restrict_element(Ap: Algebra, A: Algebra, el: Element) -> Element:
+def restrict_element(Ap: Algebra, el: Element) -> Element:
     return Element(Ap, [comp for c in el.raw for comp in c], _raw=True)
 
 

@@ -182,12 +182,16 @@ class AlgebraPolynomial:
         return f"AlgebraPolynomial({[str(c) for c in self.coeffs]})"
 
 
-def _check_nilpotent(d: LinearMap):
-    power = d.matrix
-    for _ in range(d.algebra.dim - 1):
-        power = power * d.matrix
-    if power != Matrix.zero(d.algebra.field, d.algebra.dim, d.algebra.dim):
+def _nilpotent_powers(d: LinearMap):
+    """[d⁰, …, d^{n−1}] for n = dim A, once dⁿ = 0 is checked on the same
+    chain of products."""
+    f, n = d.algebra.field, d.algebra.dim
+    powers = [Matrix.identity(f, n), d.matrix]
+    while len(powers) <= n:
+        powers.append(powers[-1] * d.matrix)
+    if powers.pop() != Matrix.zero(f, n, n):
         raise MalformedInput("derivation is not nilpotent")
+    return powers
 
 
 def liouville_polynomial(F: FrobeniusStructure, d: LinearMap) -> AlgebraPolynomial:
@@ -199,7 +203,7 @@ def liouville_polynomial(F: FrobeniusStructure, d: LinearMap) -> AlgebraPolynomi
     A = F.algebra
     if A.field.characteristic != 0:
         raise MalformedInput("Liouville polynomial needs characteristic zero")
-    _check_nilpotent(d)
+    _nilpotent_powers(d)
     phis = phi_sequence(F, d, A.dim)
     f = A.field
     coeffs = [phi.scale(f.inv(f.from_int(factorial(k)))) for k, phi in enumerate(phis)]
@@ -221,12 +225,9 @@ def exp_derivation(d: LinearMap, t) -> LinearMap:
     A = d.algebra
     if A.field.characteristic != 0:
         raise MalformedInput("exponential needs characteristic zero")
-    _check_nilpotent(d)
+    powers = _nilpotent_powers(d)
     f = A.field
     t = f.coerce(t)
-    powers = [Matrix.identity(f, A.dim)]
-    for _ in range(1, A.dim):
-        powers.append(powers[-1] * d.matrix)
     acc = Matrix.combination(
         f, A.dim, A.dim, ((f.div(f.pow_int(t, k), f.from_int(factorial(k))), dk)
                           for k, dk in enumerate(powers)))

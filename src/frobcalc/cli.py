@@ -61,7 +61,7 @@ def parse_field_flag(text):
     raise MalformedInput(f"cannot parse field {text!r}")
 
 
-def build_report(checks, seed, digest, data=None):
+def build_report(checks, seed, digest, data):
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for c in checks:
         counts[c.status] += 1
@@ -71,7 +71,7 @@ def build_report(checks, seed, digest, data=None):
         "input_digest": digest,
         "seed": seed,
         "checks": [c.as_doc() for c in checks],
-        "data": data or {},
+        "data": data,
         "counts": counts,
     }
 
@@ -329,12 +329,12 @@ def _qci(args, field):
 
 
 def _trivial(args, field):
-    """The trivial extension of ``--base``, always over Q."""
+    """The trivial extension of ``--base``, over ``--field`` (default Q)."""
     bases = {"rationals": ground_field_algebra, "dual-numbers": dual_numbers,
              "matrix2": lambda Q: matrix_algebra(2, Q).algebra}
     if args.base not in bases:
         raise MalformedInput(f"unknown base {args.base!r}")
-    return trivial_extension(bases[args.base](Field.rationals()))
+    return trivial_extension(bases[args.base](field or Field.rationals()))
 
 
 # name -> (builder(args, field or None), closed-form lemma, --verify-all suites)

@@ -88,14 +88,12 @@ class ExteriorGallery:
                 triples.append((si, ti, out, field.from_int(sign)))
         unit = [field.one()] + [field.zero()] * (dim - 1)
         self.algebra = Algebra(field, dim, names, triples, unit)
-        top = self.index[tuple(range(n))]
+        # ⟨x^S, x^T⟩ is nonzero only at T = Sᶜ
         g = [[field.zero()] * dim for _ in range(dim)]
         for si, S in enumerate(self.subsets):
-            for ti, T in enumerate(self.subsets):
-                if not (set(S) & set(T)) and len(S) + len(T) == n:
-                    g[si][ti] = field.from_int(self._merge_sign(S, T))
+            T = tuple(i for i in range(n) if i not in S)
+            g[si][self.index[T]] = field.from_int(self._merge_sign(S, T))
         self.gram = Matrix(field, g, _raw=True)
-        self._top = top
 
     @staticmethod
     def _merge_sign(S, T):
@@ -139,7 +137,7 @@ class ExteriorGallery:
         return LinearMap(self.algebra, Matrix.from_columns(f, cols))
 
     # automorphism constructors ---------------------------------------------
-    def from_generator_images(self, images, role=ROLE_ENDOMORPHISM) -> LinearMap:
+    def from_generator_images(self, images) -> LinearMap:
         """Multiplicative extension of x_i ↦ images[i]."""
         f = self.field
         cols = []
@@ -148,7 +146,8 @@ class ExteriorGallery:
             for i in S:
                 el = el * images[i]
             cols.append(el.raw)
-        return LinearMap(self.algebra, Matrix.from_columns(f, cols), role)
+        return LinearMap(self.algebra, Matrix.from_columns(f, cols),
+                         ROLE_ENDOMORPHISM)
 
     def phi(self, fmat) -> LinearMap:
         """Grading-preserving automorphism induced by an invertible map on V."""
@@ -201,7 +200,7 @@ class ExteriorGallery:
             coeff = self.field.neg(coeff)
         return one + self.monomial(rest).scale(coeff)
 
-    def random_odd_element(self, rng, top=False):
+    def random_odd_element(self, rng):
         """Random element of the odd part (small coefficients)."""
         f = self.field
         v = [f.zero()] * self.algebra.dim
@@ -331,7 +330,7 @@ class TrivialExtensionGallery:
     order, so block maps on B ⊕ DB are literal 2x2 block matrices.
     """
 
-    def __init__(self, B: Algebra, tau: LinearMap | None = None, label=None):
+    def __init__(self, B: Algebra, tau: LinearMap | None = None):
         self.B = B
         f = B.field
         n = B.dim
@@ -342,7 +341,7 @@ class TrivialExtensionGallery:
                 raise MalformedInput("tau must be an endomorphism of B")
             if not tau.is_invertible():
                 raise MalformedInput("tau must be invertible")
-        self.name = label or ("trivial-ext" if tau is None else "twisted-trivial-ext")
+        self.name = "trivial-ext" if tau is None else "twisted-trivial-ext"
         names = list(B.basis_names) + [f"{nm}*" for nm in B.basis_names]
         triples = [(i, j, k, c) for (i, j), terms in B.structure.items()
                    for k, c in terms]
@@ -376,12 +375,12 @@ class TrivialExtensionGallery:
         n = self.B.dim
         return (Element(self.B, el.raw[:n], _raw=True), list(el.raw[n:]))
 
-    def from_blocks(self, a, b, c, d, role=ROLE_ENDOMORPHISM) -> LinearMap:
-        """Assemble a block map [[a, b], [c, d]] and validate its role."""
+    def from_blocks(self, a, b, c, d) -> LinearMap:
+        """Assemble a block map [[a, b], [c, d]], validated as an endomorphism."""
         a, b, c, d = (blk if blk is None or isinstance(blk, Matrix)
                       else Matrix(self.field, blk) for blk in (a, b, c, d))
         return LinearMap(self.algebra, Matrix.block(self.field, [[a, b], [c, d]]),
-                         role)
+                         ROLE_ENDOMORPHISM)
 
     def u_z(self, z: Element) -> LinearMap:
         """diag(id, m_zᵀ) for a central unit z of B."""
@@ -452,8 +451,8 @@ class TrivialExtensionGallery:
         return out
 
 
-def trivial_extension(B: Algebra, tau: LinearMap | None = None, label=None):
-    return TrivialExtensionGallery(B, tau, label)
+def trivial_extension(B: Algebra, tau: LinearMap | None = None):
+    return TrivialExtensionGallery(B, tau)
 
 
 def shared_trivial_extension(B: Algebra):
@@ -583,12 +582,10 @@ def matrix_algebra(m, field=None, *, budget=None):
     return SimpleGallery(f"matrix({m})", A, trace_form_gram(A))
 
 
-def group_algebra(G: GroupData, field=None, names=None):
-    field = field or Field.rationals()
-    f = field
+def group_algebra(G: GroupData, field=None):
+    f = field or Field.rationals()
     m = G.order
-    if names is None:
-        names = [f"g{i}" if i != G.identity else "e" for i in range(m)]
+    names = [f"g{i}" if i != G.identity else "e" for i in range(m)]
     triples = [(i, j, G.mul(i, j), 1) for i in range(m) for j in range(m)]
     unit = [0] * m
     unit[G.identity] = 1

@@ -14,7 +14,7 @@ class GroupData:
 
     __slots__ = ("order", "table", "identity", "inverse")
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         m = len(table)
         if m == 0 or m > MAX_ORDER:
             raise MalformedInput(f"group order must be in [1, {MAX_ORDER}]")

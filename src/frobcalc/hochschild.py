@@ -314,7 +314,7 @@ def _mode_product(fld, data, n, w, slot):
 # ---------------------------------------------------------------------------
 # public operations
 
-def _resolve_twist(A, coeffs, sigma):
+def _resolve_twist(coeffs, sigma):
     if coeffs == UNTWISTED:
         return None
     if coeffs == TWISTED:
@@ -483,13 +483,13 @@ def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
     {flat index m·n^p + J: raw value}, fresh on every call.  The budget is
     charged for b_{p+1}'s n^{p+2} columns, as ``hh_dimension`` charges d^p."""
     _check_budget(A, p, budget)
-    twist = _resolve_twist(A, coeffs, sigma)
+    twist = _resolve_twist(coeffs, sigma)
     state = _homology(A, p, twist)
     return HomologyReport(p, state.cycles, state.boundaries, len(state.reps),
                           [dict(kv) for kv in state.reps])
 
 
-def cochain_action(u: LinearMap, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
+def cochain_action(u: LinearMap, f: Cochain) -> Cochain:
     """The twisted cochain a₁⊗...⊗a_p ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p)).
 
     ``u`` is an invertible endomorphism; u⁻¹ is the one u keeps, so acting
@@ -526,7 +526,7 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
         raise MalformedInput("certificates start at degree 1")
     if not is_cocycle(A, f, budget):
         raise MalformedInput("cochain is not a cocycle")
-    rhs = cochain_action(F.sigma, f, budget) - f
+    rhs = cochain_action(F.sigma, f) - f
     if rhs.is_zero():
         return Cochain(A, p - 1, {})
     # the echelon of d^{p−1} depends on A alone: kept beside its columns
@@ -564,7 +564,7 @@ def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
     A = F.algebra
     fld, n = A.field, A.dim
     _check_budget(A, p, budget)
-    twist = _resolve_twist(A, coeffs, F.sigma)
+    twist = _resolve_twist(coeffs, F.sigma)
     state = _homology(A, p, twist)
     slot = _slot_map(F.sigma.matrix.sparse_columns())
     h = len(state.reps)
@@ -597,15 +597,15 @@ def duality_dims(F: FrobeniusStructure, pmax, budget=DEFAULT_BUDGET):
     return out
 
 
-def verify_complex(A: Algebra, pmax, budget=DEFAULT_BUDGET,
-                   sigma: LinearMap | None = None) -> bool:
-    """d∘d = 0 and b∘b = 0 (both coefficient choices) up to degree pmax.
+def verify_complex(A: Algebra, pmax, sigma: LinearMap | None = None) -> bool:
+    """d∘d = 0 and b∘b = 0 (both coefficient choices) up to degree pmax,
+    each d^p charged against ``DEFAULT_BUDGET``.
 
     b's columns are streamed degree by degree and applied to the list of
     the degree below, the only one held."""
     fld = A.field
     for p in range(pmax + 1):
-        _check_budget(A, p, budget)
+        _check_budget(A, p, DEFAULT_BUDGET)
         cols_p = _coboundary_columns(A, p)
         cols_q = _coboundary_columns(A, p + 1)
         for col in cols_p:
@@ -634,7 +634,7 @@ class ConnesImageResult:
     jacobian: object = None
 
 
-def connes_image_test(B: Algebra, tau, t=None, rng=None) -> ConnesImageResult:
+def connes_image_test(B: Algebra, tau, t=None) -> ConnesImageResult:
     """Decide whether the commutator-vanishing functional tau on B lies in
     the image of the transpose of the degree-0 Connes boundary.
 

@@ -164,19 +164,19 @@ def frobenius_of(item):
 # ---------------------------------------------------------------------------
 # samplers
 
-def _random_unit(A, rng, tries=64):
+def _random_unit(A, rng):
     f = A.field
-    for _ in range(tries):
+    for _ in range(64):
         el = Element(A, [f.random(rng, 2) for _ in range(A.dim)])
         if inverse_of(el) is not None:
             return el
     return A.unit_element()
 
 
-def _random_central_unit(A, rng, tries=64):
+def _random_central_unit(A, rng):
     f = A.field
     zs = center_basis(A)
-    for _ in range(tries):
+    for _ in range(64):
         el = A.combination((f.random(rng, 2), z) for z in zs)
         if inverse_of(el) is not None:
             return el
@@ -187,7 +187,7 @@ def derivation_basis(A):
     basis = A._cache.get("derivation-basis")
     if basis is None:
         basis = [c.as_linear_map(ROLE_DERIVATION)
-                 for c in hh.cocycle_basis(A, 1, budget=SUITE_BUDGET)]
+                 for c in hh.cocycle_basis(A, 1)]
         A._cache["derivation-basis"] = basis
     return basis
 
@@ -224,7 +224,7 @@ def automorphism_sampler(name, item):
                     v = item.iota(item.random_odd_element(rng))
                 u = v if u is None else u.compose(v)
             return u
-        if kind in ("trivQ", "trivDual", "trivM", "trivM2", "triv"):
+        if kind in ("trivQ", "trivDual", "trivM", "triv"):
             B = item.B
             u = item.u_z(_random_central_unit(B, rng))
             ders = item.derivation_space_to_dual()
@@ -246,8 +246,8 @@ def automorphism_sampler(name, item):
     return sample
 
 
-def _random_invertible(field, n, rng, tries=64):
-    for _ in range(tries):
+def _random_invertible(field, n, rng):
+    for _ in range(64):
         m = Matrix(field, [[field.random(rng, 2) for _ in range(n)]
                            for _ in range(n)], _raw=True)
         if invert(m) is not None:
@@ -258,9 +258,7 @@ def _random_invertible(field, n, rng, tries=64):
 # ---------------------------------------------------------------------------
 # suites, one per acceptance criterion (plus shared extras)
 
-# the cochain budget of the bar-complex suites, and the sample counts of
-# the Grassmann and 𝔽₅ cyclic suites
-SUITE_BUDGET = 1 << 22
+# the sample counts of the Grassmann and 𝔽₅ cyclic suites
 GRASSMANN_SAMPLES = 10
 CYCLIC5_SAMPLES = 30
 
@@ -444,7 +442,7 @@ def suite_main_theorem():
             continue
         F = frobenius_of(item)
         for p in degrees:
-            cocycles, missing = hh.main_theorem(F, p, SUITE_BUDGET)
+            cocycles, missing = hh.main_theorem(F, p)
             lemma = "hh2" if p == 2 else "main"
             s.record(f"certificates/{name}/p={p}", lemma, not missing,
                      {"algebra": name, "degree": p, "cocycles": cocycles,
@@ -459,22 +457,22 @@ def suite_main_theorem():
 def suite_homology():
     s = Suite()
     F = frobenius_of(carrier("qci2"))
-    act_plain = hh.sigma_action_on_homology(F, 0, hh.UNTWISTED, SUITE_BUDGET)
+    act_plain = hh.sigma_action_on_homology(F, 0, hh.UNTWISTED)
     s.record("homology/untwisted-nontrivial", "ex:four",
              not act_plain.is_identity())
-    act_tw = hh.sigma_action_on_homology(F, 0, hh.TWISTED, SUITE_BUDGET)
+    act_tw = hh.sigma_action_on_homology(F, 0, hh.TWISTED)
     s.record("homology/twisted-trivial-p0", "twisted", act_tw.is_identity())
-    act_tw1 = hh.sigma_action_on_homology(F, 1, hh.TWISTED, SUITE_BUDGET)
+    act_tw1 = hh.sigma_action_on_homology(F, 1, hh.TWISTED)
     s.record("homology/twisted-trivial-p1", "twisted", act_tw1.is_identity())
     for name in ("qci2", "exterior2"):
         F = frobenius_of(carrier(name))
-        table = hh.duality_dims(F, 2, SUITE_BUDGET)
+        table = hh.duality_dims(F, 2)
         s.record(f"duality/{name}", "partial",
                  all(row["match"] for row in table),
                  {"table": table})
     # symmetric sanity case: plain vs twisted coincide when sigma is trivial
     F3 = frobenius_of(carrier("cyclic3"))
-    table = hh.duality_dims(F3, 2, SUITE_BUDGET)
+    table = hh.duality_dims(F3, 2)
     s.record("duality/cyclic3", "partial", all(row["match"] for row in table),
              {"table": table})
     return s.checks
@@ -660,30 +658,17 @@ def suite_liouville(rng):
 
 
 def _interpolated_derivative_at_zero(A, samples):
-    """Derivative at 0 of the degree-<4 polynomial through 4 sample points.
-
-    Lagrange: p'(0) = Σ_i y_i · l_i'(0) with nodes t_i; exact in Q and
+    """Derivative at 0 of the polynomial of degree < len(samples) through
+    the samples (t_i, y_i): p'(0) = Σ_i w_i·y_i, the weights solving
+    Vᵀw = e₁ for the Vandermonde matrix V[i][k] = t_iᵏ.  Exact, and
     independent of how the samples were produced.
     """
     f = A.field
     ts = [f.coerce(t) for t, _ in samples]
-    terms = []
-    for i, ti in enumerate(ts):
-        denom = f.one()
-        for j, tj in enumerate(ts):
-            if j != i:
-                denom = f.mul(denom, f.sub(ti, tj))
-        acc = f.zero()
-        for j, tj in enumerate(ts):
-            if j == i:
-                continue
-            term = f.one()
-            for k, tk in enumerate(ts):
-                if k != i and k != j:
-                    term = f.mul(term, f.neg(tk))
-            acc = f.add(acc, term)
-        terms.append((f.div(acc, denom), samples[i][1]))
-    return A.combination(terms)
+    vt = Matrix(f, [[f.pow_int(t, k) for t in ts] for k in range(len(ts))],
+                _raw=True)
+    w = solve_linear(vt, [int(k == 1) for k in range(len(ts))])
+    return A.combination(zip(w, (y for _, y in samples)))
 
 
 def suite_crossed(rng):
@@ -735,8 +720,8 @@ def suite_reductions(rng):
         u1 = automorphism_sampler("qci2", g2)(rng)
         u2 = inner_automorphism(_random_unit(m2.algebra, rng))
         u = block_map(P, u1, u2, ROLE_ENDOMORPHISM)
-        expected = product_embed(P, g2.algebra, jacobian(F1, u1), 0) + \
-            product_embed(P, m2.algebra, jacobian(F2, u2), n1)
+        expected = product_embed(P, jacobian(F1, u1), 0) + \
+            product_embed(P, jacobian(F2, u2), n1)
         s.eq(f"product-jacobian/{k}", "jac:times", jacobian(FP, u), expected)
     # scalar extension F2 -> F4 on char-2 carriers
     F2f = Field.prime(2)
@@ -774,7 +759,7 @@ def suite_reductions(rng):
         u = qK.alpha(a, b, F4f.random(rng), F4f.random(rng))
         up = restrict_map(Ap, AK, u)
         s.eq(f"restrict-jacobian/qci@F4/{k}", "jac:change",
-             jacobian(Fp, up), restrict_element(Ap, AK, jacobian(FK, u)))
+             jacobian(Fp, up), restrict_element(Ap, jacobian(FK, u)))
     # a second eps: the form changes but the Nakayama map must not
     gram_p2 = restrict_gram(Ap, AK, qK.gram, [0, 1])
     Fp2 = make_frobenius(Ap, gram_p2)
@@ -870,7 +855,7 @@ def suite_complexes():
     for name, item in gallery_items():
         F = frobenius_of(item)
         pmax = 2 if item.algebra.dim <= 4 else 1
-        ok = hh.verify_complex(item.algebra, pmax, SUITE_BUDGET, F.sigma)
+        ok = hh.verify_complex(item.algebra, pmax, F.sigma)
         s.record(f"complex/{name}", "main", ok)
     return s.checks
 

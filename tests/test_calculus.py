@@ -253,6 +253,16 @@ def test_liouville_flow_jacobian():
     assert poly.coefficient(1) == divergence(F, d)
 
 
+def test_interpolated_derivative_at_zero_of_a_cubic():
+    # p(t) = a + b·t + c·t² + e·t³ sampled at 0, 1, 2, 1/2: p'(0) = b exactly
+    A = qci(2).algebra
+    a, b, c, e = (Element(A, v) for v in ([1, 2, 0, -1], [0, Fraction(3, 4), 5, 1],
+                                          [7, 0, -2, 0], [1, 1, 1, Fraction(1, 3)]))
+    samples = [(t, a + b.scale(t) + c.scale(t * t) + e.scale(t ** 3))
+               for t in (0, 1, 2, Fraction(1, 2))]
+    assert verify._interpolated_derivative_at_zero(A, samples) == b
+
+
 def test_coboundary_status_three_verdicts():
     item = qci(2)
     A = item.algebra

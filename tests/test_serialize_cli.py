@@ -13,8 +13,8 @@ from frobcalc.algebra import ROLE_ENDOMORPHISM, LinearMap, inner_automorphism
 from frobcalc.cli import parse_field_flag, run
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.gallery import (exterior, matrix_algebra, qci, s3_group_algebra,
-                              trivial_extension)
+from frobcalc.gallery import (dual_numbers, exterior, matrix_algebra, qci,
+                              s3_group_algebra, trivial_extension)
 from frobcalc.groups import cyclic_group
 
 Q = Field.rationals()
@@ -486,9 +486,9 @@ def augmentation_map():
 # of an inverse ran its own elimination, the next two while twisted
 # homology still eliminated b_{p+1} for its boundaries, the next two
 # while the bar differentials were built column by column from product
-# lookups and the duality check transposed the streamed b_{p+1}, and the
-# last two while the echelon scaled every pivot to lead 1 and Q reduced
-# on Fractions.
+# lookups and the duality check transposed the streamed b_{p+1}, the next
+# two while the echelon scaled every pivot to lead 1 and Q reduced on
+# Fractions, and the last one once ``gallery trivial`` built over --field.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -626,6 +626,9 @@ GOLDEN = {
         {"--file": lambda: algebra_doc(qci(Fraction(1, 2)))},
         ["verify-main-theorem", "--max-degree", "3"], 0,
         "feba748ad8fe4bc1f346553474198fb6117188d6d1f17df6eac66f53d4390ca1"),
+    "gallery trivial --field F5": (
+        {}, ["gallery", "trivial", "--field", "F5"], 0,
+        "e4f01049375157c3a2bbf861f33493b109e886314000ce0778fce49e2a0af12d"),
 }
 
 
@@ -640,6 +643,16 @@ def test_golden_report_digests(tmp_path, case):
     rep.pop("timing_ms")
     text = json.dumps(rep, sort_keys=True, indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_gallery_trivial_builds_over_the_field_flag():
+    code, rep = run_json(["gallery", "trivial", "--field", "F5"])
+    assert code == 0 and rep["counts"]["fail"] == 0
+    item = trivial_extension(dual_numbers(Field.prime(5)))
+    doc = serialize.algebra_to_doc(item.algebra, item.gram)
+    assert doc["field"] == {"kind": "PrimeField", "p": 5}
+    assert rep["input_digest"] == serialize.digest(
+        [doc, {"schema": 1, "gallery": "trivial"}])
 
 
 def _square(value):
