@@ -13,7 +13,6 @@ field's fused ``axpy`` over those indexes.
 from __future__ import annotations
 
 from .errors import MalformedInput, RoleViolation
-from .fields import Scalar
 from .linalg import (Matrix, dense_vector, independent_columns, invert,
                      linear_combination, solve_linear, sparse_combination,
                      sparse_kernel_basis, sparse_vector, sum_product)
@@ -218,10 +217,6 @@ class Element:
             self._coeffs = tuple(f.coerce(c) for c in coeffs)
         if len(self._coeffs) != algebra.dim:
             raise MalformedInput("coefficient vector has wrong length")
-
-    @property
-    def coeffs(self):
-        return tuple(Scalar(self.algebra.field, c) for c in self._coeffs)
 
     @property
     def raw(self):

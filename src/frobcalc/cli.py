@@ -375,7 +375,10 @@ def cmd_gallery(args, checks, data, rng):
                         "pass" if not bad else "fail",
                         {"mismatches": bad}))
     if args.verify_all:
+        # the suites run on the fixed Q carriers of verify.gallery_items
         checks.extend(suites(rng))
+        if field is not None and field != Field.rationals():
+            data["verify_all_field"] = "Q"
     args.loaded += [serialize.algebra_to_doc(item.algebra, item.gram),
                     {"schema": 1, "gallery": args.name}]
 

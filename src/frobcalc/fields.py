@@ -16,14 +16,16 @@ hash and print alike, equality, hashing and reports do not see the form;
 it keeps integral values -- most of an elimination on +-1 structure
 constants -- on plain ``int`` arithmetic.
 
+These raw values are the only scalar form; all arithmetic on them goes
+through the field.  :meth:`Field.coerce` is the one entry point for
+outside values: an ``int`` over any field, a ``Fraction`` over Q only,
+and over F_p[a]/(m) a tuple or list of at most ``deg(m)`` ``int``
+components (reduced mod p, zero-padded).  Anything else -- a ``bool``,
+a ``float``, a string, a ``Fraction`` elsewhere -- is MalformedInput.
+
 Each field also carries the fused sparse loops of its kind (``axpy``,
 ``eliminate`` and the rest; see below), which the elimination kernel
 runs instead of one method call per scalar.
-
-:class:`Scalar` is a thin wrapper pairing a raw value with its field; it
-exists so that callers can do ordinary ``+ - * /`` arithmetic without
-carrying the field around by hand.  All heavy code paths work on raw
-values directly.
 """
 
 from __future__ import annotations
@@ -457,11 +459,7 @@ class Field:
         return (n % self.p,) + (0,) * (self._deg - 1)
 
     def coerce(self, v):
-        """Normalize v (int, Fraction, tuple/list, or Scalar) to a raw value."""
-        if isinstance(v, Scalar):
-            if v.field != self:
-                raise MalformedInput("scalar from a different field")
-            return v.value
+        """The raw value of an outside value v (rules above)."""
         if isinstance(v, bool):
             raise MalformedInput("bool is not a scalar")
         if isinstance(v, int):
@@ -473,7 +471,9 @@ class Field:
         if self.kind == EXTENSION and isinstance(v, (tuple, list)):
             if len(v) > self._deg:
                 raise MalformedInput("residue longer than extension degree")
-            c = tuple(int(x) % self.p for x in v)
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in v):
+                raise MalformedInput(f"residue components must be ints, got {v!r}")
+            c = tuple(x % self.p for x in v)
             return c + (0,) * (self._deg - len(c))
         raise MalformedInput(f"cannot coerce {v!r} into {self!r}")
 
@@ -605,68 +605,3 @@ class Field:
             d["min_poly"] = list(self.min_poly)
         return d
 
-
-class Scalar:
-    """A field element: a raw value tagged with its field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = field.coerce(value)
-
-    def _raw(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise MalformedInput("scalars from different fields")
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._raw(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._raw(other)))
-
-    def __rsub__(self, other):
-        return Scalar(self.field, self.field.sub(self._raw(other), self.value))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._raw(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._raw(other)))
-
-    def __rtruediv__(self, other):
-        return Scalar(self.field, self.field.div(self._raw(other), self.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __pow__(self, n):
-        return Scalar(self.field, self.field.pow_int(self.value, n))
-
-    def inverse(self):
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def is_zero(self):
-        return self.field.is_zero(self.value)
-
-    def __eq__(self, other):
-        # only a Scalar of the same field is equal, so equal values hash alike
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        return f"Scalar({self.field!r}, {self.field.format(self.value)})"
-
-    def __str__(self):
-        return self.field.format(self.value)

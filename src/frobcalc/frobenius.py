@@ -14,7 +14,6 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       center_basis, endomorphism_witness, inner_automorphism,
                       intertwiner_basis, inverse_of, left_mult_matrix)
 from .errors import InternalInconsistency, MalformedInput
-from .fields import Scalar
 from .linalg import (Matrix, invert, solve_linear, sparse_combination,
                      sum_product)
 from .rng import SplitMix64
@@ -33,9 +32,6 @@ class FrobeniusStructure:
     def pair_raw(self, a, b):
         """⟨a, b⟩ = a·(G b) for raw coordinate vectors."""
         return sum_product(self.algebra.field, a, self.gram.apply(b))
-
-    def pairing(self, a: Element, b: Element) -> Scalar:
-        return Scalar(self.algebra.field, self.pair_raw(a.raw, b.raw))
 
     def beta_inverse_functional(self, lam):
         """The element j with ⟨j, e_k⟩ = lam_k for a raw functional vector:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import MalformedInput
-from .fields import Scalar
 
 
 class Matrix:
@@ -38,20 +37,11 @@ class Matrix:
         if _raw:
             self.data = data
         else:
-            coerced = []
-            for row in data:
-                coerced.append([self._coerce_entry(field, v) for v in row])
-            self.data = coerced
+            self.data = [[field.coerce(v) for v in row] for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(r) != self.cols for r in self.data):
             raise MalformedInput("ragged rows")
-
-    @staticmethod
-    def _coerce_entry(field, v):
-        if isinstance(v, Scalar) and v.field != field:
-            raise MalformedInput("mixed-field entries")
-        return field.coerce(v)
 
     # construction ----------------------------------------------------------
     @staticmethod

@@ -70,9 +70,16 @@ def test_invert_examples():
 
 
 def test_mixed_field_entries_rejected():
-    from frobcalc.fields import Scalar
+    # a raw value carries no field, so the matrices' fields are compared
+    q, f5 = Matrix.identity(Q, 2), Matrix.identity(F5, 2)
     with pytest.raises(MalformedInput):
-        Matrix(Q, [[Scalar(F5, 1)]])
+        Matrix.combination(Q, 2, 2, [(1, q), (1, f5)])
+    with pytest.raises(MalformedInput):
+        Matrix.block(Q, [[q, None], [None, f5]])
+    with pytest.raises(MalformedInput):
+        Matrix.block(F5, [[q]])
+    with pytest.raises(MalformedInput):
+        Matrix(F5, [[Fraction(1, 2)]])
 
 
 def _matrices(field, entry_strategy):

@@ -488,7 +488,9 @@ def augmentation_map():
 # while the bar differentials were built column by column from product
 # lookups and the duality check transposed the streamed b_{p+1}, the next
 # two while the echelon scaled every pivot to lead 1 and Q reduced on
-# Fractions, and the last one once ``gallery trivial`` built over --field.
+# Fractions, the next one once ``gallery trivial`` built over --field, and
+# the last one once a --verify-all report over a field other than Q said
+# that its suites ran over Q.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -629,6 +631,9 @@ GOLDEN = {
     "gallery trivial --field F5": (
         {}, ["gallery", "trivial", "--field", "F5"], 0,
         "e4f01049375157c3a2bbf861f33493b109e886314000ce0778fce49e2a0af12d"),
+    "gallery qci --field F3 --verify-all": (
+        {}, ["gallery", "qci", "--field", "F3", "--verify-all"], 0,
+        "6835529a596cfeba662aad1c3fe0b60b048b0e02516a3b4216e51dc964483cf1"),
 }
 
 
@@ -653,6 +658,16 @@ def test_gallery_trivial_builds_over_the_field_flag():
     assert doc["field"] == {"kind": "PrimeField", "p": 5}
     assert rep["input_digest"] == serialize.digest(
         [doc, {"schema": 1, "gallery": "trivial"}])
+
+
+def test_gallery_verify_all_names_the_field_of_its_suites():
+    # the suites run on the fixed Q carriers whatever --field builds
+    code, rep = run_json(["gallery", "qci", "--field", "F3", "--verify-all"])
+    assert code == 0 and rep["data"]["verify_all_field"] == "Q"
+    for argv in (["gallery", "qci", "--field", "Q", "--verify-all"],
+                 ["gallery", "trivial", "--field", "F5"]):
+        code, rep = run_json(argv)
+        assert code == 0 and "verify_all_field" not in rep["data"]
 
 
 def _square(value):
