@@ -19,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 from . import __version__, hochschild as hh, serialize, verify
 from .algebra import (LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
@@ -305,7 +306,7 @@ def gallery_expectations(name, item):
             "value": str(val),
             "matches": val == inverse_of(det)})
     elif name == "cyclic":
-        for coeffs in item.all_valid_f()[:4]:
+        for coeffs in islice(item.all_valid_f(), 4):
             u = item.u_f(coeffs)
             jac = jacobian(F, u)
             records.append({

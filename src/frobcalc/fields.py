@@ -23,6 +23,11 @@ and over F_p[a]/(m) a tuple or list of at most ``deg(m)`` ``int``
 components (reduced mod p, zero-padded).  Anything else -- a ``bool``,
 a ``float``, a string, a ``Fraction`` elsewhere -- is MalformedInput.
 
+One extended Euclid over F_p, ``_poly_gcdex``, serves F_p[a]/(m) twice:
+it inverts residues, and it checks m irreducible by Ben-Or's gcd test,
+gcd(x^(p^j) − x, m) = 1 for every j ≤ deg(m)/2.  Both cost a polynomial
+in log p, so any prime below 2**31 is fine.
+
 Each field also carries the fused sparse loops of its kind (``axpy``,
 ``eliminate`` and the rest; see below), which the elimination kernel
 runs instead of one method call per scalar.
@@ -98,45 +103,39 @@ def _poly_divmod(a, b, p):
     return q, a
 
 
-def _poly_inverse_mod(a, m, p):
-    """Inverse of a modulo m over F_p via extended Euclid; None if not coprime."""
+def _poly_gcdex(a, m, p):
+    """Extended Euclid over F_p: (g, s) with g the monic gcd of a and m
+    and s·a ≡ g (mod m)."""
     r0, r1 = list(m), _poly_trim(list(a))
     s0, s1 = [], [1]
     while r1:
         q, r = _poly_divmod(r0, r1, p)
-        # s = s0 - q*s1
-        s = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))   # s0 - q*s1
         for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    idx = i + j
-                    s[idx] = (s[idx] - qi * sj) % p
+            for j, sj in enumerate(s1):
+                s[i + j] = (s[i + j] - qi * sj) % p
         r0, r1 = r1, _poly_trim(r)
         s0, s1 = s1, _poly_trim(s)
-    if len(r0) != 1:
-        return None
-    inv_r0 = pow(r0[0], -1, p)
-    return _poly_trim([(c * inv_r0) % p for c in s0])
+    inv_lead = pow(r0[-1], -1, p)
+    return [c * inv_lead % p for c in r0], [c * inv_lead % p for c in s0]
 
 
 def _is_irreducible(m, p):
-    """Exhaustive root / quadratic-factor search; fine for the small p used here."""
-    deg = len(m) - 1
-    for r in range(p):
-        acc, powr = 0, 1
-        for c in m:
-            acc = (acc + c * powr) % p
-            powr = (powr * r) % p
-        if acc == 0:
+    """Ben-Or's test: a monic m of degree k is irreducible over F_p iff
+    gcd(x^(p^j) − x, m) = 1 for every j ≤ k/2."""
+    h = [0, 1]
+    for _ in range((len(m) - 1) // 2):
+        # h <- h^p mod m, by square-and-multiply
+        base, e, h = h, p, [1]
+        while e:
+            if e & 1:
+                h = _poly_mul_mod(h, base, m, p)
+            base = _poly_mul_mod(base, base, m, p)
+            e >>= 1
+        diff = h + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % p
+        if len(_poly_gcdex(diff, m, p)[0]) != 1:
             return False
-    if deg == 4:
-        # no roots rules out linear factors; still need to exclude (quadratic)^2
-        # or a product of two irreducible quadratics
-        for b in range(p):
-            for c in range(p):
-                _, rem = _poly_divmod(list(m), [c, b, 1], p)
-                if not rem:
-                    return False
     return True
 
 
@@ -378,8 +377,9 @@ class Field:
             m = self.min_poly
             if m is None or not (3 <= len(m) <= 5):
                 raise MalformedInput("min_poly must have degree in [2, 4]")
-            if any(not isinstance(c, int) or not (0 <= c < p) for c in m):
-                raise MalformedInput("min_poly coefficients must be reduced mod p")
+            if any(isinstance(c, bool) or not isinstance(c, int) or not (0 <= c < p)
+                   for c in m):
+                raise MalformedInput("min_poly coefficients must be ints reduced mod p")
             if m[-1] != 1:
                 raise MalformedInput("min_poly must be monic")
             if not _is_irreducible(m, p):
@@ -514,7 +514,7 @@ class Field:
             return _canonical(Fraction(1, a))
         if self.kind == PRIME:
             return pow(a, -1, self.p)
-        c = _poly_inverse_mod(list(a), list(self.min_poly), self.p)
+        c = _poly_gcdex(a, self.min_poly, self.p)[1]
         return tuple(c) + (0,) * (self._deg - len(c))
 
     def div(self, a, b):
@@ -574,11 +574,9 @@ class Field:
         return ",".join(str(c) for c in a)
 
     def parse(self, s):
-        """Inverse of :meth:`format`; also accepts plain ints for any field."""
-        if isinstance(s, int):
-            return self.from_int(s)
+        """Inverse of :meth:`format`; a non-string goes to :meth:`coerce`."""
         if not isinstance(s, str):
-            raise MalformedInput(f"scalar string expected, got {s!r}")
+            return self.coerce(s)
         s = s.strip()
         if self.kind == RATIONALS:
             try:

@@ -9,7 +9,7 @@ CLI gallery registry consume.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
                       ROLE_ENDOMORPHISM, inner_automorphism, left_mult_matrix)
@@ -499,14 +499,13 @@ class CyclicGallery:
                 and not f.is_zero(coeffs[1]))
 
     def all_valid_f(self):
-        """Exhaustive list of radical generators f (f0 = 0, f1 ≠ 0)."""
+        """Every radical generator f (f0 = 0, f1 ≠ 0), lazily, in
+        lexicographic order of (f1, ..., f_{p−1})."""
         f = self.field
         elems = f.elements()
         nonzero = [e for e in elems if not f.is_zero(e)]
-        out = [[f.zero()]]
-        for _ in range(self.p - 2):
-            out = [v + [e] for v in out for e in elems]
-        return [[f.zero(), lead] + rest[1:] for lead in nonzero for rest in out]
+        for lead, *rest in product(nonzero, *[elems] * (self.p - 2)):
+            yield [f.zero(), lead, *rest]
 
     def u_f(self, coeffs) -> LinearMap:
         """The automorphism x ↦ f for f in rad \\ rad² (f0 = 0, f1 ≠ 0)."""

@@ -1,12 +1,14 @@
 """Field arithmetic: axioms on sampled scalars, validation, parsing."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from frobcalc.errors import MalformedInput
-from frobcalc.fields import Field, is_prime
+from frobcalc.fields import Field, _is_irreducible, _poly_divmod, is_prime
 from frobcalc.linalg import Matrix
 
 Q = Field.rationals()
@@ -67,13 +69,6 @@ def test_frobenius_power_is_additive(field, strat):
     additive()
 
 
-def test_extension_inverse_roundtrip():
-    for v in F9.elements():
-        if F9.is_zero(v):
-            continue
-        assert F9.mul(v, F9.inv(v)) == F9.one()
-
-
 def test_primality_guard():
     assert is_prime(2) and is_prime(3) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(9) and not is_prime(2**20)
@@ -97,6 +92,69 @@ def test_min_poly_validation():
         Field.extension(2, [1, 0, 1, 0, 1])
     # x^4 + x^3 + 1 is irreducible over F_2
     Field.extension(2, [1, 0, 0, 1, 1])
+
+
+def _exhaustive_irreducible(m, p):
+    """Oracle: a monic m of degree 2-4 is reducible iff it has a root or,
+    at degree 4, a monic quadratic factor; found by trying them all."""
+    if any(sum(c * r ** i for i, c in enumerate(m)) % p == 0 for r in range(p)):
+        return False
+    return len(m) < 5 or all(_poly_divmod(list(m), [c, b, 1], p)[1]
+                             for b in range(p) for c in range(p))
+
+
+def _monic(p, deg):
+    return [list(low) + [1] for low in itertools.product(range(p), repeat=deg)]
+
+
+def test_gcd_irreducibility_matches_exhaustive_search():
+    counts = {}
+    for p in (2, 3, 5, 7):
+        for deg in (2, 3, 4):
+            for m in _monic(p, deg):
+                want = _exhaustive_irreducible(m, p)
+                assert _is_irreducible(m, p) == want, (p, m)
+                counts[p] = counts.get(p, 0) + want
+    assert counts == {2: 6, 3: 29, 5: 200, 7: 721}
+
+
+def test_extension_inverse_roundtrip():
+    # every irreducible quadratic and cubic over F_2 and F_3, F_9 among them
+    for p in (2, 3):
+        for deg in (2, 3):
+            for m in _monic(p, deg):
+                if not _exhaustive_irreducible(m, p):
+                    continue
+                F = Field.extension(p, m)
+                for a in F.elements():
+                    if not F.is_zero(a):
+                        assert F.mul(a, F.inv(a)) == F.one(), (m, a)
+
+
+def test_min_poly_validation_is_fast_at_the_largest_prime():
+    p = 2**31 - 1
+    t0 = time.perf_counter()
+    for m in ([1, 0, 1], [10, 1, 0, 0, 1]):
+        F = Field.extension(p, m)
+        a = F.coerce([3, 1])
+        assert F.mul(a, F.inv(a)) == F.one()
+    with pytest.raises(MalformedInput):
+        Field.extension(p, [3, 0, 0, 0, 1])    # x^4 + 3 = (x^2 - c)(x^2 + c), c^2 = -3
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_min_poly_components_must_be_ints():
+    for bad in ([True, 0, True], [1, 0, True], [1.0, 0, 1], ["1", 0, 1]):
+        with pytest.raises(MalformedInput):
+            Field.extension(3, bad)
+
+
+def test_parse_sends_non_strings_to_coerce():
+    assert Q.parse(3) == 3 and F9.parse([1, 2]) == (1, 2)
+    for field in (Q, F5, F9):
+        for bad in (True, False, 0.5, None):
+            with pytest.raises(MalformedInput):
+                field.parse(bad)
 
 
 def test_rational_normal_form():

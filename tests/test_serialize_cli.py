@@ -278,6 +278,29 @@ def test_cli_qci_closed_forms_skip_vanishing_ab():
     assert code == 0 and len(rep["data"]["expectations"]) == 6
 
 
+def test_cli_cyclic_takes_its_four_generators_lazily():
+    # (p−1)·p^(p−2) = 10·11^9 radical generators at p = 11: only four are built
+    code, rep = run_json(["gallery", "cyclic", "--p", "11"])
+    assert code == 0
+    records = rep["data"]["expectations"]
+    assert len(records) == 4 and all(r["matches"] for r in records)
+
+
+def test_booleans_are_not_scalars_in_input_files(tmp_path):
+    doc = {"schema": 1, "field": {"kind": "Rationals"}, "dim": 2,
+           "basis_names": ["1", "t"], "unit": [True, "0"],
+           "structure": [[0, 0, 0, True], [0, 1, 1, "1"], [1, 0, 1, "1"]]}
+    code, rep = run_json(["check-algebra", "--file", write(tmp_path, "b.json", doc)])
+    assert code == 1
+    [check] = rep["checks"]
+    assert check["id"] == "input/schema"
+    assert check["witness"]["error"].startswith("/unit/0: ")
+    # nor are they min_poly coefficients: [true, 0, true] is not a^2 + 1
+    with pytest.raises(MalformedInput):
+        serialize.field_from_doc({"kind": "ExtensionField", "p": 3,
+                                  "min_poly": [True, 0, True]})
+
+
 def _report(argv):
     """Exit code and report of one request, without ``timing_ms``."""
     buf = io.StringIO()
