@@ -30,19 +30,28 @@ in log p, so any prime below 2**31 is fine.
 
 Each field also carries the fused sparse loops of its kind (``axpy``,
 ``eliminate`` and the rest; see below), which the elimination kernel
-runs instead of one method call per scalar.
+runs instead of one method call per scalar.  F_p[a]/(m) with at most
+TABLE_BOUND elements reads Zech-logarithm tables, built in its
+constructor (``_log_tables``, memoized per p and m); its loops and ``mul``, ``inv`` and
+``is_zero`` read them, while its raw values stay residue tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import MalformedInput
+from .errors import InternalInconsistency, MalformedInput
 
 RATIONALS = "Rationals"
 PRIME = "PrimeField"
 EXTENSION = "ExtensionField"
+
+# F_p[a]/(m) with at most this many elements computes on log tables, built
+# in O(q): the largest, F_{61^2}, takes about 13 ms and F_9 0.1 ms (Python
+# 3.11, shared 2-vCPU Xeon host)
+TABLE_BOUND = 2**12
 
 
 def is_prime(n):
@@ -120,23 +129,84 @@ def _poly_gcdex(a, m, p):
     return [c * inv_lead % p for c in r0], [c * inv_lead % p for c in s0]
 
 
+def _poly_pow_mod(a, e, m, p):
+    """a^e reduced mod the monic m over F_p, by square-and-multiply."""
+    r = [1]
+    while e:
+        if e & 1:
+            r = _poly_mul_mod(r, a, m, p)
+        a = _poly_mul_mod(a, a, m, p)
+        e >>= 1
+    return r
+
+
 def _is_irreducible(m, p):
     """Ben-Or's test: a monic m of degree k is irreducible over F_p iff
     gcd(x^(p^j) − x, m) = 1 for every j ≤ k/2."""
     h = [0, 1]
     for _ in range((len(m) - 1) // 2):
-        # h <- h^p mod m, by square-and-multiply
-        base, e, h = h, p, [1]
-        while e:
-            if e & 1:
-                h = _poly_mul_mod(h, base, m, p)
-            base = _poly_mul_mod(base, base, m, p)
-            e >>= 1
+        h = _poly_pow_mod(h, p, m, p)
         diff = h + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % p
         if len(_poly_gcdex(diff, m, p)[0]) != 1:
             return False
     return True
+
+
+def _prime_factors(n):
+    """The distinct prime factors of n ≥ 1, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+@lru_cache(maxsize=8)
+def _log_tables(p, m):
+    """Zech's logarithms of F_p[a]/(m) (Huber 1990): ``(log, exp, zech)``
+    for a generator g of the n = q − 1 nonzero residues.
+
+    ``log`` maps each nonzero residue to its exponent in [0, n);
+    ``exp[i]`` is g^i and ``zech[i]`` is log(1 + g^i), None where
+    1 + g^i = 0.  Both are listed twice, so a sum of two exponents in
+    [0, n), or a difference (a negative index wraps), reads them without
+    reduction mod n.  The powers of g must list every nonzero residue
+    exactly once, or InternalInconsistency is raised.
+
+    A Field is built on every parse, so the tables are kept per (p, m),
+    the last eight, and shared read-only by every Field of that p and m."""
+    k = len(m) - 1
+    n = p ** k - 1
+    # g: the first residue of degree ≥ 1, by base-p index, of order n (if
+    # none passes, the last one tried fails the check below)
+    for i in range(p, n + 1):
+        g = _poly_trim([i // p ** j % p for j in range(k)])
+        if all(_poly_pow_mod(g, n // r, m, p) != [1] for r in _prime_factors(n)):
+            break
+    # x ↦ g·x is F_p-linear; column j is g·a^j
+    cols = []
+    for j in range(k):
+        c = _poly_mul_mod(g, [0] * j + [1], m, p)
+        cols.append(c + [0] * (k - len(c)))
+    x, powers = (1,) + (0,) * (k - 1), []
+    for _ in range(n):
+        powers.append(x)
+        acc = [0] * k
+        for xj, col in zip(x, cols):
+            if xj:
+                for t, c in enumerate(col):
+                    acc[t] += xj * c
+        x = tuple(v % p for v in acc)
+    log = {x: i for i, x in enumerate(powers)}
+    if len(log) != n or (0,) * k in log:
+        raise InternalInconsistency(
+            f"the powers of {g} are not the {n} nonzero residues mod {list(m)} over F{p}")
+    zech = [log.get(((x[0] + 1) % p,) + x[1:]) for x in powers]
+    return log, tuple(powers) * 2, tuple(zech) * 2
 
 
 def _canonical(q):
@@ -164,8 +234,10 @@ def _canonical(q):
 #
 # Sparse dicts never hold a zero: an entry that becomes zero is dropped.
 # On Q and F_p a raw zero is falsy, so these run on plain ``+ *`` with the
-# canonical form restored inline; on F_p[a]/(m) they are the per-scalar
-# loops through the Field methods.
+# canonical form restored inline.  On F_p[a]/(m) with at most TABLE_BOUND
+# elements they run on the field's log tables: a product is a sum of
+# exponents, a sum one Zech lookup, −a/L one exp lookup.  Larger F_p[a]/(m)
+# keep the per-scalar loops through the Field methods.
 
 def _rational_axpy(dst, src, c):
     get = dst.get
@@ -303,6 +375,68 @@ def _prime_loops(p):
             *_unscaled_steps(axpy, lambda a, lead: -a * pow(lead, -1, p) % p))
 
 
+def _table_loops(p, log, exp, zech):
+    """The loops of F_p[a]/(m) on its tables (see ``_log_tables``)."""
+    zero = (0,) * len(exp[0])
+    log_minus_one = log[(p - 1,) + zero[1:]]
+
+    def axpy(dst, src, c):
+        lc = log.get(c)
+        if lc is None:  # c = 0 adds nothing, and drops a zero dst holds at a key of src
+            for k in src.keys() & dst.keys():
+                if dst[k] not in log:
+                    del dst[k]
+            return
+        get = dst.get
+        for k, v in src.items():
+            s = lc + log[v]
+            cur = get(k)
+            if cur is None:
+                dst[k] = exp[s]
+            else:
+                lcur = log[cur]
+                z = zech[s - lcur]
+                if z is None:
+                    del dst[k]
+                else:
+                    dst[k] = exp[lcur + z]
+
+    def add_entry(d, key, val):
+        lv = log.get(val)
+        if lv is None:
+            return
+        cur = d.get(key)
+        if cur is None:
+            d[key] = val
+        else:
+            lcur = log[cur]
+            z = zech[lv - lcur]
+            if z is None:
+                del d[key]
+            else:
+                d[key] = exp[lcur + z]
+
+    def matmul(left, right, width):
+        sparse = [None] * len(right)  # right's rows as sparse dicts, on first use
+        out = []
+        for row in left:
+            acc = {}
+            for k, a in enumerate(row):
+                if a in log:
+                    if sparse[k] is None:
+                        sparse[k] = {j: b for j, b in enumerate(right[k]) if b in log}
+                    axpy(acc, sparse[k], a)
+            out.append([acc.get(j, zero) for j in range(width)])
+        return out
+
+    def monomial_mode(vec, n, w, images):
+        return {k + d * w: exp[log[c] + log[v]]
+                for k, v in vec.items() for d, c in [images[k // w % n]]}
+
+    return (axpy, add_entry, matmul, _unscaled, monomial_mode,
+            *_unscaled_steps(axpy, lambda a, lead: exp[log[a] - log[lead] + log_minus_one]))
+
+
 def _generic_loops(f):
     def axpy(dst, src, c):
         for k, v in src.items():
@@ -353,9 +487,9 @@ class Field:
     above) are picked once here.
     """
 
-    __slots__ = ("kind", "p", "min_poly", "_deg", "axpy", "add_entry",
-                 "matmul", "clear_denominators", "monomial_mode", "eliminate",
-                 "primitive", "unscale")
+    __slots__ = ("kind", "p", "min_poly", "_deg", "_log", "_exp", "axpy",
+                 "add_entry", "matmul", "clear_denominators", "monomial_mode",
+                 "eliminate", "primitive", "unscale")
 
     def __init__(self, kind, p=None, min_poly=None):
         self.kind = kind
@@ -387,12 +521,16 @@ class Field:
             self._deg = len(m) - 1
         else:
             raise MalformedInput(f"unknown field kind {kind!r}")
+        self._log = self._exp = None
         if kind == RATIONALS:
             loops = (_rational_axpy, _rational_add_entry, _rational_matmul,
                      _rational_clear_denominators, _rational_monomial_mode,
                      _rational_eliminate, _rational_primitive, _rational_unscale)
         elif kind == PRIME:
             loops = _prime_loops(p)
+        elif self.order() <= TABLE_BOUND:
+            self._log, self._exp, zech = _log_tables(p, self.min_poly)
+            loops = _table_loops(p, self._log, self._exp, zech)
         else:
             loops = _generic_loops(self)
         (self.axpy, self.add_entry, self.matmul, self.clear_denominators,
@@ -503,6 +641,9 @@ class Field:
             return _canonical(a * b)
         if self.kind == PRIME:
             return (a * b) % self.p
+        if self._log is not None:
+            la, lb = self._log.get(a), self._log.get(b)
+            return a if la is None else b if lb is None else self._exp[la + lb]
         c = _poly_mul_mod(list(a), list(b), list(self.min_poly), self.p)
         return tuple(c) + (0,) * (self._deg - len(c))
 
@@ -514,6 +655,8 @@ class Field:
             return _canonical(Fraction(1, a))
         if self.kind == PRIME:
             return pow(a, -1, self.p)
+        if self._log is not None:
+            return self._exp[-self._log[a]]
         c = _poly_gcdex(a, self.min_poly, self.p)[1]
         return tuple(c) + (0,) * (self._deg - len(c))
 
@@ -533,6 +676,8 @@ class Field:
 
     def is_zero(self, a):
         if self.kind == EXTENSION:
+            if self._log is not None:
+                return a not in self._log
             return all(x == 0 for x in a)
         return a == 0
 

@@ -23,13 +23,15 @@ from .linalg import (Matrix, determinant, invert, linear_combination,
 # bounded construction
 
 
-def _charge_construction(name, dim, constants, budget):
+def _charge_construction(name, dim, constants, budget, reads=1):
     """Raise BudgetExceeded, before anything is built, when an algebra's
-    structure constants plus the dim² entries of a dense map or form on it
-    exceed ``budget``; None is no budget."""
-    if budget is not None and constants + dim * dim > budget:
-        raise BudgetExceeded(f"{name} needs {constants} structure constants and "
-                             f"dim² = {dim * dim} entries, budget {budget}")
+    structure constants, each read ``reads`` times by the associativity
+    check, plus the dim² entries of a dense map or form on it exceed
+    ``budget``; None is no budget."""
+    if budget is not None and reads * constants + dim * dim > budget:
+        times = f" read {reads} times each" if reads > 1 else ""
+        raise BudgetExceeded(f"{name} needs {constants} structure constants{times} "
+                             f"and dim² = {dim * dim} entries, budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +547,9 @@ def cyclic(p, field=None, *, budget=None):
     field = field or Field.prime(p)
     if field.characteristic != p:
         raise MalformedInput("field characteristic must equal p")
-    _charge_construction(f"cyclic({p})", p, p * (p + 1) // 2, budget)
+    # k[X]/(X^p) checks associativity against up to p columns per product,
+    # p³/2 reads in all
+    _charge_construction(f"cyclic({p})", p, p * (p + 1) // 2, budget, reads=p)
     return CyclicGallery(p, field)
 
 

@@ -20,6 +20,9 @@ from .groups import GroupData
 from .linalg import Matrix
 
 SCHEMA_VERSION = 1
+# the largest input file read, in bytes: 2**20 structure constants, the
+# default budget, take about 24 MiB written as [i, j, k, "c"]
+MAX_INPUT_BYTES = 2**25
 
 
 def _fail(path, message):
@@ -156,13 +159,18 @@ def crossed_from_doc(doc, path=""):
 
 def read_json(path):
     """The JSON document in the file at ``path``.  A file that cannot be
-    read, is not UTF-8 or not JSON, nests too deep for the decoder or
-    holds an integer too long to convert raises MalformedInput."""
+    read, is longer than MAX_INPUT_BYTES, is not UTF-8 or not JSON, nests
+    too deep for the decoder or holds an integer too long to convert
+    raises MalformedInput."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_INPUT_BYTES:
+        raise MalformedInput(f"{path} is longer than {MAX_INPUT_BYTES} bytes")
+    try:
+        return json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is one
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
 

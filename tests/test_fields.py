@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from frobcalc.errors import MalformedInput
-from frobcalc.fields import Field, _is_irreducible, _poly_divmod, is_prime
+from frobcalc import fields
+from frobcalc.errors import InternalInconsistency, MalformedInput
+from frobcalc.fields import (Field, _is_irreducible, _poly_divmod, _poly_gcdex,
+                             _poly_mul_mod, is_prime)
 from frobcalc.linalg import Matrix
 
 Q = Field.rationals()
@@ -129,6 +131,63 @@ def test_extension_inverse_roundtrip():
                 for a in F.elements():
                     if not F.is_zero(a):
                         assert F.mul(a, F.inv(a)) == F.one(), (m, a)
+
+
+# a is not a generator of F9 = F3[a]/(a²+1) (a⁴ = 1) nor of F25 = F5[a]/(a²+2)
+# (a⁸ = 1), so their tables start from another residue
+TABLED = {"F4": (2, [1, 1, 1]), "F8": (2, [1, 1, 0, 1]), "F9": (3, [1, 0, 1]),
+          "F16": (2, [1, 1, 0, 0, 1]), "F25": (5, [2, 0, 1]), "F27": (3, [1, 2, 0, 1])}
+
+
+@pytest.mark.parametrize("label", list(TABLED))
+def test_log_tables_match_polynomial_arithmetic(label):
+    # every pair, against products mod m and componentwise sums: Field.mul,
+    # inv, div and is_zero, and the loops' Zech sums and −a/L steps
+    p, m = TABLED[label]
+    F = Field.extension(p, m)
+    assert F.order() <= fields.TABLE_BOUND
+    one, zero = F.one(), F.zero()
+
+    def residue(c):
+        return tuple(c) + (0,) * (F.degree - len(c))
+
+    def add(x, y):
+        return tuple((a + b) % p for a, b in zip(x, y))
+
+    def mul(x, y):
+        return residue(_poly_mul_mod(list(x), list(y), m, p))
+
+    nonzero = [x for x in F.elements() if x != zero]
+    assert all(F.is_zero(x) == (x == zero) for x in F.elements())
+    inverse = {x: residue(_poly_gcdex(x, m, p)[1]) for x in nonzero}
+    for x in F.elements():
+        assert F.neg(x) == tuple(-c % p for c in x)
+        for y in F.elements():
+            assert F.mul(x, y) == mul(x, y)
+            d = {0: x} if x != zero else {}
+            F.add_entry(d, 0, y)
+            assert d == ({0: add(x, y)} if add(x, y) != zero else {})
+            d = {0: one}
+            F.axpy(d, {0: y} if y != zero else {}, x)
+            assert d == ({0: add(one, mul(x, y))} if add(one, mul(x, y)) != zero else {})
+    for x in nonzero:
+        assert F.inv(x) == inverse[x] and F.mul(x, inverse[x]) == one
+        for y in nonzero:
+            quotient = mul(x, inverse[y])
+            assert F.div(x, y) == quotient
+            # one step of elimination: {0: x, 1: 1} − (x/y)·{0: y, 1: 1}
+            col = {0: x, 1: one}
+            assert F.eliminate(col, None, ({0: y, 1: one}, None), 0) == 1
+            rest = add(one, F.neg(quotient))
+            assert col == ({1: rest} if rest != zero else {})
+
+
+def test_log_tables_check_their_powers(monkeypatch):
+    # a product that loses everything cannot list the nonzero residues
+    fields._log_tables.cache_clear()
+    monkeypatch.setattr(fields, "_poly_mul_mod", lambda a, b, m, p: [])
+    with pytest.raises(InternalInconsistency):
+        Field.extension(3, [1, 0, 1])
 
 
 def test_min_poly_validation_is_fast_at_the_largest_prime():

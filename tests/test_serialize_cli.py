@@ -194,6 +194,22 @@ def test_cli_exit_codes(tmp_path):
     assert run(argv + ["--allow-inconclusive"], io.StringIO()) == 0
 
 
+def test_input_files_are_read_up_to_a_limit(tmp_path, monkeypatch):
+    # a file one byte past the limit is refused unparsed, and an endless
+    # one is read no further than the limit
+    text = json.dumps(qci_doc()).encode()
+    path = tmp_path / "a.json"
+    path.write_bytes(text)
+    monkeypatch.setattr(serialize, "MAX_INPUT_BYTES", len(text))
+    assert serialize.read_json(str(path)) == qci_doc()
+    monkeypatch.setattr(serialize, "MAX_INPUT_BYTES", len(text) - 1)
+    for name in (str(path), "/dev/zero"):
+        with pytest.raises(MalformedInput, match="longer than"):
+            serialize.read_json(name)
+        code, rep = run_json(["check-algebra", "--file", name])
+        assert code == 1 and [c["id"] for c in rep["checks"]] == ["input/schema"]
+
+
 def test_cli_crossed_product(tmp_path):
     from frobcalc.linalg import Matrix
     doc = crossed_doc()
@@ -345,7 +361,7 @@ def test_cli_parser_reuse_leaks_no_state(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["exterior", "--n", "14"], ["matrix", "--m", "40"],
-                                  ["cyclic", "--p", "1009"],
+                                  ["cyclic", "--p", "1009"], ["cyclic", "--p", "211"],
                                   ["exterior", "--n", "1000000"]])
 def test_cli_gallery_over_budget_is_inconclusive(argv):
     # charged before anything is built: these sizes never finished before
@@ -358,13 +374,14 @@ def test_cli_gallery_over_budget_is_inconclusive(argv):
 
 
 def test_gallery_charge_is_the_built_size():
-    # the charge is structure constants + dim², counted before building
+    # the charge is structure constants + dim², counted before building;
+    # cyclic(p) charges its constants p times, for its associativity check
     from frobcalc.errors import BudgetExceeded
     from frobcalc.gallery import cyclic, matrix_algebra
-    for build, size in ((exterior, 3), (exterior, 4), (matrix_algebra, 3),
-                        (cyclic, 3), (cyclic, 5)):
+    for build, size, reads in ((exterior, 3, 1), (exterior, 4, 1),
+                               (matrix_algebra, 3, 1), (cyclic, 3, 3), (cyclic, 5, 5)):
         A = build(size).algebra
-        need = sum(len(terms) for terms in A.structure.values()) + A.dim ** 2
+        need = reads * sum(len(terms) for terms in A.structure.values()) + A.dim ** 2
         assert build(size, budget=need).algebra == A
         with pytest.raises(BudgetExceeded):
             build(size, budget=need - 1)
@@ -441,6 +458,12 @@ def algebra_doc(item, form=True):
     return serialize.algebra_to_doc(item.algebra, item.gram if form else None)
 
 
+def _qci_over(p, min_poly):
+    """qci(a) over F_p[a]/(m), a the residue of the variable."""
+    F = Field.extension(p, min_poly)
+    return algebra_doc(qci(F.parse("0,1"), F))
+
+
 def broken_map_doc(m):
     """The map document of ``m`` with one entry changed, so it keeps
     neither the product nor the Leibniz rule of qci(2)."""
@@ -511,9 +534,10 @@ def augmentation_map():
 # while the bar differentials were built column by column from product
 # lookups and the duality check transposed the streamed b_{p+1}, the next
 # two while the echelon scaled every pivot to lead 1 and Q reduced on
-# Fractions, the next one once ``gallery trivial`` built over --field, and
-# the last one once a --verify-all report over a field other than Q said
-# that its suites ran over Q.
+# Fractions, the next one once ``gallery trivial`` built over --field, the
+# next one once a --verify-all report over a field other than Q said that
+# its suites ran over Q, and the last five, on qci(a) over F_p[a]/(m), while
+# every extension-field product was polynomial arithmetic mod m.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -657,6 +681,28 @@ GOLDEN = {
     "gallery qci --field F3 --verify-all": (
         {}, ["gallery", "qci", "--field", "F3", "--verify-all"], 0,
         "6835529a596cfeba662aad1c3fe0b60b048b0e02516a3b4216e51dc964483cf1"),
+    # q = a, the residue of a, over F9 = F3[a]/(a²+1), F4 = F2[a]/(a²+a+1),
+    # where −1 = 1, and F27 = F3[a]/(a³+2a+1)
+    "verify-main-theorem qci(a)/F9 p<=3": (
+        {"--file": lambda: _qci_over(3, [1, 0, 1])},
+        ["verify-main-theorem", "--max-degree", "3"], 0,
+        "984e9f91afe0511372683376c305df4c71fb2b21e85df5c5d1575a23cbab0b8e"),
+    "homology qci(a)/F9 p<=2": (
+        {"--file": lambda: _qci_over(3, [1, 0, 1])},
+        ["homology", "--max-degree", "2"], 0,
+        "bb7340daf1a07652acc2e4b81987c966bceca5415eb87f72e8e7b81d076b80d3"),
+    "hochschild qci(a)/F9 p<=3": (
+        {"--file": lambda: _qci_over(3, [1, 0, 1])},
+        ["hochschild", "--max-degree", "3"], 0,
+        "d0b836ea5a388f564da72defe4cfec40124fe4fc9df7de15d62f1db04226f18c"),
+    "verify-main-theorem qci(a)/F4 p<=3": (
+        {"--file": lambda: _qci_over(2, [1, 1, 1])},
+        ["verify-main-theorem", "--max-degree", "3"], 0,
+        "bd9fa3bcdb28e6f7c73f48966dbec470f180d934024366b29a78531ad0d19840"),
+    "verify-main-theorem qci(a)/F27 p<=3": (
+        {"--file": lambda: _qci_over(3, [1, 2, 0, 1])},
+        ["verify-main-theorem", "--max-degree", "3"], 0,
+        "2c154e0e928620486c0b38817a30be01ee6fefb1ef766805002af1b0a5dad0e7"),
 }
 
 
