@@ -15,8 +15,12 @@ joins it exactly when it is not in the span of the columns before it.
 ``sparse_kernel_basis``, ``independent_columns`` and the Hochschild
 differentials read their answers off that echelon, so pivots, kernel
 bases and solutions are the canonical ones of the reduced row echelon
-form (which is never formed) and reports are deterministic.  Pivots are
-kept unnormalized and reduce by exact quotients, over Q on ints only.
+form (which is never formed) and reports are deterministic.  Each pivot
+sits at the last row of its reduced column: which columns join, and so
+the kernel and every solution, do not depend on the row a pivot takes,
+and the last row leaves about half the fill of the first on the bar
+differentials.  Pivots are kept unnormalized and reduce by exact
+quotients, over Q on ints only.
 Matrices are immutable by convention: no public method mutates ``data``.
 """
 
@@ -212,7 +216,7 @@ def mismatches(x: Matrix, y: Matrix):
 class SparseEchelon:
     """Column echelon over a field with combination tracking.
 
-    Inserted columns are reduced against existing pivots (pivot = least
+    Inserted columns are reduced against existing pivots (pivot = greatest
     row index, kept as found): an entry a at a pivot with lead L is removed
     by the multiple −a/L of it (``Field.eliminate``).  Over Q all of it is
     on ints: a column enters with denominators cleared, is scaled by
@@ -231,11 +235,12 @@ class SparseEchelon:
         self.pivots = {}  # row -> (column dict, tail dict)
 
     def _reduce(self, col, tail, scale):
-        """Reduce col, and tail alongside, in place; returns the leading row
-        of what is left (None if nothing is) and ``scale`` times their scaling."""
+        """Reduce col, and tail alongside, in place, each step at its last
+        row; returns the last row of what is left (None if nothing is) and
+        ``scale`` times their scaling."""
         step, pivots = self.field.eliminate, self.pivots
         while col:
-            r = min(col)
+            r = max(col)
             hit = pivots.get(r)
             if hit is None:
                 return r, scale
@@ -387,9 +392,11 @@ def determinant(m: Matrix):
     """det m as a raw value, read off the echelon of its columns.
 
     Column j is reduced only by multiples of the columns before it and
-    then joins with leading row r_j, kept as λ_j times what is left of it,
-    its tail λ_j at j: its pivot is p_j = lead/tail[j], det m = sign(j ↦
-    r_j) · Π p_j, and a column that does not join makes m singular."""
+    then joins with leading row r_j, its last nonzero row, kept as λ_j
+    times what is left of it, its tail λ_j at j.  The reduced columns are
+    triangular in the order of their leads, from above (column j is zero
+    below r_j): its pivot is p_j = lead/tail[j], det m = sign(j ↦ r_j) ·
+    Π p_j, and a column that does not join makes m singular."""
     if m.rows != m.cols:
         raise MalformedInput("determinant of a non-square matrix")
     f = m.field

@@ -586,6 +586,19 @@ def test_rational_pivots_hold_ints_of_content_one():
     assert any(type(v) is Fraction for kv in kernel for v in kv.values())
 
 
+@pytest.mark.parametrize("build, p, fill", [
+    # pivoting on the least row instead leaves 167 520 and 145 269
+    (lambda: s3_group_algebra(Field.prime(5)), 3, 57_869),
+    (lambda: exterior(4), 2, 108_480),
+], ids=["S3-F5-d3", "exterior4-Q-d2"])
+def test_last_row_pivots_pin_the_fill(build, p, fill):
+    # the elimination is deterministic, so its fill is an exact count: the
+    # nonzeros of every pivot column and tail of d^p with identity tails
+    A = build().algebra
+    ech = echelon(A.field, hh._coboundary_columns(A, p), tails=True)[0]
+    assert sum(len(col) + len(tail) for col, tail in ech.pivots.values()) == fill
+
+
 CACHE_TAGS = {"cob", "cocycles", "faces", "hom", "nakayama-form"}
 
 

@@ -69,9 +69,9 @@ def typed(d):
 
 def normalized(f, pivot):
     """(col/lead, tail/lead) of a pivot (col, tail), lead its entry at its
-    least row: the pivot a normalizing echelon keeps."""
+    last row: the pivot a normalizing echelon keeps."""
     col, tail = pivot
-    il = f.inv(col[min(col)])
+    il = f.inv(col[max(col)])
     return ({k: f.mul(il, v) for k, v in col.items()},
             {k: f.mul(il, v) for k, v in tail.items()})
 
@@ -122,16 +122,19 @@ def ref_matmul(f, a, b, width):
 
 class RefEchelon:
     """The column echelon with per-scalar reduction and no denominator
-    clearing."""
+    clearing.  ``lead`` picks each pivot row from a column's rows: ``max``,
+    the last row, as ``SparseEchelon`` does, or any other rule, which must
+    give the same pivot columns, kernel and solutions."""
 
-    def __init__(self, f):
+    def __init__(self, f, lead=max):
         self.f = f
+        self.lead = lead
         self.pivots = {}
 
     def _reduce(self, col, tail):
         f = self.f
         while col:
-            r = min(col)
+            r = self.lead(col)
             hit = self.pivots.get(r)
             if hit is None:
                 return r
@@ -300,6 +303,34 @@ def test_echelon_insert_and_solve_match_per_scalar_ops(label):
             for j, v in x.items():
                 ref_axpy(f, back, cols[j], v)
             assert back == rhs
+
+    props()
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_pivot_row_order_is_free(label):
+    # a column joins exactly when it is not in the span of the ones before
+    # it, and kernel vectors and solutions are unique in the pivot columns,
+    # so the first-row and the last-row rule give the same answers; only
+    # the pivot rows and the elimination history differ
+    f = FIELDS[label]
+    one = f.one()
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns(label), st.lists(ENTRY[label], max_size=8),
+           st.dictionaries(st.integers(min_value=0, max_value=6), ENTRY[label],
+                           max_size=4))
+    def props(raw_cols, coeffs, raw_rhs):
+        cols = [sparse(f, c) for c in raw_cols]
+        first, last = RefEchelon(f, lead=min), RefEchelon(f, lead=max)
+        for j, col in enumerate(cols):
+            # None when column j joins, else its kernel vector
+            assert first.insert(col, {j: one}) == last.insert(col, {j: one})
+        combo = {}
+        for c, col in zip(coeffs, cols):
+            ref_axpy(f, combo, col, f.coerce(c))
+        for rhs in (combo, sparse(f, raw_rhs)):
+            assert first.solve(rhs) == last.solve(rhs)
 
     props()
 
