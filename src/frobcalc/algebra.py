@@ -39,16 +39,9 @@ class Algebra:
         for (i, j, k, c) in structure:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise MalformedInput(f"structure index ({i},{j},{k}) out of range")
-            raw = field.coerce(c)
-            if field.is_zero(raw):
-                continue
-            cell = table.setdefault((i, j), {})
-            cell[k] = field.add(cell.get(k, field.zero()), raw)
-        self.structure = {
-            ij: tuple(sorted((k, v) for k, v in cell.items() if not field.is_zero(v)))
-            for ij, cell in table.items()
-        }
-        self.structure = {ij: terms for ij, terms in self.structure.items() if terms}
+            field.add_entry(table.setdefault((i, j), {}), k, field.coerce(c))
+        self.structure = {ij: tuple(sorted(cell.items()))
+                          for ij, cell in table.items() if cell}
         # _rows[i][j] and _cols[j][i] are both e_i·e_j as a sparse dict
         self._rows, self._cols = {}, {}
         for (i, j), terms in self.structure.items():
@@ -173,8 +166,7 @@ class Algebra:
         return Element(self, list(self.unit), _raw=True)
 
     def scalar_element(self, c):
-        raw = self.field.coerce(c)
-        return Element(self, [self.field.mul(raw, u) for u in self.unit], _raw=True)
+        return self.unit_element().scale(c)
 
     def basis_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]
@@ -204,7 +196,10 @@ class Algebra:
 
 
 class Element:
-    """An algebra element as a coefficient vector over the algebra's basis."""
+    """An algebra element as a coefficient vector over the algebra's basis.
+
+    ``+``, ``-``, negation and ``scale`` are one :meth:`Algebra.combination`
+    each; ``*`` by an element is :meth:`Algebra.mul_raw`."""
 
     __slots__ = ("algebra", "_coeffs")
 
@@ -227,22 +222,13 @@ class Element:
             raise MalformedInput("elements from different algebras")
 
     def __add__(self, other):
-        self._check_mate(other)
-        f = self.algebra.field
-        return Element(self.algebra,
-                       [f.add(a, b) for a, b in zip(self._coeffs, other._coeffs)],
-                       _raw=True)
+        return self.algebra.combination([(1, self), (1, other)])
 
     def __sub__(self, other):
-        self._check_mate(other)
-        f = self.algebra.field
-        return Element(self.algebra,
-                       [f.sub(a, b) for a, b in zip(self._coeffs, other._coeffs)],
-                       _raw=True)
+        return self.algebra.combination([(1, self), (-1, other)])
 
     def __neg__(self):
-        f = self.algebra.field
-        return Element(self.algebra, [f.neg(a) for a in self._coeffs], _raw=True)
+        return self.algebra.combination([(-1, self)])
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -256,9 +242,7 @@ class Element:
         return self.scale(other)
 
     def scale(self, c):
-        f = self.algebra.field
-        raw = f.coerce(c)
-        return Element(self.algebra, [f.mul(raw, a) for a in self._coeffs], _raw=True)
+        return self.algebra.combination([(c, self)])
 
     def __pow__(self, n):
         if n < 0:
@@ -398,12 +382,6 @@ class LinearMap:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-def multiply(a: Element, b: Element) -> Element:
-    if a.algebra != b.algebra:
-        raise MalformedInput("elements from different algebras")
-    return a * b
-
 
 def _mult_matrix(a: Element, left):
     """L_a (left) or R_a, its columns read off the structure tensor: column

@@ -23,7 +23,6 @@ from .algebra import (Element, LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
 from .errors import InternalInconsistency, MalformedInput, RoleViolation
 from .frobenius import FrobeniusStructure, UnitSearch, unit_in_subspace
 from .linalg import Matrix, kernel_basis, mismatches, sum_product
-from .rng import SplitMix64
 
 
 def _require_role(m: LinearMap, role):
@@ -154,9 +153,6 @@ class AlgebraPolynomial:
         self.algebra = algebra
         self.coeffs = tuple(coeffs)
 
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def coefficient(self, k) -> Element:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -274,7 +270,7 @@ def conjugation_identity_holds(F: FrobeniusStructure, u: LinearMap) -> bool:
     return True
 
 
-def coboundary_status(A, gens, values, unit_functional=None, rng=None) -> UnitSearch:
+def coboundary_status(A, gens, values, unit_functional, rng) -> UnitSearch:
     """Is the cocycle u_i ↦ j_i a coboundary ξ ↦ ξ⁻¹·u_i(ξ) on these generators?
 
     The condition is linear in ξ: u_i(ξ) = ξ·j_i.  Verdicts: "yes" with an
@@ -283,7 +279,6 @@ def coboundary_status(A, gens, values, unit_functional=None, rng=None) -> UnitSe
     that is nonzero on every unit, e.g. the constant term on an exterior
     algebra); otherwise "inconclusive".
     """
-    rng = rng or SplitMix64(42)
     f = A.field
     ker = kernel_basis(Matrix.block(
         f, [[u.matrix - right_mult_matrix(j)] for u, j in zip(gens, values)]))

@@ -16,7 +16,6 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
 from .errors import InternalInconsistency, MalformedInput
 from .linalg import (Matrix, invert, solve_linear, sparse_combination,
                      sum_product)
-from .rng import SplitMix64
 
 
 class FrobeniusStructure:
@@ -198,7 +197,7 @@ def _grid_decide(A, basis):
             or UnitSearch("no", detail="unit polynomial vanishes on a deciding grid"))
 
 
-def unit_in_subspace(A: Algebra, basis, rng=None) -> UnitSearch:
+def unit_in_subspace(A: Algebra, basis, rng) -> UnitSearch:
     """Search a linear subspace (given by basis Elements) for a unit.
 
     Returns a definite verdict whenever one is computable (empty space,
@@ -206,7 +205,6 @@ def unit_in_subspace(A: Algebra, basis, rng=None) -> UnitSearch:
     polynomial identity testing); otherwise falls back to seeded sampling
     and reports "inconclusive" on failure.
     """
-    rng = rng or SplitMix64(42)
     f = A.field
     if not basis:
         return UnitSearch("no", detail="empty subspace")
@@ -225,7 +223,7 @@ def unit_in_subspace(A: Algebra, basis, rng=None) -> UnitSearch:
             or UnitSearch("inconclusive", detail="no unit found (inconclusive)"))
 
 
-def is_inner(F: FrobeniusStructure, u: LinearMap, rng=None) -> UnitSearch:
+def is_inner(F: FrobeniusStructure, u: LinearMap, rng) -> UnitSearch:
     """Find t with u = ι_t, i.e. u(e_i)·t = t·e_i for all i."""
     A = F.algebra
     if u.role != ROLE_ENDOMORPHISM:
@@ -241,7 +239,7 @@ def is_inner(F: FrobeniusStructure, u: LinearMap, rng=None) -> UnitSearch:
     return result
 
 
-def is_symmetric_algebra(F: FrobeniusStructure, rng=None) -> UnitSearch:
+def is_symmetric_algebra(F: FrobeniusStructure, rng) -> UnitSearch:
     """The algebra admits a symmetric form iff sigma is inner."""
     if F.gram == F.gram.transpose():
         return UnitSearch("yes", F.algebra.unit_element(),

@@ -17,7 +17,7 @@ from .errors import BudgetExceeded, MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
 from .linalg import (Matrix, determinant, invert, linear_combination,
-                     sparse_kernel_basis)
+                     sparse_kernel_basis, sum_product)
 
 # ---------------------------------------------------------------------------
 # bounded construction
@@ -524,10 +524,7 @@ class CyclicGallery:
     def mu(self, el: Element):
         """Σ (−1)^i a_i, i.e. the pairing of el against 1 (raw scalar)."""
         f = self.field
-        acc = f.zero()
-        for i, c in enumerate(el.raw):
-            acc = f.add(acc, f.mul(f.from_int((-1) ** i), c))
-        return acc
+        return sum_product(f, [f.from_int((-1) ** i) for i in range(self.p)], el.raw)
 
     def juf_expected(self, coeffs) -> Element:
         """μ(f^{p−1}) + Σ_{i≥1} (μ(f^{p−1−i}) + μ(f^{p−i}))·x^i."""

@@ -6,7 +6,10 @@ row-times-matrix accumulate of ``Matrix.__mul__`` -- are the field's fused
 loops (``Field.axpy``/``add_entry``/``matmul``, picked once per field
 kind), so elimination makes no per-scalar method call over Q or F_p.
 Every linear combination Σ cᵢ·vᵢ is formed by :func:`linear_combination`
-over the nonzeros of each vᵢ.
+over the nonzeros of each vᵢ: matrix (and algebra element) sums,
+differences, negations and scalings are such combinations, and
+``Matrix.apply`` is ``matmul`` with a one-column right factor, so none of
+them calls a ``Field`` method per scalar.
 All rank, kernel and solve work, dense or sparse, goes through one
 driver, :func:`echelon`, which inserts sparse columns in order into a
 :class:`SparseEchelon`, a column echelon held in dictionaries; a column
@@ -32,7 +35,10 @@ from .errors import MalformedInput
 
 
 class Matrix:
-    """Dense matrix over a single field; ``data`` holds raw field values."""
+    """Dense matrix over a single field; ``data`` holds raw field values.
+
+    ``+``, ``-``, negation and ``scale`` are one :meth:`combination` each,
+    ``*`` and ``apply`` the field's ``matmul``."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -144,27 +150,18 @@ class Matrix:
 
     # arithmetic ----------------------------------------------------------------
     def __add__(self, other):
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix(self.field,
-                      [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)], _raw=True)
+        return Matrix.combination(self.field, self.rows, self.cols,
+                                  [(1, self), (1, other)])
 
     def __sub__(self, other):
-        self._same_shape(other)
-        sub = self.field.sub
-        return Matrix(self.field,
-                      [[sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)], _raw=True)
+        return Matrix.combination(self.field, self.rows, self.cols,
+                                  [(1, self), (-1, other)])
 
     def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in r] for r in self.data], _raw=True)
+        return Matrix.combination(self.field, self.rows, self.cols, [(-1, self)])
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, a) for a in r] for r in self.data], _raw=True)
+        return Matrix.combination(self.field, self.rows, self.cols, [(c, self)])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -177,19 +174,12 @@ class Matrix:
                       _raw=True)
 
     def apply(self, vec):
-        """Matrix-vector product on a raw-value vector."""
+        """Matrix-vector product on a raw-value vector: ``matmul`` with a
+        one-column right factor."""
         if len(vec) != self.cols:
             raise MalformedInput("vector length differs from column count")
         f = self.field
-        nonzeros = sparse_vector(f, [f.coerce(v) for v in vec]).items()
-        add, mul = f.add, f.mul
-        out = []
-        for ri in self.data:
-            acc = f.zero()
-            for j, v in nonzeros:
-                acc = add(acc, mul(ri[j], v))
-            out.append(acc)
-        return out
+        return [r[0] for r in f.matmul(self.data, [[f.coerce(v)] for v in vec], 1)]
 
     def transpose(self):
         return Matrix(self.field,
@@ -198,12 +188,6 @@ class Matrix:
 
     def is_identity(self):
         return self == Matrix.identity(self.field, self.rows) if self.rows == self.cols else False
-
-    def _same_shape(self, other):
-        if self.field != other.field:
-            raise MalformedInput("mixed-field entries")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MalformedInput("shape mismatch")
 
 
 def mismatches(x: Matrix, y: Matrix):

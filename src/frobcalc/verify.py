@@ -254,9 +254,13 @@ def _random_invertible(field, n, rng):
 # ---------------------------------------------------------------------------
 # suites, one per acceptance criterion (plus shared extras)
 
-# the sample counts of the Grassmann and 𝔽₅ cyclic suites
+# the sample counts of the Grassmann, 𝔽₅ cyclic, quantum closed-form,
+# cocycle-law and strongly separable suites
 GRASSMANN_SAMPLES = 10
 CYCLIC5_SAMPLES = 30
+QCI_CLOSED_FORM_SAMPLES = 20
+COCYCLE_LAW_PAIRS = 50
+SEPARABLE_SAMPLES = 20
 
 
 def suite_osima():
@@ -268,13 +272,13 @@ def suite_osima():
     return s.checks
 
 
-def suite_qci_closed_forms(rng, count=20):
+def suite_qci_closed_forms(rng):
     s = Suite()
     for qlabel in ("2", "3", "1/2"):
         item = carrier(f"qci{qlabel}")
         F = frobenius_of(item)
         f = item.field
-        for k in range(count):
+        for k in range(QCI_CLOSED_FORM_SAMPLES):
             a, b = f.random_nonzero(rng, 4), f.random_nonzero(rng, 4)
             c, d = f.random(rng, 4), f.random(rng, 4)
             u = item.alpha(a, b, c, d)
@@ -342,12 +346,12 @@ def _random_3subset(rng, n):
     return tuple(sorted(out))
 
 
-def suite_cocycle_laws(rng, pairs=50):
+def suite_cocycle_laws(rng):
     s = Suite()
     items = [(name, carrier(name)) for name in
              ("qci2", "exterior2", "exterior3", "exterior4", "trivDual",
               "cyclic3", "matrix2")]
-    for k in range(pairs):
+    for k in range(COCYCLE_LAW_PAIRS):
         name, item = items[k % len(items)]
         F = frobenius_of(item)
         sample = automorphism_sampler(name, item)
@@ -763,13 +767,13 @@ def suite_reductions(rng):
     return s.checks
 
 
-def suite_strongly_separable(rng, count=20):
+def suite_strongly_separable(rng):
     s = Suite()
     for name in ("matrix2", "matrix3", "groupS3"):
         item = carrier(name)
         F = frobenius_of(item)
         one = item.algebra.unit_element()
-        for k in range(count):
+        for k in range(SEPARABLE_SAMPLES):
             u = inner_automorphism(_random_unit(item.algebra, rng))
             s.eq(f"separable-jac/{name}/{k}", "jac:strongly-separable",
                  jacobian(F, u), one)

@@ -44,7 +44,7 @@ def test_c01_osima_center():
 def test_c02_qci_closed_forms():
     with criterion(2, "quantum-intersection closed forms", 1):
         checks = assert_all_pass(
-            verify.suite_qci_closed_forms(count=20, rng=SplitMix64(42)))
+            verify.suite_qci_closed_forms(rng=SplitMix64(42)))
         # 20 tuples per q, one Jacobian and one divergence check each
         assert len(checks) == 3 * 20 * 2
 
@@ -61,7 +61,7 @@ def test_c03_grassmann():
 def test_c04_cocycle_laws():
     with criterion(4, "chain rule, cocycle law, conjugation", 10):
         checks = assert_all_pass(
-            verify.suite_cocycle_laws(pairs=50, rng=SplitMix64(44)))
+            verify.suite_cocycle_laws(rng=SplitMix64(44)))
         assert sum(c.id.startswith("chain-rule/") for c in checks) == 50
         assert sum(c.id.startswith("cocycle-law/") for c in checks) == 50
         assert sum(c.id.startswith("conjugation/") for c in checks) == 50
@@ -132,5 +132,5 @@ def test_c12_reductions():
 def test_c13_strongly_separable():
     with criterion(13, "trace-form Jacobians are trivial", 5):
         checks = assert_all_pass(
-            verify.suite_strongly_separable(rng=SplitMix64(51), count=20))
+            verify.suite_strongly_separable(rng=SplitMix64(51)))
         assert len(checks) == 3 * 20

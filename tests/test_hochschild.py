@@ -452,6 +452,7 @@ def test_twisted_trivial_extension_full_machinery():
     from frobcalc.gallery import trivial_extension
     from frobcalc.frobenius import is_symmetric_algebra
     from frobcalc.linalg import invert
+    from frobcalc.rng import SplitMix64
     B = dual_numbers()
     tau = LinearMap(B, Matrix(Q, [[1, 0], [0, 2]]), "endomorphism")
     item = trivial_extension(B, tau)
@@ -466,7 +467,7 @@ def test_twisted_trivial_extension_full_machinery():
         col = F.sigma.matrix.column(n + i)
         assert col[n:] == list(tinv.column(i))
         assert all(v == 0 for v in col[:n])
-    assert is_symmetric_algebra(F).verdict == "no"
+    assert is_symmetric_algebra(F, SplitMix64(42)).verdict == "no"
     assert all(r["match"] for r in hh.duality_dims(F, 2))
     for p in (1, 2):
         for f in hh.cocycle_basis(item.algebra, p):

@@ -6,7 +6,10 @@ pivots unnormalized and, over Q, holds ints only.  The references below
 are the same loops written with one ``Field`` method call per scalar, and
 an echelon that normalizes every pivot to 1: results, key order and the
 canonical Q form must come out the same, and the echelon's pivots must
-be the reference's once divided by their leads.
+be the reference's once divided by their leads.  ``Element`` and
+``Matrix`` sums, differences, negations and scalings, which are
+``linear_combination``, and ``Matrix.apply``, which is ``matmul``, are
+checked against entrywise ``Field`` loops in the same way.
 """
 
 from fractions import Fraction
@@ -15,6 +18,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobcalc.algebra import Algebra
+from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
 from frobcalc.linalg import Matrix, SparseEchelon
 from test_fields import assert_canonical
@@ -345,3 +350,103 @@ def test_rational_solve_clears_denominators_exactly():
     assert x == {0: Fraction(-5, 4), 1: Fraction(25, 36), 2: 3}
     assert_canonical(x.values())
     assert type(x[2]) is int
+
+
+LINEAR = {
+    "Q": FIELDS["Q"],
+    "F5": FIELDS["F5"],
+    "F9": FIELDS["F9"],
+    "F2^31-1[a]": Field.extension(BIG, [1, 0, 1]),
+}
+# outside values, which every operation coerces: unreduced ints, and residue
+# lists shorter than the degree
+LINEAR_ENTRY = {
+    "Q": ENTRY["Q"],
+    "F5": st.integers(min_value=-12, max_value=12),
+    "F9": st.lists(st.integers(min_value=-4, max_value=4), max_size=2),
+    "F2^31-1[a]": st.lists(st.one_of(ENTRY["F2^31-1"],
+                                     st.integers(min_value=-2 * BIG, max_value=2 * BIG)),
+                           max_size=2),
+}
+
+
+def diagonal_algebra(f, n):
+    """k^n: n orthogonal idempotents summing to the unit."""
+    return Algebra(f, n, [f"e{i}" for i in range(n)],
+                   [(i, i, i, 1) for i in range(n)], [1] * n)
+
+
+def typed_rows(rows):
+    """Each value with its type: over Q an integral value must be an int,
+    as the per-scalar references give it."""
+    return [[(v, type(v)) for v in r] for r in rows]
+
+
+@pytest.mark.parametrize("label", list(LINEAR))
+def test_linear_ops_match_per_scalar_ops(label):
+    f = LINEAR[label]
+    dims = st.integers(min_value=1, max_value=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims, dims, LINEAR_ENTRY[label], st.data())
+    def props(r, c, s, data):
+        def entries(n):
+            return data.draw(st.lists(LINEAR_ENTRY[label], min_size=n, max_size=n))
+        a = Matrix(f, [entries(c) for _ in range(r)])
+        b = Matrix(f, [entries(c) for _ in range(r)])
+        vec, raw_s = entries(c), f.coerce(s)
+        pairs = [list(zip(ra, rb)) for ra, rb in zip(a.data, b.data)]
+        for got, want in (
+                (a + b, [[f.add(x, y) for x, y in row] for row in pairs]),
+                (a - b, [[f.sub(x, y) for x, y in row] for row in pairs]),
+                (-a, [[f.neg(x) for x in row] for row in a.data]),
+                (a.scale(s), [[f.mul(raw_s, x) for x in row] for row in a.data])):
+            assert (got.rows, got.cols) == (r, c)
+            assert typed_rows(got.data) == typed_rows(want)
+        raw_vec = [f.coerce(v) for v in vec]
+        want = []
+        for row in a.data:
+            acc = f.zero()
+            for x, v in zip(row, raw_vec):
+                acc = f.add(acc, f.mul(x, v))
+            want.append(acc)
+        assert typed_rows([a.apply(vec)]) == typed_rows([want])
+
+        A = diagonal_algebra(f, c)
+        x, y = A.element(vec), A.element(entries(c))
+        xy = list(zip(x.raw, y.raw))
+        for got, want in (
+                (x + y, [f.add(u, v) for u, v in xy]),
+                (x - y, [f.sub(u, v) for u, v in xy]),
+                (-x, [f.neg(u) for u in x.raw]),
+                (x.scale(s), [f.mul(raw_s, u) for u in x.raw]),
+                (s * x, [f.mul(raw_s, u) for u in x.raw]),
+                (A.scalar_element(s), [f.mul(raw_s, u) for u in A.unit])):
+            assert got.algebra is A
+            assert typed_rows([got.raw]) == typed_rows([want])
+
+    props()
+
+
+def test_linear_ops_reject_mismatched_operands():
+    Q, F5 = LINEAR["Q"], LINEAR["F5"]
+    m = Matrix(Q, [[1, 2], [3, 4]])
+    for bad, message in ((Matrix(F5, [[1, 2], [3, 4]]), "mixed-field entries"),
+                         (Matrix(Q, [[1, 2, 3], [4, 5, 6]]), "shape mismatch"),
+                         (Matrix(F5, [[1]]), "mixed-field entries")):
+        for op in (m.__add__, m.__sub__):
+            with pytest.raises(MalformedInput, match=f"^{message}$"):
+                op(bad)
+    with pytest.raises(MalformedInput, match="^vector length differs from column count$"):
+        m.apply([1, 2, 3])
+    with pytest.raises(MalformedInput):
+        m.scale(0.5)
+    A, B = diagonal_algebra(Q, 2), diagonal_algebra(Q, 3)
+    x = A.element([1, 2])
+    for op, bad in ([(op, bad) for op in (x.__add__, x.__sub__, x.__mul__)
+                     for bad in (B.element([1, 2, 3]), diagonal_algebra(F5, 2).element([1, 2]))]
+                    + [(x.__add__, 1), (x.__sub__, 1)]):
+        with pytest.raises(MalformedInput, match="^elements from different algebras$"):
+            op(bad)
+    with pytest.raises(MalformedInput):
+        x.scale("2")

@@ -1,8 +1,11 @@
 """The benchmark tracer's bindings still name code that exists.
 
-``perfbench/layertrace.py`` wraps frobcalc functions and methods by name
-and silently skips a name that no longer resolves, so deleting or renaming
-a traced function would zero its per-layer metrics without any failure.
+``perfbench/layertrace.py`` wraps frobcalc functions and methods by name.
+A module function that no longer resolves is silently skipped, so
+deleting or renaming one would zero its per-layer metrics without any
+failure.  A method is read as ``vars(cls)[meth]`` in ``Tracer._patch``,
+so moving a traced method (``Field.mul`` to a subclass, say) raises
+KeyError and crashes every traced run.
 The tables are read from the file's source, which is neither imported
 nor changed.
 """
