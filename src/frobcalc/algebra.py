@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import MalformedInput, RoleViolation
 from .linalg import (Matrix, dense_vector, independent_columns, invert,
                      linear_combination, solve_linear, sparse_combination,
-                     sparse_kernel_basis, sparse_vector, sum_product)
+                     sparse_kernel_basis, sum_product)
 
 ROLE_GENERAL = "general"
 ROLE_ENDOMORPHISM = "endomorphism"
@@ -61,7 +61,7 @@ class Algebra:
     # --- construction-time checks -------------------------------------------
     def _check_unit(self):
         # 1·e_j = e_j·1 = e_j; the witness is the first basis element either misses
-        u = sparse_vector(self.field, self.unit)
+        u = self.field.nonzeros(self.unit)
         lefts, rights = self.mult_columns(u, True), self.mult_columns(u, False)
         one = self.field.one()
         for j in range(self.dim):
@@ -125,16 +125,12 @@ class Algebra:
         return {b: c for b, c in cols.items() if c}
 
     def mul_raw(self, a, b):
-        """Product of two raw coefficient vectors, read off the nonzero
-        products e_i·e_j with aᵢ ≠ 0."""
+        """Product of two raw coefficient vectors: Σ aᵢ·(e_i·b) over the
+        aᵢ ≠ 0, each e_i·b read off the nonzero products e_i·e_j."""
         f = self.field
-        acc = {}
-        for i, ai in enumerate(a):
-            if f.is_zero(ai):
-                continue
-            for j, t in self.left_products(i).items():
-                if not f.is_zero(b[j]):
-                    f.axpy(acc, t, f.mul(ai, b[j]))
+        bs, acc = f.nonzeros(b), {}
+        for i, ai in f.nonzeros(a).items():
+            f.axpy(acc, sparse_combination(f, self.left_products(i), bs), ai)
         return dense_vector(f, acc, self.dim)
 
     def _basis_vec(self, i):
@@ -256,8 +252,7 @@ class Element:
         return out
 
     def is_zero(self):
-        f = self.algebra.field
-        return all(f.is_zero(c) for c in self._coeffs)
+        return not self.algebra.field.nonzeros(self._coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, Element) and other.algebra == self.algebra
@@ -269,10 +264,8 @@ class Element:
     def __str__(self):
         f = self.algebra.field
         parts = []
-        for name, c in zip(self.algebra.basis_names, self._coeffs):
-            if f.is_zero(c):
-                continue
-            cs = f.format(c)
+        for i, c in f.nonzeros(self._coeffs).items():
+            name, cs = self.algebra.basis_names[i], f.format(c)
             if "," in cs:
                 cs = f"({cs})"
             parts.append(name if cs == "1" else f"{cs}*{name}")
@@ -389,7 +382,7 @@ def _mult_matrix(a: Element, left):
     A = a.algebra
     f = A.field
     data = [[f.zero()] * A.dim for _ in range(A.dim)]
-    for j, col in A.mult_columns(sparse_vector(f, a.raw), left).items():
+    for j, col in A.mult_columns(f.nonzeros(a.raw), left).items():
         for k, v in col.items():
             data[k][j] = v
     return Matrix(f, data, _raw=True)

@@ -287,7 +287,7 @@ def coboundary_status(A, gens, values, unit_functional, rng) -> UnitSearch:
         return UnitSearch("no", detail="solution space is zero")
     if unit_functional is not None:
         lam = [f.coerce(c) for c in unit_functional]
-        if all(f.is_zero(sum_product(f, lam, b.raw)) for b in basis):
+        if not f.nonzeros([sum_product(f, lam, b.raw) for b in basis]):
             return UnitSearch(
                 "no", detail="solution space killed by the unit obstruction")
     result = unit_in_subspace(A, basis, rng)

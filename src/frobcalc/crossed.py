@@ -56,10 +56,8 @@ class TwoCocycle:
         if len(table) != m or any(len(r) != m for r in table):
             raise MalformedInput("cocycle table must be order x order")
         self.table = [[field.coerce(v) for v in row] for row in table]
-        for row in self.table:
-            for v in row:
-                if field.is_zero(v):
-                    raise MalformedInput("cocycle values must be nonzero")
+        if any(len(field.nonzeros(row)) != m for row in self.table):
+            raise MalformedInput("cocycle values must be nonzero")
         for g in range(m):
             for h in range(m):
                 for k in range(m):
@@ -84,7 +82,7 @@ class TwoCocycle:
     def from_coboundary(group: GroupData, field, beta):
         """α(g,h) = β(g)β(h)β(gh)⁻¹ for nonzero scalars β; always a cocycle."""
         beta = [field.coerce(b) for b in beta]
-        if any(field.is_zero(b) for b in beta):
+        if len(field.nonzeros(beta)) != len(beta):
             raise MalformedInput("coboundary data must be nonzero")
         m = group.order
         table = [[field.mul(field.mul(beta[g], beta[h]),

@@ -28,9 +28,10 @@ it inverts residues, and it checks m irreducible by Ben-Or's gcd test,
 gcd(x^(p^j) − x, m) = 1 for every j ≤ deg(m)/2.  Both cost a polynomial
 in log p, so any prime below 2**31 is fine.
 
-Each field also carries the fused sparse loops of its kind (``axpy``,
-``eliminate`` and the rest; see below), which the elimination kernel
-runs instead of one method call per scalar.  F_p[a]/(m) with at most
+Each field also carries the fused sparse loops of its kind (``nonzeros``,
+``axpy``, ``matmul``, ``eliminate`` and the rest; see below), which the
+elimination kernel, the dense products and every zero scan of a vector
+run instead of one method call per scalar.  F_p[a]/(m) with at most
 TABLE_BOUND elements reads Zech-logarithm tables, built in its
 constructor (``_log_tables``, memoized per p and m); its loops and ``mul``, ``inv`` and
 ``is_zero`` read them, while its raw values stay residue tuples.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import InternalInconsistency, MalformedInput
@@ -219,6 +221,8 @@ def _canonical(q):
 # ---------------------------------------------------------------------------
 # fused sparse loops: the inner loops of elimination, one set per field kind
 #
+# ``nonzeros(vec)``          {i: v} over the nonzero entries of a raw vector
+#                            (a sequence), the one zero scan of a vector,
 # ``axpy(dst, src, c)``      dst += c·src on sparse dicts,
 # ``add_entry(d, key, val)`` d[key] += val on a sparse dict,
 # ``matmul(left, right, w)`` the rows of left·right, right of width w,
@@ -235,9 +239,17 @@ def _canonical(q):
 # Sparse dicts never hold a zero: an entry that becomes zero is dropped.
 # On Q and F_p a raw zero is falsy, so these run on plain ``+ *`` with the
 # canonical form restored inline.  On F_p[a]/(m) with at most TABLE_BOUND
-# elements they run on the field's log tables: a product is a sum of
-# exponents, a sum one Zech lookup, −a/L one exp lookup.  Larger F_p[a]/(m)
-# keep the per-scalar loops through the Field methods.
+# elements they run on the field's log tables: a residue is nonzero when
+# it has a log, a product is a sum of exponents, a sum one Zech lookup,
+# −a/L one exp lookup.  Larger F_p[a]/(m) keep the per-scalar loops
+# through the Field methods.  ``matmul`` lists right's nonzero rows once
+# and reads each row of left only at those, so a matrix–vector product
+# costs rows·nnz(vec); Q and F_p accumulate rows densely, and both kinds
+# of F_p[a]/(m) share one ``_sparse_matmul`` that accumulates by ``axpy``.
+
+def _falsy_nonzeros(vec):
+    return dict(compress(enumerate(vec), vec))
+
 
 def _rational_axpy(dst, src, c):
     get = dst.get
@@ -264,28 +276,43 @@ def _rational_add_entry(d, key, val):
 
 
 def _raw_matmul(finish):
-    """left·right on raw ``+ *`` (Q and F_p); ``finish`` turns each
-    accumulated row into canonical raw values."""
+    """left·right on raw ``+ *`` (Q and F_p); ``finish`` turns the
+    accumulated rows into canonical raw values."""
     def matmul(left, right, width):
-        nonzeros = [None] * len(right)  # of right's rows, listed on first use
+        # each nonzero row of right as its (j, b ≠ 0) pairs: any(r) passes
+        # over a zero row at once, so the rows of right are sequences
+        rows = [(k, list(compress(enumerate(r), r)))
+                for k, r in enumerate(right) if any(r)]
         out = []
         for row in left:
             acc = [0] * width
-            for k, a in enumerate(row):
+            for k, nz in rows:
+                a = row[k]
                 if a:
-                    nz = nonzeros[k]
-                    if nz is None:
-                        nz = nonzeros[k] = [(j, b) for j, b in enumerate(right[k]) if b]
                     for j, b in nz:
                         acc[j] += a * b
-            out.append(finish(acc))
+            out.append(acc)
+        return finish(out)
+    return matmul
+
+
+def _sparse_matmul(nonzeros, axpy, zero):
+    """left·right on sparse rows accumulated by ``axpy`` (F_p[a]/(m))."""
+    def matmul(left, right, width):
+        rows = [(k, nz) for k, nz in enumerate(map(nonzeros, right)) if nz]
+        out = []
+        for row in left:
+            acc = {}
+            for t, a in nonzeros([row[k] for k, _ in rows]).items():
+                axpy(acc, rows[t][1], a)
+            out.append([acc.get(j, zero) for j in range(width)])
         return out
     return matmul
 
 
 _rational_matmul = _raw_matmul(
-    lambda acc: [x if type(x) is int or x.denominator != 1 else x.numerator
-                 for x in acc])
+    lambda out: [[x if type(x) is int or x.denominator != 1 else x.numerator
+                  for x in acc] for acc in out])
 
 
 def _rational_monomial_mode(vec, n, w, images):
@@ -370,7 +397,8 @@ def _prime_loops(p):
                 for k, v in vec.items() for d, c in [images[k // w % n]]}
 
     # ints do not overflow: each sum is reduced once, at the end
-    return (axpy, add_entry, _raw_matmul(lambda acc: [x % p for x in acc]),
+    return (_falsy_nonzeros, axpy, add_entry,
+            _raw_matmul(lambda out: [[x % p for x in acc] for acc in out]),
             _unscaled, monomial_mode,
             *_unscaled_steps(axpy, lambda a, lead: -a * pow(lead, -1, p) % p))
 
@@ -416,24 +444,15 @@ def _table_loops(p, log, exp, zech):
             else:
                 d[key] = exp[lcur + z]
 
-    def matmul(left, right, width):
-        sparse = [None] * len(right)  # right's rows as sparse dicts, on first use
-        out = []
-        for row in left:
-            acc = {}
-            for k, a in enumerate(row):
-                if a in log:
-                    if sparse[k] is None:
-                        sparse[k] = {j: b for j, b in enumerate(right[k]) if b in log}
-                    axpy(acc, sparse[k], a)
-            out.append([acc.get(j, zero) for j in range(width)])
-        return out
+    def nonzeros(vec):
+        return {i: v for i, v in enumerate(vec) if v in log}
 
     def monomial_mode(vec, n, w, images):
         return {k + d * w: exp[log[c] + log[v]]
                 for k, v in vec.items() for d, c in [images[k // w % n]]}
 
-    return (axpy, add_entry, matmul, _unscaled, monomial_mode,
+    return (nonzeros, axpy, add_entry, _sparse_matmul(nonzeros, axpy, zero),
+            _unscaled, monomial_mode,
             *_unscaled_steps(axpy, lambda a, lead: exp[log[a] - log[lead] + log_minus_one]))
 
 
@@ -455,28 +474,15 @@ def _generic_loops(f):
         else:
             d[key] = s
 
-    def matmul(left, right, width):
-        zero, add, mul, is_zero = f.zero(), f.add, f.mul, f.is_zero
-        nonzeros = [None] * len(right)
-        out = []
-        for row in left:
-            acc = [zero] * width
-            for k, a in enumerate(row):
-                if not is_zero(a):
-                    nz = nonzeros[k]
-                    if nz is None:
-                        nz = nonzeros[k] = [(j, b) for j, b in enumerate(right[k])
-                                            if not is_zero(b)]
-                    for j, b in nz:
-                        acc[j] = add(acc[j], mul(a, b))
-            out.append(acc)
-        return out
+    def nonzeros(vec):
+        return {i: v for i, v in enumerate(vec) if not f.is_zero(v)}
 
     def monomial_mode(vec, n, w, images):
         return {k + d * w: f.mul(c, v)
                 for k, v in vec.items() for d, c in [images[k // w % n]]}
 
-    return (axpy, add_entry, matmul, _unscaled, monomial_mode,
+    return (nonzeros, axpy, add_entry, _sparse_matmul(nonzeros, axpy, f.zero()),
+            _unscaled, monomial_mode,
             *_unscaled_steps(axpy, lambda a, lead: f.neg(f.div(a, lead))))
 
 
@@ -487,8 +493,8 @@ class Field:
     above) are picked once here.
     """
 
-    __slots__ = ("kind", "p", "min_poly", "_deg", "_log", "_exp", "axpy",
-                 "add_entry", "matmul", "clear_denominators", "monomial_mode",
+    __slots__ = ("kind", "p", "min_poly", "_deg", "_log", "_exp", "nonzeros",
+                 "axpy", "add_entry", "matmul", "clear_denominators", "monomial_mode",
                  "eliminate", "primitive", "unscale")
 
     def __init__(self, kind, p=None, min_poly=None):
@@ -523,9 +529,10 @@ class Field:
             raise MalformedInput(f"unknown field kind {kind!r}")
         self._log = self._exp = None
         if kind == RATIONALS:
-            loops = (_rational_axpy, _rational_add_entry, _rational_matmul,
-                     _rational_clear_denominators, _rational_monomial_mode,
-                     _rational_eliminate, _rational_primitive, _rational_unscale)
+            loops = (_falsy_nonzeros, _rational_axpy, _rational_add_entry,
+                     _rational_matmul, _rational_clear_denominators,
+                     _rational_monomial_mode, _rational_eliminate,
+                     _rational_primitive, _rational_unscale)
         elif kind == PRIME:
             loops = _prime_loops(p)
         elif self.order() <= TABLE_BOUND:
@@ -533,7 +540,7 @@ class Field:
             loops = _table_loops(p, self._log, self._exp, zech)
         else:
             loops = _generic_loops(self)
-        (self.axpy, self.add_entry, self.matmul, self.clear_denominators,
+        (self.nonzeros, self.axpy, self.add_entry, self.matmul, self.clear_denominators,
          self.monomial_mode, self.eliminate, self.primitive, self.unscale) = loops
 
     # constructors ---------------------------------------------------------

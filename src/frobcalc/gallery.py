@@ -117,8 +117,7 @@ class ExteriorGallery:
 
     def is_odd_element(self, el: Element) -> bool:
         f = self.field
-        return all(f.is_zero(c) or self.degree(i) % 2 == 1
-                   for i, c in enumerate(el.raw))
+        return all(self.degree(i) % 2 == 1 for i in f.nonzeros(el.raw))
 
     def is_odd_preserving(self, u: LinearMap) -> bool:
         """u(V) contained in the odd part."""
@@ -505,7 +504,7 @@ class CyclicGallery:
         lexicographic order of (f1, ..., f_{p−1})."""
         f = self.field
         elems = f.elements()
-        nonzero = [e for e in elems if not f.is_zero(e)]
+        nonzero = list(f.nonzeros(elems).values())
         for lead, *rest in product(nonzero, *[elems] * (self.p - 2)):
             yield [f.zero(), lead, *rest]
 

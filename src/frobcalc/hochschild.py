@@ -42,8 +42,7 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
 from .errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from .frobenius import FrobeniusStructure
 from .linalg import (Matrix, SparseEchelon, dense_vector, echelon,
-                     linear_combination, sparse_combination, sparse_vector,
-                     sum_product)
+                     linear_combination, sparse_combination, sum_product)
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -75,8 +74,7 @@ class Cochain:
         f = algebra.field
         if degree < 0 or len(vec) != algebra.dim ** (degree + 1):
             raise MalformedInput("cochain vector length is inconsistent with degree")
-        return Cochain(algebra, degree,
-                       sparse_vector(f, [f.coerce(v) for v in vec]))
+        return Cochain(algebra, degree, f.nonzeros([f.coerce(v) for v in vec]))
 
     def as_linear_map(self, role="general") -> LinearMap:
         if self.degree != 1:
@@ -656,9 +654,8 @@ def connes_image_test(B: Algebra, tau, t=None) -> ConnesImageResult:
     tau = [fld.coerce(c) for c in tau]
     if len(tau) != n:
         raise MalformedInput("tau must be a functional on B")
-    for c in commutator_subspace(B):
-        if not fld.is_zero(sum_product(fld, tau, c.raw)):
-            raise MalformedInput("tau does not vanish on commutators")
+    if fld.nonzeros([sum_product(fld, tau, c.raw) for c in commutator_subspace(B)]):
+        raise MalformedInput("tau does not vanish on commutators")
 
     # ker(HH₀ → HH₁): z with 1⊗z + z⊗1 a Hochschild boundary
     # inserted after the boundaries (empty tails), 1⊗e_i + e_i⊗1 reduces to
@@ -668,16 +665,14 @@ def connes_image_test(B: Algebra, tau, t=None) -> ConnesImageResult:
     kvecs = []
     for i in range(n):
         vec = {}
-        for m, um in enumerate(B.unit):
-            if not fld.is_zero(um):
-                fld.add_entry(vec, m * n + i, um)
-                fld.add_entry(vec, i * n + m, um)
+        for m, um in fld.nonzeros(B.unit).items():
+            fld.add_entry(vec, m * n + i, um)
+            fld.add_entry(vec, i * n + m, um)
         out = ech.insert(vec, {i: fld.one()})
         if out is not None:
             kvecs.append(dense_vector(fld, out, n))
     kernel_elements = [Element(B, v, _raw=True) for v in kvecs]
-    in_image_kernel = all(
-        fld.is_zero(sum_product(fld, tau, v)) for v in kvecs)
+    in_image_kernel = not fld.nonzeros([sum_product(fld, tau, v) for v in kvecs])
 
     # dual route: solve for a derivation δ: B → DB with δ(x)(1) = tau(x)
     ext = shared_trivial_extension(B)
@@ -689,7 +684,7 @@ def connes_image_test(B: Algebra, tau, t=None) -> ConnesImageResult:
             fld, [linear_combination(fld, zip(B.unit, mat_b.data), n)
                   for mat_b in der_basis]), tau)
     else:
-        sol = [] if all(fld.is_zero(v) for v in tau) else None
+        sol = None if fld.nonzeros(tau) else []
     if (sol is not None) != in_image_kernel:
         raise InternalInconsistency(
             "kernel-annihilation and derivation-solve disagree")

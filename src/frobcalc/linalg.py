@@ -1,15 +1,17 @@
 """Exact matrices, sparse vectors and the one elimination kernel.
 
 Everything here is plain exact arithmetic delegated to a :class:`Field`.
-The inner loops -- dst += c·src and d[key] += v on sparse dicts and the
-row-times-matrix accumulate of ``Matrix.__mul__`` -- are the field's fused
-loops (``Field.axpy``/``add_entry``/``matmul``, picked once per field
-kind), so elimination makes no per-scalar method call over Q or F_p.
-Every linear combination Σ cᵢ·vᵢ is formed by :func:`linear_combination`
-over the nonzeros of each vᵢ: matrix (and algebra element) sums,
-differences, negations and scalings are such combinations, and
-``Matrix.apply`` is ``matmul`` with a one-column right factor, so none of
-them calls a ``Field`` method per scalar.
+The inner loops -- the zero scan of a vector, dst += c·src and
+d[key] += v on sparse dicts and the dense product -- are the field's
+fused loops (``Field.nonzeros``/``axpy``/``add_entry``/``matmul``, picked
+once per field kind), so none of them calls ``Field.is_zero``, ``add``
+or ``mul`` per scalar over Q, F_p or a tabled F_p[a]/(m).  Every dense product is the field's
+``matmul``, which reads each row of its left factor only where its right
+factor has a nonzero row: ``Matrix.__mul__``; ``Matrix.apply``, with a
+one-column right factor, so it costs rows·nnz(vec); :func:`sum_product`,
+a row by a column; and :func:`linear_combination`, the row of
+coefficients by the stacked vectors, which forms every matrix (and
+algebra element) sum, difference, negation and scaling.
 All rank, kernel and solve work, dense or sparse, goes through one
 driver, :func:`echelon`, which inserts sparse columns in order into a
 :class:`SparseEchelon`, a column echelon held in dictionaries; a column
@@ -76,7 +78,7 @@ class Matrix:
                     raise MalformedInput("mixed-field entries")
                 if (m.rows, m.cols) != (rows, cols):
                     raise MalformedInput("shape mismatch")
-                yield c, chain.from_iterable(m.data)
+                yield c, list(chain.from_iterable(m.data))
         v = linear_combination(field, flat(), rows * cols)
         return Matrix(field, [v[i * cols:(i + 1) * cols] for i in range(rows)],
                       _raw=True)
@@ -113,10 +115,8 @@ class Matrix:
 
     @staticmethod
     def from_columns(field, columns):
-        rows = len(columns[0]) if columns else 0
-        data = [[field.coerce(columns[j][i]) for j in range(len(columns))]
-                for i in range(rows)]
-        return Matrix(field, data, _raw=True)
+        return Matrix(field, [[field.coerce(v) for v in row] for row in zip(*columns)],
+                      _raw=True)
 
     # access ------------------------------------------------------------------
     def column(self, j):
@@ -124,17 +124,11 @@ class Matrix:
 
     def sparse_rows(self):
         """The rows as sparse dicts {column: value}."""
-        return [sparse_vector(self.field, r) for r in self.data]
+        return [self.field.nonzeros(r) for r in self.data]
 
     def sparse_columns(self):
-        """The columns as sparse dicts {row: value}, read in one pass."""
-        is_zero = self.field.is_zero
-        cols = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self.data):
-            for j, v in enumerate(r):
-                if not is_zero(v):
-                    cols[j][i] = v
-        return cols
+        """The columns as sparse dicts {row: value}."""
+        return [self.field.nonzeros(c) for c in zip(*self.data)]
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -175,16 +169,15 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product on a raw-value vector: ``matmul`` with a
-        one-column right factor."""
+        one-column right factor, which reads only the columns where vec
+        is nonzero."""
         if len(vec) != self.cols:
             raise MalformedInput("vector length differs from column count")
         f = self.field
         return [r[0] for r in f.matmul(self.data, [[f.coerce(v)] for v in vec], 1)]
 
     def transpose(self):
-        return Matrix(self.field,
-                      [[self.data[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], _raw=True)
+        return Matrix(self.field, [list(c) for c in zip(*self.data)], _raw=True)
 
     def is_identity(self):
         return self == Matrix.identity(self.field, self.rows) if self.rows == self.cols else False
@@ -267,28 +260,20 @@ class SparseEchelon:
 
 def linear_combination(f, terms, length):
     """Σ cᵢ·vᵢ over the (cᵢ, vᵢ) in ``terms``, each vᵢ a raw vector of
-    ``length`` entries: the one linear-combination loop.  Coefficients
-    are drawn from ``terms`` in order; a zero cᵢ and the zero entries of
-    each vᵢ cost nothing beyond the scan for nonzeros."""
-    acc = {}
+    ``length`` entries: one ``matmul`` of the coefficient row by the
+    stacked vᵢ.  Coefficients are drawn from ``terms`` in order; each vᵢ
+    is scanned once for its nonzeros, and only those meet a nonzero cᵢ."""
+    coeffs, vectors = [], []
     for c, v in terms:
-        c = f.coerce(c)
-        if not f.is_zero(c):
-            f.axpy(acc, sparse_vector(f, v), c)
-    return dense_vector(f, acc, length)
+        coeffs.append(f.coerce(c))
+        vectors.append(v)
+    return f.matmul([coeffs], vectors, length)[0]
 
 
 def sum_product(f, a, b):
-    """Σ a_i·b_i over two raw vectors: the one scalar-product loop."""
-    acc = f.zero()
-    for x, y in zip(a, b):
-        if not f.is_zero(x) and not f.is_zero(y):
-            acc = f.add(acc, f.mul(x, y))
-    return acc
-
-
-def sparse_vector(f, vec):
-    return {i: v for i, v in enumerate(vec) if not f.is_zero(v)}
+    """Σ a_i·b_i over two raw vectors of one length: ``matmul`` of the row
+    a by the column b."""
+    return f.matmul([a], [[y] for y in b], 1)[0][0]
 
 
 def sparse_combination(f, columns, x):
@@ -355,7 +340,7 @@ def solve_linear(m: Matrix, b):
         raise MalformedInput("right-hand side length differs from row count")
     f = m.field
     ech = echelon(f, m.sparse_columns())[0]
-    x = ech.solve(sparse_vector(f, [f.coerce(v) for v in b]))
+    x = ech.solve(f.nonzeros([f.coerce(v) for v in b]))
     return None if x is None else dense_vector(f, x, m.cols)
 
 

@@ -5,7 +5,9 @@ Scalars travel as strings: ``"-3/7"`` over the rationals, a residue like
 ``"4"`` over a prime field (reduced on parse), and comma-separated residue
 coefficients like ``"1,0,2"`` over an extension field.
 
-Schema errors carry a JSON-pointer-style path to the offending node.
+Indices and sizes are JSON integers; ``true`` and ``false`` are not,
+although Python reads them as ints.  Schema errors carry a
+JSON-pointer-style path to the offending node.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ def _fail(path, message):
     raise MalformedInput(f"{path}: {message}")
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _expect(doc, key, path, kind=None):
     if key not in doc:
         _fail(f"{path}/{key}", "missing required field")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not (_is_int(val) if kind is int else isinstance(val, kind)):
         _fail(f"{path}/{key}", f"expected {kind.__name__}")
     return val
 
@@ -41,7 +47,7 @@ def _expect(doc, key, path, kind=None):
 def _check_schema(doc, path=""):
     if not isinstance(doc, dict):
         _fail(path or "/", "expected a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if not _is_int(doc.get("schema")) or doc["schema"] != SCHEMA_VERSION:
         _fail(f"{path}/schema", f"must be {SCHEMA_VERSION}")
 
 
@@ -85,7 +91,7 @@ def algebra_from_doc(doc, path=""):
             _fail(here, "expected [i, j, k, scalar]")
         i, j, k, c = item
         for nm, v in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(v, int) or not (0 <= v < dim):
+            if not _is_int(v) or not (0 <= v < dim):
                 _fail(f"{here}/{nm}", "index out of range")
         triples.append((i, j, k, _scalar(field, c, f"{here}/3")))
     try:
@@ -121,6 +127,12 @@ def group_from_doc(doc, path=""):
     if not isinstance(doc, dict):
         _fail(path or "/", "expected an object")
     table = _expect(doc, "table", path, list)
+    for g, row in enumerate(table):
+        if not isinstance(row, list):
+            _fail(f"{path}/table/{g}", "expected a list of element indices")
+        for h, v in enumerate(row):
+            if not _is_int(v):
+                _fail(f"{path}/table/{g}/{h}", "expected an element index")
     try:
         return GroupData(table)
     except MalformedInput as exc:
@@ -148,9 +160,8 @@ def crossed_from_doc(doc, path=""):
             maps.append(LinearMap(algebra, mat, "endomorphism"))
         except RoleViolation as exc:
             _fail(f"{path}/action/{g}", str(exc))
-    alpha_doc = _expect(doc, "alpha", path, list)
-    table = [[_scalar(algebra.field, v, f"{path}/alpha/{g}/{h}")
-              for h, v in enumerate(row)] for g, row in enumerate(alpha_doc)]
+    table = matrix_from_doc(algebra.field, _expect(doc, "alpha", path, list),
+                            group.order, group.order, f"{path}/alpha").data
     action = GroupAction(group, algebra, maps)
     alpha = TwoCocycle(group, algebra.field, table)
     F = make_frobenius(algebra, gram)

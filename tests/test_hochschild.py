@@ -18,8 +18,7 @@ from frobcalc.gallery import (cyclic, dual_numbers, exterior,
                               ground_field_algebra, matrix_algebra, qci,
                               s3_group_algebra, trivial_extension)
 from frobcalc.linalg import (Matrix, dense_vector, echelon, solve_linear,
-                             sparse_combination, sparse_kernel_basis,
-                             sparse_vector)
+                             sparse_combination, sparse_kernel_basis)
 from test_fields import assert_canonical
 from test_kernels import RefEchelon, assert_integral_pivots, normalized, typed
 
@@ -436,8 +435,8 @@ def test_degree_one_coboundaries_are_inner_derivations():
     flat_inner = []
     for i in range(A.dim):
         m = ad(A.basis_element(i)).matrix
-        flat_inner.append(sparse_vector(Q, [m.data[k][j] for k in range(A.dim)
-                                            for j in range(A.dim)]))
+        flat_inner.append(Q.nonzeros([m.data[k][j] for k in range(A.dim)
+                                      for j in range(A.dim)]))
 
     def rank(cols):
         return echelon(Q, cols, tails=False)[0].rank
@@ -715,7 +714,7 @@ def test_twisted_boundary_against_the_definition():
     for m in range(n):
         for a in range(n):
             em, ea = A.basis_element(m), A.basis_element(a)
-            assert b1[m * n + a] == sparse_vector(A.field, (em * sigma(ea) - ea * em).raw)
+            assert b1[m * n + a] == A.field.nonzeros((em * sigma(ea) - ea * em).raw)
     # every column of b_p for p ≤ 3, twisted and not, and of d^p for p ≤ 2,
     # as the face tables give them, here and on qci(2)
     for item in (item, qci(2)):

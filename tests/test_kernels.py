@@ -1,15 +1,19 @@
 """The fused sparse loops of each field kind against per-scalar references.
 
-``Field.axpy``/``add_entry``/``matmul``/``monomial_mode`` run on plain ``+ *`` over Q and
-F_p; ``SparseEchelon`` reduces through ``Field.eliminate``, keeps its
+``Field.nonzeros``/``axpy``/``add_entry``/``matmul``/``monomial_mode`` run on plain ``+ *``
+over Q and F_p and on log tables over a small F_p[a]/(m);
+``SparseEchelon`` reduces through ``Field.eliminate``, keeps its
 pivots unnormalized and, over Q, holds ints only.  The references below
 are the same loops written with one ``Field`` method call per scalar, and
 an echelon that normalizes every pivot to 1: results, key order and the
 canonical Q form must come out the same, and the echelon's pivots must
 be the reference's once divided by their leads.  ``Element`` and
 ``Matrix`` sums, differences, negations and scalings, which are
-``linear_combination``, and ``Matrix.apply``, which is ``matmul``, are
-checked against entrywise ``Field`` loops in the same way.
+``linear_combination``, ``Matrix.apply`` and ``sum_product``, which are
+``matmul``, and element products are checked against entrywise ``Field``
+loops in the same way; over Q, F_p and F_9 they must make no
+``Field.is_zero``, ``add`` or ``mul`` call at all, and ``Matrix.apply``
+must read only the columns where its vector is nonzero.
 """
 
 from fractions import Fraction
@@ -21,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from frobcalc.algebra import Algebra
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.linalg import Matrix, SparseEchelon
+from frobcalc.linalg import Matrix, SparseEchelon, linear_combination, sum_product
 from test_fields import assert_canonical
 
 BIG = 2**31 - 1
@@ -42,6 +46,10 @@ ENTRY = {
                     st.integers(min_value=0, max_value=2)),
 }
 LABELS = list(FIELDS)
+# F_{(2^31-1)^2} = F_{2^31-1}[a]/(a^2+1), too large for log tables: its
+# loops call the Field methods per scalar
+UNTABLED = Field.extension(BIG, [1, 0, 1])
+ENTRY["F2^31-1[a]"] = st.tuples(ENTRY["F2^31-1"], ENTRY["F2^31-1"])
 
 
 def sparse(f, raw):
@@ -109,6 +117,10 @@ def ref_add_entry(f, d, key, val):
         d.pop(key, None)
     else:
         d[key] = s
+
+
+def ref_nonzeros(f, vec):
+    return {i: v for i, v in enumerate(vec) if not f.is_zero(v)}
 
 
 def ref_matmul(f, a, b, width):
@@ -227,23 +239,38 @@ def test_monomial_mode_matches_per_scalar_ops(label):
     props()
 
 
-@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("label", LABELS + ["F2^31-1[a]"])
 def test_matrix_product_matches_per_scalar_ops(label):
-    f = FIELDS[label]
+    # right factors with zero rows and with one column, the second also as
+    # Matrix.apply; nonzeros, sparse rows and sparse columns against the
+    # per-scalar is_zero scan
+    f = FIELDS.get(label, UNTABLED)
     dims = st.integers(min_value=1, max_value=4)
 
     @settings(max_examples=60, deadline=None)
-    @given(dims, dims, dims, st.data())
-    def props(r, k, c, data):
+    @given(dims, dims, dims, st.sets(st.integers(min_value=0, max_value=3)), st.data())
+    def props(r, k, c, zero_rows, data):
         def rows(n, m):
             return data.draw(st.lists(st.lists(ENTRY[label], min_size=m, max_size=m),
                                       min_size=n, max_size=n))
-        a, b = Matrix(f, rows(r, k)), Matrix(f, rows(k, c))
-        prod = a * b
-        assert (prod.rows, prod.cols) == (r, c)
-        assert prod.data == ref_matmul(f, a.data, b.data, c)
-        if f == FIELDS["Q"]:
-            assert_canonical(v for row in prod.data for v in row)
+        b_rows = rows(k, c)
+        for i in zero_rows & set(range(k)):
+            b_rows[i] = [f.zero()] * c
+        a, b = Matrix(f, rows(r, k)), Matrix(f, b_rows)
+        col = Matrix(f, [[row[0]] for row in b.data])
+        prods = [a * b, a * col]
+        for prod, right in zip(prods, (b, col)):
+            assert (prod.rows, prod.cols) == (r, right.cols)
+            assert prod.data == ref_matmul(f, a.data, right.data, right.cols)
+            if f == FIELDS["Q"]:
+                assert_canonical(v for row in prod.data for v in row)
+        assert a.apply(col.column(0)) == prods[1].column(0)
+        for m in (a, b, *prods):
+            for row in m.data:
+                assert typed(f.nonzeros(row)) == typed(ref_nonzeros(f, row))
+            assert m.sparse_rows() == [ref_nonzeros(f, row) for row in m.data]
+            assert [typed(d) for d in m.sparse_columns()] == [
+                typed(ref_nonzeros(f, m.column(j))) for j in range(m.cols)]
 
     props()
 
@@ -376,6 +403,23 @@ def diagonal_algebra(f, n):
                    [(i, i, i, 1) for i in range(n)], [1] * n)
 
 
+def truncated_algebra(f, n):
+    """k[x]/(x^n), basis 1, x, …, x^(n−1)."""
+    return Algebra(f, n, [f"x{i}" for i in range(n)],
+                   [(i, j, i + j, 1) for i in range(n) for j in range(n - i)],
+                   [1] + [0] * (n - 1))
+
+
+def ref_mul_raw(A, a, b):
+    """a·b summed over the structure constants, one Field call per scalar."""
+    f = A.field
+    out = [f.zero()] * A.dim
+    for (i, j), terms in A.structure.items():
+        for k, c in terms:
+            out[k] = f.add(out[k], f.mul(f.mul(a[i], b[j]), c))
+    return out
+
+
 def typed_rows(rows):
     """Each value with its type: over Q an integral value must be an int,
     as the per-scalar references give it."""
@@ -411,6 +455,21 @@ def test_linear_ops_match_per_scalar_ops(label):
                 acc = f.add(acc, f.mul(x, v))
             want.append(acc)
         assert typed_rows([a.apply(vec)]) == typed_rows([want])
+        # all-zero coefficients, and a zero scale
+        zero = [f.zero()] * c
+        assert typed_rows([linear_combination(f, [(0, row) for row in a.data], c)]) == \
+            typed_rows([zero])
+        assert typed_rows(a.scale(0).data) == typed_rows([zero] * r)
+        for row in a.data:
+            dot = f.zero()
+            for x, v in zip(row, raw_vec):
+                dot = f.add(dot, f.mul(x, v))
+            assert typed_rows([[sum_product(f, row, raw_vec)]]) == typed_rows([[dot]])
+
+        T = truncated_algebra(f, c)
+        x, y = T.element(vec), T.element(entries(c))
+        assert typed_rows([(x * y).raw]) == typed_rows([ref_mul_raw(T, x.raw, y.raw)])
+        assert x.is_zero() == all(f.is_zero(u) for u in x.raw)
 
         A = diagonal_algebra(f, c)
         x, y = A.element(vec), A.element(entries(c))
@@ -450,3 +509,60 @@ def test_linear_ops_reject_mismatched_operands():
             op(bad)
     with pytest.raises(MalformedInput):
         x.scale("2")
+
+
+@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
+def test_dense_helpers_make_no_per_scalar_calls(label, monkeypatch):
+    # Field.is_zero, add and mul counted by wrapping the class methods, as
+    # the benchmark tracer does
+    f = FIELDS[label]
+    data = [[f.from_int(i * j + i - j) for j in range(5)] for i in range(5)]
+    data[2] = [f.zero()] * 5
+    m = Matrix(f, data, _raw=True)
+    vec = [f.from_int(v) for v in (0, 3, 0, -1, 0)]
+    A = truncated_algebra(f, 5)
+    x, y = A.element(vec), A.element(data[4])
+    calls = {}
+    for name in ("is_zero", "add", "mul"):
+        def counted(self, *args, _orig=getattr(Field, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(self, *args)
+        monkeypatch.setattr(Field, name, counted)
+    m * m, m + m, m - m, -m, m.scale(3), m.apply(vec)
+    m.sparse_rows(), m.sparse_columns()
+    linear_combination(f, [(2, vec), (0, data[1]), (1, data[3])], 5)
+    sum_product(f, vec, data[4])
+    x * y, x + y, x - y, -x, x.scale(2), x.is_zero(), str(x)
+    f.nonzeros(vec)
+    assert calls == {}
+
+
+class CountingRow(list):
+    """A matrix row that counts the entries read from it."""
+    reads = 0
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        CountingRow.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        for v in super().__iter__():
+            CountingRow.reads += 1
+            yield v
+
+
+@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
+def test_apply_reads_only_the_columns_vec_needs(label):
+    f = FIELDS[label]
+    n = 256
+    m = Matrix(f, [CountingRow(f.from_int(i + j + 1) for j in range(n)) for i in range(n)],
+               _raw=True)
+    for k in (0, 1, 3, n):
+        vec = [f.zero()] * n
+        for j in range(k):
+            vec[j * 7 % n] = f.one()
+        CountingRow.reads = 0
+        out = m.apply(vec)
+        assert CountingRow.reads <= n * k + n, (k, CountingRow.reads)
+        assert out == [sum_product(f, list(row), vec) for row in m.data]

@@ -311,10 +311,59 @@ def test_booleans_are_not_scalars_in_input_files(tmp_path):
     [check] = rep["checks"]
     assert check["id"] == "input/schema"
     assert check["witness"]["error"].startswith("/unit/0: ")
+    # nor indices or sizes: a true dim, a schema version, structure indices
+    # and group table entries
+    k1 = {"schema": 1, "field": {"kind": "Rationals"}, "dim": 1,
+          "basis_names": ["1"], "unit": ["1"], "structure": [[0, 0, 0, "1"]]}
+    dual = {"schema": 1, "field": {"kind": "Rationals"}, "dim": 2,
+            "basis_names": ["1", "t"], "unit": ["1", "0"],
+            "structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]}
+    bad_triple = [[0, 0, 0, "1"], [False, True, True, "1"], [1, 0, 1, "1"]]
+    for base, key, value, path in ((k1, "dim", True, "/dim"),
+                                   (k1, "schema", True, "/schema"),
+                                   (dual, "structure", bad_triple, "/structure/1/i")):
+        code, rep = run_json(["check-algebra", "--file",
+                              write(tmp_path, "i.json", {**base, key: value})])
+        assert code == 1
+        [check] = rep["checks"]
+        assert check["id"] == "input/schema"
+        assert check["witness"]["error"].startswith(f"{path}: ")
+    with pytest.raises(MalformedInput, match="^/table/0/0: "):
+        serialize.group_from_doc({"table": [[False, True], [True, False]]})
     # nor are they min_poly coefficients: [true, 0, true] is not a^2 + 1
     with pytest.raises(MalformedInput):
         serialize.field_from_doc({"kind": "ExtensionField", "p": 3,
                                   "min_poly": [True, 0, True]})
+
+
+def _crossed_with(key, value):
+    """``crossed_doc`` with its alpha or its group table replaced."""
+    doc = crossed_doc()
+    if key == "alpha":
+        doc["alpha"] = value
+    else:
+        doc["group"] = {"table": value}
+    return doc
+
+
+# crossed-product documents with a row that is not a list or an entry that
+# is not an index, and the input/schema path each is refused at
+BAD_CROSSED_ROWS = {
+    "alpha-int-rows": (("alpha", [5, 5]), "/alpha/0"),
+    "alpha-string-rows": (("alpha", ["11", "11"]), "/alpha/0"),
+    "table-int-rows": (("table", [0, 1]), "/group/table/0"),
+    "table-string-entries": (("table", [["0", "1"], ["1", "0"]]), "/group/table/0/0"),
+}
+
+
+def test_crossed_product_rows_are_validated(tmp_path):
+    for name, ((key, value), path) in BAD_CROSSED_ROWS.items():
+        code, rep = run_json(["crossed-product", "--file",
+                              write(tmp_path, f"{name}.json", _crossed_with(key, value))])
+        assert code == 1, name
+        [check] = rep["checks"]
+        assert check["id"] == "input/schema"
+        assert check["witness"]["error"].startswith(f"{path}: "), name
 
 
 def _report(argv):
@@ -761,6 +810,8 @@ CLI_INPUTS = {
     "list": lambda: [1],
     "empty": lambda: {},
     "wrong-shape": lambda: {"schema": 1, "matrix": [["1"]]},
+    **{name: lambda args=args: _crossed_with(*args)
+       for name, (args, _) in BAD_CROSSED_ROWS.items()},
 }
 _FILES = st.sampled_from(sorted(CLI_INPUTS) + ["missing"])
 _SMALL = {"--max-degree": st.integers(-1, 3).map(str),
@@ -850,4 +901,6 @@ def test_cli_every_request_ends_in_one_report(tmp_path):
         assert rep["input_digest"] == (
             "" if refused else serialize.digest([docs[n] for n in named]))
 
+    for name in BAD_CROSSED_ROWS:
+        props = example(["crossed-product", "--file", name, "--seed", "0"])(props)
     props()

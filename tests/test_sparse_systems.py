@@ -17,7 +17,7 @@ from frobcalc.algebra import (Element, LinearMap, center_basis,
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
 from frobcalc.gallery import exterior, matrix_algebra, qci, trivial_extension
-from frobcalc.linalg import Matrix, echelon, kernel_basis, sparse_vector
+from frobcalc.linalg import Matrix, echelon, kernel_basis
 from frobcalc.rng import SplitMix64
 
 FIELDS = {"Q": Field.rationals(), "F5": Field.prime(5),
@@ -49,7 +49,7 @@ def _dense_commutators(A, tau):
                     if any(not f.is_zero(c) for c in v))
     if not cols:
         return []
-    pivots = echelon(f, (sparse_vector(f, v) for v in cols), tails=False)[1]
+    pivots = echelon(f, (f.nonzeros(v) for v in cols), tails=False)[1]
     return [Element(A, cols[j], _raw=True) for j in pivots]
 
 
