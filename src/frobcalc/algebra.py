@@ -13,8 +13,8 @@ field's fused ``axpy`` over those indexes.
 from __future__ import annotations
 
 from .errors import MalformedInput, RoleViolation
-from .linalg import (Matrix, dense_vector, independent_columns, invert,
-                     linear_combination, solve_linear, sparse_combination,
+from .linalg import (Matrix, dense_vector, echelon, independent_columns,
+                     invert, linear_combination, solve_linear, sparse_combination,
                      sparse_kernel_basis, sum_product)
 
 ROLE_GENERAL = "general"
@@ -350,15 +350,6 @@ class LinearMap:
             out = out.compose(self)
         return out
 
-    def __add__(self, other):
-        return LinearMap(self.algebra, self.matrix + other.matrix, check=False)
-
-    def __sub__(self, other):
-        return LinearMap(self.algebra, self.matrix - other.matrix, check=False)
-
-    def scale(self, c):
-        return LinearMap(self.algebra, self.matrix.scale(c), check=False)
-
     def __eq__(self, other):
         return (isinstance(other, LinearMap) and other.algebra == self.algebra
                 and other.matrix == self.matrix)
@@ -411,21 +402,16 @@ def inverse_of(a: Element):
     return binv
 
 
-def intertwiner_basis(A: Algebra, u: LinearMap | None = None):
-    """Canonical basis of {t : u(e_i)·t = t·e_i for all i}; u defaults to
-    the identity, whose intertwiners are the center.
-
-    This is the kernel of the stacked blocks L_{u(e_i)} − R_{e_i}: block i
-    of column c is u(e_i)·e_c − e_c·e_i = Σ_a U[a][i]·e_a e_c − e_c e_i at
-    rows i·dim + r.  The columns are summed from the nonzero products and
-    go to the echelon in column order, so the kernel is the one the
-    stacked matrix gives.
-    """
+def _intertwiner_columns(A: Algebra, u: LinearMap | None):
+    """The columns, in order, of the stacked blocks L_{u(e_i)} − R_{e_i}, u
+    None the identity (sparse rows {a: 1}): block i of column c is
+    u(e_i)·e_c − e_c·e_i = Σ_a U[a][i]·e_a e_c − e_c e_i at rows i·dim + r,
+    summed from the nonzero products."""
     f = A.field
     n = A.dim
-    urows = (u.matrix if u is not None else Matrix.identity(f, n)).sparse_rows()
+    urows = (u.matrix.sparse_rows() if u is not None
+             else [{a: f.one()} for a in range(n)])
     minus_one = f.neg(f.one())
-    columns = []
     for c in range(n):
         blocks = {}
         for a, prod in A.right_products(c).items():
@@ -433,14 +419,26 @@ def intertwiner_basis(A: Algebra, u: LinearMap | None = None):
                 f.axpy(blocks.setdefault(i, {}), prod, x)
         for i, prod in A.left_products(c).items():
             f.axpy(blocks.setdefault(i, {}), prod, minus_one)
-        columns.append({i * n + r: v for i, block in blocks.items()
-                        for r, v in block.items()})
-    return [Element(A, v, _raw=True) for v in sparse_kernel_basis(f, columns)]
+        yield {i * n + r: v for i, block in blocks.items() for r, v in block.items()}
+
+
+def intertwiner_basis(A: Algebra, u: LinearMap | None = None):
+    """Canonical basis of {t : u(e_i)·t = t·e_i for all i}, u by default the
+    identity, whose intertwiners are the center: the kernel of the stacked
+    blocks, their columns taken in order as the stacked matrix has them."""
+    columns = list(_intertwiner_columns(A, u))
+    return [Element(A, v, _raw=True) for v in sparse_kernel_basis(A.field, columns)]
 
 
 def center_basis(A: Algebra):
     """Canonical basis of {z : z e_i = e_i z for all i} (commutator kernel)."""
     return intertwiner_basis(A)
+
+
+def center_dimension(A: Algebra) -> int:
+    """dim Z(A), without a basis: dim minus the rank of the center's
+    columns, streamed into an echelon without tails."""
+    return A.dim - echelon(A.field, _intertwiner_columns(A, None), tails=False)[0].rank
 
 
 def commutator_subspace(A: Algebra, twist: LinearMap | None = None):

@@ -23,7 +23,7 @@ from itertools import islice
 
 from . import __version__, hochschild as hh, serialize, verify
 from .algebra import (LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
-                      center_basis, derivation_witness, endomorphism_witness,
+                      center_dimension, derivation_witness, endomorphism_witness,
                       inverse_of)
 from .calculus import (commutator_orbit_readings, divergence, exp_derivation,
                        jacobian, jacobian_cocycle, liouville_polynomial)
@@ -137,7 +137,7 @@ def cmd_check_algebra(args, checks, data, rng):
     algebra, gram = _load_algebra(args)
     checks.append(Check("algebra/valid", "plumbing", "pass"))
     data["dim"] = algebra.dim
-    data["center_dim"] = len(center_basis(algebra))
+    data["center_dim"] = center_dimension(algebra)
     if gram is not None:
         make_frobenius(algebra, gram)
         checks.append(Check("algebra/form-valid", "change", "pass"))
@@ -194,9 +194,14 @@ def cmd_divergence(args, checks, data, rng):
 
 def cmd_derivations(args, checks, data, rng):
     algebra, _ = _load_algebra(args)
-    basis = verify.derivation_basis(algebra)
+    basis = hh.cocycle_basis(algebra, 1)
     data["derivation_space_dim"] = len(basis)
-    data["derivations"] = [serialize.matrix_to_doc(d.matrix) for d in basis]
+    size = len(basis) * algebra.dim ** 2   # the report's entries, charged first
+    if size > hh.DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{size} derivation entries, budget {hh.DEFAULT_BUDGET}")
+    data["derivations"] = [
+        serialize.matrix_to_doc(c.as_linear_map(ROLE_DERIVATION).matrix)
+        for c in basis]
     checks.append(Check("derivations/computed", "plumbing", "pass"))
 
 
@@ -208,7 +213,7 @@ def cmd_hochschild(args, checks, data, rng):
         dims.append({"degree": p, "dim": rep.dim,
                      "cycles": rep.dim_cycles, "boundaries": rep.dim_boundaries})
     data["cohomology"] = dims
-    center_dim = len(center_basis(algebra))
+    center_dim = center_dimension(algebra)
     checks.append(Check("hochschild/h0-is-center", "sigma:central",
                         "pass" if dims[0]["dim"] == center_dim else "fail",
                         {"h0": dims[0]["dim"], "center": center_dim}))

@@ -12,10 +12,9 @@ from itertools import product
 
 from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       center_basis, endomorphism_witness, inner_automorphism,
-                      intertwiner_basis, inverse_of, left_mult_matrix)
+                      intertwiner_basis, inverse_of, right_mult_matrix)
 from .errors import InternalInconsistency, MalformedInput
-from .linalg import (Matrix, invert, solve_linear, sparse_combination,
-                     sum_product)
+from .linalg import Matrix, invert, sparse_combination, sum_product
 
 
 class FrobeniusStructure:
@@ -134,20 +133,17 @@ def shared_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
 def relate_forms(F: FrobeniusStructure, gram2: Matrix):
     """Unit t with ⟨a,b⟩' = ⟨a,bt⟩, plus the conjugation check on sigma.
 
-    Returns ``(t, ok)`` where ok records σ' == ι_t ∘ σ.  gram2 is validated
-    through :func:`shared_frobenius`, so a degenerate or non-associative
-    input raises.
+    ⟨e_i, e_j·t⟩ is entry (i, j) of G·R_t, so t relates the forms exactly
+    when G′ = G·R_t, and then t = R_t·1 = G⁻¹·(G′·1), unique; G·R_t = G′ is
+    checked exactly.  Returns ``(t, ok)`` where ok records σ' == ι_t ∘ σ.
+    gram2 is validated through :func:`shared_frobenius`, so a degenerate or
+    non-associative input raises.
     """
     A = F.algebra
     F2 = shared_frobenius(A, gram2)
-    # ⟨e_i, e_j·t⟩ = Σ_k t_k ⟨e_i, e_j e_k⟩ must equal gram2[i][j]: block j
-    # of the stacked system is G·L_{e_j}, its right-hand side column j of gram2
-    sol = solve_linear(Matrix.block(A.field, [[F.gram * left_mult_matrix(e)]
-                                              for e in A.basis_elements()]),
-                       [v for j in range(A.dim) for v in gram2.column(j)])
-    if sol is None:
+    t = Element(A, F._gram_inv.apply(gram2.apply(A.unit)), _raw=True)
+    if F.gram * right_mult_matrix(t) != gram2:
         raise InternalInconsistency("no relating element for two valid forms")
-    t = Element(A, sol, _raw=True)
     if inverse_of(t) is None:
         raise InternalInconsistency("relating element is not a unit")
     conj = inner_automorphism(t).compose(F.sigma)

@@ -16,6 +16,7 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_DERIVATION,
 from .errors import BudgetExceeded, MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
+from .hochschild import _coboundary_columns
 from .linalg import (Matrix, determinant, invert, linear_combination,
                      sparse_kernel_basis, sum_product)
 
@@ -417,39 +418,24 @@ class TrivialExtensionGallery:
     def derivation_space_to_dual(self):
         """Basis of Der(B, DB) as n x n matrices (columns δ(e_i) on dual basis).
 
-        Untwisted dual actions: (b·λ)(v) = λ(vb) and (λ·b)(v) = λ(bv), so
-        the Leibniz law δ(e_i e_j) = e_i δ(e_j) + δ(e_i) e_j becomes, per
-        dual coordinate m,
-            Σ_s c^{ij}_s D[m][s]
-              = Σ_k coeff_k(e_m e_i) D[k][j] + Σ_k coeff_k(e_j e_m) D[k][i].
-
-        The system depends on B alone; it is solved once per B and the
-        tuple is kept in B's cache.
+        δ is a derivation into the untwisted DB, (b·λ)(v) = λ(vb) and
+        (λ·b)(v) = λ(bv), exactly when [[0, 0], [δ, 0]] is a 1-cocycle of
+        the untwisted B ⊕ DB (pairs with a DB factor give 0 = 0), so the
+        basis is the canonical kernel of that extension's cached d¹ on the
+        columns (n + k)·2n + a of the unknowns D[k][a], in that order.  It
+        depends on B alone and is kept in B's cache.
         """
-        B, f = self.B, self.field
+        B, f, n = self.B, self.field, self.B.dim
         cached = B._cache.get("derivations-to-dual")
-        if cached is not None:
-            return cached
-        n = B.dim
-        add, neg = f.add_entry, f.neg
-        # column k·n + a holds the coefficients of the unknown D[k][a] in the
-        # equations (i, j, m), row (i·n + j)·n + m, read off the products
-        # e_i e_j ∋ c·e_a (left side) and e_m e_i, e_j e_m ∋ c·e_k (right)
-        cols = []
-        for k in range(n):
-            for a in range(n):
-                col = {}
-                for i, j, c in B.pairs_into(a):
-                    add(col, (i * n + j) * n + k, c)
-                for m, i, c in B.pairs_into(k):
-                    add(col, (i * n + a) * n + m, neg(c))
-                for j, m, c in B.pairs_into(k):
-                    add(col, (a * n + j) * n + m, neg(c))
-                cols.append(col)
-        out = tuple(Matrix(f, [[v[k * n + i] for i in range(n)] for k in range(n)],
-                           _raw=True) for v in sparse_kernel_basis(f, cols))
-        B._cache["derivations-to-dual"] = out
-        return out
+        if cached is None:
+            ext = self if self.tau is None else shared_trivial_extension(B)
+            cols = _coboundary_columns(ext.algebra, 1)
+            kernel = sparse_kernel_basis(f, [cols[(n + k) * 2 * n + a]
+                                             for k in range(n) for a in range(n)])
+            cached = B._cache["derivations-to-dual"] = tuple(
+                Matrix(f, [v[k * n:(k + 1) * n] for k in range(n)], _raw=True)
+                for v in kernel)
+        return cached
 
 
 def trivial_extension(B: Algebra, tau: LinearMap | None = None):

@@ -169,3 +169,18 @@ def test_unit_search_finite_field_exhausts():
                            SplitMix64(5))
     assert res.verdict == "yes"
     assert unit_in_subspace(A, [], SplitMix64(5)).verdict == "no"
+
+
+def test_unit_search_samples_a_finite_field_too_large_to_exhaust():
+    # exterior(3) over F5: 5⁸ and 5⁷ exceed EXHAUST_LIMIT, so both searches
+    # sample; the whole algebra holds units, its radical (degree ≥ 1) none
+    from frobcalc.frobenius import EXHAUST_LIMIT
+    item = exterior(3, Field.prime(5))
+    A = item.algebra
+    radical = [A.basis_element(i) for i in range(A.dim) if item.degree(i) > 0]
+    assert 5 ** len(radical) > EXHAUST_LIMIT
+    res = unit_in_subspace(A, A.basis_elements(), SplitMix64(7))
+    assert res.verdict == "yes" and inverse_of(res.unit) is not None
+    res = unit_in_subspace(A, radical, SplitMix64(7))
+    assert (res.verdict, res.unit) == ("inconclusive", None)
+    assert res.detail == "no unit found (inconclusive)"

@@ -930,3 +930,22 @@ def test_duality_intertwines_the_cochain_action():
                    for c in range(len(tensors))]
             assert lhs == rhs
 
+
+
+def test_main_theorem_refutes_a_map_that_is_not_the_nakayama_automorphism():
+    # the swap of the generators of exterior(2) is an automorphism but not
+    # σ (the sign on odd degree): put in σ's place by hand, f^φ − f is no
+    # coboundary for the listed basis cocycles, and their certificates are
+    # None, the refutation the main theorem reports; the true σ solves all
+    from frobcalc.frobenius import FrobeniusStructure
+    item = exterior(2)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    fake = FrobeniusStructure(A, F.gram, item.phi([[0, 1], [1, 0]]), F._gram_inv)
+    assert hh.main_theorem(fake, 1) == (6, [0, 1, 2, 5])
+    assert hh.main_theorem(fake, 2) == (16, [0, 1, 5, 6, 9, 10])
+    basis = hh.cocycle_basis(A, 1)
+    assert [hh.triviality_certificate(fake, f) is None for f in basis] == [
+        True, True, True, False, False, True]
+    assert hh.main_theorem(F, 1) == (6, [])
+    assert hh.main_theorem(F, 2) == (16, [])

@@ -422,6 +422,33 @@ def test_cli_gallery_over_budget_is_inconclusive(argv):
     assert "budget 1048576" in check["witness"]["error"]
 
 
+def _square_zero_doc(dim):
+    """k ⊕ V over Q with V² = 0 and dim V = dim − 1: dim Der = (dim − 1)²,
+    so the derivations report lists (dim − 1)²·dim² entries."""
+    structure = [[0, j, j, "1"] for j in range(dim)] + [[j, 0, j, "1"]
+                                                       for j in range(1, dim)]
+    return {"schema": 1, "field": Q.describe(), "dim": dim,
+            "basis_names": [f"e{j}" for j in range(dim)],
+            "unit": ["1"] + ["0"] * (dim - 1), "structure": structure}
+
+
+def test_derivations_report_is_charged_before_it_is_built(tmp_path):
+    # 31²·32² = 984 064 entries fit the default budget, 32²·33² do not: the
+    # request ends on the budget check before any matrix is built
+    path = write(tmp_path, "a.json", _square_zero_doc(32))
+    code, rep = run_json(["derivations", "--file", path])
+    assert code == 0 and rep["data"]["derivation_space_dim"] == 31 ** 2
+    assert len(rep["data"]["derivations"]) == 31 ** 2
+    path = write(tmp_path, "b.json", _square_zero_doc(33))
+    code, rep = run_json(["derivations", "--file", path])
+    assert code == 2
+    assert [(c["id"], c["status"]) for c in rep["checks"]] == [
+        ("budget", "inconclusive")]
+    assert rep["checks"][0]["witness"]["error"] == (
+        "1115136 derivation entries, budget 1048576")
+    assert rep["data"] == {"derivation_space_dim": 32 ** 2}
+
+
 def test_gallery_charge_is_the_built_size():
     # the charge is structure constants + dim², counted before building;
     # cyclic(p) charges its constants p times, for its associativity check
@@ -585,8 +612,10 @@ def augmentation_map():
 # two while the echelon scaled every pivot to lead 1 and Q reduced on
 # Fractions, the next one once ``gallery trivial`` built over --field, the
 # next one once a --verify-all report over a field other than Q said that
-# its suites ran over Q, and the last five, on qci(a) over F_p[a]/(m), while
-# every extension-field product was polynomial arithmetic mod m.
+# its suites ran over Q, the next five, on qci(a) over F_p[a]/(m), while
+# every extension-field product was polynomial arithmetic mod m, and the last
+# one, the first passing frobenius report, while the relating unit of two
+# forms and Der(B, DB) were solved from their own linear systems.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
     "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
@@ -752,6 +781,9 @@ GOLDEN = {
         {"--file": lambda: _qci_over(3, [1, 2, 0, 1])},
         ["verify-main-theorem", "--max-degree", "3"], 0,
         "2c154e0e928620486c0b38817a30be01ee6fefb1ef766805002af1b0a5dad0e7"),
+    "frobenius qci(2)/Q": (
+        _QCI, ["frobenius"], 0,
+        "5057c7000ca1f9405aca432ec5299cc596ac4e12ef29d63a2f3a6f50086bee23"),
 }
 
 

@@ -8,15 +8,18 @@ read the canonical kernel and the independent columns off them; the two
 must agree vector for vector, in order.
 """
 
+import tracemalloc
+
 import pytest
 
-from frobcalc.algebra import (Element, LinearMap, center_basis,
-                              commutator_subspace, inner_automorphism,
+from frobcalc.algebra import (Algebra, Element, LinearMap, center_basis,
+                              center_dimension, commutator_subspace, inner_automorphism,
                               intertwiner_basis, inverse_of, left_mult_matrix,
                               right_mult_matrix)
 from frobcalc.fields import Field
 from frobcalc.frobenius import make_frobenius
-from frobcalc.gallery import exterior, matrix_algebra, qci, trivial_extension
+from frobcalc.gallery import (exterior, matrix_algebra, qci, s3_group_algebra,
+                              trivial_extension)
 from frobcalc.linalg import Matrix, echelon, kernel_basis
 from frobcalc.rng import SplitMix64
 
@@ -81,3 +84,44 @@ def test_sparse_systems_match_dense_stacked_blocks(label, family):
     for name, u in _maps(A, F).items():
         assert intertwiner_basis(A, u) == _dense_intertwiners(A, u.matrix), name
 
+
+
+@pytest.mark.parametrize("label,family", CASES)
+def test_center_dimension_counts_the_center_basis(label, family):
+    A = FAMILIES[family](FIELDS[label]).algebra
+    assert center_dimension(A) == len(center_basis(A))
+
+
+GALLERY_CENTERS = {"matrix3": (lambda: matrix_algebra(3), 1),
+                   "exterior4": (lambda: exterior(4), 8),
+                   "qci2": (lambda: qci(2), 2),
+                   "S3": (s3_group_algebra, 3)}
+
+
+@pytest.mark.parametrize("name", list(GALLERY_CENTERS))
+def test_center_dimension_of_gallery_algebras(name):
+    build, dim = GALLERY_CENTERS[name]
+    A = build().algebra
+    assert center_dimension(A) == len(center_basis(A)) == dim
+
+
+def test_center_dimension_holds_no_dense_basis():
+    # k^3000, diagonal: the count streams 3000 one-entry columns into a
+    # rank-only echelon, where a dense basis and a dense identity would
+    # take 3000² entries each (about 139 MiB traced)
+    n = 3000
+    A = Algebra(Field.rationals(), n, [f"e{i}" for i in range(n)],
+                [(i, i, i, 1) for i in range(n)], [1] * n)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        dim = center_dimension(A)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert dim == n
+    assert peak < 8 * 2**20
