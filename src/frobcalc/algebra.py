@@ -282,10 +282,13 @@ class LinearMap:
     are verified on construction: ``endomorphism`` must preserve products
     and the unit, ``derivation`` must satisfy the Leibniz law.  The inverse
     is eliminated once, on first use, and kept (False when singular); it
-    does not point back at its map.
+    does not point back at its map.  ``_action`` keeps what the map needs
+    to act on cochains, filled on first use by
+    ``hochschild._action_slots``: whether it is the identity, and the slot
+    maps of its columns and of its inverse's rows.
     """
 
-    __slots__ = ("algebra", "matrix", "role", "_inverse")
+    __slots__ = ("algebra", "matrix", "role", "_inverse", "_action")
 
     def __init__(self, algebra, matrix, role=ROLE_GENERAL, *, check=True):
         self.algebra = algebra
@@ -297,7 +300,7 @@ class LinearMap:
             raise MalformedInput("map matrix must be dim x dim")
         self.matrix = matrix
         self.role = role
-        self._inverse = None
+        self._inverse = self._action = None
         if check:
             if role == ROLE_ENDOMORPHISM:
                 w = endomorphism_witness(algebra, matrix)

@@ -226,6 +226,8 @@ def _canonical(q):
 # ``axpy(dst, src, c)``      dst += c·src on sparse dicts,
 # ``add_entry(d, key, val)`` d[key] += val on a sparse dict,
 # ``matmul(left, right, w)`` the rows of left·right, right of width w,
+# ``column_combination(cols, x)`` Σ_j x[j]·cols[j] on sparse dicts, x sparse:
+#                            the column mat-vec of a sparse differential,
 # ``clear_denominators(v)``  (L·v, L) with L·v in ints, or (v, None) when
 #                            v holds ints only or the field is not Q,
 # ``monomial_mode(v, n, w, images)`` v with each key k moved to k + d·w and
@@ -246,6 +248,10 @@ def _canonical(q):
 # and reads each row of left only at those, so a matrix–vector product
 # costs rows·nnz(vec); Q and F_p accumulate rows densely, and both kinds
 # of F_p[a]/(m) share one ``_sparse_matmul`` that accumulates by ``axpy``.
+# ``column_combination`` is fused the same way: Q and F_p accumulate the
+# raw sums of every column and make them canonical once, at the end (Q:
+# an integral Fraction becomes its int, F_p: one reduction mod p; zeros
+# dropped), and both kinds of F_p[a]/(m) run one ``axpy`` per column.
 
 def _falsy_nonzeros(vec):
     return dict(compress(enumerate(vec), vec))
@@ -310,9 +316,36 @@ def _sparse_matmul(nonzeros, axpy, zero):
     return matmul
 
 
+def _raw_column_combination(finish):
+    """Σ_j x[j]·cols[j] on raw ``+ *`` (Q and F_p); ``finish`` turns the
+    accumulated sums into canonical raw values and drops the zeros."""
+    def column_combination(cols, x):
+        acc = {}
+        get = acc.get
+        for j, c in x.items():
+            for k, v in cols[j].items():
+                acc[k] = get(k, 0) + c * v
+        return finish(acc)
+    return column_combination
+
+
+def _axpy_column_combination(axpy):
+    """Σ_j x[j]·cols[j] as one ``axpy`` per column (F_p[a]/(m))."""
+    def column_combination(cols, x):
+        out = {}
+        for j, c in x.items():
+            axpy(out, cols[j], c)
+        return out
+    return column_combination
+
+
 _rational_matmul = _raw_matmul(
     lambda out: [[x if type(x) is int or x.denominator != 1 else x.numerator
                   for x in acc] for acc in out])
+
+_rational_column_combination = _raw_column_combination(
+    lambda acc: {k: x if type(x) is int or x.denominator != 1 else x.numerator
+                 for k, x in acc.items() if x})
 
 
 def _rational_monomial_mode(vec, n, w, images):
@@ -399,6 +432,8 @@ def _prime_loops(p):
     # ints do not overflow: each sum is reduced once, at the end
     return (_falsy_nonzeros, axpy, add_entry,
             _raw_matmul(lambda out: [[x % p for x in acc] for acc in out]),
+            _raw_column_combination(
+                lambda acc: {k: r for k, x in acc.items() if (r := x % p)}),
             _unscaled, monomial_mode,
             *_unscaled_steps(axpy, lambda a, lead: -a * pow(lead, -1, p) % p))
 
@@ -452,7 +487,7 @@ def _table_loops(p, log, exp, zech):
                 for k, v in vec.items() for d, c in [images[k // w % n]]}
 
     return (nonzeros, axpy, add_entry, _sparse_matmul(nonzeros, axpy, zero),
-            _unscaled, monomial_mode,
+            _axpy_column_combination(axpy), _unscaled, monomial_mode,
             *_unscaled_steps(axpy, lambda a, lead: exp[log[a] - log[lead] + log_minus_one]))
 
 
@@ -482,7 +517,7 @@ def _generic_loops(f):
                 for k, v in vec.items() for d, c in [images[k // w % n]]}
 
     return (nonzeros, axpy, add_entry, _sparse_matmul(nonzeros, axpy, f.zero()),
-            _unscaled, monomial_mode,
+            _axpy_column_combination(axpy), _unscaled, monomial_mode,
             *_unscaled_steps(axpy, lambda a, lead: f.neg(f.div(a, lead))))
 
 
@@ -494,8 +529,9 @@ class Field:
     """
 
     __slots__ = ("kind", "p", "min_poly", "_deg", "_log", "_exp", "nonzeros",
-                 "axpy", "add_entry", "matmul", "clear_denominators", "monomial_mode",
-                 "eliminate", "primitive", "unscale")
+                 "axpy", "add_entry", "matmul", "column_combination",
+                 "clear_denominators", "monomial_mode", "eliminate", "primitive",
+                 "unscale")
 
     def __init__(self, kind, p=None, min_poly=None):
         self.kind = kind
@@ -530,7 +566,8 @@ class Field:
         self._log = self._exp = None
         if kind == RATIONALS:
             loops = (_falsy_nonzeros, _rational_axpy, _rational_add_entry,
-                     _rational_matmul, _rational_clear_denominators,
+                     _rational_matmul, _rational_column_combination,
+                     _rational_clear_denominators,
                      _rational_monomial_mode, _rational_eliminate,
                      _rational_primitive, _rational_unscale)
         elif kind == PRIME:
@@ -540,8 +577,9 @@ class Field:
             loops = _table_loops(p, self._log, self._exp, zech)
         else:
             loops = _generic_loops(self)
-        (self.nonzeros, self.axpy, self.add_entry, self.matmul, self.clear_denominators,
-         self.monomial_mode, self.eliminate, self.primitive, self.unscale) = loops
+        (self.nonzeros, self.axpy, self.add_entry, self.matmul, self.column_combination,
+         self.clear_denominators, self.monomial_mode, self.eliminate, self.primitive,
+         self.unscale) = loops
 
     # constructors ---------------------------------------------------------
     @staticmethod

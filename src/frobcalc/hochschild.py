@@ -278,10 +278,13 @@ def _representatives(ech, kernel, dim_bound, pairing=None):
 
 
 def _apply_columns(field, cols, vec_dict):
-    out = {}
-    for j, c in vec_dict.items():
-        field.axpy(out, cols[j], c)
-    return out
+    """Σ_j vec_dict[j]·cols[j]: d^p or b_p applied to a sparse vector, in
+    one pass of the field's fused ``column_combination``, which sums raw
+    values and makes them canonical once.  The calls here are few and
+    large; ``linalg.sparse_combination`` serves many tiny ones (role
+    checks, forms) and stays on ``axpy``, where the fused loop's final
+    pass costs more than it saves."""
+    return field.column_combination(cols, vec_dict)
 
 
 def _slot_map(images):
@@ -291,6 +294,25 @@ def _slot_map(images):
     if any(len(im) != 1 for im in images):
         return False, images
     return True, [(s - t, c) for t, im in enumerate(images) for s, c in im.items()]
+
+
+def _action_slots(u: LinearMap, inverse=True):
+    """(is u the identity, the slot map of u's columns, that of u⁻¹'s
+    rows), derived on first use and kept on u (``LinearMap._action``), so
+    acting by σ on many cochains reads σ's matrices once.  u⁻¹'s rows are
+    derived on the first call that asks for them (``inverse``): the
+    σ-action on homology reads σ's columns alone and inverts nothing, and
+    the identity, whose action never reads them, keeps None.  A singular u
+    raises MalformedInput on every call that asks for them and keeps
+    nothing."""
+    action = u._action
+    if action is None:
+        action = (u.is_identity(), _slot_map(u.matrix.sparse_columns()), None)
+    identity, cols, rows = action
+    if inverse and rows is None and not identity:
+        action = identity, cols, _slot_map(u.inverse().matrix.sparse_rows())
+    u._action = action
+    return action
 
 
 def _mode_product(fld, data, n, w, slot):
@@ -490,10 +512,11 @@ def homology_dimension(A: Algebra, p, coeffs=UNTWISTED,
 def cochain_action(u: LinearMap, f: Cochain) -> Cochain:
     """The twisted cochain a₁⊗...⊗a_p ↦ u(f(u⁻¹a₁ ⊗ ... ⊗ u⁻¹a_p)).
 
-    ``u`` is an invertible endomorphism; u⁻¹ is the one u keeps, so acting
-    by σ on many cochains eliminates σ once.  The action is p + 1 mode
-    products on the nonzeros of f: rows of u⁻¹ on the input digits
-    (weights n⁰ … n^{p−1}), then columns of u on the output digit
+    ``u`` is an invertible endomorphism; its identity test and slot maps
+    are the ones u keeps (:func:`_action_slots`), so acting by σ on many
+    cochains eliminates σ once and reads its matrices once.  The action is
+    p + 1 mode products on the nonzeros of f: rows of u⁻¹ on the input
+    digits (weights n⁰ … n^{p−1}), then columns of u on the output digit
     (weight n^p)."""
     if u.role != ROLE_ENDOMORPHISM:
         raise MalformedInput("cochain action needs an invertible endomorphism")
@@ -501,13 +524,12 @@ def cochain_action(u: LinearMap, f: Cochain) -> Cochain:
     if u.algebra != A:
         raise MalformedInput("map acts on a different algebra")
     fld, n, p = A.field, A.dim, f.degree
-    if u.is_identity():
+    identity, out_slot, in_slot = _action_slots(u)
+    if identity:
         return Cochain(A, p, dict(f.data))
-    in_slot = _slot_map(u.inverse().matrix.sparse_rows())
     data = f.data
     for i in range(p):
         data = _mode_product(fld, data, n, n ** i, in_slot)
-    out_slot = _slot_map(u.matrix.sparse_columns())
     return Cochain(A, p, _mode_product(fld, data, n, n ** p, out_slot))
 
 
@@ -557,14 +579,15 @@ def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
     """Matrix of the induced map on H_p in the deterministic basis.
 
     σ_M ⊗ σ^{⊗p} is applied to each representative as p + 1 mode products
-    (σ's columns on every digit), and the image gets its unique
-    coordinates in Z/B from the cached homology (see :func:`_homology`)."""
+    (σ's columns on every digit, the slot map σ keeps, see
+    :func:`_action_slots`), and the image gets its unique coordinates in
+    Z/B from the cached homology (see :func:`_homology`)."""
     A = F.algebra
     fld, n = A.field, A.dim
     _check_budget(A, p, budget)
     twist = _resolve_twist(coeffs, F.sigma)
     state = _homology(A, p, twist)
-    slot = _slot_map(F.sigma.matrix.sparse_columns())
+    slot = _action_slots(F.sigma, inverse=False)[1]
     h = len(state.reps)
     data = [[fld.zero()] * h for _ in range(h)]
     for jdx, rep in enumerate(state.reps):

@@ -157,22 +157,27 @@ def _assert_action_by_definition(item, F, f):
     evaluated on each tensor of basis vectors that u⁻¹ puts in the slots.
     In the dense row-major vector of a cochain, its value at the i-th basis
     tensor (in ``itertools.product`` order) is the slice [i::n^p]."""
+    for u in (F.sigma, item.alpha(2, 1, 1, 2)):
+        assert_acts_by_definition(u, f)
+
+
+def assert_acts_by_definition(u, f):
+    """One map's side of :func:`_assert_action_by_definition`."""
     A = f.algebra
     fld, n, p = A.field, A.dim, f.degree
     flat = f.flatten()
-    for u in (F.sigma, item.alpha(2, 1, 1, 2)):
-        cols = [u.inverse()(A.basis_element(t)).raw for t in range(n)]
-        g = hh.cochain_action(u, f).flatten()
-        tensors = list(itertools.product(range(n), repeat=p))
-        for i, J in enumerate(tensors):
-            value = A.zero_element()
-            for k_idx, K in enumerate(tensors):
-                c = fld.one()
-                for j, k in zip(J, K):
-                    c = fld.mul(c, cols[j][k])
-                if not fld.is_zero(c):
-                    value = value + Element(A, flat[k_idx::n ** p], _raw=True).scale(c)
-            assert Element(A, g[i::n ** p], _raw=True) == u(value), (u, J)
+    cols = [u.inverse()(A.basis_element(t)).raw for t in range(n)]
+    g = hh.cochain_action(u, f).flatten()
+    tensors = list(itertools.product(range(n), repeat=p))
+    for i, J in enumerate(tensors):
+        value = A.zero_element()
+        for k_idx, K in enumerate(tensors):
+            c = fld.one()
+            for j, k in zip(J, K):
+                c = fld.mul(c, cols[j][k])
+            if not fld.is_zero(c):
+                value = value + Element(A, flat[k_idx::n ** p], _raw=True).scale(c)
+        assert Element(A, g[i::n ** p], _raw=True) == u(value), (u, J)
 
 
 def test_cochain_action_matches_definition_in_degree_two():
@@ -849,9 +854,13 @@ def test_a_sigma_image_that_is_not_a_cycle_is_refused(monkeypatch, dual):
     skew = Matrix.identity(Q, 4).data
     skew[0][1] = 1
     slot = hh._slot_map(Matrix(Q, skew).sparse_columns())
+    # σ keeps its slot maps from their first use on: patched before it, so
+    # that the skewed slot is the one kept and read
+    assert F.sigma._action is None
     monkeypatch.setattr(hh, "_slot_map", lambda images: slot)
     with pytest.raises(InternalInconsistency, match="failed to re-express"):
         hh.sigma_action_on_homology(F, 1, hh.TWISTED)
+    assert F.sigma._action[1] is slot
 
 
 # one carrier per kind of face table: a commutative one, a group algebra

@@ -7,8 +7,11 @@ pivots unnormalized and, over Q, holds ints only.  The references below
 are the same loops written with one ``Field`` method call per scalar, and
 an echelon that normalizes every pivot to 1: results, key order and the
 canonical Q form must come out the same, and the echelon's pivots must
-be the reference's once divided by their leads.  ``Element`` and
-``Matrix`` sums, differences, negations and scalings, which are
+be the reference's once divided by their leads.  The column mat-vec
+behind d^p·f, ``column_combination``, is checked against one ``axpy``
+per column by value and type; its keys may come in another order, since
+it drops cancelled entries at the end and not as they cancel.
+``Element`` and ``Matrix`` sums, differences, negations and scalings, which are
 ``linear_combination``, ``Matrix.apply`` and ``sum_product``, which are
 ``matmul``, and element products are checked against entrywise ``Field``
 loops in the same way; over Q, F_p and F_9 they must make no
@@ -22,6 +25,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobcalc import hochschild as hh
 from frobcalc.algebra import Algebra
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
@@ -483,6 +487,47 @@ def test_linear_ops_match_per_scalar_ops(label):
                 (A.scalar_element(s), [f.mul(raw_s, u) for u in A.unit])):
             assert got.algebra is A
             assert typed_rows([got.raw]) == typed_rows([want])
+
+    props()
+
+
+@pytest.mark.parametrize("label", list(LINEAR))
+def test_column_combination_matches_the_axpy_loop(label):
+    # d^p·f and b_p·c (hochschild._apply_columns) sum raw values and make
+    # them canonical once over Q and F_p; one axpy per column, and the
+    # per-scalar loop, must give the same values and raw types.  Columns
+    # that cancel leave no zero behind, and over Q Fraction sums that come
+    # out integral come back as ints
+    f = LINEAR[label]
+    indices = st.integers(min_value=0, max_value=9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.dictionaries(indices, ENTRY[label], max_size=5),
+                    min_size=1, max_size=6), st.data())
+    def props(raw_cols, data):
+        cols = [sparse(f, c) for c in raw_cols]
+        x = sparse(f, data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=len(cols) - 1), ENTRY[label])))
+        # a column that cancels x_j·cols[j], taken once
+        j = data.draw(st.integers(min_value=0, max_value=len(cols) - 1))
+        if j in x:
+            cols.append({k: f.neg(f.mul(x[j], v)) for k, v in cols[j].items()})
+            x[len(cols) - 1] = f.one()
+        if f == FIELDS["Q"]:
+            # 3·(1/2) + 1/2 = 2 at key 10, 3·(1/3) − 1 = 0 at key 11
+            cols += [{10: Fraction(1, 2), 11: Fraction(1, 3)}, {10: Fraction(1, 2), 11: -1}]
+            x.update({len(cols) - 2: 3, len(cols) - 1: 1})
+        fused = hh._apply_columns(f, cols, x)
+        by_axpy, per_scalar = {}, {}
+        for i, c in x.items():
+            f.axpy(by_axpy, cols[i], c)
+            ref_axpy(f, per_scalar, cols[i], c)
+        assert {k: (v, type(v)) for k, v in fused.items()} == \
+            {k: (v, type(v)) for k, v in by_axpy.items()} == \
+            {k: (v, type(v)) for k, v in per_scalar.items()}
+        check_form(f, fused.values())
+        if f == FIELDS["Q"]:
+            assert type(fused[10]) is int and 11 not in fused
 
     props()
 

@@ -118,3 +118,85 @@ def test_each_map_is_inverted_once(monkeypatch):
     with pytest.raises(MalformedInput):
         augmentation.inverse()
     assert len(inverted) == 1
+
+
+def test_each_map_derives_its_action_once(monkeypatch):
+    # the identity test and the slot maps of σ's columns and σ⁻¹'s rows are
+    # kept on σ: 50 certificates derive them once, and the σ-action on
+    # homology reads σ's columns from there
+    derived = []
+
+    def counting(images):
+        derived.append(images)
+        return slot_map(images)
+
+    slot_map = hh._slot_map
+    monkeypatch.setattr(hh, "_slot_map", counting)
+    item = qci(2)
+    A = item.algebra
+    basis = hh.cocycle_basis(A, 3)
+    assert len(basis) == 51
+
+    def certify(F):
+        for f in basis[:50]:
+            assert hh.triviality_certificate(F, f) is not None
+
+    def act_on_homology(F):
+        for p in range(3):
+            hh.sigma_action_on_homology(F, p, hh.UNTWISTED)
+            assert hh.sigma_action_on_homology(F, p, hh.TWISTED).is_identity()
+
+    for first, second in ((certify, act_on_homology), (act_on_homology, certify)):
+        A._cache.clear()
+        F = make_frobenius(A, item.gram)
+        # the homology of each degree, built first: its duality check reads
+        # the form's rows through _slot_map too
+        for p in range(3):
+            for coeffs in (hh.UNTWISTED, hh.TWISTED):
+                hh.homology_dimension(A, p, coeffs, F.sigma)
+        del derived[:]
+        first(F)
+        if first is act_on_homology:
+            # σ's columns alone: the action on homology inverts nothing
+            assert derived == [F.sigma.matrix.sparse_columns()]
+            assert F.sigma._inverse is None
+        second(F)
+        assert derived == [F.sigma.matrix.sparse_columns(),
+                           F.sigma_inv().matrix.sparse_rows()]
+
+    # the identity keeps a flag and its columns, and still returns a copy
+    one = algebra.LinearMap.identity(A)
+    f = basis[0]
+    for _ in range(2):
+        same = hh.cochain_action(one, f)
+        assert same == f and same.data is not f.data
+        same.data.clear()
+        assert f.data
+    assert len(derived) == 3 and one._action[::2] == (True, None)
+    assert one._inverse is None
+
+    # a singular endomorphism raises on every call and keeps nothing
+    augmentation = augmentation_map()
+    g = hh.Cochain(augmentation.algebra, 1, {0: 1})
+    for _ in range(2):
+        with pytest.raises(MalformedInput, match="not invertible"):
+            hh.cochain_action(augmentation, g)
+        assert augmentation._action is None
+
+
+def test_kept_action_matches_the_definition():
+    # two actions by one map, in the degrees certificates act in, against
+    # the dense definition a ↦ u(f(u⁻¹a₁ ⊗ … ⊗ u⁻¹a_p))
+    from test_hochschild import assert_acts_by_definition
+
+    item = qci(2)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    fld = A.field
+    for u in (F.sigma, item.alpha(2, 1, 1, 2)):
+        for p in (2, 3):
+            f = hh.Cochain.from_flat(A, p, [fld.from_int((7 * i) % 11 - 5) if i % 3
+                                            else fld.zero() for i in range(A.dim ** (p + 1))])
+            for _ in range(2):
+                assert_acts_by_definition(u, f)
+        assert u._action is not None
