@@ -361,7 +361,7 @@ class LinearMap:
         return hash((self.algebra, self.matrix))
 
     def is_identity(self):
-        return self.matrix == Matrix.identity(self.algebra.field, self.algebra.dim)
+        return self.matrix.is_identity()
 
     def __repr__(self):
         return f"LinearMap(role={self.role}, {self.matrix!r})"

@@ -22,7 +22,7 @@ from .algebra import (Element, LinearMap, ROLE_DERIVATION, ROLE_ENDOMORPHISM,
                       inverse_of, left_mult_matrix, right_mult_matrix)
 from .errors import InternalInconsistency, MalformedInput, RoleViolation
 from .frobenius import FrobeniusStructure, UnitSearch, unit_in_subspace
-from .linalg import Matrix, kernel_basis, mismatches, sum_product
+from .linalg import Matrix, kernel_basis, sparse_combination, sum_product
 
 
 def _require_role(m: LinearMap, role):
@@ -90,24 +90,28 @@ def bavula_jacobian(ext, u: LinearMap) -> Element:
 def delta_star(F: FrobeniusStructure, d: LinearMap) -> LinearMap:
     """The adjoint: ⟨d(a), b⟩ = ⟨a, δ*(b)⟩; computed as G⁻¹DᵀG."""
     _require_role(d, ROLE_DERIVATION)
-    A = F.algebra
-    ds = F._gram_inv * d.matrix.transpose() * F.gram
-    star = LinearMap(A, ds)
-    # twisted Leibniz laws δ*(ab) = a·δ*(b) − d(a)·b = δ*(a)·b − a·d^σ(b), as
-    # δ*·L_{e_i} = L_{e_i}·δ* − L_{d(e_i)} = L_{δ*(e_i)} − L_{e_i}·d^σ; the
-    # first failing pair (i, j) names the law, the left one first
-    dsig = F.sigma.compose(d).compose(F.sigma_inv()).matrix
-    for i, ei in enumerate(A.basis_elements()):
-        li = left_mult_matrix(ei)
-        prod = ds * li
-        left = mismatches(prod, li * ds - left_mult_matrix(
-            Element(A, d.matrix.column(i), _raw=True)))
-        right = mismatches(prod, left_mult_matrix(
-            Element(A, ds.column(i), _raw=True)) - li * dsig)
-        if left or right:
-            j = min(c for _, c in left + right)
-            law = "left" if any(c == j for _, c in left) else "right"
-            raise InternalInconsistency(f"{law} twisted Leibniz law failed")
+    A, f = F.algebra, F.algebra.field
+    star = LinearMap(A, F._gram_inv * d.matrix.transpose() * F.gram)
+    # twisted Leibniz laws δ*(ab) = a·δ*(b) − d(a)·b = δ*(a)·b − a·d^σ(b) on
+    # the nonzero products e_i·e_j, d^σ = σ∘d∘σ⁻¹; the first failing pair
+    # (i, j) names the law, the left one first
+    stars, images, sigma = (dict(enumerate(m.matrix.sparse_columns()))
+                            for m in (star, d, F.sigma))
+    twisted = [sparse_combination(f, sigma, sparse_combination(f, images, c))
+               for c in F.sigma_inv().matrix.sparse_columns()]
+    minus_one = f.neg(f.one())
+    for i in range(A.dim):
+        row = A.left_products(i)
+        d_left, star_left = (A.mult_columns(x[i], True) for x in (images, stars))
+        for j in range(A.dim):
+            lhs = sparse_combination(f, stars, row.get(j, {}))
+            left = sparse_combination(f, row, stars[j])
+            f.axpy(left, d_left.get(j, {}), minus_one)
+            right = dict(star_left.get(j, {}))
+            f.axpy(right, sparse_combination(f, row, twisted[j]), minus_one)
+            if lhs != left or lhs != right:
+                law = "left" if lhs != left else "right"
+                raise InternalInconsistency(f"{law} twisted Leibniz law failed")
     return star
 
 

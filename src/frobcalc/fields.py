@@ -536,21 +536,26 @@ class Field:
     def __init__(self, kind, p=None, min_poly=None):
         self.kind = kind
         self.p = p
-        self.min_poly = tuple(min_poly) if min_poly is not None else None
+        self.min_poly = m = tuple(min_poly) if min_poly is not None else None
+        self._deg = 1
+        self._log = self._exp = None
         if kind == RATIONALS:
-            if p is not None or min_poly is not None:
+            if p is not None or m is not None:
                 raise MalformedInput("rationals take no modulus")
-            self._deg = 1
+            loops = (_falsy_nonzeros, _rational_axpy, _rational_add_entry,
+                     _rational_matmul, _rational_column_combination,
+                     _rational_clear_denominators,
+                     _rational_monomial_mode, _rational_eliminate,
+                     _rational_primitive, _rational_unscale)
+        elif kind not in (PRIME, EXTENSION):
+            raise MalformedInput(f"unknown field kind {kind!r}")
+        elif not isinstance(p, int) or p >= 2**31 or not is_prime(p):
+            raise MalformedInput(f"modulus {p!r} is not a prime below 2**31")
         elif kind == PRIME:
-            if not isinstance(p, int) or p >= 2**31 or not is_prime(p):
-                raise MalformedInput(f"modulus {p!r} is not a prime below 2**31")
-            if min_poly is not None:
+            if m is not None:
                 raise MalformedInput("prime field takes no min_poly")
-            self._deg = 1
-        elif kind == EXTENSION:
-            if not isinstance(p, int) or p >= 2**31 or not is_prime(p):
-                raise MalformedInput(f"modulus {p!r} is not a prime below 2**31")
-            m = self.min_poly
+            loops = _prime_loops(p)
+        else:
             if m is None or not (3 <= len(m) <= 5):
                 raise MalformedInput("min_poly must have degree in [2, 4]")
             if any(isinstance(c, bool) or not isinstance(c, int) or not (0 <= c < p)
@@ -561,22 +566,11 @@ class Field:
             if not _is_irreducible(m, p):
                 raise MalformedInput("min_poly is reducible over F_p")
             self._deg = len(m) - 1
-        else:
-            raise MalformedInput(f"unknown field kind {kind!r}")
-        self._log = self._exp = None
-        if kind == RATIONALS:
-            loops = (_falsy_nonzeros, _rational_axpy, _rational_add_entry,
-                     _rational_matmul, _rational_column_combination,
-                     _rational_clear_denominators,
-                     _rational_monomial_mode, _rational_eliminate,
-                     _rational_primitive, _rational_unscale)
-        elif kind == PRIME:
-            loops = _prime_loops(p)
-        elif self.order() <= TABLE_BOUND:
-            self._log, self._exp, zech = _log_tables(p, self.min_poly)
-            loops = _table_loops(p, self._log, self._exp, zech)
-        else:
-            loops = _generic_loops(self)
+            if self.order() <= TABLE_BOUND:
+                self._log, self._exp, zech = _log_tables(p, m)
+                loops = _table_loops(p, self._log, self._exp, zech)
+            else:
+                loops = _generic_loops(self)
         (self.nonzeros, self.axpy, self.add_entry, self.matmul, self.column_combination,
          self.clear_denominators, self.monomial_mode, self.eliminate, self.primitive,
          self.unscale) = loops
@@ -757,11 +751,9 @@ class Field:
 
     # text -------------------------------------------------------------------
     def format(self, a):
-        if self.kind == RATIONALS:
-            return str(a)
-        if self.kind == PRIME:
-            return str(a)
-        return ",".join(str(c) for c in a)
+        if self.kind == EXTENSION:
+            return ",".join(str(c) for c in a)
+        return str(a)
 
     def parse(self, s):
         """Inverse of :meth:`format`; a non-string goes to :meth:`coerce`."""

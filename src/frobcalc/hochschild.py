@@ -277,16 +277,6 @@ def _representatives(ech, kernel, dim_bound, pairing=None):
     return reps
 
 
-def _apply_columns(field, cols, vec_dict):
-    """Σ_j vec_dict[j]·cols[j]: d^p or b_p applied to a sparse vector, in
-    one pass of the field's fused ``column_combination``, which sums raw
-    values and makes them canonical once.  The calls here are few and
-    large; ``linalg.sparse_combination`` serves many tiny ones (role
-    checks, forms) and stays on ``axpy``, where the fused loop's final
-    pass costs more than it saves."""
-    return field.column_combination(cols, vec_dict)
-
-
 def _slot_map(images):
     """The map t ↦ images[t] (sparse dicts) as :func:`_mode_product` takes
     it: (True, [(s − t, c)]) when each image is one term c·e_s (a monomial
@@ -347,7 +337,7 @@ def _resolve_twist(coeffs, sigma):
 def _coboundary_of(A, p, vec, budget):
     """d^p applied to the sparse p-cochain vec, as a sparse dict."""
     _check_budget(A, p, budget)
-    return _apply_columns(A.field, _coboundary_columns(A, p), vec)
+    return A.field.column_combination(_coboundary_columns(A, p), vec)
 
 
 def apply_coboundary(A: Algebra, f: Cochain, budget=DEFAULT_BUDGET) -> Cochain:
@@ -389,7 +379,6 @@ def hh_dimension(A: Algebra, p, budget=DEFAULT_BUDGET) -> HomologyReport:
     kernel = _cocycles(A, p)
     bech = SparseEchelon(f)
     if p > 0:
-        _check_budget(A, p - 1, budget)
         bcols = _coboundary_columns(A, p - 1)
         bech, _ = _echelonize(f, bcols)
     dim_bound = bech.rank
@@ -553,7 +542,6 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     key = ("certificate-echelon", p - 1)
     ech = A._cache.get(key)
     if ech is None:
-        _check_budget(A, p - 1, budget)
         cols = _coboundary_columns(A, p - 1)
         ech = A._cache[key] = _echelonize(A.field, cols, tails=True)[0]
     sol = ech.solve(rhs.data)
@@ -620,24 +608,24 @@ def duality_dims(F: FrobeniusStructure, pmax, budget=DEFAULT_BUDGET):
 
 def verify_complex(A: Algebra, pmax, sigma: LinearMap | None = None) -> bool:
     """d∘d = 0 and b∘b = 0 (both coefficient choices) up to degree pmax,
-    each d^p charged against ``DEFAULT_BUDGET``.
+    each d^{p+1} charged against ``DEFAULT_BUDGET`` before it is built.
 
     b's columns are streamed degree by degree and applied to the list of
     the degree below, the only one held."""
     fld = A.field
     for p in range(pmax + 1):
-        _check_budget(A, p, DEFAULT_BUDGET)
+        _check_budget(A, p + 1, DEFAULT_BUDGET)
         cols_p = _coboundary_columns(A, p)
         cols_q = _coboundary_columns(A, p + 1)
         for col in cols_p:
-            if _apply_columns(fld, cols_q, col):
+            if fld.column_combination(cols_q, col):
                 return False
     for twist in (None,) if sigma is None else (None, sigma.matrix):
         below = list(_stream_boundary(A, 1, twist))
         for p in range(2, pmax + 2):
             cols = []
             for col in _stream_boundary(A, p, twist):
-                if _apply_columns(fld, below, col):
+                if fld.column_combination(below, col):
                     return False
                 cols.append(col)
             below = cols

@@ -183,13 +183,6 @@ class Matrix:
         return self == Matrix.identity(self.field, self.rows) if self.rows == self.cols else False
 
 
-def mismatches(x: Matrix, y: Matrix):
-    """The (row, column) positions where two same-shape matrices differ,
-    in row-major order; empty when they are equal."""
-    return [(r, c) for r, (xr, yr) in enumerate(zip(x.data, y.data)) if xr != yr
-            for c, (a, b) in enumerate(zip(xr, yr)) if a != b]
-
-
 class SparseEchelon:
     """Column echelon over a field with combination tracking.
 
@@ -278,7 +271,9 @@ def sum_product(f, a, b):
 
 def sparse_combination(f, columns, x):
     """Σ_k x_k·columns[k] for a sparse vector x and ``{k: sparse dict}``
-    columns, a missing column being zero, as a sparse dict."""
+    columns, a missing column being zero, as a sparse dict.  Its calls are
+    many and tiny (role checks, forms), so it stays on ``axpy``: there the
+    fused ``Field.column_combination``'s final pass costs more than it saves."""
     acc = {}
     for k, c in x.items():
         col = columns.get(k)

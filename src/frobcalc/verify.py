@@ -463,17 +463,13 @@ def suite_homology():
     s.record("homology/twisted-trivial-p0", "twisted", act_tw.is_identity())
     act_tw1 = hh.sigma_action_on_homology(F, 1, hh.TWISTED)
     s.record("homology/twisted-trivial-p1", "twisted", act_tw1.is_identity())
-    for name in ("qci2", "exterior2"):
+    # cyclic3 is the symmetric sanity case: plain and twisted coincide
+    for name in ("qci2", "exterior2", "cyclic3"):
         F = frobenius_of(carrier(name))
         table = hh.duality_dims(F, 2)
         s.record(f"duality/{name}", "partial",
                  all(row["match"] for row in table),
                  {"table": table})
-    # symmetric sanity case: plain vs twisted coincide when sigma is trivial
-    F3 = frobenius_of(carrier("cyclic3"))
-    table = hh.duality_dims(F3, 2)
-    s.record("duality/cyclic3", "partial", all(row["match"] for row in table),
-             {"table": table})
     return s.checks
 
 

@@ -12,9 +12,9 @@ from frobcalc.calculus import (bavula_jacobian, coboundary_status,
                                delta_star, divergence, exp_derivation,
                                jacobian, jacobian_cocycle,
                                liouville_polynomial, phi_sequence)
-from frobcalc.errors import MalformedInput, RoleViolation
+from frobcalc.errors import InternalInconsistency, MalformedInput, RoleViolation
 from frobcalc.fields import Field
-from frobcalc.frobenius import make_frobenius
+from frobcalc.frobenius import FrobeniusStructure, make_frobenius
 from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra, qci,
                               trivial_extension)
 from frobcalc.linalg import Matrix, solve_linear
@@ -163,6 +163,25 @@ def test_delta_star_and_divergence():
     assert divergence(F, zero).is_zero()
     # delta_{1,0,0,0}: divergence 1
     assert divergence(F, item.delta(1, 0, 0, 0)) == A.unit_element()
+
+
+def test_delta_star_reports_the_failing_twisted_leibniz_law():
+    item = qci(2)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    # the true form with the identity in σ's place: δ*(ab) = a·δ*(b) − d(a)·b
+    # still holds, δ*(a)·b − a·d^σ(b) does not, since σ ≠ id on qci(2)
+    fake = FrobeniusStructure(A, F.gram, LinearMap.identity(A), F._gram_inv)
+    with pytest.raises(InternalInconsistency,
+                       match="^right twisted Leibniz law failed$"):
+        delta_star(fake, item.delta(1, 2, 3, 4))
+    # e_0 ↦ e_1, all else 0, tagged a derivation without the check
+    data = [[0] * A.dim for _ in range(A.dim)]
+    data[1][0] = 1
+    bad = LinearMap(A, Matrix(Q, data), "derivation", check=False)
+    with pytest.raises(InternalInconsistency,
+                       match="^left twisted Leibniz law failed$"):
+        delta_star(F, bad)
 
 
 def test_divergence_inner():

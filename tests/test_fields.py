@@ -208,6 +208,36 @@ def test_min_poly_components_must_be_ints():
             Field.extension(3, bad)
 
 
+NOT_PRIME = "modulus {} is not a prime below 2**31"
+DEGREE = "min_poly must have degree in [2, 4]"
+COEFFICIENTS = "min_poly coefficients must be ints reduced mod p"
+CONSTRUCTION_ERRORS = [
+    (("Reals",), "unknown field kind 'Reals'"),
+    ((fields.RATIONALS, 5), "rationals take no modulus"),
+    ((fields.RATIONALS, None, [1, 0, 1]), "rationals take no modulus"),
+    ((fields.PRIME, 5, [1, 0, 1]), "prime field takes no min_poly"),
+] + [((kind, p) + extra, NOT_PRIME.format(p))
+     for kind, extra in ((fields.PRIME, ()), (fields.EXTENSION, ([1, 0, 1],)))
+     for p in (6, 2**31 + 11, True, None)] + [
+    ((fields.EXTENSION, 3), DEGREE),
+    ((fields.EXTENSION, 3, [1, 1]), DEGREE),
+    ((fields.EXTENSION, 5, [1, 0, 0, 0, 0, 1]), DEGREE),
+    ((fields.EXTENSION, 3, [1.0, 0, 1]), COEFFICIENTS),
+    ((fields.EXTENSION, 3, [4, 0, 1]), COEFFICIENTS),
+    ((fields.EXTENSION, 3, [True, 0, 1]), COEFFICIENTS),
+    ((fields.EXTENSION, 3, [1, 0, 2]), "min_poly must be monic"),
+    ((fields.EXTENSION, 3, [2, 0, 1]), "min_poly is reducible over F_p"),
+]
+
+
+@pytest.mark.parametrize("args,message", CONSTRUCTION_ERRORS)
+def test_field_construction_messages(args, message):
+    # CLI reports carry these texts under input/schema
+    with pytest.raises(MalformedInput) as exc:
+        Field(*args)
+    assert str(exc.value) == message
+
+
 def test_parse_sends_non_strings_to_coerce():
     assert Q.parse(3) == 3 and F9.parse([1, 2]) == (1, 2)
     for field in (Q, F5, F9):

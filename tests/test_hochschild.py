@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from frobcalc import hochschild as hh
-from frobcalc.algebra import (Element, LinearMap, ad, center_basis,
+from frobcalc.algebra import (Algebra, Element, LinearMap, ad, center_basis,
                               commutator_subspace, inner_automorphism,
                               is_derivation, right_mult_matrix)
 from frobcalc.errors import BudgetExceeded, InternalInconsistency, MalformedInput
@@ -128,6 +128,17 @@ def test_budget_guard():
                                  budget=16).dim == hh.hh_dimension(
                                      e2.algebra, 0, budget=16).dim
     assert hh.sigma_action_on_homology(F, 0, hh.TWISTED, budget=16).is_identity()
+
+
+def test_verify_complex_charges_the_differential_it_builds():
+    # k^17: d³ has 17⁵ = 1 419 857 coordinates, over the default 2²⁰, and
+    # is refused before any of its columns is built
+    n = 17
+    A = Algebra(Q, n, [f"e{i}" for i in range(n)],
+                [(i, i, i, 1) for i in range(n)], [1] * n)
+    assert hh.verify_complex(A, 1)
+    with pytest.raises(BudgetExceeded, match="^degree 3 needs 1419857 "):
+        hh.verify_complex(A, 2)
 
 
 def test_cochain_action():

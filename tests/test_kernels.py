@@ -25,7 +25,6 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobcalc import hochschild as hh
 from frobcalc.algebra import Algebra
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
@@ -493,7 +492,7 @@ def test_linear_ops_match_per_scalar_ops(label):
 
 @pytest.mark.parametrize("label", list(LINEAR))
 def test_column_combination_matches_the_axpy_loop(label):
-    # d^p·f and b_p·c (hochschild._apply_columns) sum raw values and make
+    # d^p·f and b_p·c (Field.column_combination) sum raw values and make
     # them canonical once over Q and F_p; one axpy per column, and the
     # per-scalar loop, must give the same values and raw types.  Columns
     # that cancel leave no zero behind, and over Q Fraction sums that come
@@ -517,7 +516,7 @@ def test_column_combination_matches_the_axpy_loop(label):
             # 3·(1/2) + 1/2 = 2 at key 10, 3·(1/3) − 1 = 0 at key 11
             cols += [{10: Fraction(1, 2), 11: Fraction(1, 3)}, {10: Fraction(1, 2), 11: -1}]
             x.update({len(cols) - 2: 3, len(cols) - 1: 1})
-        fused = hh._apply_columns(f, cols, x)
+        fused = f.column_combination(cols, x)
         by_axpy, per_scalar = {}, {}
         for i, c in x.items():
             f.axpy(by_axpy, cols[i], c)
