@@ -26,7 +26,7 @@ class Algebra:
     """Finite-dimensional unital associative algebra in a fixed basis."""
 
     __slots__ = ("field", "dim", "basis_names", "structure", "unit",
-                 "_rows", "_cols", "_pairs_into", "_cache")
+                 "_rows", "_cols", "_cache")
 
     def __init__(self, field, dim, basis_names, structure, unit, *, check=True):
         """``structure`` is an iterable of ``(i, j, k, c)`` with e_i e_j ∋ c·e_k."""
@@ -51,8 +51,6 @@ class Algebra:
         self.unit = tuple(field.coerce(c) for c in unit)
         if len(self.unit) != dim:
             raise MalformedInput("unit vector has wrong length")
-        # reverse lookup: k -> [(i, j, c)] with e_i e_j ∋ c e_k (used by bar complexes)
-        self._pairs_into = None
         self._cache = {}
         if check:
             self._check_unit()
@@ -101,10 +99,6 @@ class Algebra:
                          self.field, row_i, row_j.get(k, {}))), None)
 
     # --- raw product helpers ---------------------------------------------------
-    def mul_basis(self, i, j):
-        """e_i * e_j as a tuple of (k, c) terms."""
-        return self.structure.get((i, j), ())
-
     def left_products(self, i):
         """The nonzero products e_i·e_j as ``{j: sparse dict}``."""
         return self._rows.get(i, {})
@@ -137,16 +131,6 @@ class Algebra:
         v = [self.field.zero()] * self.dim
         v[i] = self.field.one()
         return v
-
-    def pairs_into(self, k):
-        """All (i, j, c) with coefficient c of e_k in e_i e_j nonzero."""
-        if self._pairs_into is None:
-            rev = {m: [] for m in range(self.dim)}
-            for (i, j), terms in self.structure.items():
-                for (m, c) in terms:
-                    rev[m].append((i, j, c))
-            self._pairs_into = {m: tuple(v) for m, v in rev.items()}
-        return self._pairs_into[k]
 
     # --- element construction ---------------------------------------------------
     def element(self, coeffs):

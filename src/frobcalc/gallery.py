@@ -17,7 +17,7 @@ from .errors import BudgetExceeded, MalformedInput
 from .fields import Field
 from .groups import GroupData, symmetric_group_3
 from .hochschild import _coboundary_columns
-from .linalg import (Matrix, determinant, invert, linear_combination,
+from .linalg import (Matrix, invert, linear_combination,
                      sparse_kernel_basis, sum_product)
 
 # ---------------------------------------------------------------------------
@@ -41,24 +41,18 @@ def _charge_construction(name, dim, constants, budget, reads=1):
 
 def trace_form_gram(A: Algebra) -> Matrix:
     """Gram matrix of (a, b) ↦ tr(L_{ab}); degenerate unless strongly separable."""
-    f = A.field
-    n = A.dim
-    # tr L_{e_k} once per k
-    traces = []
-    for k in range(n):
-        acc = f.zero()
-        for j in range(n):
-            for (m, c) in A.mul_basis(k, j):
-                if m == j:
-                    acc = f.add(acc, c)
-        traces.append(acc)
+    f, n = A.field, A.dim
+    # tr L_{e_k} = Σ_j [e_j](e_k e_j), then (e_i, e_j) = Σ_k [e_k](e_i e_j)·tr L_{e_k},
+    # both over the nonzero products only
+    traces = [f.zero()] * n
+    for (k, j), terms in A.structure.items():
+        for m, c in terms:
+            if m == j:
+                traces[k] = f.add(traces[k], c)
     data = [[f.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = f.zero()
-            for (k, c) in A.mul_basis(i, j):
-                acc = f.add(acc, f.mul(c, traces[k]))
-            data[i][j] = acc
+    for (i, j), terms in A.structure.items():
+        for k, c in terms:
+            data[i][j] = f.add(data[i][j], f.mul(c, traces[k]))
     return Matrix(f, data, _raw=True)
 
 
@@ -159,10 +153,13 @@ class ExteriorGallery:
             raise MalformedInput("phi expects an n x n matrix")
         if invert(fmat) is None:
             raise MalformedInput("phi expects an invertible matrix")
+        return self.from_generator_images(self._images(fmat))
+
+    def _images(self, fmat):
+        """f(x_j) = Σ_i fmat[i][j]·x_i for each generator x_j."""
         gens = [self.generator(i) for i in range(self.n)]
-        return self.from_generator_images(
-            [self.algebra.combination(zip(fmat.column(j), gens))
-             for j in range(self.n)])
+        return [self.algebra.combination(zip(fmat.column(j), gens))
+                for j in range(self.n)]
 
     def gamma(self, i, lam, alpha) -> LinearMap:
         """x_i ↦ x_i + λ·x^α for a 3-subset α; other generators fixed."""
@@ -180,9 +177,16 @@ class ExteriorGallery:
         return inner_automorphism(self.algebra.unit_element() + a)
 
     def det_on_generators(self, fmat) -> "Element":
+        """det f as a scalar: f(x_1)···f(x_n) = det(f)·x_1∧…∧x_n, so det f is
+        the last coefficient of the product of the generators' images."""
         if not isinstance(fmat, Matrix):
             fmat = Matrix(self.field, fmat)
-        return self.algebra.scalar_element(determinant(fmat))
+        if fmat.rows != self.n or fmat.cols != self.n:
+            raise MalformedInput("det_on_generators expects an n x n matrix")
+        top = self.algebra.unit_element()
+        for image in self._images(fmat):
+            top = top * image
+        return self.algebra.scalar_element(top.raw[-1])
 
     def jac_gamma_expected(self, i, lam, alpha) -> Element:
         """Closed form for the twisted Jacobian of gamma_{i,λ,α}.
@@ -464,11 +468,7 @@ class CyclicGallery:
         self.field = field
         f = field
         names = ["1", "x"] + [f"x{i}" for i in range(2, p)]
-        triples = []
-        for i in range(p):
-            for j in range(p):
-                if i + j < p:
-                    triples.append((i, j, i + j, 1))
+        triples = [(i, j, i + j, 1) for i in range(p) for j in range(p - i)]
         unit = [1] + [0] * (p - 1)
         self.algebra = Algebra(f, p, names, triples, unit)
         g = [[f.from_int((-1) ** (i + j)) if i + j < p else f.zero()
@@ -553,13 +553,9 @@ def matrix_algebra(m, field=None, *, budget=None):
     n = m * m
     _charge_construction(f"matrix({m})", n, m ** 3, budget)
     names = [f"E{i+1}{j+1}" for i in range(m) for j in range(m)]
-    triples = []
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    if j == k:
-                        triples.append((i * m + j, k * m + l, i * m + l, 1))
+    # E_ij·E_jl = E_il, the only nonzero products
+    triples = [(i * m + j, j * m + l, i * m + l, 1)
+               for i in range(m) for j in range(m) for l in range(m)]
     unit = [0] * n
     for i in range(m):
         unit[i * m + i] = 1

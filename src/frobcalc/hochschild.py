@@ -121,7 +121,9 @@ def _coboundary_columns(A: Algebra, p):
 
     Column k·n^p + I (I the index of J) collects, in this order, the terms
     e_i·f(J), then ∓f(…, e_u e_v, …) for each slot of J, then ±f(J)·e_i:
-    offset lists shifted by I, by digit of J and by I·n."""
+    offset lists shifted by I, by digit of J and by I·n.  The middle faces
+    read the reverse index into[t] = [(u, v, c) : e_u·e_v ∋ c·e_t], built
+    in one pass over the structure tensor in its insertion order."""
     cached = A._cache.get(("cob", p))
     if cached is not None:
         return cached
@@ -135,11 +137,15 @@ def _coboundary_columns(A: Algebra, p):
         for m, c in terms:
             first[j].append((m * ncols_out + i * npow, c))
             last[i].append((m * ncols_out + j, neg(c) if p % 2 == 0 else c))
+    into = [[] for _ in range(n)]
+    for (u, v), terms in A.structure.items():
+        for t, c in terms:
+            into[t].append((u, v, c))
     # face j splits slot j−1 of J into (u, v): the p+1 digits of the output
     # are J[:j−1], u, v, J[j:], i.e. weights hi·n, hi, lo and 1
     mids = [(n ** (p - j + 1), n ** (p - j),
              [[(u * n ** (p - j + 1) + v * n ** (p - j), neg(c) if j % 2 else c)
-               for u, v, c in A.pairs_into(t)] for t in range(n)])
+               for u, v, c in pairs] for pairs in into])
             for j in range(1, p + 1)]
     cols = []
     for k in range(n):
@@ -173,18 +179,20 @@ def _boundary_faces(A: Algebra, p, twist: Matrix | None):
     f, n, w = A.field, A.dim, A.dim ** (p - 1)
 
     def offsets(terms, weight, sign=0):
-        return [(t * weight, f.neg(c) if sign else c) for t, c in terms]
+        return [(t * weight, f.neg(c) if sign else c) for t, c in terms.items()]
 
-    # twisted, e_m·σ(e_a) = Σ_b S[b][a]·e_m·e_b
+    # e_a·e_b is rows[a][b]; twisted, e_m·σ(e_a) = Σ_b S[b][a]·e_m·e_b
+    rows = [A.left_products(a) for a in range(n)]
     S = None if twist is None else twist.sparse_columns()
-    first = [[offsets(A.mul_basis(m, a) if S is None else sparse_combination(
-        f, A.left_products(m), S[a]).items(), w) for a in range(n)] for m in range(n)]
+    first = [[offsets(rows[m].get(a, {}) if S is None else
+                      sparse_combination(f, rows[m], S[a]), w)
+              for a in range(n)] for m in range(n)]
     # middle face j merges slots j−1 and j of J into t: the p−1 digits of
     # the output are J[:j−1], t, J[j+1:], i.e. weights hi/n, lo and 1
     mids = [(n ** (p - j + 1), n ** (p - j - 1),
-             [offsets(A.mul_basis(d // n, d % n), n ** (p - j - 1), j % 2)
+             [offsets(rows[d // n].get(d % n, {}), n ** (p - j - 1), j % 2)
               for d in range(n * n)]) for j in range(1, p)]
-    last = [[offsets(A.mul_basis(a, m), w, p % 2) for a in range(n)] for m in range(n)]
+    last = [[offsets(rows[a].get(m, {}), w, p % 2) for a in range(n)] for m in range(n)]
     return A._cache.setdefault(key, (w, first, mids, last))
 
 

@@ -16,7 +16,7 @@ All rank, kernel and solve work, dense or sparse, goes through one
 driver, :func:`echelon`, which inserts sparse columns in order into a
 :class:`SparseEchelon`, a column echelon held in dictionaries; a column
 joins it exactly when it is not in the span of the columns before it.
-``kernel_basis``, ``solve_linear``, ``invert``, ``determinant``,
+``kernel_basis``, ``solve_linear``, ``invert``,
 ``sparse_kernel_basis``, ``independent_columns`` and the Hochschild
 differentials read their answers off that echelon, so pivots, kernel
 bases and solutions are the canonical ones of the reduced row echelon
@@ -350,30 +350,6 @@ def invert(m: Matrix):
         return None
     cols = [dense_vector(f, ech.solve({i: f.one()}), n) for i in range(n)]
     return Matrix(f, cols, _raw=True).transpose()
-
-
-def determinant(m: Matrix):
-    """det m as a raw value, read off the echelon of its columns.
-
-    Column j is reduced only by multiples of the columns before it and
-    then joins with leading row r_j, its last nonzero row, kept as λ_j
-    times what is left of it, its tail λ_j at j.  The reduced columns are
-    triangular in the order of their leads, from above (column j is zero
-    below r_j): its pivot is p_j = lead/tail[j], det m = sign(j ↦ r_j) ·
-    Π p_j, and a column that does not join makes m singular."""
-    if m.rows != m.cols:
-        raise MalformedInput("determinant of a non-square matrix")
-    f = m.field
-    ech, _, kernel = echelon(f, m.sparse_columns())
-    if kernel:
-        return f.zero()
-    lead, num, den = [0] * m.rows, f.one(), f.one()
-    for r, (col, tail) in ech.pivots.items():
-        j = max(tail)
-        lead[j], num, den = r, f.mul(num, col[r]), f.mul(den, tail[j])
-    inversions = sum(a > b for i, a in enumerate(lead) for b in lead[i + 1:])
-    det = f.div(num, den)
-    return f.neg(det) if inversions % 2 else det
 
 
 def independent_columns(f, columns):

@@ -255,12 +255,14 @@ def _random_invertible(field, n, rng):
 # suites, one per acceptance criterion (plus shared extras)
 
 # the sample counts of the Grassmann, 𝔽₅ cyclic, quantum closed-form,
-# cocycle-law and strongly separable suites
+# cocycle-law, strongly separable, trivial-extension and divergence suites
 GRASSMANN_SAMPLES = 10
 CYCLIC5_SAMPLES = 30
 QCI_CLOSED_FORM_SAMPLES = 20
 COCYCLE_LAW_PAIRS = 50
 SEPARABLE_SAMPLES = 20
+TRIVIAL_EXTENSION_SAMPLES = 20
+DIVERGENCE_PAIRS = 30
 
 
 def suite_osima():
@@ -500,14 +502,14 @@ def _cyclic_check(s, item, F, coeffs, cid):
     s.eq(cid + "/alternating", "juf", item.mu(jac), fld.one())
 
 
-def suite_trivial_extension(rng, count=20):
+def suite_trivial_extension(rng):
     s = Suite()
     for label, name in (("dual-numbers", "trivDual"), ("matrix2", "trivM2")):
         item = carrier(name)
         B = item.B
         F = frobenius_of(item)
         sample = automorphism_sampler("triv", item)
-        for k in range(count):
+        for k in range(TRIVIAL_EXTENSION_SAMPLES):
             u = sample(rng)
             jac = jacobian(F, u)
             t = item.t_part(u)
@@ -534,15 +536,15 @@ def suite_trivial_extension(rng, count=20):
     return s.checks
 
 
-def suite_divergence(rng, pairs=30, items=None):
+def suite_divergence(rng):
     s = Suite()
-    for name, item in (items or gallery_items()):
+    for name, item in gallery_items():
         A = item.algebra
         F = frobenius_of(item)
         symmetric = F.sigma.is_identity()
         f = A.field
         zs = center_basis(A)
-        for k in range(pairs):
+        for k in range(DIVERGENCE_PAIRS):
             d = random_derivation(A, rng)
             e = random_derivation(A, rng)
             x = Element(A, [f.random(rng, 2) for _ in range(A.dim)])

@@ -1,8 +1,10 @@
 """Gallery builders: Gram matrices against independent oracles, invariants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobcalc import hochschild as hh
 from frobcalc.algebra import Algebra, LinearMap, is_endomorphism
@@ -14,6 +16,7 @@ from frobcalc.gallery import (cyclic, dual_numbers, exterior,
                               trace_form_gram, trivial_extension)
 from frobcalc.groups import GroupData, cyclic_group, symmetric_group_3
 from frobcalc.linalg import Matrix, invert, sparse_kernel_basis
+from test_linalg import ENTRY, FIELDS
 
 Q = Field.rationals()
 
@@ -138,7 +141,7 @@ def test_trivial_extension_structure():
     # dual part squares to zero
     for i in range(4, 8):
         for j in range(4, 8):
-            assert A.mul_basis(i, j) == ()
+            assert (i, j) not in A.structure
     # the form is symmetric
     assert item.gram == item.gram.transpose()
     # block maps: u_z for a central unit, u_delta for a derivation to the dual
@@ -182,15 +185,19 @@ def _leibniz_derivations(B):
           = Σ_k coeff_k(e_m e_i) D[k][j] + Σ_k coeff_k(e_j e_m) D[k][i],
     equation (i, j, m) at row (i·n + j)·n + m, unknown D[k][a] at k·n + a."""
     f, n = B.field, B.dim
+    into = [[] for _ in range(n)]  # into[t]: the (i, j, c) with e_i e_j ∋ c·e_t
+    for (i, j), terms in B.structure.items():
+        for t, c in terms:
+            into[t].append((i, j, c))
     cols = []
     for k in range(n):
         for a in range(n):
             col = {}
-            for i, j, c in B.pairs_into(a):
+            for i, j, c in into[a]:
                 f.add_entry(col, (i * n + j) * n + k, c)
-            for m, i, c in B.pairs_into(k):
+            for m, i, c in into[k]:
                 f.add_entry(col, (i * n + a) * n + m, f.neg(c))
-            for j, m, c in B.pairs_into(k):
+            for j, m, c in into[k]:
                 f.add_entry(col, (a * n + j) * n + m, f.neg(c))
             cols.append(col)
     return [Matrix(f, [[v[k * n + i] for i in range(n)] for k in range(n)], _raw=True)
@@ -259,6 +266,53 @@ def test_exterior_builders_are_automorphisms():
         item.phi(Matrix(Q, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
     with pytest.raises(MalformedInput):
         item.gamma(0, 1, (0, 1))
+
+
+@pytest.mark.parametrize("label", list(FIELDS))
+def test_det_on_generators_matches_the_permutation_expansion(label):
+    # Leibniz's sum over all n! permutations, on n × n matrices for n = 1–4,
+    # singular ones and ones whose first pivot is zero included
+    field = FIELDS[label]
+    items = {n: exterior(n, field) for n in range(1, 5)}
+
+    def check(rows):
+        n = len(rows)
+        m = Matrix(field, rows)
+        expected = field.zero()
+        for perm in itertools.permutations(range(n)):
+            sign = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+            term = field.from_int(-1 if sign % 2 else 1)
+            for r in range(n):
+                term = field.mul(term, m.data[r][perm[r]])
+            expected = field.add(expected, term)
+        item = items[n]
+        got = item.det_on_generators(m)
+        want = item.algebra.scalar_element(expected)
+        assert got == want
+        assert [type(x) for x in got.raw] == [type(x) for x in want.raw]
+        assert item.det_on_generators(rows) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def props(n, data):
+        check(data.draw(st.lists(st.lists(ENTRY[label], min_size=n, max_size=n),
+                                 min_size=n, max_size=n)))
+
+    props()
+    # over F5 the first matrix is singular; the others have a zero first pivot
+    check([[2, 1, 1, 0], [0, 3, 1, 1], [1, 0, 2, 4], [1, 1, 0, 3]])
+    check([[0, 3, 2], [2, 0, 1], [4, 3, 0]])
+    check([[0, 1], [1, 0]])
+    check([[1, 2], [2, 4]])
+    check([[0]])
+    with pytest.raises(MalformedInput):
+        items[2].det_on_generators([[1, 0, 0], [0, 1, 0]])
+
+
+def test_det_on_generators_rejects_a_matrix_of_another_size():
+    # the top coefficient is det f only for f on the n generators
+    with pytest.raises(MalformedInput):
+        exterior(3).det_on_generators([[1, 0], [0, 1]])
 
 
 def test_exterior_partials_are_skew_derivations():

@@ -1,7 +1,9 @@
 """Bar complexes: differentials, dimensions, actions, certificates."""
 
+import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -62,6 +64,33 @@ def test_complex_squares_to_zero():
                                          for c in hh._coboundary_columns(A, p)]))
     for p in (0, 1):
         assert d[p + 1] * d[p] == Matrix.zero(Q, d[p + 1].rows, d[p].cols)
+
+
+# sha256 of repr([list(col.items()) for col in d^p's columns]) on the
+# shuffled builds below: keys, values, value types and key order
+COBOUNDARY_LAYOUT = {
+    ("qci(2)", 0): "8bebb0ae922bf6fd688769a33aac440f08096ed68005a5825ab324d358aefea2",
+    ("qci(2)", 1): "47cc2a2a3f7c4e095a43f99c1ba8341b436b67341ba8fe4f1a80c5dc7b2612f1",
+    ("qci(2)", 2): "7e3fe968e1797da4862c19d85a829cf67ec942410df1be330b456e7397d18232",
+    ("S3", 0): "aa59797cb28cb5c8712d00dfaeaee57e1946e22bc0fdf54738d38e7088d9afe9",
+    ("S3", 1): "a16ed48934cfd520f5a7e2ad1d4070af3f19f62917bacd1c47bf6285061bb298",
+    ("S3", 2): "4edce6320d7eef4b2ba416570ab9785b183a12f34274bc64da77588223cc0d48",
+}
+
+
+def test_coboundary_columns_keep_their_layout():
+    # structure lists in a shuffled order make the tensor's insertion order
+    # differ from its sorted order; the middle faces follow the former
+    for name, A in (("qci(2)", qci(2).algebra), ("S3", s3_group_algebra().algebra)):
+        triples = [(i, j, k, c) for (i, j), terms in A.structure.items()
+                   for k, c in terms]
+        random.Random(7).shuffle(triples)
+        B = Algebra(A.field, A.dim, A.basis_names, triples, list(A.unit))
+        assert list(B.structure) != sorted(B.structure)
+        for p in range(3):
+            cols = [list(c.items()) for c in hh._coboundary_columns(B, p)]
+            digest = hashlib.sha256(repr(cols).encode()).hexdigest()
+            assert digest == COBOUNDARY_LAYOUT[name, p], (name, p)
 
 
 def _corrupt(col):

@@ -1,6 +1,5 @@
 """Dense kernels: worked examples plus randomized structure properties."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
-from frobcalc.linalg import (Matrix, SparseEchelon, determinant, echelon,
+from frobcalc.linalg import (Matrix, SparseEchelon, echelon,
                              independent_columns, invert, kernel_basis,
                              linear_combination, solve_linear)
 from test_fields import assert_canonical
@@ -211,45 +210,6 @@ def test_linear_combination_matches_fold(label):
         assert flat == [v for row in fold.data for v in row]
 
     props()
-
-
-@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
-def test_determinant_matches_the_permutation_expansion(label):
-    # Leibniz's sum over all n! permutations, on square matrices of size
-    # 0–4 including singular ones and ones whose first pivot is zero
-    field = FIELDS[label]
-
-    def check(rows):
-        n = len(rows)
-        m = Matrix(field, rows)
-        expected = field.zero()
-        for perm in itertools.permutations(range(n)):
-            sign = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-            term = field.from_int(-1 if sign % 2 else 1)
-            for r in range(n):
-                term = field.mul(term, m.data[r][perm[r]])
-            expected = field.add(expected, term)
-        assert determinant(m) == expected
-        if field == Q:
-            assert_canonical([determinant(m)])
-        if n:  # a cyclic shift of the rows has sign (−1)^(n−1)
-            shifted = Matrix(field, m.data[1:] + m.data[:1])
-            assert determinant(shifted) == (expected if n % 2 else field.neg(expected))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=4), st.data())
-    def props(n, data):
-        check(data.draw(st.lists(st.lists(ENTRY[label], min_size=n, max_size=n),
-                                 min_size=n, max_size=n)))
-
-    props()
-    # non-unit leads, kept unscaled: over Q the pivots lead/tail[j] are 2, 3,
-    # 5/3 and 9/2, then 2, 3 and −4; over F5 the first matrix is singular
-    check([[2, 1, 1, 0], [0, 3, 1, 1], [1, 0, 2, 4], [1, 1, 0, 3]])
-    check([[0, 3, 2], [2, 0, 1], [4, 3, 0]])
-    assert determinant(Matrix(field, [[0, 1], [1, 0]])) == field.neg(field.one())
-    with pytest.raises(MalformedInput):
-        determinant(Matrix.zero(field, 2, 3))
 
 
 @pytest.mark.parametrize("label", ["Q", "F5", "F9"])

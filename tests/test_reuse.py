@@ -67,20 +67,21 @@ def test_derivation_space_is_solved_once_per_base():
     assert fresh is not first and fresh == first
 
 
-def test_warm_structures_give_the_cold_reports():
+def test_warm_structures_give_the_cold_reports(monkeypatch):
+    monkeypatch.setattr(verify, "TRIVIAL_EXTENSION_SAMPLES", 3)
+    monkeypatch.setattr(verify, "DIVERGENCE_PAIRS", 2)
     verify.gallery_items.cache_clear()
-    cold = [c.as_doc() for c in
-            verify.suite_trivial_extension(rng=SplitMix64(5), count=3)]
-    warm = [c.as_doc() for c in
-            verify.suite_trivial_extension(rng=SplitMix64(5), count=3)]
+    cold = [c.as_doc() for c in verify.suite_trivial_extension(rng=SplitMix64(5))]
+    warm = [c.as_doc() for c in verify.suite_trivial_extension(rng=SplitMix64(5))]
     assert cold == warm
     # freshly built carriers against the shared, already warm ones
     fresh = [("qci2", qci(2)), ("exterior3", exterior(3)),
              ("trivDual", trivial_extension(dual_numbers()))]
     shared = [(name, verify.carrier(name)) for name, _ in fresh]
-    runs = [[c.as_doc() for c in
-             verify.suite_divergence(rng=SplitMix64(6), pairs=2, items=items)]
-            for items in (fresh, shared, shared)]
+    runs = []
+    for items in (fresh, shared, shared):
+        monkeypatch.setattr(verify, "gallery_items", lambda items=items: items)
+        runs.append([c.as_doc() for c in verify.suite_divergence(rng=SplitMix64(6))])
     assert runs[0] == runs[1] == runs[2]
     assert all(c["status"] == "pass" for c in runs[0])
 

@@ -43,7 +43,7 @@ def _group_s3(f):
     which is degenerate in characteristic 3."""
     A = s3_group_algebra(f).algebra
     one = A.unit.index(f.one())
-    gram = Matrix(f, [[f.one() if A.mul_basis(i, j)[0][0] == one else f.zero()
+    gram = Matrix(f, [[f.one() if A.structure[i, j][0][0] == one else f.zero()
                        for j in range(A.dim)] for i in range(A.dim)], _raw=True)
     return SimpleNamespace(algebra=A, gram=gram)
 
