@@ -480,10 +480,6 @@ def endomorphism_witness(A: Algebra, m: Matrix):
     return None
 
 
-def is_endomorphism(A: Algebra, m: Matrix) -> bool:
-    return endomorphism_witness(A, m) is None
-
-
 def derivation_witness(A: Algebra, m: Matrix):
     """None if m satisfies the Leibniz law on all basis pairs, else (i, j).
 
@@ -503,10 +499,6 @@ def derivation_witness(A: Algebra, m: Matrix):
             if sparse_combination(f, images, row.get(j, {})) != rhs:
                 return (i, j)
     return None
-
-
-def is_derivation(A: Algebra, m: Matrix) -> bool:
-    return derivation_witness(A, m) is None
 
 
 def ad(x: Element) -> LinearMap:

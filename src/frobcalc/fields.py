@@ -230,13 +230,18 @@ def _canonical(q):
 #                            the column mat-vec of a sparse differential,
 # ``clear_denominators(v)``  (L·v, L) with L·v in ints, or (v, None) when
 #                            v holds ints only or the field is not Q,
-# ``monomial_mode(v, n, w, images)`` v with each key k moved to k + d·w and
-#                            its value times c, (d, c) = images[k // w % n],
+# ``monomial_mode(v, w, high, low)`` v with each key k moved to k + d·w (+ d′)
+#                            and its value times c (·c′), (d, c) = high[t] for
+#                            its digit t = k // w % len(high) of weight w, and
+#                            (d′, c′) = low[k % w] for the digits below it, if
+#                            low is given: a table of several digits' slot maps
+#                            at once, so one pass applies them all,
 # ``eliminate(col, tail, pivot, r)`` col −= (col[r]/L)·pivot, L its lead, and
 #                            tail alongside (None: untracked), in place; returns
 #                            the scale both took first (Q: |L/gcd| if L ∤ col[r]),
 # ``primitive(col, tail)``   Q: both divided by the content of col ∪ tail,
-# ``unscale(v, s)``          v/s, for the scales s ≠ 1 that only Q takes.
+# ``unscale(v, s)``          v/s, v raw (ints or canonical rationals), for the
+#                            scales s ≠ 1 that only Q takes.
 #
 # Sparse dicts never hold a zero: an entry that becomes zero is dropped.
 # On Q and F_p a raw zero is falsy, so these run on plain ``+ *`` with the
@@ -348,9 +353,14 @@ _rational_column_combination = _raw_column_combination(
                  for k, x in acc.items() if x})
 
 
-def _rational_monomial_mode(vec, n, w, images):
-    return {k + d * w: x if type(x) is int or x.denominator != 1 else x.numerator
-            for k, v in vec.items() for d, c in [images[k // w % n]] for x in [c * v]}
+def _rational_monomial_mode(vec, w, high, low=None):
+    m = len(high)
+    if low is None:
+        return {k + d * w: x if type(x) is int or x.denominator != 1 else x.numerator
+                for k, v in vec.items() for d, c in [high[k // w % m]] for x in [c * v]}
+    return {k + d * w + d2: x if type(x) is int or x.denominator != 1 else x.numerator
+            for k, v in vec.items() for (d, c), (d2, c2) in [(high[k // w % m], low[k % w])]
+            for x in [c * c2 * v]}
 
 
 def _rational_clear_denominators(vec):
@@ -425,9 +435,12 @@ def _prime_loops(p):
         else:
             d.pop(key, None)
 
-    def monomial_mode(vec, n, w, images):
-        return {k + d * w: c * v % p
-                for k, v in vec.items() for d, c in [images[k // w % n]]}
+    def monomial_mode(vec, w, high, low=None):
+        m = len(high)
+        if low is None:
+            return {k + d * w: c * v % p for k, v in vec.items() for d, c in [high[k // w % m]]}
+        return {k + d * w + d2: c * c2 * v % p for k, v in vec.items()
+                for (d, c), (d2, c2) in [(high[k // w % m], low[k % w])]}
 
     # ints do not overflow: each sum is reduced once, at the end
     return (_falsy_nonzeros, axpy, add_entry,
@@ -442,6 +455,7 @@ def _table_loops(p, log, exp, zech):
     """The loops of F_p[a]/(m) on its tables (see ``_log_tables``)."""
     zero = (0,) * len(exp[0])
     log_minus_one = log[(p - 1,) + zero[1:]]
+    units = len(exp) // 2  # q − 1
 
     def axpy(dst, src, c):
         lc = log.get(c)
@@ -482,9 +496,15 @@ def _table_loops(p, log, exp, zech):
     def nonzeros(vec):
         return {i: v for i, v in enumerate(vec) if v in log}
 
-    def monomial_mode(vec, n, w, images):
-        return {k + d * w: exp[log[c] + log[v]]
-                for k, v in vec.items() for d, c in [images[k // w % n]]}
+    def monomial_mode(vec, w, high, low=None):
+        m = len(high)
+        if low is None:
+            return {k + d * w: exp[log[c] + log[v]]
+                    for k, v in vec.items() for d, c in [high[k // w % m]]}
+        # three exponents sum to s < 3(q − 1): exp, listed twice, reads g^s
+        # at s − (q − 1), a negative index wrapping
+        return {k + d * w + d2: exp[log[c] + log[c2] + log[v] - units]
+                for k, v in vec.items() for (d, c), (d2, c2) in [(high[k // w % m], low[k % w])]}
 
     return (nonzeros, axpy, add_entry, _sparse_matmul(nonzeros, axpy, zero),
             _axpy_column_combination(axpy), _unscaled, monomial_mode,
@@ -512,9 +532,13 @@ def _generic_loops(f):
     def nonzeros(vec):
         return {i: v for i, v in enumerate(vec) if not f.is_zero(v)}
 
-    def monomial_mode(vec, n, w, images):
-        return {k + d * w: f.mul(c, v)
-                for k, v in vec.items() for d, c in [images[k // w % n]]}
+    def monomial_mode(vec, w, high, low=None):
+        m = len(high)
+        if low is None:
+            return {k + d * w: f.mul(c, v)
+                    for k, v in vec.items() for d, c in [high[k // w % m]]}
+        return {k + d * w + d2: f.mul(f.mul(c, c2), v)
+                for k, v in vec.items() for (d, c), (d2, c2) in [(high[k // w % m], low[k % w])]}
 
     return (nonzeros, axpy, add_entry, _sparse_matmul(nonzeros, axpy, f.zero()),
             _axpy_column_combination(axpy), _unscaled, monomial_mode,
@@ -719,9 +743,6 @@ class Field:
                 return a not in self._log
             return all(x == 0 for x in a)
         return a == 0
-
-    def is_one(self, a):
-        return a == self.one()
 
     # sampling / enumeration -------------------------------------------------
     def elements(self):

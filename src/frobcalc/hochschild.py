@@ -17,7 +17,10 @@ where they are read, for kernel vectors and for solves; echelons used
 for their rank alone carry none (b_{p+1} for H_p without a form, b₂ for
 the Connes image test).  Over Q an echelon clears the denominators of
 each vector it takes and reduces on integers, and a cocycle is tested
-as d(L·f) = 0, L·f the cochain with its denominators cleared.
+as d(L·f) = 0, L·f the cochain with its denominators cleared; a
+certificate runs every step on L·f and divides by L once.  A monomial
+map acts on a cochain in one pass over its nonzeros; any other map takes
+one mode product per digit.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -286,12 +289,13 @@ def _representatives(ech, kernel, dim_bound, pairing=None):
 
 
 def _slot_map(images):
-    """The map t ↦ images[t] (sparse dicts) as :func:`_mode_product` takes
-    it: (True, [(s − t, c)]) when each image is one term c·e_s (a monomial
-    map, as every diagonal σ), else (False, images)."""
+    """The map t ↦ images[t] (sparse dicts) as the mode products take it:
+    (True, [(s − t, c)], {}) when each image is one term c·e_s (a monomial
+    map, as every diagonal σ), else (False, images, None).  A monomial
+    slot keeps its low-digit tables (:func:`_low_block`) in the dict."""
     if any(len(im) != 1 for im in images):
-        return False, images
-    return True, [(s - t, c) for t, im in enumerate(images) for s, c in im.items()]
+        return False, images, None
+    return True, [(s - t, c) for t, im in enumerate(images) for s, c in im.items()], {}
 
 
 def _action_slots(u: LinearMap, inverse=True):
@@ -317,9 +321,9 @@ def _mode_product(fld, data, n, w, slot):
     """``data`` with the slot map applied to the digit of weight w of each
     flat key, read once: the n-mode product (Kolda & Bader 2009, §2.5).
     On a monomial map no two keys meet and no product is zero."""
-    monomial, images = slot
+    monomial, images, _ = slot
     if monomial:
-        return fld.monomial_mode(data, n, w, images)
+        return fld.monomial_mode(data, w, images)
     mul, add = fld.mul, fld.add_entry
     out = {}
     for idx, val in data.items():
@@ -327,6 +331,41 @@ def _mode_product(fld, data, n, w, slot):
         for s, c in images[t].items():
             add(out, idx + (s - t) * w, mul(c, val))
     return out
+
+
+def _low_block(fld, n, p, slot):
+    """The monomial slot map on each of p digits as one table, entry J
+    (J < n^p) being (J′ − J, c) when the map takes e_J to c·e_J′, built on
+    first use and kept on the slot.  The table of p digits is the top
+    digit's map and the kept table of the p − 1 below it, applied to the
+    all-ones vector by one ``monomial_mode`` pass, which keeps key order:
+    the J-th entry of the result is J's image."""
+    kept = slot[2]
+    table = kept.get(p)
+    if table is None:
+        if p == 0:
+            table = [(0, fld.one())]
+        else:
+            w = n ** (p - 1)
+            ones = dict.fromkeys(range(n * w), fld.one())
+            image = fld.monomial_mode(ones, w, slot[1], _low_block(fld, n, p - 1, slot))
+            table = [(K - J, c) for J, (K, c) in enumerate(image.items())]
+        kept[p] = table
+    return table
+
+
+def _tensor_action(fld, data, n, p, low, top):
+    """``data`` with the slot map ``low`` on each of the p low digits of
+    every flat key and ``top`` on its top digit (weight n^p).  Two monomial
+    slots act in one ``monomial_mode`` pass over the nonzeros, through the
+    top digit's map and the kept table of the low ones (:func:`_low_block`);
+    any other pair takes p + 1 mode products."""
+    w = n ** p
+    if low[0] and top[0]:
+        return fld.monomial_mode(data, w, top[1], _low_block(fld, n, p, low))
+    for i in range(p):
+        data = _mode_product(fld, data, n, n ** i, low)
+    return _mode_product(fld, data, n, w, top)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +550,11 @@ def cochain_action(u: LinearMap, f: Cochain) -> Cochain:
 
     ``u`` is an invertible endomorphism; its identity test and slot maps
     are the ones u keeps (:func:`_action_slots`), so acting by σ on many
-    cochains eliminates σ once and reads its matrices once.  The action is
-    p + 1 mode products on the nonzeros of f: rows of u⁻¹ on the input
-    digits (weights n⁰ … n^{p−1}), then columns of u on the output digit
-    (weight n^p)."""
+    cochains eliminates σ once and reads its matrices once.  The action
+    takes rows of u⁻¹ on the input digits (weights n⁰ … n^{p−1}) and
+    columns of u on the output digit (weight n^p): one pass over the
+    nonzeros of f when u is monomial, else p + 1 mode products
+    (:func:`_tensor_action`)."""
     if u.role != ROLE_ENDOMORPHISM:
         raise MalformedInput("cochain action needs an invertible endomorphism")
     A = f.algebra
@@ -524,10 +564,7 @@ def cochain_action(u: LinearMap, f: Cochain) -> Cochain:
     identity, out_slot, in_slot = _action_slots(u)
     if identity:
         return Cochain(A, p, dict(f.data))
-    data = f.data
-    for i in range(p):
-        data = _mode_product(fld, data, n, n ** i, in_slot)
-    return Cochain(A, p, _mode_product(fld, data, n, n ** p, out_slot))
+    return Cochain(A, p, _tensor_action(fld, f.data, n, p, in_slot, out_slot))
 
 
 def triviality_certificate(F: FrobeniusStructure, f: Cochain,
@@ -536,14 +573,22 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
 
     A None return is a refutation event for the caller to surface; it is
     not an exception.  Requires d(f) = 0.
+
+    Over Q every step runs on L·f, f with its denominators cleared once:
+    the cocycle test d(L·f) = 0, the action, the difference L·(f^σ − f),
+    the solve for g′ and its re-verification d(g′) = L·(f^σ − f).  Each is
+    linear, so g = g′/L, divided once at the end, is the certificate of f.
     """
     A = F.algebra
     p = f.degree
     if p < 1:
         raise MalformedInput("certificates start at degree 1")
-    if not is_cocycle(A, f, budget):
+    fld = A.field
+    vec, L = fld.clear_denominators(f.data)
+    if _coboundary_of(A, p, vec, budget):
         raise MalformedInput("cochain is not a cocycle")
-    rhs = cochain_action(F.sigma, f) - f
+    Lf = Cochain(A, p, vec)
+    rhs = cochain_action(F.sigma, Lf) - Lf
     if rhs.is_zero():
         return Cochain(A, p - 1, {})
     # the echelon of d^{p−1} depends on A alone: kept beside its columns
@@ -551,14 +596,13 @@ def triviality_certificate(F: FrobeniusStructure, f: Cochain,
     ech = A._cache.get(key)
     if ech is None:
         cols = _coboundary_columns(A, p - 1)
-        ech = A._cache[key] = _echelonize(A.field, cols, tails=True)[0]
+        ech = A._cache[key] = _echelonize(fld, cols, tails=True)[0]
     sol = ech.solve(rhs.data)
     if sol is None:
         return None
-    g = Cochain(A, p - 1, sol)
-    if apply_coboundary(A, g, budget).data != rhs.data:
+    if _coboundary_of(A, p - 1, sol, budget) != rhs.data:
         raise InternalInconsistency("certificate failed re-verification")
-    return g
+    return Cochain(A, p - 1, sol if L is None else fld.unscale(sol, L))
 
 
 def main_theorem(F: FrobeniusStructure, p, budget=DEFAULT_BUDGET):
@@ -574,9 +618,10 @@ def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
                              budget=DEFAULT_BUDGET) -> Matrix:
     """Matrix of the induced map on H_p in the deterministic basis.
 
-    σ_M ⊗ σ^{⊗p} is applied to each representative as p + 1 mode products
-    (σ's columns on every digit, the slot map σ keeps, see
-    :func:`_action_slots`), and the image gets its unique coordinates in
+    σ_M ⊗ σ^{⊗p} is applied to each representative by σ's columns on
+    every digit, the slot map σ keeps (see :func:`_action_slots`): one
+    pass over its nonzeros when σ is monomial, else p + 1 mode products
+    (:func:`_tensor_action`).  The image gets its unique coordinates in
     Z/B from the cached homology (see :func:`_homology`)."""
     A = F.algebra
     fld, n = A.field, A.dim
@@ -587,9 +632,7 @@ def sigma_action_on_homology(F: FrobeniusStructure, p, coeffs=UNTWISTED,
     h = len(state.reps)
     data = [[fld.zero()] * h for _ in range(h)]
     for jdx, rep in enumerate(state.reps):
-        for i in range(p + 1):
-            rep = _mode_product(fld, rep, n, n ** i, slot)
-        sol = state.coordinates(rep)
+        sol = state.coordinates(_tensor_action(fld, rep, n, p, slot, slot))
         if sol is None:
             raise InternalInconsistency(
                 "chain image failed to re-express in the homology basis")

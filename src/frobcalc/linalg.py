@@ -198,11 +198,19 @@ class SparseEchelon:
     tracked: the pivot keeps an empty tail, so it still serves rank
     questions and reduces later columns, and a ``solve`` reads only the
     tails that were tracked.
+
+    Each step of a reduction takes the last row of what is left.  A solve
+    whose right-hand side has nnz nonzeros with 8·nnz ≥ rank does not look
+    for it: it walks, in descending order, the rows that the pivot columns
+    reach, listed once per echelon state (:meth:`_rows`), and eliminates
+    where the right-hand side is nonzero.  The eliminations are the same,
+    in the same order, and so is the solution.
     """
 
     def __init__(self, field):
         self.field = field
         self.pivots = {}  # row -> (column dict, tail dict)
+        self._walk = None  # see _rows
 
     def _reduce(self, col, tail, scale):
         """Reduce col, and tail alongside, in place, each step at its last
@@ -216,6 +224,37 @@ class SparseEchelon:
                 return r, scale
             scale *= step(col, tail, hit, r)
         return None, scale
+
+    def _rows(self):
+        """(a flag per row up to the last pivot row, set where some pivot
+        column reaches it; those rows in descending order): an
+        elimination writes only there, at or below its pivot row, so a row
+        outside is never cleared.  Rows are ints ≥ 0, as every caller's."""
+        if self._walk is None:
+            walk = sorted(set(chain.from_iterable(c for c, _ in self.pivots.values())),
+                          reverse=True)
+            reach = bytearray(walk[0] + 1 if walk else 0)
+            for r in walk:
+                reach[r] = 1
+            self._walk = reach, walk
+        return self._walk
+
+    def _sweep(self, col, tail, scale):
+        """:meth:`_reduce` by one walk down the rows the pivots reach: at a
+        row where col is nonzero the step at the last row would be taken
+        there, unless that row has no pivot or col has a row above it
+        outside the reach; either is where the reduction stops."""
+        step, pivots = self.field.eliminate, self.pivots
+        reach, walk = self._rows()
+        size = len(reach)
+        outside = max((k for k in col if k >= size or not reach[k]), default=-1)
+        for r in walk:
+            if r in col:
+                hit = pivots.get(r)
+                if hit is None or r < outside:
+                    return max(r, outside), scale
+                scale *= step(col, tail, hit, r)
+        return (outside if col else None), scale
 
     def insert(self, col, tail):
         """Returns None if the column joined the echelon, else its tail
@@ -231,6 +270,7 @@ class SparseEchelon:
                 return {}
             return tail if scale == 1 else f.unscale(tail, scale)
         self.pivots[r] = f.primitive(col, tail if tail is not None else {})
+        self._walk = None
         return None
 
     @property
@@ -243,7 +283,8 @@ class SparseEchelon:
         f = self.field
         col, scale = f.clear_denominators(rhs_dict)
         col, tail = dict(col), {}
-        r, scale = self._reduce(col, tail, scale or 1)
+        reduce = self._sweep if 8 * len(col) >= len(self.pivots) else self._reduce
+        r, scale = reduce(col, tail, scale or 1)
         if r is not None:
             return None
         if scale == 1:

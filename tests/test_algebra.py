@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from frobcalc.algebra import (Algebra, Element, LinearMap, ad, center_basis,
-                              commutator_subspace, direct_product,
-                              endomorphism_witness, extend_element, extend_map,
-                              extend_scalars, inner_automorphism, inverse_of,
-                              is_derivation, is_endomorphism, left_mult_matrix,
+                              commutator_subspace, derivation_witness,
+                              direct_product, endomorphism_witness,
+                              extend_element, extend_map, extend_scalars,
+                              inner_automorphism, inverse_of, left_mult_matrix,
                               product_embed, restrict_element, restrict_gram,
                               restrict_map, restrict_scalars)
 from frobcalc.errors import MalformedInput, RoleViolation
@@ -18,6 +18,14 @@ from frobcalc.linalg import Matrix
 from frobcalc.rng import SplitMix64
 
 Q = Field.rationals()
+
+
+def is_endomorphism(A, m):
+    return endomorphism_witness(A, m) is None
+
+
+def is_derivation(A, m):
+    return derivation_witness(A, m) is None
 
 
 def dual_numbers():

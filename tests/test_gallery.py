@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobcalc import hochschild as hh
-from frobcalc.algebra import Algebra, LinearMap, is_endomorphism
+from frobcalc.algebra import Algebra, LinearMap
 from frobcalc.errors import MalformedInput
 from frobcalc.fields import Field
 from frobcalc.gallery import (cyclic, dual_numbers, exterior,
@@ -16,6 +16,7 @@ from frobcalc.gallery import (cyclic, dual_numbers, exterior,
                               trace_form_gram, trivial_extension)
 from frobcalc.groups import GroupData, cyclic_group, symmetric_group_3
 from frobcalc.linalg import Matrix, invert, sparse_kernel_basis
+from test_algebra import is_endomorphism
 from test_linalg import ENTRY, FIELDS
 
 Q = Field.rationals()

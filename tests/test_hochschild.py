@@ -12,17 +12,19 @@ import pytest
 from frobcalc import hochschild as hh
 from frobcalc.algebra import (Algebra, Element, LinearMap, ad, center_basis,
                               commutator_subspace, inner_automorphism,
-                              is_derivation, right_mult_matrix)
+                              right_mult_matrix)
 from frobcalc.errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from frobcalc.fields import Field
-from frobcalc.frobenius import make_frobenius
+from frobcalc.frobenius import FrobeniusStructure, make_frobenius
 from frobcalc.gallery import (cyclic, dual_numbers, exterior,
                               ground_field_algebra, matrix_algebra, qci,
                               s3_group_algebra, trivial_extension)
 from frobcalc.linalg import (Matrix, dense_vector, echelon, solve_linear,
                              sparse_combination, sparse_kernel_basis)
+from test_algebra import is_derivation
 from test_fields import assert_canonical
-from test_kernels import RefEchelon, assert_integral_pivots, normalized, typed
+from test_kernels import (RefEchelon, assert_integral_pivots, normalized,
+                          ref_add_entry, typed)
 
 Q = Field.rationals()
 
@@ -276,10 +278,12 @@ def test_certificate_rejects_non_cocycles():
     item = qci(2)
     A = item.algebra
     F = make_frobenius(A, item.gram)
-    # the identity map is not a derivation, hence not a 1-cocycle
-    bad = hh.Cochain.from_flat(A, 1, sum(Matrix.identity(Q, A.dim).data, []))
-    with pytest.raises(MalformedInput):
-        hh.triviality_certificate(F, bad)
+    # the identity map is not a derivation, hence not a 1-cocycle, and
+    # neither is a third of it, whose denominators the test clears first
+    for scale in (1, Fraction(1, 3)):
+        bad = hh.Cochain.from_flat(A, 1, sum(Matrix.identity(Q, A.dim).scale(scale).data, []))
+        with pytest.raises(MalformedInput, match="not a cocycle"):
+            hh.triviality_certificate(F, bad)
 
 
 def test_boundary_h0_dimensions():
@@ -998,3 +1002,143 @@ def test_main_theorem_refutes_a_map_that_is_not_the_nakayama_automorphism():
         True, True, True, False, False, True]
     assert hh.main_theorem(F, 1) == (6, [])
     assert hh.main_theorem(F, 2) == (16, [])
+
+
+# ---------------------------------------------------------------------------
+# one-pass actions and certificates on L·f
+
+# exterior(3) over each field, with three nonzero scalars a, b, c for the maps
+ACTION_FIELDS = {
+    "Q": (Q, [2, Fraction(1, 3), -1]),
+    "F5": (Field.prime(5), [2, 3, 4]),
+    "F9": (F9, [(0, 1), (1, 1), 2]),
+    "F2^31-1[a]": (Field.extension(2**31 - 1, [1, 0, 1]), [(0, 1), (2, 5), 3]),
+}
+
+
+def _per_digit(fld, data, n, slots):
+    """``data`` with slots[i], images t ↦ {s: c}, on the digit of weight
+    n^i of each key: one per-scalar mode product per digit."""
+    for i, images in enumerate(slots):
+        w, out = n ** i, {}
+        for k, v in data.items():
+            t = k // w % n
+            for s, c in images[t].items():
+                ref_add_entry(fld, out, k + (s - t) * w, fld.mul(c, v))
+        data = out
+    return data
+
+
+@pytest.mark.parametrize("label", list(ACTION_FIELDS))
+def test_one_pass_action_equals_per_digit_mode_products(label):
+    # φ of a diagonal, of a scaled permutation and of a non-monomial matrix
+    # on V: the first two act in one pass, the last by mode products.  The
+    # cochain action (u⁻¹'s rows on the input digits, u's columns on the
+    # output digit) and the homology one (u's columns on every digit) must
+    # give the per-digit products, key order and value types included, on
+    # the first call and on the second, which reads the kept table
+    fld, scalars = ACTION_FIELDS[label]
+    item = exterior(3, fld)
+    A = item.algebra
+    n, p = A.dim, 2
+    a, b, c = (fld.coerce(x) for x in scalars)
+    z = fld.zero()
+    maps = {
+        "diagonal": item.phi([[a, z, z], [z, b, z], [z, z, c]]),
+        "permutation": item.phi([[z, z, c], [a, z, z], [z, b, z]]),
+        "non-monomial": item.phi([[a, b, z], [z, b, z], [z, z, c]]),
+    }
+    rng = random.Random(label)
+    f = hh.Cochain(A, p, {k: rng.choice([fld.one(), a, b, c])
+                          for k in range(n ** (p + 1)) if rng.random() < 0.4})
+    for kind, u in maps.items():
+        cols, rows = u.matrix.sparse_columns(), u.inverse().matrix.sparse_rows()
+        for _ in range(2):
+            got = hh.cochain_action(u, f).data
+            assert typed(got) == typed(_per_digit(fld, f.data, n, [rows] * p + [cols]))
+            slot = hh._action_slots(u)[1]
+            assert slot[0] == (kind != "non-monomial")
+            got = hh._tensor_action(fld, f.data, n, p, slot, slot)
+            assert typed(got) == typed(_per_digit(fld, f.data, n, [cols] * (p + 1)))
+
+
+def test_rational_certificate_with_mixed_denominators():
+    # f = Σ c_i·z_i over the basis cocycles of qci(2) at p = 2, the c_i of
+    # denominators 1, 2, 3 and 5: the certificate is solved for L·f and
+    # divided by L once; d(g) = f^σ − f is checked on f itself
+    item = qci(2)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    coeffs = [1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5)]
+    acc = {}
+    for i, cocycle in enumerate(hh.cocycle_basis(A, 2)):
+        Q.axpy(acc, cocycle.data, coeffs[i % 4])
+    f = hh.Cochain(A, 2, acc)
+    assert len({v.denominator for v in f.data.values() if type(v) is Fraction}) > 1
+    g = hh.triviality_certificate(F, f)
+    assert hh.apply_coboundary(A, g) == hh.cochain_action(F.sigma, f) - f
+    assert any(type(v) is Fraction for v in g.data.values())
+    assert_canonical(g.data.values())
+
+
+def _frobenius(item):
+    return make_frobenius(item.algebra, item.gram)
+
+
+def _swapped_exterior2():
+    """exterior(2) with the swap of its generators in σ's place (see the
+    refutation test above): half the certificates below are None."""
+    item = exterior(2)
+    F = _frobenius(item)
+    return FrobeniusStructure(item.algebra, F.gram, item.phi([[0, 1], [1, 0]]), F._gram_inv)
+
+
+# (Frobenius structure, degree): certificates of a sample of the basis
+# cocycles (sparse) and of four combinations of all of them (dense; over Q
+# with denominators 2, 3 and 6)
+CERTIFIED = {
+    "exterior(4)/Q": (lambda: _frobenius(exterior(4)), 2),
+    "exterior(4)/F5": (lambda: _frobenius(exterior(4, Field.prime(5))), 2),
+    "qci(2)/Q": (lambda: _frobenius(qci(2)), 3),
+    "trivM2 twisted by 1+E12": (lambda: _frobenius(_twisted_trivial_m2()), 2),
+    "exterior(2)/Q, generators swapped": (_swapped_exterior2, 2),
+}
+# sha256 of repr([None or list(g.data.items()) per certificate]): keys,
+# values, value types and key order, recorded while every certificate
+# still acted on f itself in p + 1 passes and every solve took max over
+# its right-hand side at each step
+CERTIFICATE_DIGESTS = {
+    "exterior(4)/Q": "7cc76f04a9fdceb96a1f57f8a2b72c0b1ea85ab2f11db724d8435f303a338e8a",
+    "exterior(4)/F5": "2bdd8fd6100ee4e209eedfcab27d0ead31aa39903ed9489bad1ef1a6706ddfbb",
+    "qci(2)/Q": "02b378d37d0121ce01f8464be00b3ba58a964c4fa9cb4887b89f893a4e29feeb",
+    "trivM2 twisted by 1+E12": "e9068a7e4d47463af16cdccfde5a83a104685d5c597893dc8e0100def5ded421",
+    "exterior(2)/Q, generators swapped":
+        "f112e7023da25844b306df4d0c304b8278f1ec8ef90669749a8cecd90b28b574",
+}
+
+
+def _certificate_inputs(A, p):
+    basis = hh.cocycle_basis(A, p)
+    fld = A.field
+    coeffs = [1, -1, 2, 3]
+    if fld.characteristic == 0:
+        coeffs += [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]
+    rng = random.Random(f"certificates/{p}")
+    combos = []
+    for _ in range(4):
+        acc = {}
+        for f in basis:
+            fld.axpy(acc, f.data, fld.coerce(rng.choice(coeffs)))
+        combos.append(hh.Cochain(A, p, acc))
+    return basis[::max(1, len(basis) // 24)] + combos
+
+
+@pytest.mark.parametrize("label", list(CERTIFIED))
+def test_certificates_keep_their_digest(label):
+    build, p = CERTIFIED[label]
+    F = build()
+    out = []
+    for f in _certificate_inputs(F.algebra, p):
+        g = hh.triviality_certificate(F, f)
+        out.append(None if g is None else list(g.data.items()))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == CERTIFICATE_DIGESTS[label]

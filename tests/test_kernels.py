@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobcalc.algebra import Algebra
 from frobcalc.errors import MalformedInput
@@ -76,6 +76,10 @@ def check_form(f, values):
     assert not any(f.is_zero(v) for v in values)
     if f == FIELDS["Q"]:
         assert_canonical(values)
+
+
+def is_one(f, a):
+    return a == f.one()
 
 
 def typed(d):
@@ -170,7 +174,7 @@ class RefEchelon:
         r = self._reduce(col, tail)
         if r is None:
             return tail if tail is not None else {}
-        if not f.is_one(col[r]):
+        if not is_one(f, col[r]):
             ip = f.inv(col[r])
             col = {k: f.mul(ip, v) for k, v in col.items()}
             if tail is not None:
@@ -217,26 +221,43 @@ def test_axpy_and_add_entry_match_per_scalar_ops(label):
     props()
 
 
-@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("label", LABELS + ["F2^31-1[a]"])
 def test_monomial_mode_matches_per_scalar_ops(label):
-    # keys are flat three-digit indices base 3; the map on the digit of
-    # weight w sends t to perm[t] scaled by scale[t] ≠ 0
-    f = FIELDS[label]
+    # keys are flat three-digit indices base 3; the map on digit i sends t
+    # to perm[i][t] scaled by scale[i][t] ≠ 0.  Alone, it acts on the digit
+    # of weight w; with a table of the two low digits' maps (9 entries) it
+    # acts on the top digit, and all three maps apply in one pass
+    f = FIELDS.get(label, UNTABLED)
     nonzero = ENTRY[label].filter(lambda v: not f.is_zero(f.coerce(v)))
+    triple = st.lists(nonzero, min_size=3, max_size=3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(st.integers(min_value=0, max_value=26), ENTRY[label]),
-           st.sampled_from([1, 3, 9]), st.permutations(range(3)),
-           st.lists(nonzero, min_size=3, max_size=3))
-    def props(raw, w, perm, scale):
+           st.sampled_from([0, 1, 2]),
+           st.lists(st.permutations(range(3)), min_size=3, max_size=3),
+           st.lists(triple, min_size=3, max_size=3))
+    def props(raw, digit, perms, scales):
         vec = sparse(f, raw)
-        images = [(perm[t] - t, f.coerce(c)) for t, c in enumerate(scale)]
-        ref = {}
-        for k, v in vec.items():
-            d, c = images[k // w % 3]
-            ref[k + d * w] = f.mul(c, v)
-        fused = f.monomial_mode(vec, 3, w, images)
-        assert list(fused.items()) == list(ref.items())
+        maps = [[(perm[t] - t, f.coerce(c)) for t, c in enumerate(scale)]
+                for perm, scale in zip(perms, scales)]
+
+        def ref(digits):
+            out = {}
+            for k, v in vec.items():
+                key = k
+                for i in digits:
+                    d, c = maps[i][k // 3 ** i % 3]
+                    key, v = key + d * 3 ** i, f.mul(c, v)
+                out[key] = v
+            return out
+
+        w = 3 ** digit
+        fused = f.monomial_mode(vec, w, maps[digit])
+        assert typed(fused) == typed(ref([digit]))
+        check_form(f, fused.values())
+        low = [(d0 + 3 * d1, f.mul(c0, c1)) for d1, c1 in maps[1] for d0, c0 in maps[0]]
+        fused = f.monomial_mode(vec, 9, maps[2], low)
+        assert typed(fused) == typed(ref([0, 1, 2]))
         check_form(f, fused.values())
 
     props()
@@ -307,7 +328,7 @@ def test_echelon_insert_and_solve_match_per_scalar_ops(label):
                 free.append(j)
                 # the canonical kernel tail: 1 at its free column, 0 at
                 # every earlier free one
-                assert f.is_one(out[j])
+                assert is_one(f, out[j])
                 assert not set(free[:-1]) & out.keys()
                 check_form(f, out.values())
         # the same pivot rows, in order; each pivot is the reference's
@@ -366,6 +387,109 @@ def test_pivot_row_order_is_free(label):
             ref_axpy(f, combo, col, f.coerce(c))
         for rhs in (combo, sparse(f, raw_rhs)):
             assert first.solve(rhs) == last.solve(rhs)
+
+    props()
+
+
+def per_step_solve(ech, rhs):
+    """``SparseEchelon.solve`` with every step at the last row of what is
+    left, found by ``max`` over the whole vector: the loop a sparse
+    right-hand side keeps, and the one the walk of a dense one replaces."""
+    f = ech.field
+    col, scale = f.clear_denominators(rhs)
+    col, tail, scale = dict(col), {}, scale or 1
+    while col:
+        r = max(col)
+        hit = ech.pivots.get(r)
+        if hit is None:
+            return None
+        scale *= f.eliminate(col, tail, hit, r)
+    if scale == 1:
+        return {k: f.neg(v) for k, v in tail.items()}
+    return f.unscale(tail, -scale)
+
+
+@pytest.mark.parametrize("label", ["Q", "F5", "F9"])
+def test_solve_walk_matches_the_per_step_loop(label):
+    # a staircase of 20–27 columns, column j led at row 4j + 2 with one
+    # optional entry at an even row below, so the rank is at least 20 and
+    # rows ≡ 0 mod 4 may be reached without a pivot; odd rows are never
+    # reached.  The right-hand sides: a column (sparse, solvable), an odd
+    # row (sparse, never solvable), a combination of every column (dense,
+    # solvable), it with an odd row added (dense, never solvable) and with
+    # any row.  Each must give the per-step loop's answer, values and
+    # types, by the same Field.eliminate calls, before and after more
+    # columns join.
+    f = {"Q": Field.rationals, "F5": lambda: Field.prime(5),
+         "F9": lambda: Field.extension(3, [1, 0, 1])}[label]()
+    eliminate, steps = f.eliminate, []
+
+    def recording(col, tail, pivot, r):
+        steps.append(r)
+        return eliminate(col, tail, pivot, r)
+
+    f.eliminate = recording  # this instance only: the shared fields stay as they are
+    nonzero = ENTRY[label].filter(lambda v: not f.is_zero(f.coerce(v)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=20, max_value=27), st.data())
+    def props(size, data):
+        cols = []
+        for j in range(size):
+            col = {4 * j + 2: f.coerce(data.draw(nonzero))}
+            below = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=2 * j)))
+            if below is not None:
+                col[2 * below] = f.coerce(data.draw(nonzero))
+            cols.append(col)
+        extra = [sparse(f, c) for c in data.draw(st.lists(
+            st.dictionaries(st.integers(min_value=0, max_value=2 * size).map(lambda r: 2 * r),
+                            ENTRY[label], max_size=4), max_size=6))]
+        ech = SparseEchelon(f)
+        one = f.one()
+        for j, col in enumerate(cols):
+            assert ech.insert(col, {j: one}) is None
+
+        def combination(columns):
+            acc = {}
+            for col in columns:
+                ref_axpy(f, acc, col, f.coerce(data.draw(nonzero)))
+            return acc
+
+        def check(rhs, dense, solvable=None):
+            assert (8 * len(rhs) >= ech.rank) == dense
+            del steps[:]
+            expected = per_step_solve(ech, rhs)
+            ref_steps = steps[:]
+            del steps[:]
+            got = ech.solve(rhs)
+            assert steps == ref_steps
+            assert (got is None) == (expected is None)
+            if solvable is not None:
+                assert (got is not None) == solvable
+            if got is not None:
+                assert typed(got) == typed(expected)
+                check_form(f, got.values())
+
+        j = data.draw(st.integers(min_value=0, max_value=size - 1))
+        odd = 2 * data.draw(st.integers(min_value=0, max_value=2 * size)) + 1
+        check(cols[j], False, True)
+        check({odd: one}, False, False)
+        combo = combination(cols)
+        assume(8 * len(combo) >= ech.rank)
+        check(combo, True, True)
+        middle = dict(combo)
+        middle[odd] = one
+        check(middle, True, False)
+        anywhere = dict(combo)
+        ref_add_entry(f, anywhere, data.draw(st.integers(min_value=0, max_value=4 * size)), one)
+        if 8 * len(anywhere) >= ech.rank:
+            check(anywhere, True)
+        # more columns join: the walk is listed again for the new state
+        for j, col in enumerate(extra, size):
+            ech.insert(col, {j: one})
+        combo = combination(cols + extra)
+        if 8 * len(combo) >= ech.rank:
+            check(combo, True, True)
 
     props()
 
