@@ -14,7 +14,7 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
                       center_basis, endomorphism_witness, inner_automorphism,
                       intertwiner_basis, inverse_of, right_mult_matrix)
 from .errors import InternalInconsistency, MalformedInput
-from .linalg import Matrix, invert, sparse_combination, sum_product
+from .linalg import Matrix, invert, sparse_combination
 
 
 class FrobeniusStructure:
@@ -27,10 +27,6 @@ class FrobeniusStructure:
         self._gram_inv = gram_inv
 
     # pairing and beta ---------------------------------------------------------
-    def pair_raw(self, a, b):
-        """⟨a, b⟩ = a·(G b) for raw coordinate vectors."""
-        return sum_product(self.algebra.field, a, self.gram.apply(b))
-
     def beta_inverse_functional(self, lam):
         """The element j with ⟨j, e_k⟩ = lam_k for a raw functional vector:
         Gᵀ·j = lam, so j = (G⁻¹)ᵀ·lam."""

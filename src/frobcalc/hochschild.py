@@ -5,7 +5,8 @@ values keyed by the flat coordinate k·n^p + J (J a p-tuple of basis
 indices read base n, first index most significant); chains with
 coefficients in M are flattened as (m, tuple).  Each differential is
 defined once, as tables of face offsets, and read off them column-sparse
-(the duality check reads b_{p+1} by rows); neither has a dense copy.
+(the duality check reads b_{p+1}'s table transposed, by rows); neither has
+a dense copy.
 d^p's columns are cached, since certificates and the duality check read
 them again; b_p is only its face table, and its columns are streamed to
 where they are read and never cached.  All rank/kernel/solve work goes
@@ -30,10 +31,13 @@ is dual to C_•(A, A_σ) (Cartan–Eilenberg 1956, ch. IX; Van den Bergh
 the twist of a validated form, H_p(A, A_σ) is read off the cocycles of
 d^p: the boundaries are the chains that pair to zero with every cocycle,
 and the representatives are the cycles whose pairing vectors still join
-the echelon of the earlier ones.  b_{p+1} is read by rows from its face
-table, to check the duality exactly, and never eliminated.  Other
-coefficients eliminate b_{p+1} for its rank.  Either way H_p is built
-once per (p, twist) and reused by the σ-action on H_p.
+the echelon of the earlier ones.  The duality is checked exactly, on
+every nonzero of both sides: b_{p+1}'s rows are read off its face table
+transposed and compared with d^p's cached columns, directly when the form
+is monomial (it is folded into the rows) and through the form on both
+sides otherwise; b_{p+1} is never eliminated.  Other coefficients
+eliminate b_{p+1} for its rank.  Either way H_p is built once per (p,
+twist) and reused by the σ-action on H_p.
 """
 
 from __future__ import annotations
@@ -222,34 +226,70 @@ def _stream_boundary(A: Algebra, p, twist: Matrix | None):
             yield col
 
 
-def _boundary_rows(A: Algebra, p, twist: Matrix | None, mm):
-    """Rows mm·n^{p−1} + K of b_p as dicts {column: value}: the face terms of
-    :func:`_boundary_faces` that land there, scattered face by face."""
+def _boundary_rows(A: Algebra, p, twist: Matrix | None, form=None):
+    """The rows of b_p read transposed off its face table
+    (:func:`_boundary_faces`), never cached: for each K < n^{p−1} in turn,
+    the list of the n rows m·n^{p−1} + K as dicts {column: value}.  Face 0
+    and the last face are inverted per output block and the middle faces
+    per output digit t, once, at table size.  A row is then built as
+    :func:`_coboundary_columns` builds a column, from offsets shifted by K
+    and by K·n and digit lookups; the middle faces' terms, the same in each
+    row of one K up to its block, are summed once per K.
+
+    ``form`` is the rows of a monomial Gram matrix, G[t] = {μ(t): g_t}, and
+    is folded into the inverted tables once per entry: the list for K then
+    holds at k the row (μ(k), K) with column block μ(t) relabelled t and
+    scaled by g_k/g_t.  These are the columns of Φ_p⁻¹∘b_pᵀ∘Φ_{p−1} (Φ as
+    in :func:`_dual_pairing`), which the chain-level duality makes the
+    columns of d^{p−1}."""
     w, first, mids, last = _boundary_faces(A, p, twist)
-    n, add, npow = A.dim, A.field.add_entry, A.dim * w
-    rows = [{} for _ in range(w)]
-    # face 0: column (m, a, tail) to row off + tail; last: (m, head, a) to off + head
-    for table, weight, step in ((first, w, 1), (last, 1, n)):
+    f, n = A.field, A.dim
+    add, npow = f.add_entry, n * w
+    # face 0 takes column (m, a, K) to row (t, K), the last face (m, K, a′):
+    # row block t lists (m, a·w) and (m, a′), to be shifted by K and by K·n
+    ends = [[] for _ in range(n)], [[] for _ in range(n)]
+    for table, inv, weight in zip((first, last), ends, (w, 1)):
         for m in range(n):
             for a, terms in enumerate(table[m]):
-                start = m * npow + a * weight
                 for off, c in terms:
-                    if off == mm * w:
-                        for row, col in zip(rows, range(start, start + w * step, step)):
-                            add(row, col, c)
-    # middle face (hi, lo, table) takes column (mm, pre, d, suf) to row
-    # pre·hi/n + off + suf here; (count, row step, column step) of pre and
-    # suf, the longer one inner
+                    inv[off // w].append((m, a * weight, c))
+    if form is None:
+        firsts, lasts = ([[(m * npow + off, c) for m, off, c in terms] for terms in inv]
+                         for inv in ends)
+    else:
+        mu = [next(iter(g)) for g in form]
+        label = {m: t for t, m in enumerate(mu)}
+        gains = [next(iter(g.values())) for g in form]
+        recips = [f.inv(g) for g in gains]
+        firsts, lasts = ([[(label[m] * npow + off, f.mul(c, f.mul(gains[k], recips[label[m]])))
+                           for m, off, c in inv[mu[k]]] for k in range(n)] for inv in ends)
+    # middle face (hi, lo, table) takes column (m, pre, d, suf) to row
+    # (m, pre, t, suf), which keeps its block: inverted per output digit t
+    faces = []
     for hi, lo, table in mids:
-        (outer, rs, cs), (inner, ri, ci) = sorted(((npow // hi, hi // n, hi), (lo, 1, 1)))
+        inv = [[] for _ in range(n)]
         for d, terms in enumerate(table):
             for off, c in terms:
-                for o in range(outer):
-                    r, start = off + o * rs, mm * npow + d * lo + o * cs
-                    for row, col in zip(rows[r:r + inner * ri:ri],
-                                        range(start, start + inner * ci, ci)):
-                        add(row, col, c)
-    return rows
+                inv[off // lo].append((d * lo, c))
+        faces.append((hi // n, hi, lo, inv))
+    for K in range(w):
+        # row (i, K) holds these shifted by its block, i·n^p
+        middle = {}
+        for hn, hi, lo, inv in faces:
+            base = K // hn * hi + K % lo
+            for off, c in inv[K // lo % n]:
+                add(middle, base + off, c)
+        head = K * n
+        rows = []
+        for i in range(n):
+            base = i * npow
+            row = {base + off: c for off, c in middle.items()}
+            for off, c in firsts[i]:
+                add(row, off + K, c)
+            for off, c in lasts[i]:
+                add(row, off + head, c)
+            rows.append(row)
+        yield rows
 
 
 # ---------------------------------------------------------------------------
@@ -469,22 +509,30 @@ def _dual_pairing(A: Algebra, p, twist, gram):
     the output digit, a mode product with G's rows.  ``gram`` is a
     validated form, so Φ_p is invertible, and by the identity d^p f = 0
     exactly when Φ_p f vanishes on im b_{p+1}: B_p is the set of chains c
-    with ⟨z, c⟩ = Σ Φ_p(z)[i]·c[i] = 0 for every cocycle z.  The check
-    reads b_{p+1} by rows, one output-digit block at a time, and compares Σ_m
-    G[k][m]·(row (m, J)) with the mode product of d^p's column (k, J); a
-    mismatch, as from a form whose Nakayama map is not ``twist``, raises."""
+    with ⟨z, c⟩ = Σ Φ_p(z)[i]·c[i] = 0 for every cocycle z.
+
+    The check takes b_{p+1}'s rows J by J from :func:`_boundary_rows`, each
+    built once.  A monomial G, G[k] = {μ(k): g_k}, is folded into them, and
+    the identity says that row (μ(k), J), relabelled and scaled, equals
+    d^p's column (k, J): one dict comparison, with no product.  Any other G
+    compares Σ_m G[k][m]·(row (m, J)) with the mode product of the column.
+    Both sides are read in full; a mismatch, as from a form whose Nakayama
+    map is not ``twist``, raises before anything is cached."""
     f, n, w = A.field, A.dim, A.dim ** p
     grows = gram.sparse_rows()
     slot = _slot_map(grows)
+    monomial = slot[0]
     dcols = _coboundary_columns(A, p)
-    for k in range(n):
-        # a monomial G reads each block of rows for one k: only one is held
-        blocks = {m: _boundary_rows(A, p + 1, twist, m) for m in grows[k]}
-        for J in range(w):
-            rhs = {}
-            for m, g in grows[k].items():
-                f.axpy(rhs, blocks[m][J], g)
-            if _mode_product(f, dcols[k * w + J], n, n * w, slot) != rhs:
+    for J, rows in enumerate(_boundary_rows(A, p + 1, twist, grows if monomial else None)):
+        for k, col in enumerate(dcols[J::w]):
+            if monomial:
+                same = col == rows[k]
+            else:
+                rhs = {}
+                for m, g in grows[k].items():
+                    f.axpy(rhs, rows[m], g)
+                same = _mode_product(f, col, n, n * w, slot) == rhs
+            if not same:
                 raise InternalInconsistency("chain-level duality failed")
     pairing = {}
     for i, z in enumerate(_cocycles(A, p)):
@@ -498,12 +546,12 @@ def _homology(A: Algebra, p, twist):
     and cached on the algebra; callers must not mutate it.
 
     The cycles are the canonical kernel of b_p, whose columns are streamed
-    into its echelon and not kept.  For the twist of a
-    validated Frobenius form (``make_frobenius`` records the form under
-    σ's matrix) the boundaries, the representatives and the σ-action come
-    from the cocycles of d^p by duality (:func:`_dual_pairing`), and
-    b_{p+1} is checked once and never eliminated: dim B_p = n^{p+1} −
-    dim Z^p.  Untwisted coefficients and any twist without a form fall
+    into its echelon and not kept.  For the twist of a validated Frobenius
+    form (``make_frobenius`` records the form under σ's matrix) the
+    boundaries, the representatives and the σ-action come from the
+    cocycles of d^p by duality (:func:`_dual_pairing`): b_{p+1}'s rows are
+    checked once against d^p's cached columns, and b_{p+1} is never
+    eliminated, since dim B_p = n^{p+1} − dim Z^p.  Untwisted coefficients and any twist without a form fall
     back to eliminating the streamed b_{p+1} for its rank alone; the two
     routes choose the same representatives and give the same
     coordinates.

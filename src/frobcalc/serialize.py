@@ -210,11 +210,6 @@ def algebra_to_doc(algebra: Algebra, gram: Matrix | None = None):
     return doc
 
 
-def map_to_doc(m: LinearMap):
-    return {"schema": SCHEMA_VERSION, "role": m.role,
-            "matrix": matrix_to_doc(m.matrix)}
-
-
 def canonical_dumps(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

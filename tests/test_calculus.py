@@ -19,6 +19,7 @@ from frobcalc.gallery import (cyclic, dual_numbers, exterior, matrix_algebra, qc
                               trivial_extension)
 from frobcalc.linalg import Matrix, solve_linear
 from frobcalc.rng import SplitMix64
+from test_frobenius import pair_raw
 
 Q = Field.rationals()
 
@@ -29,9 +30,9 @@ def jacobian_by_defining_solve(F, u):
     rows, rhs = [], []
     for i in range(A.dim):
         for j in range(A.dim):
-            rows.append([F.pair_raw(A.mul_raw(A._basis_vec(k), A._basis_vec(i)),
-                                    A._basis_vec(j)) for k in range(A.dim)])
-            rhs.append(F.pair_raw(u.matrix.column(i), u.matrix.column(j)))
+            rows.append([pair_raw(F, A.mul_raw(A._basis_vec(k), A._basis_vec(i)),
+                                     A._basis_vec(j)) for k in range(A.dim)])
+            rhs.append(pair_raw(F, u.matrix.column(i), u.matrix.column(j)))
     sol = solve_linear(Matrix(A.field, rows, _raw=True), rhs)
     assert sol is not None
     return Element(A, sol, _raw=True)
@@ -43,12 +44,12 @@ def divergence_by_pair_solve(F, d):
     rows, rhs = [], []
     for i in range(A.dim):
         for j in range(A.dim):
-            rows.append([F.pair_raw(A._basis_vec(i),
-                                    A.mul_raw(A._basis_vec(j), A._basis_vec(k)))
+            rows.append([pair_raw(F, A._basis_vec(i),
+                                     A.mul_raw(A._basis_vec(j), A._basis_vec(k)))
                          for k in range(A.dim)])
             rhs.append(A.field.add(
-                F.pair_raw(d.matrix.column(i), A._basis_vec(j)),
-                F.pair_raw(A._basis_vec(i), d.matrix.column(j))))
+                pair_raw(F, d.matrix.column(i), A._basis_vec(j)),
+                pair_raw(F, A._basis_vec(i), d.matrix.column(j))))
     sol = solve_linear(Matrix(A.field, rows, _raw=True), rhs)
     assert sol is not None
     return Element(A, sol, _raw=True)
@@ -323,9 +324,9 @@ def test_phi_sequence_binomial_identity_non_nilpotent():
                 a, b = A.basis_element(i), A.basis_element(j)
                 acc = Q.zero()
                 for k in range(n + 1):
-                    acc += comb(n, k) * F.pair_raw(powers[k](a).raw,
-                                                   powers[n - k](b).raw)
-                assert acc == F.pair_raw(a.raw, (b * phis[n]).raw)
+                    acc += comb(n, k) * pair_raw(F, powers[k](a).raw,
+                                                    powers[n - k](b).raw)
+                assert acc == pair_raw(F, a.raw, (b * phis[n]).raw)
 
 
 def _dense_sum(field, rows, cols, terms):

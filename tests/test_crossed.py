@@ -12,6 +12,7 @@ from frobcalc.gallery import cyclic, exterior, qci
 from frobcalc.groups import cyclic_group
 from frobcalc.linalg import Matrix
 from frobcalc.rng import SplitMix64
+from test_frobenius import pair_raw
 
 Q = Field.rationals()
 
@@ -134,7 +135,7 @@ def test_orthogonal_action_gives_plain_sigma():
     F = make_frobenius(A, item.gram)
     for i in range(4):
         for j in range(4):
-            assert F.pair_raw(invol.matrix.column(i), invol.matrix.column(j)) \
+            assert pair_raw(F, invol.matrix.column(i), invol.matrix.column(j)) \
                 == item.gram.data[i][j]
     act = GroupAction(G, A, [LinearMap.identity(A), invol])
     alpha = TwoCocycle.trivial(G, Q)

@@ -882,6 +882,78 @@ def test_a_boundary_twisted_by_the_inverse_fails_the_duality_check():
         assert ("hom", p, F.sigma.matrix) not in A._cache
 
 
+def _corrupt_face(A, p, twist, where):
+    """Double one coefficient of b_p's cached face table: the first term of
+    the last middle face or of the last face."""
+    w, first, mids, last = hh._boundary_faces(A, p, twist)
+    if where == "middle face":
+        hi, lo, table = mids[-1]
+        table = list(table)
+        d = next(d for d, terms in enumerate(table) if terms)
+        table[d] = _corrupt(table[d])
+        mids = mids[:-1] + [(hi, lo, table)]
+    else:
+        last = [list(tables) for tables in last]
+        m, a = next((m, a) for m, tables in enumerate(last)
+                    for a, terms in enumerate(tables) if terms)
+        last[m][a] = _corrupt(last[m][a])
+    A._cache[("faces", p, twist)] = (w, first, mids, last)
+
+
+# a carrier whose form is monomial, and so folded into b_{p+1}'s rows, and
+# one whose form is not
+MONOMIAL_FORM = {"qci(2)": (lambda: qci(2), True),
+                 "trivM2 twisted by 1+E12": (_twisted_trivial_m2, False)}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("where", ["middle face", "last face", "coboundary column"])
+@pytest.mark.parametrize("label", list(MONOMIAL_FORM))
+def test_a_corrupted_face_or_column_fails_the_duality_check(label, where, p):
+    # one doubled coefficient in b_{p+1}'s cached face table or in one column
+    # of the cached d^p must be seen, whether the form is folded into the
+    # rows (monomial G) or applied to both sides (any other G)
+    build, monomial = MONOMIAL_FORM[label]
+    item = build()
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    twist = F.sigma.matrix
+    gram = A._cache[("nakayama-form", twist)]
+    assert hh._slot_map(gram.sparse_rows())[0] == monomial
+    if where == "coboundary column":
+        cols = list(hh._coboundary_columns(A, p))
+        i = next(i for i, col in enumerate(cols) if col)
+        cols[i] = _corrupt(cols[i])
+        A._cache[("cob", p)] = cols
+    else:
+        _corrupt_face(A, p + 1, twist, where)
+    with pytest.raises(InternalInconsistency, match="chain-level duality failed"):
+        hh.homology_dimension(A, p, hh.TWISTED, F.sigma)
+    assert ("hom", p, twist) not in A._cache
+
+
+def test_a_monomial_form_checks_duality_without_mode_products(monkeypatch):
+    # exterior(3)'s form is monomial: b_{p+1}'s relabelled rows are compared
+    # with d^p's columns as they are, so the only mode products are the
+    # ones that turn the cocycles into pairing vectors
+    item = exterior(3)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    gram = A._cache[("nakayama-form", F.sigma.matrix)]
+    assert hh._slot_map(gram.sparse_rows())[0]
+    read = []
+    mode_product = hh._mode_product
+    monkeypatch.setattr(hh, "_mode_product",
+                        lambda fld, data, *args: read.append(data)
+                        or mode_product(fld, data, *args))
+    for p in range(3):
+        read.clear()
+        hh.homology_dimension(A, p, hh.TWISTED, F.sigma)
+        cols = {id(col) for col in hh._coboundary_columns(A, p)}
+        assert not any(id(data) in cols for data in read)
+        assert len(read) == len(hh._cocycles(A, p))
+
+
 @pytest.mark.parametrize("dual", [True, False])
 def test_a_sigma_image_that_is_not_a_cycle_is_refused(monkeypatch, dual):
     # on the dual route a chain's pairing vector is in the span of the
@@ -920,18 +992,34 @@ FACE_TABLE_CARRIERS = {
 @pytest.mark.parametrize("label", list(FACE_TABLE_CARRIERS))
 def test_boundary_rows_are_the_streamed_columns_transposed(label):
     # the duality check reads b_p by rows off the face table that streams
-    # its columns: both readings must give the same entries
+    # its columns, n rows (m, K) per K: unrelabelled, both readings must give
+    # the same entries; relabelled through a monomial form, the rows are
+    # d^{p−1}'s columns
     item = FACE_TABLE_CARRIERS[label]()
     A = item.algebra
-    sigma = make_frobenius(A, item.gram).sigma
+    n = A.dim
+    F = make_frobenius(A, item.gram)
+    grows = A._cache[("nakayama-form", F.sigma.matrix)].sparse_rows()
+    monomial = hh._slot_map(grows)[0]
     for p in range(1, 4):
-        for twist in (None, sigma.matrix):
-            transposed = [{} for _ in range(A.dim ** p)]
+        w = n ** (p - 1)
+        for twist in (None, F.sigma.matrix):
+            transposed = [{} for _ in range(n * w)]
             for c, col in enumerate(hh._stream_boundary(A, p, twist)):
                 for r, v in col.items():
                     transposed[r][c] = v
-            rows = [row for mm in range(A.dim) for row in hh._boundary_rows(A, p, twist, mm)]
+            rows = [None] * (n * w)
+            for K, block in enumerate(hh._boundary_rows(A, p, twist)):
+                assert len(block) == n
+                for m, row in enumerate(block):
+                    rows[m * w + K] = row
             assert _exact(rows) == _exact(transposed)
+        if monomial:
+            rows = [None] * (n * w)
+            for K, block in enumerate(hh._boundary_rows(A, p, F.sigma.matrix, grows)):
+                for k, row in enumerate(block):
+                    rows[k * w + K] = row
+            assert _exact(rows) == _exact(hh._coboundary_columns(A, p - 1))
 
 
 SIGMA_NOT_IDENTITY = ["exterior(2)/Q", "exterior(4)/Q", "exterior(4)/F5", "qci(2)/Q",

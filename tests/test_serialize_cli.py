@@ -20,6 +20,11 @@ from frobcalc.groups import cyclic_group
 Q = Field.rationals()
 
 
+def map_to_doc(m):
+    return {"schema": serialize.SCHEMA_VERSION, "role": m.role,
+            "matrix": serialize.matrix_to_doc(m.matrix)}
+
+
 def qci_doc():
     g = qci(2)
     return serialize.algebra_to_doc(g.algebra, g.gram)
@@ -121,12 +126,12 @@ def test_cli_jacobian_and_role_failure(tmp_path):
     g = qci(2)
     apath = write(tmp_path, "a.json", qci_doc())
     u = g.alpha(2, 3, 0, 0)
-    upath = write(tmp_path, "u.json", serialize.map_to_doc(u))
+    upath = write(tmp_path, "u.json", map_to_doc(u))
     code, rep = run_json(["jacobian", "--file", apath, "--map", upath])
     assert code == 0
     assert rep["data"]["jacobian_coeffs"] == ["6", "0", "0", "0"]
     # a non-endomorphism is rejected with a failing pair and exit 1
-    bad = serialize.map_to_doc(u)
+    bad = map_to_doc(u)
     bad["matrix"][1][1] = "7"
     bpath = write(tmp_path, "bad.json", bad)
     code, rep = run_json(["jacobian", "--file", apath, "--map", bpath])
@@ -138,7 +143,7 @@ def test_cli_jacobian_and_role_failure(tmp_path):
 def test_cli_divergence(tmp_path):
     g = qci(2)
     apath = write(tmp_path, "a.json", qci_doc())
-    dpath = write(tmp_path, "d.json", serialize.map_to_doc(g.delta(1, 2, 0, 4)))
+    dpath = write(tmp_path, "d.json", map_to_doc(g.delta(1, 2, 0, 4)))
     code, rep = run_json(["divergence", "--file", apath, "--map", dpath])
     assert code == 0
     assert rep["data"]["divergence_coeffs"] == ["3", "2", "0", "0"]
@@ -240,7 +245,7 @@ def test_cli_verify_main_theorem(tmp_path):
 def test_cli_liouville(tmp_path):
     g = qci(2)
     apath = write(tmp_path, "a.json", qci_doc())
-    dpath = write(tmp_path, "d.json", serialize.map_to_doc(g.delta(0, 0, 1, 0)))
+    dpath = write(tmp_path, "d.json", map_to_doc(g.delta(0, 0, 1, 0)))
     code, rep = run_json(["liouville", "--file", apath, "--map", dpath])
     assert code == 0
     assert rep["data"]["polynomial"] == ["1", "y"]
@@ -543,7 +548,7 @@ def _qci_over(p, min_poly):
 def broken_map_doc(m):
     """The map document of ``m`` with one entry changed, so it keeps
     neither the product nor the Leibniz rule of qci(2)."""
-    doc = serialize.map_to_doc(m)
+    doc = map_to_doc(m)
     doc["matrix"][1][1] = "7"
     return doc
 
@@ -618,11 +623,11 @@ def augmentation_map():
 # forms and Der(B, DB) were solved from their own linear systems.
 _QCI = {"--file": lambda: algebra_doc(qci(2))}
 _QCI_MAP = {
-    "alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 3, 0, 0)),
-    "delta": lambda: serialize.map_to_doc(qci(2).delta(1, 2, 0, 4)),
-    "nilpotent": lambda: serialize.map_to_doc(qci(2).delta(0, 0, 1, 0)),
-    "non-monomial alpha": lambda: serialize.map_to_doc(qci(2).alpha(2, 1, 1, 2)),
-    "augmentation": lambda: serialize.map_to_doc(augmentation_map()),
+    "alpha": lambda: map_to_doc(qci(2).alpha(2, 3, 0, 0)),
+    "delta": lambda: map_to_doc(qci(2).delta(1, 2, 0, 4)),
+    "nilpotent": lambda: map_to_doc(qci(2).delta(0, 0, 1, 0)),
+    "non-monomial alpha": lambda: map_to_doc(qci(2).alpha(2, 1, 1, 2)),
+    "augmentation": lambda: map_to_doc(augmentation_map()),
     "bad alpha": lambda: broken_map_doc(qci(2).alpha(2, 3, 0, 0)),
     "bad delta": lambda: broken_map_doc(qci(2).delta(1, 2, 0, 4)),
 }
