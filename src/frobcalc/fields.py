@@ -230,12 +230,13 @@ def _canonical(q):
 #                            the column mat-vec of a sparse differential,
 # ``clear_denominators(v)``  (L·v, L) with L·v in ints, or (v, None) when
 #                            v holds ints only or the field is not Q,
-# ``monomial_mode(v, w, high, low)`` v with each key k moved to k + d·w (+ d′)
-#                            and its value times c (·c′), (d, c) = high[t] for
+# ``monomial_mode(v, w, high, low)`` v with each key k moved to k + d·w + d′
+#                            and its value times c·c′, (d, c) = high[t] for
 #                            its digit t = k // w % len(high) of weight w, and
-#                            (d′, c′) = low[k % w] for the digits below it, if
-#                            low is given: a table of several digits' slot maps
-#                            at once, so one pass applies them all,
+#                            (d′, c′) = low[k % w] for the digits below it: a
+#                            table of several digits' slot maps at once (the
+#                            identity's for high alone), so one pass applies
+#                            them all,
 # ``eliminate(col, tail, pivot, r)`` col −= (col[r]/L)·pivot, L its lead, and
 #                            tail alongside (None: untracked), in place; returns
 #                            the scale both took first (Q: |L/gcd| if L ∤ col[r]),
@@ -353,11 +354,8 @@ _rational_column_combination = _raw_column_combination(
                  for k, x in acc.items() if x})
 
 
-def _rational_monomial_mode(vec, w, high, low=None):
+def _rational_monomial_mode(vec, w, high, low):
     m = len(high)
-    if low is None:
-        return {k + d * w: x if type(x) is int or x.denominator != 1 else x.numerator
-                for k, v in vec.items() for d, c in [high[k // w % m]] for x in [c * v]}
     return {k + d * w + d2: x if type(x) is int or x.denominator != 1 else x.numerator
             for k, v in vec.items() for (d, c), (d2, c2) in [(high[k // w % m], low[k % w])]
             for x in [c * c2 * v]}
@@ -435,10 +433,8 @@ def _prime_loops(p):
         else:
             d.pop(key, None)
 
-    def monomial_mode(vec, w, high, low=None):
+    def monomial_mode(vec, w, high, low):
         m = len(high)
-        if low is None:
-            return {k + d * w: c * v % p for k, v in vec.items() for d, c in [high[k // w % m]]}
         return {k + d * w + d2: c * c2 * v % p for k, v in vec.items()
                 for (d, c), (d2, c2) in [(high[k // w % m], low[k % w])]}
 
@@ -496,11 +492,8 @@ def _table_loops(p, log, exp, zech):
     def nonzeros(vec):
         return {i: v for i, v in enumerate(vec) if v in log}
 
-    def monomial_mode(vec, w, high, low=None):
+    def monomial_mode(vec, w, high, low):
         m = len(high)
-        if low is None:
-            return {k + d * w: exp[log[c] + log[v]]
-                    for k, v in vec.items() for d, c in [high[k // w % m]]}
         # three exponents sum to s < 3(q − 1): exp, listed twice, reads g^s
         # at s − (q − 1), a negative index wrapping
         return {k + d * w + d2: exp[log[c] + log[c2] + log[v] - units]
@@ -532,11 +525,8 @@ def _generic_loops(f):
     def nonzeros(vec):
         return {i: v for i, v in enumerate(vec) if not f.is_zero(v)}
 
-    def monomial_mode(vec, w, high, low=None):
+    def monomial_mode(vec, w, high, low):
         m = len(high)
-        if low is None:
-            return {k + d * w: f.mul(c, v)
-                    for k, v in vec.items() for d, c in [high[k // w % m]]}
         return {k + d * w + d2: f.mul(f.mul(c, c2), v)
                 for k, v in vec.items() for (d, c), (d2, c2) in [(high[k // w % m], low[k % w])]}
 

@@ -94,8 +94,9 @@ def make_frobenius(A: Algebra, gram: Matrix) -> FrobeniusStructure:
     if bad:
         i, j, k = min(bad)
         raise InternalInconsistency(f"bimodule law failed at ({i},{j},{k})")
-    # the validated form of σ: H_p(A, A_σ) is read off the cocycles by it
-    A._cache[("nakayama-form", sigma_mat)] = gram
+    # the validated form of σ and G⁻¹'s rows: H_p(A, A_σ) is read off the
+    # cocycles by them
+    A._cache[("nakayama-form", sigma_mat)] = gram, ginv.sparse_rows()
     return F
 
 

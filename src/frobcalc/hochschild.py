@@ -5,8 +5,8 @@ values keyed by the flat coordinate k·n^p + J (J a p-tuple of basis
 indices read base n, first index most significant); chains with
 coefficients in M are flattened as (m, tuple).  Each differential is
 defined once, as tables of face offsets, and read off them column-sparse
-(the duality check reads b_{p+1}'s table transposed, by rows); neither has
-a dense copy.
+(the duality check reads b_{p+1}'s table transposed, with the form folded
+in); neither has a dense copy.
 d^p's columns are cached, since certificates and the duality check read
 them again; b_p is only its face table, and its columns are streamed to
 where they are read and never cached.  All rank/kernel/solve work goes
@@ -15,13 +15,13 @@ is asked of one echelon by insertion: cohomology representatives are the
 cocycles that still join the echelon of the coboundaries.  Tails (the
 combination of inserted columns a pivot stands for) are tracked only
 where they are read, for kernel vectors and for solves; echelons used
-for their rank alone carry none (b_{p+1} for H_p without a form, b₂ for
-the Connes image test).  Over Q an echelon clears the denominators of
-each vector it takes and reduces on integers, and a cocycle is tested
-as d(L·f) = 0, L·f the cochain with its denominators cleared; a
-certificate runs every step on L·f and divides by L once.  A monomial
-map acts on a cochain in one pass over its nonzeros; any other map takes
-one mode product per digit.
+for their rank alone carry none (b_{p+1} for H_p without a form, d^{p−1}
+for HH^p), and only the cycles that join them are inserted.  Over Q an
+echelon clears the denominators of each vector it takes and reduces on
+integers, and a cocycle is tested as d(L·f) = 0, L·f the cochain with
+its denominators cleared; a certificate runs every step on L·f and
+divides by L once.  A monomial map acts on a cochain in one pass over
+its nonzeros; any other map takes one mode product per digit.
 
 Coefficients for homology are either the tautological bimodule or its
 right-twist by the Nakayama map (left action untouched, right action
@@ -32,12 +32,12 @@ the twist of a validated form, H_p(A, A_σ) is read off the cocycles of
 d^p: the boundaries are the chains that pair to zero with every cocycle,
 and the representatives are the cycles whose pairing vectors still join
 the echelon of the earlier ones.  The duality is checked exactly, on
-every nonzero of both sides: b_{p+1}'s rows are read off its face table
-transposed and compared with d^p's cached columns, directly when the form
-is monomial (it is folded into the rows) and through the form on both
-sides otherwise; b_{p+1} is never eliminated.  Other coefficients
-eliminate b_{p+1} for its rank.  Either way H_p is built once per (p,
-twist) and reused by the σ-action on H_p.
+every nonzero of both sides, one way for every form: G and G⁻¹ are folded
+into b_{p+1}'s face table read transposed, and the columns it gives are
+compared with d^p's cached columns as they are; b_{p+1} is never
+eliminated.  Other coefficients eliminate b_{p+1} for its rank.  Either
+way H_p is built once per (p, twist) and reused by the σ-action on H_p
+and by the Connes image test, which reads H_1's coordinates.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .algebra import (Algebra, Element, LinearMap, ROLE_ENDOMORPHISM,
 from .errors import BudgetExceeded, InternalInconsistency, MalformedInput
 from .frobenius import FrobeniusStructure
 from .linalg import (Matrix, SparseEchelon, dense_vector, echelon,
-                     linear_combination, sparse_combination, sum_product)
+                     linear_combination, sparse_combination,
+                     sparse_kernel_basis, sum_product)
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -226,43 +227,42 @@ def _stream_boundary(A: Algebra, p, twist: Matrix | None):
             yield col
 
 
-def _boundary_rows(A: Algebra, p, twist: Matrix | None, form=None):
-    """The rows of b_p read transposed off its face table
-    (:func:`_boundary_faces`), never cached: for each K < n^{p−1} in turn,
-    the list of the n rows m·n^{p−1} + K as dicts {column: value}.  Face 0
-    and the last face are inverted per output block and the middle faces
-    per output digit t, once, at table size.  A row is then built as
-    :func:`_coboundary_columns` builds a column, from offsets shifted by K
-    and by K·n and digit lookups; the middle faces' terms, the same in each
-    row of one K up to its block, are summed once per K.
-
-    ``form`` is the rows of a monomial Gram matrix, G[t] = {μ(t): g_t}, and
-    is folded into the inverted tables once per entry: the list for K then
-    holds at k the row (μ(k), K) with column block μ(t) relabelled t and
-    scaled by g_k/g_t.  These are the columns of Φ_p⁻¹∘b_pᵀ∘Φ_{p−1} (Φ as
-    in :func:`_dual_pairing`), which the chain-level duality makes the
-    columns of d^{p−1}."""
+def _boundary_rows(A: Algebra, p, twist: Matrix | None, grows, ginv):
+    """The columns of Φ_p⁻¹∘b_pᵀ∘Φ_{p−1} (Φ as in :func:`_dual_pairing`, G's
+    rows ``grows``, G⁻¹'s ``ginv``), which the chain-level duality makes
+    d^{p−1}'s, read off b_p's face table transposed and never cached: for
+    each K < n^{p−1} in turn, the n columns (k, K) as dicts.  Identity rows
+    give b_p's own rows (m, K).  Face 0 and the last face are inverted per
+    row block t and the form is folded in at table size: block k sums g·c·h,
+    g = G[k][t], (m, off, c) an entry of block t, h = G⁻¹[m][k′], at (k′,
+    off), so what G and G⁻¹ cancel goes before any column is built.  The
+    middle faces keep their block (G·G⁻¹ = 1), inverted per output digit.
+    A column is built as :func:`_coboundary_columns` builds one: offsets
+    shifted by K and by K·n and digit lookups, the middle faces' terms
+    summed once per K."""
     w, first, mids, last = _boundary_faces(A, p, twist)
     f, n = A.field, A.dim
-    add, npow = f.add_entry, n * w
+    add, mul, npow = f.add_entry, f.mul, n * w
     # face 0 takes column (m, a, K) to row (t, K), the last face (m, K, a′):
     # row block t lists (m, a·w) and (m, a′), to be shifted by K and by K·n
-    ends = [[] for _ in range(n)], [[] for _ in range(n)]
-    for table, inv, weight in zip((first, last), ends, (w, 1)):
+    ends = []
+    for table, weight in ((first, w), (last, 1)):
+        inv = [[] for _ in range(n)]
         for m in range(n):
             for a, terms in enumerate(table[m]):
                 for off, c in terms:
                     inv[off // w].append((m, a * weight, c))
-    if form is None:
-        firsts, lasts = ([[(m * npow + off, c) for m, off, c in terms] for terms in inv]
-                         for inv in ends)
-    else:
-        mu = [next(iter(g)) for g in form]
-        label = {m: t for t, m in enumerate(mu)}
-        gains = [next(iter(g.values())) for g in form]
-        recips = [f.inv(g) for g in gains]
-        firsts, lasts = ([[(label[m] * npow + off, f.mul(c, f.mul(gains[k], recips[label[m]])))
-                           for m, off, c in inv[mu[k]]] for k in range(n)] for inv in ends)
+        folded = []
+        for k in range(n):
+            acc = {}
+            for t, g in grows[k].items():
+                for m, off, c in inv[t]:
+                    gc = mul(g, c)
+                    for k2, h in ginv[m].items():
+                        add(acc, k2 * npow + off, mul(gc, h))
+            folded.append(acc.items())
+        ends.append(folded)
+    firsts, lasts = ends
     # middle face (hi, lo, table) takes column (m, pre, d, suf) to row
     # (m, pre, t, suf), which keeps its block: inverted per output digit t
     faces = []
@@ -273,23 +273,23 @@ def _boundary_rows(A: Algebra, p, twist: Matrix | None, form=None):
                 inv[off // lo].append((d * lo, c))
         faces.append((hi // n, hi, lo, inv))
     for K in range(w):
-        # row (i, K) holds these shifted by its block, i·n^p
+        # column (k, K) holds these shifted by its block, k·n^p
         middle = {}
         for hn, hi, lo, inv in faces:
             base = K // hn * hi + K % lo
             for off, c in inv[K // lo % n]:
                 add(middle, base + off, c)
         head = K * n
-        rows = []
-        for i in range(n):
-            base = i * npow
-            row = {base + off: c for off, c in middle.items()}
-            for off, c in firsts[i]:
-                add(row, off + K, c)
-            for off, c in lasts[i]:
-                add(row, off + head, c)
-            rows.append(row)
-        yield rows
+        cols = []
+        for k in range(n):
+            base = k * npow
+            col = {base + off: c for off, c in middle.items()}
+            for off, c in firsts[k]:
+                add(col, off + K, c)
+            for off, c in lasts[k]:
+                add(col, off + head, c)
+            cols.append(col)
+        yield cols
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +313,17 @@ def _representatives(ech, kernel, dim_bound, pairing=None):
     count is dim(cycles) − ``dim_bound`` whenever the boundaries are
     cycles.  The i-th cycle to join carries the tail {i: 1}, so afterwards
     ``ech.solve`` gives a cycle's coordinates in Z/B against the
-    representatives.
+    representatives.  Without ``pairing``, a cycle whose last key (its
+    free column) is a boundary pivot's row is a boundary plus earlier
+    cycles and is skipped.
     """
     dim = len(kernel) - dim_bound
     f = ech.field
     one = f.one()
     reps = []
     for kv in kernel:
+        if pairing is None and max(kv) in ech.pivots:
+            continue
         vec = kv if pairing is None else sparse_combination(f, pairing, kv)
         if ech.insert(vec, {len(reps): one}) is None:
             reps.append(kv)
@@ -357,13 +361,11 @@ def _action_slots(u: LinearMap, inverse=True):
     return action
 
 
-def _mode_product(fld, data, n, w, slot):
-    """``data`` with the slot map applied to the digit of weight w of each
-    flat key, read once: the n-mode product (Kolda & Bader 2009, §2.5).
-    On a monomial map no two keys meet and no product is zero."""
-    monomial, images, _ = slot
-    if monomial:
-        return fld.monomial_mode(data, w, images)
+def _mode_product(fld, data, n, w, images):
+    """``data`` with the map t ↦ images[t] (sparse dicts) applied to the
+    digit of weight w of each flat key, read once: the n-mode product
+    (Kolda & Bader 2009, §2.5), for maps that are not monomial (a monomial
+    one acts by ``Field.monomial_mode``)."""
     mul, add = fld.mul, fld.add_entry
     out = {}
     for idx, val in data.items():
@@ -404,8 +406,8 @@ def _tensor_action(fld, data, n, p, low, top):
     if low[0] and top[0]:
         return fld.monomial_mode(data, w, top[1], _low_block(fld, n, p, low))
     for i in range(p):
-        data = _mode_product(fld, data, n, n ** i, low)
-    return _mode_product(fld, data, n, w, top)
+        data = _mode_product(fld, data, n, n ** i, low[1])
+    return _mode_product(fld, data, n, w, top[1])
 
 
 # ---------------------------------------------------------------------------
@@ -500,43 +502,38 @@ class _HomologyState:
         return self.echelon.solve(chain)
 
 
-def _dual_pairing(A: Algebra, p, twist, gram):
+def _dual_pairing(A: Algebra, p, twist, form):
     """The cocycles z_i of d^p as a pairing with p-chains, {chain index:
     {i: Φ_p(z_i)[index]}}, once the chain-level duality Φ_{p+1}∘d^p =
     b_{p+1}ᵀ∘Φ_p has been checked entry by entry.
 
     Φ_p(f)[m·n^p + J] = Σ_k G[k][m]·f[k·n^p + J] = ⟨f(e_J), e_m⟩ is Gᵀ on
-    the output digit, a mode product with G's rows.  ``gram`` is a
-    validated form, so Φ_p is invertible, and by the identity d^p f = 0
+    the output digit.  ``form`` is a validated form and its inverse's rows,
+    (G, G⁻¹ rows), so Φ_p is invertible, and by the identity d^p f = 0
     exactly when Φ_p f vanishes on im b_{p+1}: B_p is the set of chains c
     with ⟨z, c⟩ = Σ Φ_p(z)[i]·c[i] = 0 for every cocycle z.
 
-    The check takes b_{p+1}'s rows J by J from :func:`_boundary_rows`, each
-    built once.  A monomial G, G[k] = {μ(k): g_k}, is folded into them, and
-    the identity says that row (μ(k), J), relabelled and scaled, equals
-    d^p's column (k, J): one dict comparison, with no product.  Any other G
-    compares Σ_m G[k][m]·(row (m, J)) with the mode product of the column.
-    Both sides are read in full; a mismatch, as from a form whose Nakayama
-    map is not ``twist``, raises before anything is cached."""
+    The check takes the columns of Φ_{p+1}⁻¹∘b_{p+1}ᵀ∘Φ_p from
+    :func:`_boundary_rows`, the form folded into b_{p+1}'s face table, and
+    compares each J's n of them with d^p's cached columns (k, J) as they
+    are: no product on either side, for any G.  Both sides are read in
+    full; a mismatch, as from a form whose Nakayama map is not ``twist``,
+    raises before anything is cached.  Φ_p(z) is one ``monomial_mode``
+    pass when G is monomial, else a mode product."""
+    gram, ginv = form
     f, n, w = A.field, A.dim, A.dim ** p
     grows = gram.sparse_rows()
-    slot = _slot_map(grows)
-    monomial = slot[0]
     dcols = _coboundary_columns(A, p)
-    for J, rows in enumerate(_boundary_rows(A, p + 1, twist, grows if monomial else None)):
-        for k, col in enumerate(dcols[J::w]):
-            if monomial:
-                same = col == rows[k]
-            else:
-                rhs = {}
-                for m, g in grows[k].items():
-                    f.axpy(rhs, rows[m], g)
-                same = _mode_product(f, col, n, n * w, slot) == rhs
-            if not same:
-                raise InternalInconsistency("chain-level duality failed")
+    for J, cols in enumerate(_boundary_rows(A, p + 1, twist, grows, ginv)):
+        if cols != dcols[J::w]:
+            raise InternalInconsistency("chain-level duality failed")
+    monomial, images, _ = _slot_map(grows)
+    low = [(0, f.one())] * w
     pairing = {}
     for i, z in enumerate(_cocycles(A, p)):
-        for idx, v in _mode_product(f, z, n, w, slot).items():
+        phi = (f.monomial_mode(z, w, images, low) if monomial
+               else _mode_product(f, z, n, w, images))
+        for idx, v in phi.items():
             pairing.setdefault(idx, {})[i] = v
     return pairing
 
@@ -547,11 +544,12 @@ def _homology(A: Algebra, p, twist):
 
     The cycles are the canonical kernel of b_p, whose columns are streamed
     into its echelon and not kept.  For the twist of a validated Frobenius
-    form (``make_frobenius`` records the form under σ's matrix) the
-    boundaries, the representatives and the σ-action come from the
-    cocycles of d^p by duality (:func:`_dual_pairing`): b_{p+1}'s rows are
-    checked once against d^p's cached columns, and b_{p+1} is never
-    eliminated, since dim B_p = n^{p+1} − dim Z^p.  Untwisted coefficients and any twist without a form fall
+    form (``make_frobenius`` records the form and its inverse's rows under
+    σ's matrix) the boundaries, the representatives and the σ-action come
+    from the cocycles of d^p by duality (:func:`_dual_pairing`): the form,
+    folded into b_{p+1}'s face table, is checked once against d^p's cached
+    columns, and b_{p+1} is never eliminated, since dim B_p = n^{p+1} −
+    dim Z^p.  Untwisted coefficients and any twist without a form fall
     back to eliminating the streamed b_{p+1} for its rank alone; the two
     routes choose the same representatives and give the same
     coordinates.
@@ -561,11 +559,11 @@ def _homology(A: Algebra, p, twist):
     if state is not None:
         return state
     f = A.field
-    gram = None if twist is None else A._cache.get(("nakayama-form", twist))
+    form = None if twist is None else A._cache.get(("nakayama-form", twist))
     # the duality check runs before b_p is eliminated: run after it, the
     # rows of b_{p+1} went to fresh memory and not to what that
     # elimination freed, and the homology benchmark's peak RSS read +3.5 %
-    pairing = None if gram is None else _dual_pairing(A, p, twist, gram)
+    pairing = None if form is None else _dual_pairing(A, p, twist, form)
     if p == 0:
         kernel = [{i: f.one()} for i in range(A.dim)]
     else:
@@ -767,20 +765,21 @@ def connes_image_test(B: Algebra, tau, t=None) -> ConnesImageResult:
     if fld.nonzeros([sum_product(fld, tau, c.raw) for c in commutator_subspace(B)]):
         raise MalformedInput("tau does not vanish on commutators")
 
-    # ker(HH₀ → HH₁): z with 1⊗z + z⊗1 a Hochschild boundary
-    # inserted after the boundaries (empty tails), 1⊗e_i + e_i⊗1 reduces to
-    # zero exactly when it is a boundary modulo the earlier ones; its tail
-    # is then the canonical kernel vector for free column i
-    ech, _ = _echelonize(fld, _stream_boundary(B, 2, None))
-    kvecs = []
+    # ker(HH₀ → HH₁): z with 1⊗z + z⊗1 a Hochschild boundary, the kernel
+    # of e_i ↦ the coordinates of 1⊗e_i + e_i⊗1 in the cached H_1, which
+    # are injective on H_1
+    h1 = _homology(B, 1, None)
+    coords = []
     for i in range(n):
         vec = {}
         for m, um in fld.nonzeros(B.unit).items():
             fld.add_entry(vec, m * n + i, um)
             fld.add_entry(vec, i * n + m, um)
-        out = ech.insert(vec, {i: fld.one()})
-        if out is not None:
-            kvecs.append(dense_vector(fld, out, n))
+        x = h1.coordinates(vec)
+        if x is None:
+            raise InternalInconsistency("1⊗e_i + e_i⊗1 is not a Hochschild cycle")
+        coords.append(x)
+    kvecs = sparse_kernel_basis(fld, coords)
     kernel_elements = [Element(B, v, _raw=True) for v in kvecs]
     in_image_kernel = not fld.nonzeros([sum_product(fld, tau, v) for v in kvecs])
 

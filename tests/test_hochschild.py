@@ -19,8 +19,8 @@ from frobcalc.frobenius import FrobeniusStructure, make_frobenius
 from frobcalc.gallery import (cyclic, dual_numbers, exterior,
                               ground_field_algebra, matrix_algebra, qci,
                               s3_group_algebra, trivial_extension)
-from frobcalc.linalg import (Matrix, dense_vector, echelon, solve_linear,
-                             sparse_combination, sparse_kernel_basis)
+from frobcalc.linalg import (Matrix, SparseEchelon, dense_vector, echelon, invert,
+                             solve_linear, sparse_combination, sparse_kernel_basis)
 from test_algebra import is_derivation
 from test_fields import assert_canonical
 from test_kernels import (RefEchelon, assert_integral_pivots, normalized,
@@ -95,12 +95,12 @@ def test_coboundary_columns_keep_their_layout():
             assert digest == COBOUNDARY_LAYOUT[name, p], (name, p)
 
 
-def _corrupt(col):
+def _corrupt(col, field=Q):
     """A copy of a sparse column, or of a face-table list of (offset,
-    value) terms, with its first value doubled."""
+    value) terms, with its first value doubled in ``field``."""
     items = list(col.items()) if isinstance(col, dict) else list(col)
     (k, v), rest = items[0], items[1:]
-    items = [(k, 2 * v)] + rest
+    items = [(k, field.add(v, v))] + rest
     return dict(items) if isinstance(col, dict) else items
 
 
@@ -462,6 +462,81 @@ def test_connes_image():
     assert ok.in_image
     trace_like = hh.connes_image_test(m2, [1, 0, 0, 1])
     assert not trace_like.in_image
+
+
+def _insertion_connes_kernel(B):
+    """ker(HH₀ → HH₁) by insertion: after b₂'s columns (no tails), each
+    1⊗e_i + e_i⊗1 with tail {i: 1} reduces to zero exactly when it is a
+    boundary modulo the earlier ones, and its tail is then the canonical
+    kernel vector for free column i."""
+    fld, n = B.field, B.dim
+    ech, _ = hh._echelonize(fld, hh._stream_boundary(B, 2, None))
+    kvecs = []
+    for i in range(n):
+        vec = {}
+        for m, um in fld.nonzeros(B.unit).items():
+            fld.add_entry(vec, m * n + i, um)
+            fld.add_entry(vec, i * n + m, um)
+        out = ech.insert(vec, {i: fld.one()})
+        if out is not None:
+            kvecs.append(dense_vector(fld, out, n))
+    return kvecs
+
+
+@pytest.mark.parametrize("build", [ground_field_algebra, dual_numbers,
+                                   lambda: matrix_algebra(2).algebra,
+                                   lambda: qci(2).algebra],
+                         ids=["k", "dual numbers", "M2", "qci(2)"])
+def test_connes_kernel_reads_the_cached_h1(monkeypatch, build):
+    # the kernel of e_i ↦ the H_1 coordinates of 1⊗e_i + e_i⊗1 is the
+    # insertion kernel, value types included; b₂ is eliminated once per
+    # base, not on every call
+    B = build()
+    expected = _insertion_connes_kernel(B)
+    eliminated = []
+    echelonize = hh._echelonize
+    monkeypatch.setattr(hh, "_echelonize",
+                        lambda *args, **kw: eliminated.append(args) or echelonize(*args, **kw))
+    for _ in range(2):
+        res = hh.connes_image_test(B, [0] * B.dim)
+        assert res.in_image
+        assert [typed(dict(enumerate(e.raw))) for e in res.kernel_basis] == \
+            [typed(dict(enumerate(v))) for v in expected]
+        assert len(eliminated) == 2  # b₁ with tails and b₂ for its rank
+
+
+@pytest.mark.parametrize("label", list(GALLERY))
+def test_without_a_pairing_only_the_representatives_are_inserted(monkeypatch, label):
+    # a canonical cycle whose free column is a pivot row of the boundaries
+    # is a boundary plus earlier cycles: hh_dimension and untwisted H_p
+    # skip it, so exactly dim H_p cycles are inserted, and each joins
+    inside, joined = [], []
+    insert, representatives = SparseEchelon.insert, hh._representatives
+
+    def counting(self, col, tail):
+        out = insert(self, col, tail)
+        if inside:
+            joined.append(out is None)
+        return out
+
+    def counted(*args, **kwargs):
+        inside.append(True)
+        try:
+            return representatives(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SparseEchelon, "insert", counting)
+    monkeypatch.setattr(hh, "_representatives", counted)
+    A = GALLERY[label]().algebra
+    skipped = 0
+    for p in range(3):
+        for call in (hh.hh_dimension, hh.homology_dimension):
+            joined.clear()
+            rep = call(A, p)
+            assert joined == [True] * rep.dim
+            skipped += rep.dim_cycles - rep.dim
+    assert skipped > 0
 
 
 def test_twisted_h0_representatives():
@@ -854,7 +929,7 @@ def test_a_form_of_another_sigma_fails_the_duality_check():
         F = make_frobenius(A, item.gram)
         wrong = item.gram * right_mult_matrix(A.unit_element() + item.x)
         assert make_frobenius(A, wrong).sigma.matrix != F.sigma.matrix
-        A._cache[("nakayama-form", F.sigma.matrix)] = wrong
+        A._cache[("nakayama-form", F.sigma.matrix)] = wrong, invert(wrong).sparse_rows()
         for call in (lambda: hh.homology_dimension(A, p, hh.TWISTED, F.sigma),
                      lambda: hh.sigma_action_on_homology(F, p, hh.TWISTED)):
             with pytest.raises(InternalInconsistency,
@@ -890,20 +965,21 @@ def _corrupt_face(A, p, twist, where):
         hi, lo, table = mids[-1]
         table = list(table)
         d = next(d for d, terms in enumerate(table) if terms)
-        table[d] = _corrupt(table[d])
+        table[d] = _corrupt(table[d], A.field)
         mids = mids[:-1] + [(hi, lo, table)]
     else:
         last = [list(tables) for tables in last]
         m, a = next((m, a) for m, tables in enumerate(last)
                     for a, terms in enumerate(tables) if terms)
-        last[m][a] = _corrupt(last[m][a])
+        last[m][a] = _corrupt(last[m][a], A.field)
     A._cache[("faces", p, twist)] = (w, first, mids, last)
 
 
-# a carrier whose form is monomial, and so folded into b_{p+1}'s rows, and
-# one whose form is not
+# a carrier whose form is monomial and two whose forms are not, one of
+# them dense over 𝔽₅; each form is folded into b_{p+1}'s face table
 MONOMIAL_FORM = {"qci(2)": (lambda: qci(2), True),
-                 "trivM2 twisted by 1+E12": (_twisted_trivial_m2, False)}
+                 "trivM2 twisted by 1+E12": (_twisted_trivial_m2, False),
+                 "cyclic(5)/F5": (lambda: cyclic(5), False)}
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -911,19 +987,18 @@ MONOMIAL_FORM = {"qci(2)": (lambda: qci(2), True),
 @pytest.mark.parametrize("label", list(MONOMIAL_FORM))
 def test_a_corrupted_face_or_column_fails_the_duality_check(label, where, p):
     # one doubled coefficient in b_{p+1}'s cached face table or in one column
-    # of the cached d^p must be seen, whether the form is folded into the
-    # rows (monomial G) or applied to both sides (any other G)
+    # of the cached d^p must be seen, whether the form is monomial or not
     build, monomial = MONOMIAL_FORM[label]
     item = build()
     A = item.algebra
     F = make_frobenius(A, item.gram)
     twist = F.sigma.matrix
-    gram = A._cache[("nakayama-form", twist)]
+    gram, _ = A._cache[("nakayama-form", twist)]
     assert hh._slot_map(gram.sparse_rows())[0] == monomial
     if where == "coboundary column":
         cols = list(hh._coboundary_columns(A, p))
         i = next(i for i, col in enumerate(cols) if col)
-        cols[i] = _corrupt(cols[i])
+        cols[i] = _corrupt(cols[i], A.field)
         A._cache[("cob", p)] = cols
     else:
         _corrupt_face(A, p + 1, twist, where)
@@ -932,26 +1007,51 @@ def test_a_corrupted_face_or_column_fails_the_duality_check(label, where, p):
     assert ("hom", p, twist) not in A._cache
 
 
-def test_a_monomial_form_checks_duality_without_mode_products(monkeypatch):
-    # exterior(3)'s form is monomial: b_{p+1}'s relabelled rows are compared
-    # with d^p's columns as they are, so the only mode products are the
-    # ones that turn the cocycles into pairing vectors
-    item = exterior(3)
-    A = item.algebra
-    F = make_frobenius(A, item.gram)
-    gram = A._cache[("nakayama-form", F.sigma.matrix)]
-    assert hh._slot_map(gram.sparse_rows())[0]
+def _count_mode_products(monkeypatch):
+    """The data of every ``_mode_product`` call from now on."""
     read = []
     mode_product = hh._mode_product
     monkeypatch.setattr(hh, "_mode_product",
                         lambda fld, data, *args: read.append(data)
                         or mode_product(fld, data, *args))
+    return read
+
+
+def test_a_monomial_form_checks_duality_without_mode_products(monkeypatch):
+    # exterior(3)'s form is monomial: the check compares d^p's columns as
+    # they are, and the cocycles' pairing vectors are one monomial_mode
+    # pass each, so no mode product is taken at all
+    item = exterior(3)
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    gram, _ = A._cache[("nakayama-form", F.sigma.matrix)]
+    assert hh._slot_map(gram.sparse_rows())[0]
+    read = _count_mode_products(monkeypatch)
+    for p in range(3):
+        hh.homology_dimension(A, p, hh.TWISTED, F.sigma)
+        assert hh._homology(A, p, F.sigma.matrix).pairing is not None
+        assert not read
+
+
+@pytest.mark.parametrize("label", ["trivM2 twisted by 1+E12", "cyclic(5)/F5"])
+def test_a_form_that_is_not_monomial_checks_duality_without_mode_products(
+        monkeypatch, label):
+    # a form that is not monomial is folded into b_{p+1}'s face table too:
+    # the only mode products are the ones that turn the cocycles into
+    # pairing vectors, and none reads a column of d^p
+    build, monomial = MONOMIAL_FORM[label]
+    assert not monomial
+    item = build()
+    A = item.algebra
+    F = make_frobenius(A, item.gram)
+    read = _count_mode_products(monkeypatch)
     for p in range(3):
         read.clear()
         hh.homology_dimension(A, p, hh.TWISTED, F.sigma)
+        assert hh._homology(A, p, F.sigma.matrix).pairing is not None
         cols = {id(col) for col in hh._coboundary_columns(A, p)}
         assert not any(id(data) in cols for data in read)
-        assert len(read) == len(hh._cocycles(A, p))
+        assert [id(data) for data in read] == [id(z) for z in hh._cocycles(A, p)]
 
 
 @pytest.mark.parametrize("dual", [True, False])
@@ -992,15 +1092,15 @@ FACE_TABLE_CARRIERS = {
 @pytest.mark.parametrize("label", list(FACE_TABLE_CARRIERS))
 def test_boundary_rows_are_the_streamed_columns_transposed(label):
     # the duality check reads b_p by rows off the face table that streams
-    # its columns, n rows (m, K) per K: unrelabelled, both readings must give
-    # the same entries; relabelled through a monomial form, the rows are
-    # d^{p−1}'s columns
+    # its columns, n rows (m, K) per K: through identity rows, both readings
+    # must give the same entries; through the recorded form, monomial or
+    # not, the rows are d^{p−1}'s columns
     item = FACE_TABLE_CARRIERS[label]()
     A = item.algebra
     n = A.dim
     F = make_frobenius(A, item.gram)
-    grows = A._cache[("nakayama-form", F.sigma.matrix)].sparse_rows()
-    monomial = hh._slot_map(grows)[0]
+    gram, ginv = A._cache[("nakayama-form", F.sigma.matrix)]
+    identity = Matrix.identity(A.field, n).sparse_rows()
     for p in range(1, 4):
         w = n ** (p - 1)
         for twist in (None, F.sigma.matrix):
@@ -1009,17 +1109,17 @@ def test_boundary_rows_are_the_streamed_columns_transposed(label):
                 for r, v in col.items():
                     transposed[r][c] = v
             rows = [None] * (n * w)
-            for K, block in enumerate(hh._boundary_rows(A, p, twist)):
+            for K, block in enumerate(hh._boundary_rows(A, p, twist, identity, identity)):
                 assert len(block) == n
                 for m, row in enumerate(block):
                     rows[m * w + K] = row
             assert _exact(rows) == _exact(transposed)
-        if monomial:
-            rows = [None] * (n * w)
-            for K, block in enumerate(hh._boundary_rows(A, p, F.sigma.matrix, grows)):
-                for k, row in enumerate(block):
-                    rows[k * w + K] = row
-            assert _exact(rows) == _exact(hh._coboundary_columns(A, p - 1))
+        rows = [None] * (n * w)
+        for K, block in enumerate(hh._boundary_rows(A, p, F.sigma.matrix,
+                                                    gram.sparse_rows(), ginv)):
+            for k, row in enumerate(block):
+                rows[k * w + K] = row
+        assert _exact(rows) == _exact(hh._coboundary_columns(A, p - 1))
 
 
 SIGMA_NOT_IDENTITY = ["exterior(2)/Q", "exterior(4)/Q", "exterior(4)/F5", "qci(2)/Q",

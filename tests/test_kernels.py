@@ -224,9 +224,10 @@ def test_axpy_and_add_entry_match_per_scalar_ops(label):
 @pytest.mark.parametrize("label", LABELS + ["F2^31-1[a]"])
 def test_monomial_mode_matches_per_scalar_ops(label):
     # keys are flat three-digit indices base 3; the map on digit i sends t
-    # to perm[i][t] scaled by scale[i][t] ≠ 0.  Alone, it acts on the digit
-    # of weight w; with a table of the two low digits' maps (9 entries) it
-    # acts on the top digit, and all three maps apply in one pass
+    # to perm[i][t] scaled by scale[i][t] ≠ 0.  With the identity's table
+    # below it, it acts on the digit of weight w alone; with a table of the
+    # two low digits' maps (9 entries) it acts on the top digit, and all
+    # three maps apply in one pass
     f = FIELDS.get(label, UNTABLED)
     nonzero = ENTRY[label].filter(lambda v: not f.is_zero(f.coerce(v)))
     triple = st.lists(nonzero, min_size=3, max_size=3)
@@ -252,7 +253,7 @@ def test_monomial_mode_matches_per_scalar_ops(label):
             return out
 
         w = 3 ** digit
-        fused = f.monomial_mode(vec, w, maps[digit])
+        fused = f.monomial_mode(vec, w, maps[digit], [(0, f.one())] * w)
         assert typed(fused) == typed(ref([digit]))
         check_form(f, fused.values())
         low = [(d0 + 3 * d1, f.mul(c0, c1)) for d1, c1 in maps[1] for d0, c0 in maps[0]]
